@@ -7,17 +7,26 @@ On-disk dataset layout (all little-endian, ids 0-based decimal):
     features.csv         alternative for small fixtures, one row per node
     labels.tsv           "node<TAB>class" lines
     splits/train.txt     one node id per line (same for val.txt, test.txt)
+
+The integer files (edges, labels, splits) are parsed in bulk: one
+``np.loadtxt`` call per file, then vectorised range checks. Whenever that
+parse raises or finds an id out of range, the file is read again line by
+line. That loop is the reference reader: it alone reports errors, as one
+line naming the file and the line number, and it also accepts the few
+inputs numpy rejects (whitespace-only lines, a trailing tab, ``1_0``), so
+both paths load every file to the same arrays.
 """
 
 from __future__ import annotations
 
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .graph import CsrGraph, build_graph
+from .graph import CsrGraph, build_graph, unique_sorted
 
 _FEAT_MAGIC = b"GMFX"
 
@@ -56,7 +65,7 @@ class Dataset:
         all_ids = np.concatenate([self.splits.train, self.splits.val, self.splits.test])
         if all_ids.size and (all_ids.min() < 0 or all_ids.max() >= n):
             raise DatasetError(f"{self.name}: split id outside [0, {n})")
-        if np.unique(all_ids).size != all_ids.size:
+        if unique_sorted(all_ids).size != all_ids.size:
             raise DatasetError(f"{self.name}: splits overlap")
         unlabeled = self.splits.train[self.labels[self.splits.train] < 0]
         if unlabeled.size:
@@ -75,7 +84,33 @@ class Dataset:
         return np.stack([rows[keep], cols[keep]], axis=1)
 
 
+def _read_table(path: Path, columns: int) -> np.ndarray | None:
+    """Bulk-parse a TAB-separated integer file into a (rows, columns) int64 array.
+
+    Blank lines are skipped. Returns None when numpy's parser rejects the
+    file or finds another column count; the caller then falls back to its
+    line loop, which reports the error or accepts what numpy does not.
+    """
+    if not path.read_bytes().strip():
+        return np.empty((0, columns), dtype=np.int64)
+    try:
+        with warnings.catch_warnings():
+            # numpy < 2 parsed float text such as "1.5" into integer columns
+            # with only a DeprecationWarning; the loop must reject it instead
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(path, dtype=np.int64, delimiter="\t", comments=None,
+                               ndmin=2, encoding="utf-8")
+    except (ValueError, DeprecationWarning):
+        return None
+    return table if table.shape[1] == columns else None
+
+
 def _read_id_file(path: Path) -> np.ndarray:
+    table = _read_table(path, 1)
+    return table[:, 0] if table is not None else _read_id_file_by_line(path)
+
+
+def _read_id_file_by_line(path: Path) -> np.ndarray:
     ids = []
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
@@ -111,6 +146,72 @@ def _read_features(directory: Path) -> np.ndarray:
     raise DatasetError(f"{directory}: missing features.bin / features.csv")
 
 
+def _read_edges(path: Path, n: int) -> np.ndarray:
+    """(m, 2) array of the edge lines' endpoints, in file order."""
+    table = _read_table(path, 2)
+    if table is None or (table.size and (table.min() < 0 or table.max() >= n)):
+        return _read_edges_by_line(path, n)
+    return table
+
+
+def _read_edges_by_line(path: Path, n: int) -> np.ndarray:
+    edges = []
+    with open(path, "r", encoding="utf-8") as f:
+        for line_no, line in enumerate(f, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            parts = text.split("\t")
+            if len(parts) != 2:
+                raise DatasetError(f"{path}:{line_no}: expected 'src<TAB>dst', "
+                                   f"got {text!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise DatasetError(f"{path}:{line_no}: non-integer id in {text!r}") from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise DatasetError(f"{path}:{line_no}: node id outside [0, {n})")
+            edges.append((u, v))
+    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+
+
+def _read_labels(path: Path, n: int) -> np.ndarray:
+    """Length-n class vector, -1 for nodes without a line; a later line wins."""
+    table = _read_table(path, 2)
+    if table is None or (table.size and (table[:, 0].min() < 0 or table[:, 0].max() >= n
+                                         or table[:, 1].min() < 0)):
+        return _read_labels_by_line(path, n)
+    labels = np.full(n, -1, dtype=np.int64)
+    order = np.argsort(table[:, 0], kind="stable")
+    nodes, classes = table[order, 0], table[order, 1]
+    last = np.append(nodes[1:] != nodes[:-1], True)
+    labels[nodes[last]] = classes[last]
+    return labels
+
+
+def _read_labels_by_line(path: Path, n: int) -> np.ndarray:
+    labels = np.full(n, -1, dtype=np.int64)
+    with open(path, "r", encoding="utf-8") as f:
+        for line_no, line in enumerate(f, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            parts = text.split("\t")
+            if len(parts) != 2:
+                raise DatasetError(f"{path}:{line_no}: expected 'node<TAB>class', "
+                                   f"got {text!r}")
+            try:
+                node, cls = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise DatasetError(f"{path}:{line_no}: non-integer value in {text!r}") from None
+            if not 0 <= node < n:
+                raise DatasetError(f"{path}:{line_no}: node id {node} outside [0, {n})")
+            if cls < 0:
+                raise DatasetError(f"{path}:{line_no}: negative class {cls}")
+            labels[node] = cls
+    return labels
+
+
 def load_dataset(directory) -> Dataset:
     """Load and validate a dataset directory."""
     directory = Path(directory)
@@ -122,47 +223,12 @@ def load_dataset(directory) -> Dataset:
     edges_path = directory / "edges.tsv"
     if not edges_path.exists():
         raise DatasetError(f"{edges_path}: missing")
-    edges = []
-    with open(edges_path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split("\t")
-            if len(parts) != 2:
-                raise DatasetError(f"{edges_path}:{line_no}: expected 'src<TAB>dst', "
-                                   f"got {text!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DatasetError(f"{edges_path}:{line_no}: non-integer id in {text!r}") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise DatasetError(f"{edges_path}:{line_no}: node id outside [0, {n})")
-            edges.append((u, v))
-    graph = build_graph(edges, n, symmetrize=True)
+    graph = build_graph(_read_edges(edges_path, n), n, symmetrize=True)
 
     labels_path = directory / "labels.tsv"
     if not labels_path.exists():
         raise DatasetError(f"{labels_path}: missing")
-    labels = np.full(n, -1, dtype=np.int64)
-    with open(labels_path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split("\t")
-            if len(parts) != 2:
-                raise DatasetError(f"{labels_path}:{line_no}: expected 'node<TAB>class', "
-                                   f"got {text!r}")
-            try:
-                node, cls = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DatasetError(f"{labels_path}:{line_no}: non-integer value in {text!r}") from None
-            if not 0 <= node < n:
-                raise DatasetError(f"{labels_path}:{line_no}: node id {node} outside [0, {n})")
-            if cls < 0:
-                raise DatasetError(f"{labels_path}:{line_no}: negative class {cls}")
-            labels[node] = cls
+    labels = _read_labels(labels_path, n)
 
     splits = Splits(*(_read_id_file(directory / "splits" / f"{part}.txt")
                       for part in ("train", "val", "test")))

@@ -10,6 +10,16 @@ where D is the degree matrix of the self-looped adjacency:
 
 Graphs and operators are immutable after construction and safe to share
 across workers.
+
+Construction is O(m log m) in the number of edge entries m. Each entry
+(i, j) is encoded as the int64 key i*n + j, so sorting the keys orders the
+entries by row and then by column; duplicates are then adjacent and one
+comparison with the neighbouring key drops them (:func:`unique_sorted`).
+``np.unique`` gives the same output, but on integer input numpy 2.x takes
+a hash-based path that is tens of times slower than a sort on these key
+arrays, so graph construction never calls it. :func:`add_self_loops`
+merges the missing diagonal entries into the already sorted CSR arrays in
+O(n + m) instead of sorting again.
 """
 
 from __future__ import annotations
@@ -77,14 +87,19 @@ class PropagationOperator:
         return self.to_scipy().toarray()
 
 
+def unique_sorted(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-d array; the same output as ``np.unique``."""
+    values = np.sort(values)
+    if values.size > 1:
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+    return values
+
+
 def _from_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted unique entry keys (i*n + j) -> (row_offsets, col_indices)."""
-    rows = keys // n
-    cols = keys % n
     row_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(row_offsets, rows + 1, 1)
-    np.cumsum(row_offsets, out=row_offsets)
-    return row_offsets, cols.astype(np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=row_offsets[1:])
+    return row_offsets, (keys % n).astype(np.int64)
 
 
 def build_graph(edges, n: int, symmetrize: bool = True) -> CsrGraph:
@@ -102,10 +117,10 @@ def build_graph(edges, n: int, symmetrize: bool = True) -> CsrGraph:
     if e.size and (e.min() < 0 or e.max() >= n):
         bad = e[(e < 0) | (e >= n)].flat[0]
         raise ValueError(f"edge endpoint {bad} outside [0, {n})")
-    if symmetrize and e.size:
-        e = np.concatenate([e, e[:, ::-1]], axis=0)
-    keys = np.unique(e[:, 0] * n + e[:, 1]) if e.size else np.empty(0, dtype=np.int64)
-    row_offsets, cols = _from_keys(keys, n)
+    keys = e[:, 0] * n + e[:, 1]
+    if symmetrize:
+        keys = np.concatenate([keys, e[:, 1] * n + e[:, 0]])
+    row_offsets, cols = _from_keys(unique_sorted(keys), n)
     has_loops = bool(n > 0 and _all_rows_have_loop(row_offsets, cols, n))
     return CsrGraph(n=n, row_offsets=row_offsets, col_indices=cols,
                     has_self_loops=has_loops)
@@ -117,14 +132,27 @@ def _all_rows_have_loop(row_offsets: np.ndarray, cols: np.ndarray, n: int) -> bo
 
 
 def add_self_loops(g: CsrGraph) -> CsrGraph:
-    """Return a graph where every row contains its own id exactly once."""
+    """Return a graph where every row contains its own id exactly once.
+
+    Rows that already hold their diagonal entry are copied unchanged; in
+    every other row the entries right of the diagonal move one place up
+    and the diagonal is written into the gap, so columns stay sorted.
+    """
     n = g.n
-    rows = np.repeat(np.arange(n), g.degrees())
-    keys = rows * n + g.col_indices
-    diag = np.arange(n, dtype=np.int64) * (n + 1)
-    keys = np.unique(np.concatenate([keys, diag]))
-    row_offsets, cols = _from_keys(keys, n)
-    return CsrGraph(n=n, row_offsets=row_offsets, col_indices=cols,
+    deg = g.degrees()
+    rows = np.repeat(np.arange(n), deg)
+    cols = g.col_indices
+    lacks = np.ones(n, dtype=bool)
+    lacks[rows[rows == cols]] = False
+    row_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg + lacks, out=row_offsets[1:])
+    new_cols = np.empty(row_offsets[-1], dtype=np.int64)
+    within_row = np.arange(cols.size) - g.row_offsets[rows]
+    new_cols[row_offsets[rows] + within_row + (lacks[rows] & (cols > rows))] = cols
+    missing = np.flatnonzero(lacks)
+    left_of_diag = np.bincount(rows[cols < rows], minlength=n)
+    new_cols[row_offsets[missing] + left_of_diag[missing]] = missing
+    return CsrGraph(n=n, row_offsets=row_offsets, col_indices=new_cols,
                     has_self_loops=True)
 
 

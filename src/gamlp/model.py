@@ -409,12 +409,6 @@ class GamlpModel:
             self.label_combiner.backward(d_hy)
 
 
-def model_forward(model: GamlpModel, feat_mats, label_mats, rows=None,
-                  training: bool = False, rng=None) -> np.ndarray:
-    """Functional alias for GamlpModel.forward."""
-    return model.forward(feat_mats, label_mats, rows, training, rng)
-
-
 # ---------------------------------------------------------------------------
 # Training loop
 # ---------------------------------------------------------------------------

@@ -8,15 +8,19 @@ against the dataset they are loaded for.
 
 from __future__ import annotations
 
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 from .config import TrainConfig
 from .data import Dataset
 from .graph import add_self_loops, normalize
 from .model import FitResult, fit
-from .propagation import (FeatureStack, LabelStack, ResidualScheme, apply_last_residual,
-                          build_label_seed, cache_read, cache_write, propagate_features,
-                          propagate_labels, stack_fingerprint, zero_seed_rows)
+from .propagation import (FeatureStack, FingerprintMismatch, LabelStack, ResidualScheme,
+                          apply_last_residual, build_label_seed, cache_read, cache_write,
+                          propagate_features, propagate_labels, stack_fingerprint,
+                          zero_seed_rows)
 
 
 class MissingCacheError(Exception):
@@ -92,7 +96,26 @@ def load_stacks(dataset: Dataset, config: TrainConfig, cache_dir=None,
         expect = stack_fingerprint(label_op, y0, config.effective_label_hops,
                                    config.effective_label_r_mode)
         label_stack = cache_read(label_path, expect_fingerprint=expect, force=force)
+        _check_scheme(label_stack, residual_scheme(config), label_path, force)
     return feature_stack, label_stack
+
+
+def _check_scheme(stack: LabelStack, scheme: ResidualScheme, path, force: bool) -> None:
+    """Refuse a label cache smoothed with other weights than ``scheme`` gives.
+
+    The label fingerprint covers only the raw propagation, and the file name
+    leaves out ``fixed_alpha``, so this is the check that catches a cache
+    built under another residual scheme. Kinds that yield the same weights
+    for the stack's depth are interchangeable.
+    """
+    if np.array_equal(stack.scheme.alphas(stack.steps), scheme.alphas(stack.steps)):
+        return
+    message = (f"{path}: label cache was smoothed with {stack.scheme}, the config asks "
+               f"for {scheme}")
+    if not force:
+        raise FingerprintMismatch(
+            f"{message}; rerun preprocess or pass force=True to use it anyway")
+    warnings.warn(f"{message}; using the cache anyway")
 
 
 def train_on_dataset(dataset: Dataset, config: TrainConfig,

@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
+import uuid
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -207,7 +210,11 @@ def apply_last_residual(stack: LabelStack, scheme: ResidualScheme | None = None)
 
 
 def cache_write(stack: FeatureStack | LabelStack, path) -> None:
-    """Write a stack to its binary cache file (matrices truncated to f32)."""
+    """Write a stack to its binary cache file (matrices truncated to f32).
+
+    The file is replaced atomically: readers see the old file or the whole
+    new one, never a partial write.
+    """
     is_label = isinstance(stack, LabelStack)
     if is_label and stack.smoothed is None:
         raise ValueError("label stack must be smoothed before caching")
@@ -216,13 +223,22 @@ def cache_write(stack: FeatureStack | LabelStack, path) -> None:
     header = _HEADER.pack(_MAGIC, _VERSION, _KIND_LABEL if is_label else _KIND_FEATURE,
                           stack.n, stack.dim, stack.steps, _R_CODES[stack.mode],
                           scheme_code, fixed_alpha, stack.fingerprint)
-    with open(path, "wb") as f:
-        f.write(header)
-        for m in stack.mats:
-            f.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
-        if is_label:
-            for m in stack.smoothed:
+    # write beside the target and rename over it, so a failed or interrupted
+    # write leaves the previous cache file intact
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(header)
+            for m in stack.mats:
                 f.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
+            if is_label:
+                for m in stack.smoothed:
+                    f.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def cache_read(path, expect_fingerprint: bytes | None = None,

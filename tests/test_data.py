@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from gamlp import data
 from gamlp.data import (Dataset, DatasetError, Splits, drop_edges, generate_sbm,
                         load_dataset, sample_labels_per_class, save_dataset)
 
@@ -96,6 +99,155 @@ def test_round_trip_identity(tmp_path):
     assert np.array_equal(loaded.graph.row_offsets, again.graph.row_offsets)
     for part in ("train", "val", "test"):
         assert np.array_equal(getattr(loaded.splits, part), getattr(again.splits, part))
+
+
+# ---------------------------------------------------------------------------
+# Bulk parser parity: every file loads to the same arrays, or fails with the
+# same one-line error, whether numpy's bulk parse or the line loop reads it.
+# ---------------------------------------------------------------------------
+
+PARITY_N = 12
+CLEAN_EDGES = "0\t1\n1\t2\n2\t10\n3\t4\n"
+CLEAN_LABELS = "".join(f"{i}\t{i % 3}\n" for i in range(PARITY_N))
+
+
+def write_parity_fixture(root, edges=CLEAN_EDGES, labels=CLEAN_LABELS,
+                         train="0\n1\n2\n3\n", val="4\n5\n", test="6\n7\n8\n"):
+    root.mkdir(parents=True, exist_ok=True)
+    (root / "features.csv").write_text(
+        "".join(f"{i}.0,1.0\n" for i in range(PARITY_N)))
+    (root / "edges.tsv").write_bytes(edges.encode())
+    (root / "labels.tsv").write_bytes(labels.encode())
+    (root / "splits").mkdir(exist_ok=True)
+    for part, text in (("train", train), ("val", val), ("test", test)):
+        (root / "splits" / f"{part}.txt").write_bytes(text.encode())
+    return root
+
+
+def load_by_line(root, monkeypatch):
+    """load_dataset with the bulk parse disabled, so only the line loop reads."""
+    with monkeypatch.context() as m:
+        m.setattr(data, "_read_table", lambda path, columns: None)
+        return load_dataset(root)
+
+
+PARSE_CASES = {
+    "blank lines": dict(edges="0\t1\n\n1\t2\n\n", train="0\n\n1\n2\n3\n"),
+    "whitespace-only line": dict(edges="0\t1\n   \n1\t2\n", labels=CLEAN_LABELS + " \t \n"),
+    "trailing tab": dict(edges="0\t1\t\n1\t2\n", labels="0\t0\t\n" + CLEAN_LABELS),
+    "CRLF": dict(edges=CLEAN_EDGES.replace("\n", "\r\n"),
+                 labels=CLEAN_LABELS.replace("\n", "\r\n"), val="4\r\n5\r\n"),
+    "plus sign": dict(edges="+0\t+1\n1\t2\n", train="+0\n1\n2\n3\n"),
+    "underscore digits": dict(edges="0\t1_0\n1\t2\n", labels=CLEAN_LABELS + "1_1\t1_0\n"),
+    "duplicate label line": dict(labels=CLEAN_LABELS + "0\t2\n5\t0\n0\t1\n"),
+    "padded fields": dict(edges=" 0 \t 1\n1\t2 \n", test=" 6\n7 \n8\n"),
+    "no trailing newline": dict(edges="0\t1\n1\t2", labels=CLEAN_LABELS.rstrip()),
+    "empty and blank splits": dict(val="", test="\n\n"),
+    "no edges": dict(edges=""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_CASES))
+def test_bulk_parse_matches_line_loop(tmp_path, monkeypatch, case):
+    root = write_parity_fixture(tmp_path / "ds", **PARSE_CASES[case])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an empty split file must not warn either
+        bulk = load_dataset(root)
+    loop = load_by_line(root, monkeypatch)
+    assert np.array_equal(bulk.graph.row_offsets, loop.graph.row_offsets)
+    assert np.array_equal(bulk.graph.col_indices, loop.graph.col_indices)
+    assert np.array_equal(bulk.labels, loop.labels) and bulk.num_classes == loop.num_classes
+    for part in ("train", "val", "test"):
+        assert np.array_equal(getattr(bulk.splits, part), getattr(loop.splits, part))
+        assert getattr(bulk.splits, part).dtype == np.int64
+
+
+def test_parsed_values_of_lenient_inputs(tmp_path):
+    ds = load_dataset(write_parity_fixture(tmp_path / "a", **PARSE_CASES["underscore digits"]))
+    assert ds.graph.neighbors(0).tolist() == [10]
+    assert ds.labels[11] == 10  # "1_1\t1_0" reads as node 11, class 10
+    ds = load_dataset(write_parity_fixture(tmp_path / "b", **PARSE_CASES["duplicate label line"]))
+    assert ds.labels[0] == 1 and ds.labels[5] == 0  # the last line for a node wins
+
+
+PARSE_ERRORS = {
+    "float id": (dict(edges="0\t1\n1.5\t2\n"),
+                 "edges.tsv", 2, "non-integer id in '1.5\\t2'"),
+    "hash text": (dict(edges="# comment\n0\t1\n"),
+                  "edges.tsv", 1, "expected 'src<TAB>dst', got '# comment'"),
+    "three columns": (dict(edges="0\t1\n1\t2\t3\n"),
+                      "edges.tsv", 2, "expected 'src<TAB>dst', got '1\\t2\\t3'"),
+    "out-of-range id": (dict(edges="0\t1\n\n2\t12\n"),
+                        "edges.tsv", 3, "node id outside [0, 12)"),
+    "negative id": (dict(edges="-1\t1\n"), "edges.tsv", 1, "node id outside [0, 12)"),
+    "negative class": (dict(labels=CLEAN_LABELS + "3\t-1\n"),
+                       "labels.tsv", 13, "negative class -1"),
+    "label node out of range": (dict(labels="99\t1\n"),
+                                "labels.tsv", 1, "node id 99 outside [0, 12)"),
+    "label float class": (dict(labels="0\t0.5\n"),
+                          "labels.tsv", 1, "non-integer value in '0\\t0.5'"),
+    "split float id": (dict(val="4\n5.0\n"), "val.txt", 2, "not a node id: '5.0'"),
+    "split two columns": (dict(train="0\t1\n"), "train.txt", 1,
+                          "not a node id: '0\\t1'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_malformed_input_reports_file_and_line(tmp_path, monkeypatch, case):
+    files, name, line, detail = PARSE_ERRORS[case]
+    root = write_parity_fixture(tmp_path / "ds", **files)
+    with pytest.raises(DatasetError) as bulk:
+        load_dataset(root)
+    with pytest.raises(DatasetError) as loop:
+        load_by_line(root, monkeypatch)
+    message = str(bulk.value)
+    assert message == str(loop.value)
+    path = next(root.rglob(name))
+    assert message == f"{path}:{line}: {detail}"
+    assert "\n" not in message
+
+
+def test_bulk_parse_warning_falls_back_to_line_loop(tmp_path, monkeypatch):
+    # numpy < 2 read "1.5" into an integer column with only a DeprecationWarning
+    real_loadtxt = np.loadtxt
+
+    def lenient_loadtxt(fname, dtype=float, **kwargs):
+        if dtype is not np.int64:  # features.csv
+            return real_loadtxt(fname, dtype=dtype, **kwargs)
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                      DeprecationWarning)
+        return np.array([[0, 1], [1, 2]])
+
+    monkeypatch.setattr(np, "loadtxt", lenient_loadtxt)
+    root = write_parity_fixture(tmp_path / "ds", edges="0\t1\n1.5\t2\n")
+    with pytest.raises(DatasetError, match="edges.tsv:2: non-integer id"):
+        load_dataset(root)
+
+
+def test_clean_files_take_the_bulk_path(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("line loop used on a clean file")
+
+    for name in ("_read_edges_by_line", "_read_labels_by_line", "_read_id_file_by_line"):
+        monkeypatch.setattr(data, name, refuse)
+    ds = load_dataset(write_parity_fixture(tmp_path / "ds", val=""))
+    assert ds.graph.nnz == 8 and ds.num_classes == 3 and ds.splits.val.size == 0
+
+
+def test_bulk_parse_matches_line_loop_on_random_files(tmp_path, monkeypatch):
+    rng = np.random.default_rng(21)
+    for trial in range(5):
+        edges = rng.integers(0, PARITY_N, size=(int(rng.integers(1, 80)), 2))
+        nodes = rng.integers(0, PARITY_N, size=40)  # repeated nodes: last line wins
+        nodes[:PARITY_N] = np.arange(PARITY_N)
+        classes = rng.integers(0, 4, size=nodes.size)
+        root = write_parity_fixture(
+            tmp_path / f"r{trial}", edges="".join(f"{u}\t{v}\n" for u, v in edges),
+            labels="".join(f"{u}\t{c}\n" for u, c in zip(nodes, classes)))
+        bulk, loop = load_dataset(root), load_by_line(root, monkeypatch)
+        assert np.array_equal(bulk.graph.col_indices, loop.graph.col_indices)
+        assert np.array_equal(bulk.graph.row_offsets, loop.graph.row_offsets)
+        assert np.array_equal(bulk.labels, loop.labels)
 
 
 # ---------------------------------------------------------------------------

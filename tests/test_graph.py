@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gamlp.graph import add_self_loops, build_graph, normalize, spmm
+from gamlp.graph import add_self_loops, build_graph, normalize, spmm, unique_sorted
 
 from conftest import dense_ahat, operator_for, random_graph
 
@@ -131,3 +131,94 @@ def test_operator_values_positive():
     g = random_graph(rng, 15, 0.3)
     for r in (0.0, 0.5, 1.0):
         assert operator_for(g, r).values.min() > 0
+
+
+# ---------------------------------------------------------------------------
+# Reference construction: the np.unique-based build and self-loop code the
+# sort-based versions replaced. Their CSR arrays must match it bit for bit,
+# since operator values, stacks, fingerprints and cache bytes derive from them.
+# ---------------------------------------------------------------------------
+
+
+def _reference_from_keys(keys, n):
+    rows = keys // n
+    cols = keys % n
+    row_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(row_offsets, rows + 1, 1)
+    np.cumsum(row_offsets, out=row_offsets)
+    return row_offsets, cols.astype(np.int64)
+
+
+def reference_build(edges, n, symmetrize=True):
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if symmetrize and e.size:
+        e = np.concatenate([e, e[:, ::-1]], axis=0)
+    keys = np.unique(e[:, 0] * n + e[:, 1]) if e.size else np.empty(0, dtype=np.int64)
+    return _reference_from_keys(keys, n)
+
+
+def reference_add_self_loops(row_offsets, cols, n):
+    rows = np.repeat(np.arange(n), np.diff(row_offsets))
+    diag = np.arange(n, dtype=np.int64) * (n + 1)
+    return _reference_from_keys(np.unique(np.concatenate([rows * n + cols, diag])), n)
+
+
+def assert_matches_reference(edges, n, symmetrize=True):
+    g = build_graph(edges, n, symmetrize=symmetrize)
+    offsets, cols = reference_build(edges, n, symmetrize)
+    assert np.array_equal(g.row_offsets, offsets) and g.row_offsets.dtype == np.int64
+    assert np.array_equal(g.col_indices, cols) and g.col_indices.dtype == np.int64
+    looped = add_self_loops(g)
+    offsets, cols = reference_add_self_loops(offsets, cols, n)
+    assert np.array_equal(looped.row_offsets, offsets) and looped.row_offsets.dtype == np.int64
+    assert np.array_equal(looped.col_indices, cols) and looped.col_indices.dtype == np.int64
+    assert looped.has_self_loops
+
+
+@pytest.mark.parametrize("symmetrize", [True, False])
+def test_build_matches_reference_with_duplicates_and_both_orientations(symmetrize):
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        n = int(rng.integers(1, 40))
+        # up to twice as many lines as node pairs: heavy duplication
+        e = rng.integers(0, n, size=(int(rng.integers(0, 2 * n * n + 1)), 2))
+        e = np.concatenate([e, e[: e.shape[0] // 3, ::-1]])  # reversed repeats
+        assert_matches_reference(e[rng.permutation(e.shape[0])], n, symmetrize)
+
+
+def test_build_matches_reference_with_existing_self_loops():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        n = int(rng.integers(1, 30))
+        e = rng.integers(0, n, size=(int(rng.integers(0, 4 * n)), 2))
+        loops = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        e = np.concatenate([e, np.stack([loops, loops], axis=1)])
+        assert_matches_reference(e[rng.permutation(e.shape[0])], n)
+    # every node already looped: add_self_loops must leave the arrays as they are
+    full = np.stack([np.arange(6), np.arange(6)], axis=1)
+    g = build_graph(np.concatenate([full, [[0, 5], [2, 3]]]), 6)
+    assert g.has_self_loops
+    looped = add_self_loops(g)
+    assert np.array_equal(looped.row_offsets, g.row_offsets)
+    assert np.array_equal(looped.col_indices, g.col_indices)
+
+
+def test_build_matches_reference_on_sparse_and_degenerate_graphs():
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        n = int(rng.integers(50, 300))
+        # far fewer edges than nodes: most nodes isolated
+        assert_matches_reference(rng.integers(0, n, size=(int(rng.integers(1, 10)), 2)), n)
+    for n in (1, 2, 7):
+        assert_matches_reference(np.empty((0, 2), dtype=np.int64), n)
+        assert_matches_reference([], n)
+    assert_matches_reference([(0, 0)], 1)
+    assert_matches_reference([(0, 0), (0, 0)], 1, symmetrize=False)
+    assert add_self_loops(build_graph([], 1)).col_indices.tolist() == [0]
+
+
+def test_unique_sorted_matches_np_unique():
+    rng = np.random.default_rng(14)
+    for size in (0, 1, 2, 5, 1000):
+        values = rng.integers(-20, 20, size=size)
+        assert np.array_equal(unique_sorted(values), np.unique(values))

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from gamlp.graph import build_graph
-from gamlp.propagation import (CacheFormatError, FingerprintMismatch, LabelStack,
-                               ResidualScheme, apply_last_residual, build_label_seed,
-                               cache_read, cache_write, propagate_features,
-                               propagate_labels, zero_seed_rows)
+from gamlp.propagation import (CacheFormatError, FeatureStack, FingerprintMismatch,
+                               LabelStack, ResidualScheme, apply_last_residual,
+                               build_label_seed, cache_read, cache_write,
+                               propagate_features, propagate_labels, zero_seed_rows)
 
 from conftest import dense_ahat, operator_for, random_graph
 
@@ -266,3 +266,25 @@ def test_cache_fingerprint_guard(tmp_path):
     assert loaded.steps == stack.steps
     loaded = cache_read(path, expect_fingerprint=stack.fingerprint)
     assert loaded.steps == stack.steps
+
+
+class _FailingMatrix:
+    """Stands in for a stack matrix; converting it to an array raises."""
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("no space left on device")
+
+
+def test_cache_write_failure_keeps_previous_file(tmp_path):
+    stack = _feature_stack(np.random.default_rng(5))
+    path = tmp_path / "f.gmlp"
+    cache_write(stack, path)
+    before = path.read_bytes()
+    # header and first matrix reach the file before the second one fails
+    broken = FeatureStack(mats=[stack.mats[0] + 1.0, _FailingMatrix()], mode=stack.mode,
+                          fingerprint=b"\1" * 32)
+    with pytest.raises(OSError, match="no space"):
+        cache_write(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["f.gmlp"]
+    assert cache_read(path, expect_fingerprint=stack.fingerprint).steps == stack.steps
