@@ -34,10 +34,32 @@ class TrainingDiverged(Exception):
     """Loss became non-finite; training aborted."""
 
 
-def slice_mats(mats: list[np.ndarray], rows: np.ndarray | None) -> list[np.ndarray]:
-    if rows is None:
-        return list(mats)
-    return [m[rows] for m in mats]
+def slice_mats(mats: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
+    """Rows of every step of an (S+1, n, d) stack in one step-major gather.
+
+    ``np.take`` keeps the result C-contiguous; ``mats[:, rows]`` would lay
+    it out node-major behind a transposed view.
+    """
+    return mats if rows is None else np.take(mats, rows, axis=1)
+
+
+def _scores(xd: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """rows x (S+1) dot products of every step's rows with ``s``, one GEMV."""
+    return (xd.reshape(-1, xd.shape[2]) @ s).reshape(xd.shape[:2]).T
+
+
+def _combine(w: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_k w[:, k, None] * mats[k] over the first w.shape[1] steps.
+
+    One matmul batched over rows; it reads the step-major stack in place
+    (einsum "rk,krf->rf" gives the same sums but ran slower).
+    """
+    return (w[:, None, :] @ mats[:w.shape[1]].transpose(1, 0, 2))[:, 0]
+
+
+def _weight_grad(d: np.ndarray, mats: np.ndarray, steps: int) -> np.ndarray:
+    """d_w[r, k] = d[r] . mats[k, r] for k < steps: _combine's gradient wrt w."""
+    return (mats[:steps].transpose(1, 0, 2) @ d[:, :, None])[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -70,64 +92,43 @@ class RecursiveAttention:
     def params(self) -> list[ParamTensor]:
         return [self.s]
 
-    def forward(self, mats: list[np.ndarray], rows=None, training: bool = False,
+    def forward(self, mats: np.ndarray, rows=None, training: bool = False,
                 rng: np.random.Generator | None = None):
-        if mats[0].shape[1] != self.dim:
-            raise ValueError(f"stack dim {mats[0].shape[1]} != scoring dim {self.dim}")
+        mats = np.asarray(mats)
+        if mats.shape[2] != self.dim:
+            raise ValueError(f"stack dim {mats.shape[2]} != scoring dim {self.dim}")
         sa, sb = self.s.value[:self.dim], self.s.value[self.dim:]
-        xd = []
-        for m in mats:
-            d, _ = dropout(m, self.attention_dropout, rng, training)
-            xd.append(d)
-        xa = [d @ sa for d in xd]
+        xd, _ = dropout(mats, self.attention_dropout, rng, training)
+        xa = _scores(xd, sa)
         levels = []
         r = mats[0]
-        for l in range(1, len(mats)):
+        for l in range(1, len(mats) + 1):
             rd, r_mask = dropout(r, self.attention_dropout, rng, training)
-            rb = rd @ sb
-            pre = np.stack([xa[k] + rb for k in range(l)], axis=1)
+            pre = xa[:, :l] + (rd @ sb)[:, None]
             w = softmax_rows(self.activation.forward(pre))
             levels.append((pre, w, rd, r_mask))
-            r = sum(w[:, k:k + 1] * mats[k] for k in range(l))
-        rd, r_mask = dropout(r, self.attention_dropout, rng, training)
-        rb = rd @ sb
-        pre = np.stack([xa[k] + rb for k in range(len(mats))], axis=1)
-        w = softmax_rows(self.activation.forward(pre))
-        h = sum(w[:, k:k + 1] * mats[k] for k in range(len(mats)))
-        self._cache = (mats, xd, levels, (pre, w, rd, r_mask))
-        return h, w
-
-    def _score_backward(self, d_w, pre, w, rd, r_mask, xd, sb):
-        """Shared softmax->activation->dot-product backward for one round.
-
-        Returns the gradient wrt the (undropped) reference matrix and
-        accumulates the scoring-vector gradient.
-        """
-        d_act = softmax_backward(d_w, w)
-        d_pre = self.activation.backward(d_act, pre)  # rows x k
-        dim = self.dim
-        d_sa = np.zeros(dim)
-        for k in range(d_pre.shape[1]):
-            d_sa += xd[k].T @ d_pre[:, k]
-        row_sum = d_pre.sum(axis=1, keepdims=True)
-        d_sb = rd.T @ row_sum[:, 0]
-        self.s.grad[:dim] += d_sa
-        self.s.grad[dim:] += d_sb
-        d_r = row_sum * sb
-        if r_mask is not None:
-            d_r = d_r * r_mask
-        return d_r
+            r = _combine(w, mats)
+        self._cache = (mats, xd, levels[:-1], levels[-1])
+        return r, w
 
     def backward(self, d_h: np.ndarray) -> None:
         mats, xd, levels, final = self._cache
-        sb = self.s.value[self.dim:]
-        pre, w, rd, r_mask = final
-        d_w = np.stack([(d_h * mats[k]).sum(axis=1) for k in range(len(mats))], axis=1)
-        d_r = self._score_backward(d_w, pre, w, rd, r_mask, xd, sb)
-        for l in range(len(levels), 0, -1):
-            pre, w, rd, r_mask = levels[l - 1]
-            d_w = np.stack([(d_r * mats[k]).sum(axis=1) for k in range(l)], axis=1)
-            d_r = self._score_backward(d_w, pre, w, rd, r_mask, xd, sb)
+        dim = self.dim
+        sb = self.s.value[dim:]
+        # the scores of every round share xd, so their gradients wrt sa are
+        # summed per (row, step) and contracted with xd once
+        d_pre_sum = np.zeros((xd.shape[1], len(mats)))
+        d_r = d_h
+        for pre, w, rd, r_mask in [final, *reversed(levels)]:
+            d_act = softmax_backward(_weight_grad(d_r, mats, w.shape[1]), w)
+            d_pre = self.activation.backward(d_act, pre)  # rows x steps of this round
+            d_pre_sum[:, :d_pre.shape[1]] += d_pre
+            row_sum = d_pre.sum(axis=1)
+            self.s.grad[dim:] += rd.T @ row_sum
+            d_r = row_sum[:, None] * sb
+            if r_mask is not None:
+                d_r = d_r * r_mask
+        self.s.grad[:dim] += np.tensordot(d_pre_sum.T, xd, axes=2)
         # the round-0 combination is X^(0); nothing trainable upstream
 
 
@@ -135,8 +136,10 @@ class _JkEncoder:
     """MLP over the concatenated stack, first layer applied blockwise.
 
     The concatenation X^(1) || ... || X^(S) is never materialized: the
-    first linear layer is evaluated as a sum of per-step products, which
-    keeps deep stacks (S up to 128) affordable.
+    first linear layer is evaluated as a sum of per-step products
+    X^(k) W1_k accumulated in place, reading each step where it lies in
+    the step-major stack. That keeps deep stacks (S up to 128) affordable
+    and copies no (rows, S*f) matrix.
     """
 
     def __init__(self, rng: np.random.Generator, steps: int, dim: int, hidden: int,
@@ -157,10 +160,13 @@ class _JkEncoder:
             out += self.rest.params
         return out
 
-    def forward(self, xs: list[np.ndarray], training: bool,
+    def forward(self, xs: np.ndarray, training: bool,
                 rng: np.random.Generator | None) -> np.ndarray:
-        z = self.b1.value + sum(
-            xs[k] @ self.w1.value[k * self.dim:(k + 1) * self.dim] for k in range(self.steps))
+        w1 = self.w1.value.reshape(self.steps, self.dim, self.hidden)
+        z = xs[0] @ w1[0]
+        for k in range(1, self.steps):
+            z += xs[k] @ w1[k]
+        z += self.b1.value
         if self.rest is None:
             self._cache = (xs, None, None)
             return z
@@ -179,8 +185,7 @@ class _JkEncoder:
                 d_z = d_z * mask
             d_z = self.activation.backward(d_z, z)
         self.b1.grad += d_z.sum(axis=0)
-        for k in range(self.steps):
-            self.w1.grad[k * self.dim:(k + 1) * self.dim] += xs[k].T @ d_z
+        self.w1.grad += (xs.transpose(0, 2, 1) @ d_z).reshape(-1, self.hidden)
 
 
 class JkAttention:
@@ -243,37 +248,32 @@ class JkAttention:
             return self.noise[idx]
         return None
 
-    def forward(self, mats: list[np.ndarray], rows=None, training: bool = False,
+    def forward(self, mats: np.ndarray, rows=None, training: bool = False,
                 rng: np.random.Generator | None = None):
-        if mats[0].shape[1] != self.dim:
-            raise ValueError(f"stack dim {mats[0].shape[1]} != scoring dim {self.dim}")
+        mats = np.asarray(mats)
+        if mats.shape[2] != self.dim:
+            raise ValueError(f"stack dim {mats.shape[2]} != scoring dim {self.dim}")
         if self.encoder is not None and len(mats) - 1 != self.steps:
             raise ValueError(f"stack has {len(mats) - 1} steps, encoder expects {self.steps}")
         sa, sb = self.s.value[:self.dim], self.s.value[self.dim:]
-        xd = []
-        for m in mats:
-            d, _ = dropout(m, self.attention_dropout, rng, training)
-            xd.append(d)
+        xd, _ = dropout(mats, self.attention_dropout, rng, training)
         ref = self._reference(mats, rows, training, rng)
+        pre = _scores(xd, sa)
+        rd, r_mask = None, None
         if ref is not None:
             rd, r_mask = dropout(ref, self.attention_dropout, rng, training)
-            ref_score = rd @ sb
-        else:
-            rd, r_mask, ref_score = None, None, 0.0
-        pre = np.stack([xd[k] @ sa + ref_score for k in range(len(mats))], axis=1)
+            pre += (rd @ sb)[:, None]
         w = softmax_rows(self.activation.forward(pre))
-        h = sum(w[:, k:k + 1] * mats[k] for k in range(len(mats)))
+        h = _combine(w, mats)
         self._cache = (mats, xd, pre, w, rd, r_mask)
         return h, w
 
     def backward(self, d_h: np.ndarray) -> None:
         mats, xd, pre, w, rd, r_mask = self._cache
         dim = self.dim
-        d_w = np.stack([(d_h * mats[k]).sum(axis=1) for k in range(len(mats))], axis=1)
-        d_act = softmax_backward(d_w, w)
+        d_act = softmax_backward(_weight_grad(d_h, mats, len(mats)), w)
         d_pre = self.activation.backward(d_act, pre)
-        for k in range(len(mats)):
-            self.s.grad[:dim] += xd[k].T @ d_pre[:, k]
+        self.s.grad[:dim] += np.tensordot(d_pre.T, xd, axes=2)
         if rd is not None:
             row_sum = d_pre.sum(axis=1, keepdims=True)
             self.s.grad[dim:] += rd.T @ row_sum[:, 0]
@@ -311,7 +311,7 @@ class BaselineCombiner:
         return (steps + 1) * dim if self.mode == "sign" else dim
 
 
-def baseline_combine(mats: list[np.ndarray], mode: str, gbp_beta: float = 0.5) -> np.ndarray:
+def baseline_combine(mats: np.ndarray, mode: str, gbp_beta: float = 0.5) -> np.ndarray:
     """Combine a stack with one of the fixed layer-wise schemes.
 
     sgc: last step only. s2gc: uniform average. gbp: geometric decay
@@ -321,11 +321,11 @@ def baseline_combine(mats: list[np.ndarray], mode: str, gbp_beta: float = 0.5) -
     if mode == "sgc":
         return mats[-1]
     if mode == "s2gc":
-        return sum(mats) / len(mats)
+        return np.mean(mats, axis=0)
     if mode == "gbp":
         if not 0.0 < gbp_beta < 1.0:
             raise ValueError("gbp decay must lie in (0, 1)")
-        return sum(gbp_beta * (1.0 - gbp_beta) ** l * m for l, m in enumerate(mats))
+        return np.tensordot(gbp_beta * (1.0 - gbp_beta) ** np.arange(len(mats)), mats, axes=1)
     if mode == "sign":
         return np.concatenate(mats, axis=1)
     raise ValueError(f"unknown baseline combiner {mode!r}")
@@ -385,18 +385,18 @@ class GamlpModel:
         for p in self.params:
             p.zero_grad()
 
-    def forward(self, feat_mats: list[np.ndarray], label_mats: list[np.ndarray] | None,
+    def forward(self, feat_mats: np.ndarray, label_mats: np.ndarray | None,
                 rows=None, training: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
         cfg = self.config
-        x_in = [dropout(m, cfg.input_dropout, rng, training)[0] for m in feat_mats]
+        x_in, _ = dropout(np.asarray(feat_mats), cfg.input_dropout, rng, training)
         h_x, self.feature_weights = self.feature_combiner.forward(x_in, rows, training, rng)
         logits = self.feature_mlp.forward(h_x, training, rng)
         self.label_weights = None
         if self.label_combiner is not None:
             if label_mats is None:
                 raise ValueError("model was built with a label branch but got no label stack")
-            y_in = [dropout(m, cfg.input_dropout, rng, training)[0] for m in label_mats]
+            y_in, _ = dropout(np.asarray(label_mats), cfg.input_dropout, rng, training)
             h_y, self.label_weights = self.label_combiner.forward(y_in, rows, training, rng)
             logits = logits + self.beta * self.label_mlp.forward(h_y, training, rng)
         return logits
@@ -435,10 +435,8 @@ def _stack_inputs(feature_stack: FeatureStack, label_stack: LabelStack | None,
         elif config.label_mode == "uniform":
             # blend each raw step with the uniform class distribution instead
             # of the deepest step
-            a = label_stack.scheme.alphas(label_stack.steps)
-            c = label_stack.dim
-            label_mats = [(1.0 - a[l]) * m + a[l] / c
-                          for l, m in enumerate(label_stack.mats)]
+            a = label_stack.scheme.alphas(label_stack.steps)[:, None, None]
+            label_mats = (1.0 - a) * label_stack.mats + a / label_stack.dim
         else:
             if label_stack.smoothed is None:
                 raise ValueError("label stack has no smoothed matrices; "

@@ -83,17 +83,15 @@ def load_stacks(dataset: Dataset, config: TrainConfig, cache_dir=None,
         missing = feat_path if not feat_path.exists() else label_path
         raise MissingCacheError(
             f"propagation cache {missing} not found; run 'gamlp preprocess' first")
-    op = normalize(add_self_loops(dataset.graph), config.r_mode)
-    expect = stack_fingerprint(op, dataset.features, config.hops, config.r_mode)
+    # normalize keeps the self-looped structure, which is all the digest hashes
+    looped = add_self_loops(dataset.graph)
+    expect = stack_fingerprint(looped, dataset.features, config.hops, config.r_mode)
     feature_stack = cache_read(feat_path, expect_fingerprint=expect, force=force)
     label_stack = None
     if config.use_labels:
-        label_op = (op if config.effective_label_r_mode == config.r_mode
-                    else normalize(add_self_loops(dataset.graph),
-                                   config.effective_label_r_mode))
         y0 = build_label_seed(dataset.labels, dataset.splits.train, dataset.n,
                               dataset.num_classes)
-        expect = stack_fingerprint(label_op, y0, config.effective_label_hops,
+        expect = stack_fingerprint(looped, y0, config.effective_label_hops,
                                    config.effective_label_r_mode)
         label_stack = cache_read(label_path, expect_fingerprint=expect, force=force)
         _check_scheme(label_stack, residual_scheme(config), label_path, force)

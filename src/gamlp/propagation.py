@@ -5,6 +5,11 @@ stacks  [X^(0) ... X^(K)]  and  [Y^(0) ... Y^(L)]  are computed once,
 smoothed (labels only) and written to a binary cache. Training afterwards
 treats nodes as independent rows and never sees the graph again.
 
+A stack is one C-contiguous float64 array of shape (S+1, n, d), step-major:
+``mats[k]`` is the n x d matrix of step k, and one gather along axis 1
+takes the rows of a node set from every step. Step-major is also the
+cache file order, so each step is written and read as one contiguous block.
+
 All propagation arithmetic runs in double precision; cache files store
 matrices as little-endian float32 (reads upcast back to float64, so a
 second round trip is the identity).
@@ -75,10 +80,8 @@ class ResidualScheme:
 
 
 @dataclass
-class FeatureStack:
-    """Ordered propagated feature matrices [X^(0) ... X^(K)], float64."""
-
-    mats: list[np.ndarray]
+class _Stack:
+    mats: np.ndarray
     mode: float
     fingerprint: bytes
 
@@ -96,26 +99,19 @@ class FeatureStack:
 
 
 @dataclass
-class LabelStack:
-    """Propagated label matrices plus their last-residual smoothed versions."""
+class FeatureStack(_Stack):
+    """Propagated features [X^(0) ... X^(K)] as one (K+1, n, f) float64 array."""
 
-    mats: list[np.ndarray]
-    mode: float
-    fingerprint: bytes
+
+@dataclass
+class LabelStack(_Stack):
+    """Propagated labels plus their last-residual smoothed versions.
+
+    ``mats`` and ``smoothed`` are each one (L+1, n, c) float64 array.
+    """
+
     scheme: ResidualScheme = field(default_factory=ResidualScheme)
-    smoothed: list[np.ndarray] | None = None
-
-    @property
-    def steps(self) -> int:
-        return len(self.mats) - 1
-
-    @property
-    def n(self) -> int:
-        return self.mats[0].shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.mats[0].shape[1]
+    smoothed: np.ndarray | None = None
 
 
 def stack_fingerprint(graph_or_op, x0: np.ndarray, steps: int, r: float) -> bytes:
@@ -134,16 +130,17 @@ def stack_fingerprint(graph_or_op, x0: np.ndarray, steps: int, r: float) -> byte
 
 
 def _propagate(op: PropagationOperator, x0: np.ndarray, steps: int,
-               max_steps: int) -> list[np.ndarray]:
+               max_steps: int) -> np.ndarray:
     if steps < 0:
         raise ValueError("step count must be nonnegative")
     if steps > max_steps:
         raise ValueError(f"step count {steps} exceeds supported maximum {max_steps}")
     if x0.ndim != 2 or x0.shape[0] != op.n:
         raise ValueError(f"seed matrix shape {x0.shape} does not match n={op.n}")
-    mats = [np.array(x0, dtype=np.float64)]
-    for _ in range(steps):
-        mats.append(spmm(op, mats[-1]))
+    mats = np.empty((steps + 1, *x0.shape))
+    mats[0] = x0
+    for k in range(1, steps + 1):
+        mats[k] = spmm(op, mats[k - 1])
     return mats
 
 
@@ -162,11 +159,16 @@ def build_label_seed(labels, train_ids, n: int, num_classes: int) -> np.ndarray:
     for unlabeled). Validation and test labels never enter the seed.
     """
     y0 = np.zeros((n, num_classes), dtype=np.float64)
-    for i in np.asarray(train_ids, dtype=np.int64):
-        c = labels.get(int(i), -1) if isinstance(labels, dict) else int(labels[i])
-        if c < 0 or c >= num_classes:
-            raise ValueError(f"train node {i} has no valid label (got {c})")
-        y0[i, c] = 1.0
+    train_ids = np.asarray(train_ids, dtype=np.int64)
+    if isinstance(labels, dict):
+        classes = np.array([labels.get(int(i), -1) for i in train_ids], dtype=np.int64)
+    else:
+        classes = np.asarray(labels)[train_ids].astype(np.int64)
+    bad = np.flatnonzero((classes < 0) | (classes >= num_classes))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"train node {train_ids[i]} has no valid label (got {classes[i]})")
+    y0[train_ids, classes] = 1.0
     return y0
 
 
@@ -187,9 +189,7 @@ def zero_seed_rows(stack: LabelStack, train_ids) -> LabelStack:
     the model never sees a node's raw label directly while the propagated
     steps keep their information. Apply before the last-residual blend.
     """
-    first = stack.mats[0].copy()
-    first[np.asarray(train_ids, dtype=np.int64)] = 0.0
-    stack.mats[0] = first
+    stack.mats[0, np.asarray(train_ids, dtype=np.int64)] = 0.0
     return stack
 
 
@@ -202,10 +202,8 @@ def apply_last_residual(stack: LabelStack, scheme: ResidualScheme | None = None)
     """
     if scheme is not None:
         stack.scheme = scheme
-    a = stack.scheme.alphas(stack.steps)
-    last = stack.mats[-1]
-    stack.smoothed = [(1.0 - a[l]) * stack.mats[l] + a[l] * last
-                      for l in range(stack.steps + 1)]
+    a = stack.scheme.alphas(stack.steps)[:, None, None]
+    stack.smoothed = (1.0 - a) * stack.mats + a * stack.mats[-1]
     return stack
 
 
@@ -230,11 +228,8 @@ def cache_write(stack: FeatureStack | LabelStack, path) -> None:
     try:
         with open(tmp, "xb") as f:
             f.write(header)
-            for m in stack.mats:
-                f.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
-            if is_label:
-                for m in stack.smoothed:
-                    f.write(np.ascontiguousarray(m, dtype="<f4").tobytes())
+            for m in [*stack.mats, *stack.smoothed] if is_label else stack.mats:
+                f.write(np.ascontiguousarray(m, dtype="<f4"))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -245,30 +240,35 @@ def cache_read(path, expect_fingerprint: bytes | None = None,
                force: bool = False) -> FeatureStack | LabelStack:
     """Read a stack back; refuses fingerprint mismatches unless forced."""
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < _HEADER.size or raw[:4] != _MAGIC:
-        raise CacheFormatError(f"{path}: not a propagation cache (bad magic)")
-    (_, version, kind, n, dim, steps, r_code, scheme_code,
-     fixed_alpha, fingerprint) = _HEADER.unpack_from(raw)
-    if version != _VERSION:
-        raise CacheFormatError(f"{path}: unsupported cache version {version}")
-    if expect_fingerprint is not None and fingerprint != expect_fingerprint:
-        if not force:
-            raise FingerprintMismatch(
-                f"{path}: cache fingerprint does not match the current graph/input; "
-                "rerun preprocess or pass force=True to use it anyway")
-        warnings.warn(f"{path}: using cache despite a fingerprint mismatch")
-    n_mats = (steps + 1) * (2 if kind == _KIND_LABEL else 1)
-    expected = _HEADER.size + n_mats * n * dim * 4
-    if len(raw) != expected:
-        raise CacheFormatError(
-            f"{path}: truncated or oversized cache ({len(raw)} bytes, expected {expected})")
-    flat = np.frombuffer(raw, dtype="<f4", offset=_HEADER.size)
-    mats = [flat[i * n * dim:(i + 1) * n * dim].reshape(n, dim).astype(np.float64)
-            for i in range(n_mats)]
+        head = f.read(_HEADER.size)
+        if len(head) < _HEADER.size or head[:4] != _MAGIC:
+            raise CacheFormatError(f"{path}: not a propagation cache (bad magic)")
+        (_, version, kind, n, dim, steps, r_code, scheme_code,
+         fixed_alpha, fingerprint) = _HEADER.unpack(head)
+        if version != _VERSION:
+            raise CacheFormatError(f"{path}: unsupported cache version {version}")
+        if expect_fingerprint is not None and fingerprint != expect_fingerprint:
+            if not force:
+                raise FingerprintMismatch(
+                    f"{path}: cache fingerprint does not match the current graph/input; "
+                    "rerun preprocess or pass force=True to use it anyway")
+            warnings.warn(f"{path}: using cache despite a fingerprint mismatch")
+        n_parts = 2 if kind == _KIND_LABEL else 1
+        expected = _HEADER.size + n_parts * (steps + 1) * n * dim * 4
+        size = os.fstat(f.fileno()).st_size
+        if size != expected:
+            raise CacheFormatError(
+                f"{path}: truncated or oversized cache ({size} bytes, expected {expected})")
+        parts = [np.empty((steps + 1, n, dim)) for _ in range(n_parts)]
+        for m in (m for part in parts for m in part):
+            # one float32 step at a time, upcast straight into its slot
+            flat = np.fromfile(f, dtype="<f4", count=n * dim)
+            if flat.size != n * dim:
+                raise CacheFormatError(f"{path}: file shrank while it was read")
+            m[...] = flat.reshape(n, dim)
     mode = _R_FROM_CODE[r_code]
     if kind == _KIND_FEATURE:
-        return FeatureStack(mats=mats, mode=mode, fingerprint=fingerprint)
+        return FeatureStack(mats=parts[0], mode=mode, fingerprint=fingerprint)
     scheme = ResidualScheme(kind=_SCHEME_FROM_CODE[scheme_code], fixed_alpha=fixed_alpha)
-    return LabelStack(mats=mats[:steps + 1], mode=mode, fingerprint=fingerprint,
-                      scheme=scheme, smoothed=mats[steps + 1:])
+    return LabelStack(mats=parts[0], mode=mode, fingerprint=fingerprint,
+                      scheme=scheme, smoothed=parts[1])

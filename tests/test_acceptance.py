@@ -302,8 +302,8 @@ def test_criterion_8(tmp_path):
             cache_write(stack, path)
             loaded = cache_read(path, expect_fingerprint=stack.fingerprint)
             assert loaded.scheme == stack.scheme
-            mats = stack.mats + stack.smoothed
-            loaded_mats = loaded.mats + loaded.smoothed
+            mats = [*stack.mats, *stack.smoothed]
+            loaded_mats = [*loaded.mats, *loaded.smoothed]
         for orig, back in zip(mats, loaded_mats):
             assert np.array_equal(back, orig.astype(np.float32).astype(np.float64))
         assert loaded.fingerprint == stack.fingerprint

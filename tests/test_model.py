@@ -6,9 +6,10 @@ import pytest
 from gamlp.config import TrainConfig
 from gamlp.data import generate_sbm
 from gamlp.model import (BaselineCombiner, GamlpModel, JkAttention,
-                         RecursiveAttention, baseline_combine, evaluate_accuracy,
-                         export_attention, predict)
-from gamlp.nn import Activation, cross_entropy, grad_check, softmax_rows
+                         RecursiveAttention, _JkEncoder, baseline_combine,
+                         evaluate_accuracy, export_attention, predict, slice_mats)
+from gamlp.nn import (Activation, cross_entropy, dropout, grad_check, softmax_backward,
+                      softmax_rows)
 from gamlp.pipeline import build_stacks
 
 
@@ -74,6 +75,158 @@ def jk_oracle(mats, comb):
 
 def _random_mats(rng, n, d, steps):
     return [rng.standard_normal((n, d)) for _ in range(steps + 1)]
+
+
+# ---------------------------------------------------------------------------
+# reference combiners: the per-step list implementations the stack-array
+# combiners replaced, one dropout draw and one product per step
+# ---------------------------------------------------------------------------
+
+
+class ListRecursiveAttention(RecursiveAttention):
+    def forward(self, mats, rows=None, training=False, rng=None):
+        sa, sb = self.s.value[:self.dim], self.s.value[self.dim:]
+        xd = [dropout(m, self.attention_dropout, rng, training)[0] for m in mats]
+        xa = [d @ sa for d in xd]
+        levels = []
+        r = mats[0]
+        for l in range(1, len(mats)):
+            rd, r_mask = dropout(r, self.attention_dropout, rng, training)
+            rb = rd @ sb
+            pre = np.stack([xa[k] + rb for k in range(l)], axis=1)
+            w = softmax_rows(self.activation.forward(pre))
+            levels.append((pre, w, rd, r_mask))
+            r = sum(w[:, k:k + 1] * mats[k] for k in range(l))
+        rd, r_mask = dropout(r, self.attention_dropout, rng, training)
+        rb = rd @ sb
+        pre = np.stack([xa[k] + rb for k in range(len(mats))], axis=1)
+        w = softmax_rows(self.activation.forward(pre))
+        h = sum(w[:, k:k + 1] * mats[k] for k in range(len(mats)))
+        self._cache = (mats, xd, levels, (pre, w, rd, r_mask))
+        return h, w
+
+    def _score_backward(self, d_w, pre, w, rd, r_mask, xd, sb):
+        d_pre = self.activation.backward(softmax_backward(d_w, w), pre)
+        for k in range(d_pre.shape[1]):
+            self.s.grad[:self.dim] += xd[k].T @ d_pre[:, k]
+        row_sum = d_pre.sum(axis=1, keepdims=True)
+        self.s.grad[self.dim:] += rd.T @ row_sum[:, 0]
+        d_r = row_sum * sb
+        return d_r * r_mask if r_mask is not None else d_r
+
+    def backward(self, d_h):
+        mats, xd, levels, final = self._cache
+        sb = self.s.value[self.dim:]
+        d_w = np.stack([(d_h * m).sum(axis=1) for m in mats], axis=1)
+        d_r = self._score_backward(d_w, *final, xd, sb)
+        for l in range(len(levels), 0, -1):
+            d_w = np.stack([(d_r * mats[k]).sum(axis=1) for k in range(l)], axis=1)
+            d_r = self._score_backward(d_w, *levels[l - 1], xd, sb)
+
+
+class ListJkEncoder(_JkEncoder):
+    def forward(self, xs, training, rng):
+        dim = self.dim
+        z = self.b1.value + sum(xs[k] @ self.w1.value[k * dim:(k + 1) * dim]
+                                for k in range(self.steps))
+        if self.rest is None:
+            self._cache = (xs, None, None)
+            return z
+        a_drop, mask = dropout(self.activation.forward(z), self.dropout_rate, rng, training)
+        self._cache = (xs, z, mask)
+        return self.rest.forward(a_drop, training, rng)
+
+    def backward(self, d_out):
+        xs, z, mask = self._cache
+        d_z = d_out
+        if self.rest is not None:
+            d_z = self.rest.backward(d_out)
+            if mask is not None:
+                d_z = d_z * mask
+            d_z = self.activation.backward(d_z, z)
+        self.b1.grad += d_z.sum(axis=0)
+        for k in range(self.steps):
+            self.w1.grad[k * self.dim:(k + 1) * self.dim] += xs[k].T @ d_z
+
+
+class ListJkAttention(JkAttention):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.encoder is not None:
+            self.encoder.__class__ = ListJkEncoder
+
+    def forward(self, mats, rows=None, training=False, rng=None):
+        sa, sb = self.s.value[:self.dim], self.s.value[self.dim:]
+        xd = [dropout(m, self.attention_dropout, rng, training)[0] for m in mats]
+        ref = self._reference(mats, rows, training, rng)
+        if ref is not None:
+            rd, r_mask = dropout(ref, self.attention_dropout, rng, training)
+            ref_score = rd @ sb
+        else:
+            rd, r_mask, ref_score = None, None, 0.0
+        pre = np.stack([xd[k] @ sa + ref_score for k in range(len(mats))], axis=1)
+        w = softmax_rows(self.activation.forward(pre))
+        h = sum(w[:, k:k + 1] * mats[k] for k in range(len(mats)))
+        self._cache = (mats, xd, pre, w, rd, r_mask)
+        return h, w
+
+    def backward(self, d_h):
+        mats, xd, pre, w, rd, r_mask = self._cache
+        dim = self.dim
+        d_w = np.stack([(d_h * m).sum(axis=1) for m in mats], axis=1)
+        d_pre = self.activation.backward(softmax_backward(d_w, w), pre)
+        for k in range(len(mats)):
+            self.s.grad[:dim] += xd[k].T @ d_pre[:, k]
+        if rd is not None:
+            row_sum = d_pre.sum(axis=1, keepdims=True)
+            self.s.grad[dim:] += rd.T @ row_sum[:, 0]
+            if self.reference == "jk" and self.encoder is not None:
+                d_ref = row_sum * self.s.value[dim:]
+                if r_mask is not None:
+                    d_ref = d_ref * r_mask
+                self.encoder.backward(d_ref)
+
+
+def _assert_matches_list_reference(cls, ref_cls, n, d, hops, **kwargs):
+    """Array combiner vs its list reference on a stack of ``hops`` + 1 steps.
+
+    Trains with dropout 0.5 and equal seeds, so both must also draw the
+    same masks from the generator.
+    """
+    data_rng = np.random.default_rng(100 + hops)
+    mats = _random_mats(data_rng, n, d, hops)
+    d_h = data_rng.standard_normal((n, d))
+    comb = cls(np.random.default_rng(1), attention_dropout=0.5, **kwargs)
+    ref = ref_cls(np.random.default_rng(1), attention_dropout=0.5, **kwargs)
+    for p, q in zip(comb.params, ref.params):
+        p.value[...] = q.value[...] = data_rng.standard_normal(p.value.shape) * 0.5
+    rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+    h, w = comb.forward(np.stack(mats), rows=np.arange(n), training=True, rng=rng)
+    want_h, want_w = ref.forward(mats, rows=np.arange(n), training=True, rng=ref_rng)
+    assert np.abs(h - want_h).max() <= 1e-12
+    assert np.abs(w - want_w).max() <= 1e-12
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    comb.backward(d_h)
+    ref.backward(d_h)
+    for p, q in zip(comb.params, ref.params):
+        assert p.name == q.name
+        assert np.abs(p.grad - q.grad).max() <= 1e-12, p.name
+
+
+@pytest.mark.parametrize("kind", ["sigmoid", "leaky_relu"])
+@pytest.mark.parametrize("steps", [0, 1, 7])
+def test_recursive_matches_list_reference(kind, steps):
+    _assert_matches_list_reference(RecursiveAttention, ListRecursiveAttention, 23, 5, steps,
+                                   dim=5, activation=Activation(kind, 0.2))
+
+
+@pytest.mark.parametrize("reference", ["jk", "origin_feature", "no_reference"])
+@pytest.mark.parametrize("steps,depth", [(0, 2), (1, 1), (6, 3)])
+def test_jk_matches_list_reference(reference, steps, depth):
+    _assert_matches_list_reference(JkAttention, ListJkAttention, 23, 5, steps, steps=steps,
+                                   dim=5, hidden=7, depth=depth,
+                                   activation=Activation("leaky_relu", 0.2),
+                                   reference=reference, mlp_dropout=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +358,15 @@ def test_attention_score_shift_invariance():
     pre, w_cached, _, _ = comb._cache[3]
     scores = comb.activation.forward(pre)
     assert np.allclose(softmax_rows(scores + 123.0), w, atol=1e-12)
+
+
+def test_slice_mats_gathers_rows_of_every_step():
+    stack = np.random.default_rng(13).standard_normal((4, 9, 3))
+    rows = np.array([5, 0, 5, 8])
+    got = slice_mats(stack, rows)
+    assert np.array_equal(got, np.stack([m[rows] for m in stack]))
+    assert got.flags.c_contiguous  # still step-major
+    assert slice_mats(stack, None) is stack
 
 
 # ---------------------------------------------------------------------------

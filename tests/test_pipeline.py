@@ -42,3 +42,12 @@ def test_fixed_alpha_is_ignored_by_other_schemes(sbm, tmp_path):
     preprocess(sbm, written)
     _, label_stack = load_stacks(sbm, dataclasses.replace(written, fixed_alpha=0.2))
     assert label_stack.scheme.kind == "cosine"
+
+
+def test_load_stacks_validates_a_label_cache_of_another_r_mode(sbm, tmp_path):
+    # both digests hash the one self-looped graph, each with its own r
+    config = _config(tmp_path, r_mode=0.5, label_r_mode=0.0)
+    preprocess(sbm, config)
+    feature_stack, label_stack = load_stacks(sbm, config)
+    assert (feature_stack.mode, label_stack.mode) == (0.5, 0.0)
+    assert label_stack.fingerprint == build_label_stack(sbm, config).fingerprint

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from gamlp.graph import build_graph
+from gamlp.graph import add_self_loops, build_graph, normalize
 from gamlp.propagation import (CacheFormatError, FeatureStack, FingerprintMismatch,
                                LabelStack, ResidualScheme, apply_last_residual,
                                build_label_seed, cache_read, cache_write,
-                               propagate_features, propagate_labels, zero_seed_rows)
+                               propagate_features, propagate_labels, stack_fingerprint,
+                               zero_seed_rows)
 
 from conftest import dense_ahat, operator_for, random_graph
 
@@ -74,6 +75,12 @@ def test_label_seed_full_train():
 def test_label_seed_missing_label():
     with pytest.raises(ValueError):
         build_label_seed({0: 1}, [0, 1], n=2, num_classes=2)
+    # the first bad node in training order is named, for array labels too
+    labels = np.array([0, -1, 5, 1])
+    with pytest.raises(ValueError, match=r"^train node 2 has no valid label \(got 5\)$"):
+        build_label_seed(labels, [0, 2, 1], n=4, num_classes=3)
+    with pytest.raises(ValueError, match=r"^train node 1 has no valid label \(got -1\)$"):
+        build_label_seed(labels, [3, 1, 2], n=4, num_classes=3)
 
 
 def test_label_propagation_zero_steps(path3):
@@ -217,6 +224,35 @@ def test_cache_round_trip_features(tmp_path):
     assert loaded.steps == stack.steps
 
 
+def test_fingerprint_of_looped_graph_equals_operator_fingerprint():
+    # normalize keeps the self-looped structure, the only graph input the digest hashes
+    rng = np.random.default_rng(6)
+    g = random_graph(rng, 15, 0.3)
+    x = rng.standard_normal((15, 3))
+    looped = add_self_loops(g)
+    for r in (0.0, 0.5, 1.0):
+        assert (stack_fingerprint(looped, x, 4, r)
+                == stack_fingerprint(normalize(looped, r), x, 4, r))
+
+
+def test_stacks_are_one_contiguous_array(tmp_path):
+    rng = np.random.default_rng(7)
+    features = _feature_stack(rng, n=10, steps=3)
+    labels, _ = _label_stack(rng, n=12, steps=4)
+    apply_last_residual(labels)
+    for stack in (features, labels):
+        path = tmp_path / "s.gmlp"
+        cache_write(stack, path)
+        loaded = cache_read(path)
+        arrays = [stack.mats, loaded.mats]
+        if isinstance(stack, LabelStack):
+            arrays += [stack.smoothed, loaded.smoothed]
+        for a in arrays:
+            assert isinstance(a, np.ndarray) and a.dtype == np.float64
+            assert a.shape == (stack.steps + 1, stack.n, stack.dim)
+            assert a.flags.c_contiguous
+
+
 def test_cache_round_trip_labels(tmp_path):
     stack, _ = _label_stack(np.random.default_rng(1), scheme=ResidualScheme("fixed", 0.25))
     apply_last_residual(stack)
@@ -225,7 +261,7 @@ def test_cache_round_trip_labels(tmp_path):
     loaded = cache_read(path)
     assert isinstance(loaded, LabelStack)
     assert loaded.scheme == stack.scheme
-    for a, b in zip(loaded.mats + loaded.smoothed, stack.mats + stack.smoothed):
+    for a, b in zip([*loaded.mats, *loaded.smoothed], [*stack.mats, *stack.smoothed]):
         assert np.allclose(a, b, atol=1e-7)
     path2 = tmp_path / "l2.gmlp"
     cache_write(loaded, path2)
