@@ -10,6 +10,9 @@ splits/ layout this package loads.
 Usage:
     python scripts/convert_planetoid.py --raw-dir raw/ --name cora --out data/cora
 
+The gamlp package must be importable (installed, or PYTHONPATH=src): the
+directory is written by ``gamlp.data.save_dataset``.
+
 The standard split is reproduced: the first len(y) nodes are training,
 the following --val-size nodes are validation, and the test ids come
 from test.index. Isolated test nodes absent from test.index (citeseer)
@@ -27,12 +30,14 @@ node test.index[j]; the padded rows stay where they are.
 
 import argparse
 import pickle
-import struct
 import sys
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+
+from gamlp.data import Dataset, Splits, save_dataset
+from gamlp.graph import build_graph
 
 
 def _load_pickle(path: Path):
@@ -83,25 +88,6 @@ def assemble(parts, test_idx):
     return features, labels, edges, n, len(y)
 
 
-def write_dataset(out_dir: Path, features, labels, edges, train_ids, val_ids, test_ids):
-    (out_dir / "splits").mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "edges.tsv", "w", encoding="utf-8") as f:
-        for u, v in edges:
-            f.write(f"{u}\t{v}\n")
-    n, dim = features.shape
-    with open(out_dir / "features.bin", "wb") as f:
-        f.write(b"GMFX")
-        f.write(struct.pack("<QQ", n, dim))
-        f.write(np.ascontiguousarray(features, dtype="<f4").tobytes())
-    with open(out_dir / "labels.tsv", "w", encoding="utf-8") as f:
-        for node in np.flatnonzero(labels >= 0):
-            f.write(f"{node}\t{labels[node]}\n")
-    for part, ids in (("train", train_ids), ("val", val_ids), ("test", test_ids)):
-        with open(out_dir / "splits" / f"{part}.txt", "w", encoding="utf-8") as f:
-            for i in ids:
-                f.write(f"{int(i)}\n")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--raw-dir", required=True, help="directory with the ind.* files")
@@ -115,7 +101,10 @@ def main(argv=None) -> int:
     train_ids = np.arange(n_train)
     val_ids = np.arange(n_train, n_train + args.val_size)
     test_ids = np.sort(test_idx)
-    write_dataset(Path(args.out), features, labels, edges, train_ids, val_ids, test_ids)
+    dataset = Dataset(graph=build_graph(edges, n), features=features, labels=labels,
+                      splits=Splits(train_ids, val_ids, test_ids),
+                      num_classes=int(labels.max()) + 1, name=args.name)
+    save_dataset(dataset, Path(args.out))
     print(f"wrote {args.out}: {n} nodes, {len(edges)} undirected edges, "
           f"{features.shape[1]} features, splits {n_train}/{args.val_size}/{test_ids.size}")
     return 0

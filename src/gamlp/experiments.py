@@ -39,7 +39,11 @@ def method_config(base: TrainConfig, method: str) -> TrainConfig:
 
 
 class _StackCache:
-    """Memoizes in-memory stacks per (dataset object, config shape)."""
+    """Memoizes in-memory stacks per (dataset object, config shape).
+
+    The residual scheme is not part of the key: it shapes only the
+    train-time blend of the cached label steps.
+    """
 
     def __init__(self):
         self._store = {}
@@ -47,7 +51,7 @@ class _StackCache:
     def get(self, dataset: Dataset, config: TrainConfig):
         key = (id(dataset), config.hops, config.r_mode, config.use_labels,
                config.effective_label_hops, config.effective_label_r_mode,
-               config.residual_scheme, config.fixed_alpha, config.zero_self_label)
+               config.zero_self_label)
         if key not in self._store:
             self._store[key] = build_stacks(dataset, config)
         return self._store[key]

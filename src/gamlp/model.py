@@ -27,7 +27,7 @@ from .config import TrainConfig
 from .nn import (Activation, Adam, Mlp, NonFiniteError, ParamTensor, Sgd,
                  cross_entropy, dropout, glorot_uniform, softmax_backward,
                  softmax_rows)
-from .propagation import FeatureStack, LabelStack
+from .propagation import FeatureStack, LabelStack, ResidualScheme, apply_last_residual
 
 
 class TrainingDiverged(Exception):
@@ -430,18 +430,17 @@ def _stack_inputs(feature_stack: FeatureStack, label_stack: LabelStack | None,
     if config.use_labels:
         if label_stack is None:
             raise ValueError("config.use_labels is on but no label stack was given")
+        # the cache holds the raw propagation; the smoothing follows this config
+        scheme = ResidualScheme(config.residual_scheme, config.fixed_alpha)
         if config.label_mode == "plain":
             label_mats = label_stack.mats
         elif config.label_mode == "uniform":
             # blend each raw step with the uniform class distribution instead
             # of the deepest step
-            a = label_stack.scheme.alphas(label_stack.steps)[:, None, None]
+            a = scheme.alphas(label_stack.steps)[:, None, None]
             label_mats = (1.0 - a) * label_stack.mats + a / label_stack.dim
         else:
-            if label_stack.smoothed is None:
-                raise ValueError("label stack has no smoothed matrices; "
-                                 "run apply_last_residual first")
-            label_mats = label_stack.smoothed
+            label_mats = apply_last_residual(label_stack.mats, scheme)
     return feat_mats, label_mats
 
 

@@ -8,27 +8,19 @@ against the dataset they are loaded for.
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
-
-import numpy as np
 
 from .config import TrainConfig
 from .data import Dataset
 from .graph import add_self_loops, normalize
 from .model import FitResult, fit
-from .propagation import (FeatureStack, FingerprintMismatch, LabelStack, ResidualScheme,
-                          apply_last_residual, build_label_seed, cache_read, cache_write,
-                          propagate_features, propagate_labels, stack_fingerprint,
-                          zero_seed_rows)
+from .propagation import (FeatureStack, LabelStack, build_label_seed, cache_read,
+                          cache_write, propagate_features, propagate_labels,
+                          stack_fingerprint, zero_seed_rows)
 
 
 class MissingCacheError(Exception):
     """Raised when train/eval runs before preprocess."""
-
-
-def residual_scheme(config: TrainConfig) -> ResidualScheme:
-    return ResidualScheme(config.residual_scheme, config.fixed_alpha)
 
 
 def build_feature_stack(dataset: Dataset, config: TrainConfig) -> FeatureStack:
@@ -40,10 +32,10 @@ def build_label_stack(dataset: Dataset, config: TrainConfig) -> LabelStack:
     op = normalize(add_self_loops(dataset.graph), config.effective_label_r_mode)
     y0 = build_label_seed(dataset.labels, dataset.splits.train, dataset.n,
                           dataset.num_classes)
-    stack = propagate_labels(op, y0, config.effective_label_hops, residual_scheme(config))
+    stack = propagate_labels(op, y0, config.effective_label_hops)
     if config.zero_self_label:
         zero_seed_rows(stack, dataset.splits.train)
-    return apply_last_residual(stack)
+    return stack
 
 
 def build_stacks(dataset: Dataset, config: TrainConfig):
@@ -57,8 +49,7 @@ def cache_paths(config: TrainConfig, cache_dir=None):
     feat = base / f"features_K{config.hops}_r{config.r_mode:g}.gmlp"
     zeroed = "_zeroed" if config.zero_self_label else ""
     label = base / (f"labels_L{config.effective_label_hops}"
-                    f"_r{config.effective_label_r_mode:g}"
-                    f"_{config.residual_scheme}{zeroed}.gmlp")
+                    f"_r{config.effective_label_r_mode:g}{zeroed}.gmlp")
     return feat, label
 
 
@@ -94,26 +85,7 @@ def load_stacks(dataset: Dataset, config: TrainConfig, cache_dir=None,
         expect = stack_fingerprint(looped, y0, config.effective_label_hops,
                                    config.effective_label_r_mode)
         label_stack = cache_read(label_path, expect_fingerprint=expect, force=force)
-        _check_scheme(label_stack, residual_scheme(config), label_path, force)
     return feature_stack, label_stack
-
-
-def _check_scheme(stack: LabelStack, scheme: ResidualScheme, path, force: bool) -> None:
-    """Refuse a label cache smoothed with other weights than ``scheme`` gives.
-
-    The label fingerprint covers only the raw propagation, and the file name
-    leaves out ``fixed_alpha``, so this is the check that catches a cache
-    built under another residual scheme. Kinds that yield the same weights
-    for the stack's depth are interchangeable.
-    """
-    if np.array_equal(stack.scheme.alphas(stack.steps), scheme.alphas(stack.steps)):
-        return
-    message = (f"{path}: label cache was smoothed with {stack.scheme}, the config asks "
-               f"for {scheme}")
-    if not force:
-        raise FingerprintMismatch(
-            f"{message}; rerun preprocess or pass force=True to use it anyway")
-    warnings.warn(f"{message}; using the cache anyway")
 
 
 def train_on_dataset(dataset: Dataset, config: TrainConfig,

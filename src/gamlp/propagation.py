@@ -1,9 +1,15 @@
 """Precomputed feature and label propagation stacks plus their disk cache.
 
 Propagation is the one graph-touching step of the whole pipeline: the
-stacks  [X^(0) ... X^(K)]  and  [Y^(0) ... Y^(L)]  are computed once,
-smoothed (labels only) and written to a binary cache. Training afterwards
-treats nodes as independent rows and never sees the graph again.
+stacks  [X^(0) ... X^(K)]  and  [Y^(0) ... Y^(L)]  are computed once and
+written to a binary cache. Training afterwards treats nodes as independent
+rows and never sees the graph again.
+
+The last-residual label smoothing is not stored. It is a per-row blend of
+the cached label steps, so :func:`apply_last_residual` recomputes it from
+the training config's scheme each time the model takes its inputs;
+changing the scheme needs no new preprocess, and no cache can hold a
+blend of another scheme.
 
 A stack is one C-contiguous float64 array of shape (S+1, n, d), step-major:
 ``mats[k]`` is the n x d matrix of step k, and one gather along axis 1
@@ -23,7 +29,7 @@ import os
 import struct
 import uuid
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,15 +39,13 @@ from .graph import CsrGraph, PropagationOperator, spmm
 MAX_STEPS = 128
 
 _MAGIC = b"GMLP"
-_VERSION = 1
-_HEADER = struct.Struct("<4sIBQQIBBd32s")  # magic, version, kind, n, dim, steps,
-                                           # r-mode, scheme-kind, fixed_alpha, fingerprint
+_VERSION = 2
+_HEADER = struct.Struct("<4sIBQQIB32s")  # magic, version, kind, n, dim, steps,
+                                         # r-mode, fingerprint
 _KIND_FEATURE = 0
 _KIND_LABEL = 1
 _R_CODES = {0.0: 0, 0.5: 1, 1.0: 2}
 _R_FROM_CODE = {v: k for k, v in _R_CODES.items()}
-_SCHEME_CODES = {"cosine": 0, "linear": 1, "fixed": 2}
-_SCHEME_FROM_CODE = {v: k for k, v in _SCHEME_CODES.items()}
 
 
 class CacheFormatError(Exception):
@@ -60,7 +64,7 @@ class ResidualScheme:
     fixed_alpha: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in _SCHEME_CODES:
+        if self.kind not in ("cosine", "linear", "fixed"):
             raise ValueError(f"unknown residual scheme {self.kind!r}")
         if self.kind == "fixed" and not 0.0 <= self.fixed_alpha <= 1.0:
             raise ValueError("fixed_alpha must lie in [0, 1]")
@@ -105,13 +109,11 @@ class FeatureStack(_Stack):
 
 @dataclass
 class LabelStack(_Stack):
-    """Propagated labels plus their last-residual smoothed versions.
+    """Propagated labels [Y^(0) ... Y^(L)] as one (L+1, n, c) float64 array.
 
-    ``mats`` and ``smoothed`` are each one (L+1, n, c) float64 array.
+    Only the raw propagation is kept; the smoothed inputs are derived from
+    ``mats`` by :func:`apply_last_residual`.
     """
-
-    scheme: ResidualScheme = field(default_factory=ResidualScheme)
-    smoothed: np.ndarray | None = None
 
 
 def stack_fingerprint(graph_or_op, x0: np.ndarray, steps: int, r: float) -> bytes:
@@ -173,13 +175,11 @@ def build_label_seed(labels, train_ids, n: int, num_classes: int) -> np.ndarray:
 
 
 def propagate_labels(op: PropagationOperator, y0: np.ndarray, steps: int,
-                     scheme: ResidualScheme | None = None,
                      max_steps: int = MAX_STEPS) -> LabelStack:
     """Iteratively apply the operator to the label seed (smoothing not applied)."""
     mats = _propagate(op, y0, steps, max_steps)
     return LabelStack(mats=mats, mode=op.mode,
-                      fingerprint=stack_fingerprint(op, y0, steps, op.mode),
-                      scheme=scheme or ResidualScheme())
+                      fingerprint=stack_fingerprint(op, y0, steps, op.mode))
 
 
 def zero_seed_rows(stack: LabelStack, train_ids) -> LabelStack:
@@ -193,18 +193,20 @@ def zero_seed_rows(stack: LabelStack, train_ids) -> LabelStack:
     return stack
 
 
-def apply_last_residual(stack: LabelStack, scheme: ResidualScheme | None = None) -> LabelStack:
-    """Fill the smoothed matrices: Y_hat^(l) = (1 - a_l) Y^(l) + a_l Y^(L).
+def apply_last_residual(mats: np.ndarray, scheme: ResidualScheme) -> np.ndarray:
+    """Smoothed labels Y_hat^(l) = (1 - a_l) Y^(l) + a_l Y^(L) of an (L+1, n, c) stack.
 
     The blend is applied uniformly for l = 0..L; under the cosine schedule
     a_0 = 1, so the smoothed step-0 matrix equals Y^(L) and the raw seed
-    labels never reach the model directly.
+    labels never reach the model directly. The result is written into one
+    new array, step by step, with no stack-sized temporary; it equals the
+    broadcast ``(1 - a) * mats + a * mats[-1]`` bit for bit.
     """
-    if scheme is not None:
-        stack.scheme = scheme
-    a = stack.scheme.alphas(stack.steps)[:, None, None]
-    stack.smoothed = (1.0 - a) * stack.mats + a * stack.mats[-1]
-    return stack
+    a = scheme.alphas(len(mats) - 1)
+    out = np.multiply(mats, (1.0 - a)[:, None, None])
+    for l, a_l in enumerate(a):
+        out[l] += a_l * mats[-1]
+    return out
 
 
 def cache_write(stack: FeatureStack | LabelStack, path) -> None:
@@ -213,14 +215,9 @@ def cache_write(stack: FeatureStack | LabelStack, path) -> None:
     The file is replaced atomically: readers see the old file or the whole
     new one, never a partial write.
     """
-    is_label = isinstance(stack, LabelStack)
-    if is_label and stack.smoothed is None:
-        raise ValueError("label stack must be smoothed before caching")
-    scheme_code = _SCHEME_CODES[stack.scheme.kind] if is_label else 0
-    fixed_alpha = stack.scheme.fixed_alpha if is_label else 0.0
-    header = _HEADER.pack(_MAGIC, _VERSION, _KIND_LABEL if is_label else _KIND_FEATURE,
-                          stack.n, stack.dim, stack.steps, _R_CODES[stack.mode],
-                          scheme_code, fixed_alpha, stack.fingerprint)
+    kind = _KIND_LABEL if isinstance(stack, LabelStack) else _KIND_FEATURE
+    header = _HEADER.pack(_MAGIC, _VERSION, kind, stack.n, stack.dim, stack.steps,
+                          _R_CODES[stack.mode], stack.fingerprint)
     # write beside the target and rename over it, so a failed or interrupted
     # write leaves the previous cache file intact
     path = Path(path)
@@ -228,7 +225,7 @@ def cache_write(stack: FeatureStack | LabelStack, path) -> None:
     try:
         with open(tmp, "xb") as f:
             f.write(header)
-            for m in [*stack.mats, *stack.smoothed] if is_label else stack.mats:
+            for m in stack.mats:
                 f.write(np.ascontiguousarray(m, dtype="<f4"))
         os.replace(tmp, path)
     except BaseException:
@@ -243,32 +240,28 @@ def cache_read(path, expect_fingerprint: bytes | None = None,
         head = f.read(_HEADER.size)
         if len(head) < _HEADER.size or head[:4] != _MAGIC:
             raise CacheFormatError(f"{path}: not a propagation cache (bad magic)")
-        (_, version, kind, n, dim, steps, r_code, scheme_code,
-         fixed_alpha, fingerprint) = _HEADER.unpack(head)
+        _, version, kind, n, dim, steps, r_code, fingerprint = _HEADER.unpack(head)
         if version != _VERSION:
-            raise CacheFormatError(f"{path}: unsupported cache version {version}")
+            raise CacheFormatError(
+                f"{path}: cache format version {version} is not supported (expected "
+                f"{_VERSION}); rerun gamlp preprocess")
         if expect_fingerprint is not None and fingerprint != expect_fingerprint:
             if not force:
                 raise FingerprintMismatch(
                     f"{path}: cache fingerprint does not match the current graph/input; "
                     "rerun preprocess or pass force=True to use it anyway")
             warnings.warn(f"{path}: using cache despite a fingerprint mismatch")
-        n_parts = 2 if kind == _KIND_LABEL else 1
-        expected = _HEADER.size + n_parts * (steps + 1) * n * dim * 4
+        expected = _HEADER.size + (steps + 1) * n * dim * 4
         size = os.fstat(f.fileno()).st_size
         if size != expected:
             raise CacheFormatError(
                 f"{path}: truncated or oversized cache ({size} bytes, expected {expected})")
-        parts = [np.empty((steps + 1, n, dim)) for _ in range(n_parts)]
-        for m in (m for part in parts for m in part):
+        mats = np.empty((steps + 1, n, dim))
+        for m in mats:
             # one float32 step at a time, upcast straight into its slot
             flat = np.fromfile(f, dtype="<f4", count=n * dim)
             if flat.size != n * dim:
                 raise CacheFormatError(f"{path}: file shrank while it was read")
             m[...] = flat.reshape(n, dim)
-    mode = _R_FROM_CODE[r_code]
-    if kind == _KIND_FEATURE:
-        return FeatureStack(mats=parts[0], mode=mode, fingerprint=fingerprint)
-    scheme = ResidualScheme(kind=_SCHEME_FROM_CODE[scheme_code], fixed_alpha=fixed_alpha)
-    return LabelStack(mats=parts[0], mode=mode, fingerprint=fingerprint,
-                      scheme=scheme, smoothed=parts[1])
+    cls = LabelStack if kind == _KIND_LABEL else FeatureStack
+    return cls(mats=mats, mode=_R_FROM_CODE[r_code], fingerprint=fingerprint)

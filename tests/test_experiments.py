@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from gamlp import experiments
 from gamlp.config import TrainConfig
 from gamlp.data import generate_sbm
-from gamlp.experiments import (method_config, run_ablation, run_baseline_table,
+from gamlp.experiments import (ABLATIONS, method_config, run_ablation, run_baseline_table,
                                run_depth_sweep, run_sparsity_sweep, write_report)
+from gamlp.pipeline import build_stacks
 
 
 def _base_config(**overrides):
@@ -121,6 +123,20 @@ def test_ablation_reference_wiring(sbm):
                           n_runs=1)
     assert report["configs"]["normal_noise"]["reference"] == "normal_noise"
     assert report["configs"]["no_reference"]["reference"] == "no_reference"
+
+
+def test_alpha_scheme_ablation_builds_the_stacks_once(sbm, monkeypatch):
+    # the residual scheme only blends the cached label steps at train time
+    calls = []
+
+    def counting_build_stacks(dataset, config):
+        calls.append(config.residual_scheme)
+        return build_stacks(dataset, config)
+
+    monkeypatch.setattr(experiments, "build_stacks", counting_build_stacks)
+    report = run_ablation(sbm, "alpha_scheme", _base_config(epochs=5, patience=5), n_runs=1)
+    assert {r["method"] for r in report["rows"]} == set(ABLATIONS["alpha_scheme"])
+    assert len(calls) == 1
 
 
 def test_ablation_rejects_unknown_family(sbm):

@@ -11,6 +11,7 @@ from gamlp.model import (BaselineCombiner, GamlpModel, JkAttention,
 from gamlp.nn import (Activation, cross_entropy, dropout, grad_check, softmax_backward,
                       softmax_rows)
 from gamlp.pipeline import build_stacks
+from gamlp.propagation import ResidualScheme, apply_last_residual
 
 
 def _sigmoid(x):
@@ -430,11 +431,15 @@ def _toy_setup(seed=0, **overrides):
     return ds, cfg, fs, ls
 
 
+def _smoothed(cfg, ls):
+    return apply_last_residual(ls.mats, ResidualScheme(cfg.residual_scheme, cfg.fixed_alpha))
+
+
 def test_model_beta_zero_matches_feature_branch():
     ds, cfg, fs, ls = _toy_setup(beta=0.0)
     rng = np.random.default_rng(1)
     model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps, rng)
-    logits = model.forward(fs.mats, ls.smoothed)
+    logits = model.forward(fs.mats, _smoothed(cfg, ls))
     h_x, _ = model.feature_combiner.forward(fs.mats)
     manual = model.feature_mlp.forward(h_x)
     assert np.allclose(logits, manual, atol=1e-14)
@@ -446,7 +451,7 @@ def test_model_zero_params_give_uniform_softmax():
     model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps, rng)
     for p in model.params:
         p.value[...] = 0.0
-    logits = model.forward(fs.mats, ls.smoothed)
+    logits = model.forward(fs.mats, _smoothed(cfg, ls))
     assert not logits.any()
     assert np.allclose(softmax_rows(logits), 1.0 / ds.num_classes)
 
@@ -461,7 +466,7 @@ def test_full_model_gradient_check(kind):
             p.value[:] = np.random.default_rng(4).standard_normal(p.value.size) * 0.4
     rows = np.arange(10)
     fm = [m[rows] for m in fs.mats]
-    lm = [m[rows] for m in ls.smoothed]
+    lm = [m[rows] for m in _smoothed(cfg, ls)]
     onehot = np.eye(ds.num_classes)[ds.labels[rows]]
     mask = np.arange(10)
 

@@ -1,12 +1,11 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from gamlp.config import TrainConfig
 from gamlp.data import generate_sbm
-from gamlp.pipeline import build_label_stack, load_stacks, preprocess
-from gamlp.propagation import FingerprintMismatch
+from gamlp.model import _stack_inputs
+from gamlp.pipeline import build_label_stack, build_stacks, load_stacks, preprocess
+from gamlp.propagation import ResidualScheme
 
 
 @pytest.fixture(scope="module")
@@ -18,30 +17,32 @@ def _config(cache_dir, **overrides):
     return TrainConfig(cache_dir=str(cache_dir), hops=3, **overrides).validate()
 
 
-def test_load_stacks_refuses_label_cache_of_another_fixed_alpha(sbm, tmp_path):
-    # the label cache file name and fingerprint leave out fixed_alpha, so only
-    # the scheme recorded in the header can tell this cache is stale
-    written = _config(tmp_path, residual_scheme="fixed", fixed_alpha=0.7)
-    preprocess(sbm, written)
-    stale = dataclasses.replace(written, fixed_alpha=0.2)
-    with pytest.raises(FingerprintMismatch, match="fixed_alpha=0.7"):
-        load_stacks(sbm, stale)
-    with pytest.warns(UserWarning, match="fixed_alpha=0.7"):
-        _, forced = load_stacks(sbm, stale, force=True)
-    assert forced.scheme.fixed_alpha == 0.7
-
-    preprocess(sbm, stale)
-    _, label_stack = load_stacks(sbm, stale)
-    fresh = build_label_stack(sbm, stale)
-    for cached, built in zip(label_stack.smoothed, fresh.smoothed):
-        assert np.allclose(cached, built, atol=1e-6)
+@pytest.fixture(scope="module")
+def fixed_07_cache(sbm, tmp_path_factory):
+    cache_dir = tmp_path_factory.mktemp("cache")
+    preprocess(sbm, _config(cache_dir, residual_scheme="fixed", fixed_alpha=0.7))
+    return cache_dir
 
 
-def test_fixed_alpha_is_ignored_by_other_schemes(sbm, tmp_path):
-    written = _config(tmp_path, residual_scheme="cosine", fixed_alpha=0.7)
-    preprocess(sbm, written)
-    _, label_stack = load_stacks(sbm, dataclasses.replace(written, fixed_alpha=0.2))
-    assert label_stack.scheme.kind == "cosine"
+@pytest.mark.parametrize("label_mode", ["smoothed", "plain", "uniform"])
+@pytest.mark.parametrize("scheme, fixed_alpha", [("cosine", 0.7), ("linear", 0.7),
+                                                 ("fixed", 0.7), ("fixed", 0.2)])
+def test_one_preprocess_serves_every_residual_scheme(sbm, fixed_07_cache, scheme,
+                                                     fixed_alpha, label_mode):
+    # the cache holds only the raw label propagation; the smoothing follows
+    # the config it is loaded with
+    config = _config(fixed_07_cache, residual_scheme=scheme, fixed_alpha=fixed_alpha,
+                     label_mode=label_mode)
+    feature_stack, label_stack = build_stacks(sbm, config)
+    y = label_stack.mats
+    a = ResidualScheme(scheme, fixed_alpha).alphas(label_stack.steps)[:, None, None]
+    label_inputs = {"plain": y, "smoothed": (1.0 - a) * y + a * y[-1],
+                    "uniform": (1.0 - a) * y + a / label_stack.dim}[label_mode]
+    built = (feature_stack.mats, label_inputs)
+    cached = _stack_inputs(*load_stacks(sbm, config), config)
+    for got, want in zip(cached, built):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0.0, atol=1e-6)
 
 
 def test_load_stacks_validates_a_label_cache_of_another_r_mode(sbm, tmp_path):

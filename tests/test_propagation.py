@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -132,34 +134,47 @@ def test_linear_and_fixed_alphas():
         ResidualScheme("geometric")
 
 
-def _label_stack(rng, n=12, steps=4, r=0.5, scheme=None):
+def _label_stack(rng, n=12, steps=4, r=0.5):
     g = random_graph(rng, n, 0.3)
     labels = rng.integers(0, 3, size=n)
     train = rng.choice(n, size=n // 3, replace=False)
     y0 = build_label_seed(labels, train, n=n, num_classes=3)
-    return propagate_labels(operator_for(g, r), y0, steps,
-                            scheme or ResidualScheme()), train
+    return propagate_labels(operator_for(g, r), y0, steps), train
 
 
 def test_last_residual_deepest_is_exact():
     stack, _ = _label_stack(np.random.default_rng(2))
-    apply_last_residual(stack)
-    assert np.array_equal(stack.smoothed[-1], stack.mats[-1])
+    smoothed = apply_last_residual(stack.mats, ResidualScheme())
+    assert np.array_equal(smoothed[-1], stack.mats[-1])
 
 
 def test_last_residual_step0_equals_deepest_under_cosine():
     stack, _ = _label_stack(np.random.default_rng(3))
-    apply_last_residual(stack)
-    assert np.array_equal(stack.smoothed[0], stack.mats[-1])
+    smoothed = apply_last_residual(stack.mats, ResidualScheme())
+    assert np.array_equal(smoothed[0], stack.mats[-1])
 
 
 def test_fixed_alpha_blend():
-    stack, _ = _label_stack(np.random.default_rng(4),
-                            scheme=ResidualScheme("fixed", 0.7))
-    apply_last_residual(stack)
+    stack, _ = _label_stack(np.random.default_rng(4))
+    smoothed = apply_last_residual(stack.mats, ResidualScheme("fixed", 0.7))
     for l in range(stack.steps + 1):
         want = 0.3 * stack.mats[l] + 0.7 * stack.mats[-1]
-        assert np.allclose(stack.smoothed[l], want, atol=1e-15)
+        assert np.allclose(smoothed[l], want, atol=1e-15)
+
+
+@pytest.mark.parametrize("scheme", [ResidualScheme("cosine"), ResidualScheme("linear"),
+                                    ResidualScheme("fixed", 0.7), ResidualScheme("fixed", 0.2)],
+                         ids=["cosine", "linear", "fixed0.7", "fixed0.2"])
+@pytest.mark.parametrize("steps", [0, 1, 5])
+def test_last_residual_equals_broadcast_blend(scheme, steps):
+    # the step-by-step blend into one output gives the broadcast's bits
+    mats = np.random.default_rng(steps).random((steps + 1, 9, 4))
+    before = mats.copy()
+    a = scheme.alphas(steps)[:, None, None]
+    smoothed = apply_last_residual(mats, scheme)
+    assert np.array_equal(smoothed, (1.0 - a) * mats + a * mats[-1])
+    assert smoothed.flags.c_contiguous and smoothed is not mats
+    assert np.array_equal(mats, before)
 
 
 def test_zero_seed_rows_only_touches_train_step0():
@@ -239,14 +254,13 @@ def test_stacks_are_one_contiguous_array(tmp_path):
     rng = np.random.default_rng(7)
     features = _feature_stack(rng, n=10, steps=3)
     labels, _ = _label_stack(rng, n=12, steps=4)
-    apply_last_residual(labels)
     for stack in (features, labels):
         path = tmp_path / "s.gmlp"
         cache_write(stack, path)
         loaded = cache_read(path)
         arrays = [stack.mats, loaded.mats]
         if isinstance(stack, LabelStack):
-            arrays += [stack.smoothed, loaded.smoothed]
+            arrays.append(apply_last_residual(loaded.mats, ResidualScheme()))
         for a in arrays:
             assert isinstance(a, np.ndarray) and a.dtype == np.float64
             assert a.shape == (stack.steps + 1, stack.n, stack.dim)
@@ -254,24 +268,34 @@ def test_stacks_are_one_contiguous_array(tmp_path):
 
 
 def test_cache_round_trip_labels(tmp_path):
-    stack, _ = _label_stack(np.random.default_rng(1), scheme=ResidualScheme("fixed", 0.25))
-    apply_last_residual(stack)
+    stack, _ = _label_stack(np.random.default_rng(1))
     path = tmp_path / "l.gmlp"
     cache_write(stack, path)
+    # a 62-byte header (magic, version, kind, n, c, L, r mode, fingerprint)
+    # and the raw steps only: no smoothed copy is stored
+    assert path.stat().st_size == 62 + (stack.steps + 1) * stack.n * stack.dim * 4
     loaded = cache_read(path)
     assert isinstance(loaded, LabelStack)
-    assert loaded.scheme == stack.scheme
-    for a, b in zip([*loaded.mats, *loaded.smoothed], [*stack.mats, *stack.smoothed]):
+    for a, b in zip(loaded.mats, stack.mats):
         assert np.allclose(a, b, atol=1e-7)
     path2 = tmp_path / "l2.gmlp"
     cache_write(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_cache_requires_smoothed_labels(tmp_path):
-    stack, _ = _label_stack(np.random.default_rng(2))
-    with pytest.raises(ValueError):
-        cache_write(stack, tmp_path / "x.gmlp")
+def test_cache_of_format_version_1_asks_for_a_new_preprocess(tmp_path):
+    # version 1 also stored the residual scheme and the smoothed matrices
+    n, c, steps = 4, 3, 2
+    header = struct.pack("<4sIBQQIBBd32s", b"GMLP", 1, 1, n, c, steps, 0, 2, 0.7,
+                         b"\0" * 32)
+    path = tmp_path / "old.gmlp"
+    path.write_bytes(header + np.zeros(2 * (steps + 1) * n * c, dtype="<f4").tobytes())
+    with pytest.raises(CacheFormatError) as err:
+        cache_read(path)
+    message = str(err.value)
+    assert "\n" not in message
+    assert message.startswith(f"{path}: ") and "version 1" in message
+    assert message.endswith("rerun gamlp preprocess")
 
 
 def test_cache_rejects_bad_magic(tmp_path):
