@@ -32,8 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Precomputed graph propagation + node-adaptive attention classifier")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="key = value config file")
+    def common(p):
+        p.add_argument("--config", required=True, help="key = value config file")
         p.add_argument("--cache-dir", default=None, help="override the config cache_dir")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
@@ -101,22 +101,17 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
-def _default_checkpoint(config) -> str:
-    return os.path.join(config.cache_dir, "checkpoint.gmck")
-
-
 def _cmd_train(args) -> int:
-    from .model import evaluate_accuracy, fit, predict
-    from .nn import save_checkpoint
+    from .model import evaluate_accuracy, fit, predict, save_checkpoint
     from .pipeline import load_stacks
 
     config, dataset = _load(args)
     feature_stack, label_stack = load_stacks(dataset, config, force=args.force)
-    ckpt = args.checkpoint or _default_checkpoint(config)
+    ckpt = args.checkpoint or os.path.join(config.cache_dir, "checkpoint.gmck")
     log_path = args.out or ckpt + ".log.jsonl"
     result = fit(feature_stack, label_stack, dataset.labels, dataset.splits, config,
                  num_classes=dataset.num_classes, log_path=log_path)
-    save_checkpoint(ckpt, result.model.params, result.optimizer)
+    save_checkpoint(ckpt, result.model, result.optimizer, feature_stack, label_stack)
     pred = predict(result.model, feature_stack, label_stack)
     test_acc = evaluate_accuracy(pred, dataset.labels, dataset.splits.test)
     print(f"best val accuracy {result.best_val_acc:.4f} (epoch {result.best_epoch}), "
@@ -125,23 +120,8 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _restore_model(config, dataset, feature_stack, label_stack, checkpoint):
-    import numpy as np
-
-    from .model import GamlpModel
-    from .nn import load_checkpoint, restore_params
-
-    rng = np.random.default_rng(config.seed)
-    model = GamlpModel(config, dataset.n, feature_stack.dim, dataset.num_classes,
-                       feature_stack.steps,
-                       0 if label_stack is None else label_stack.steps, rng)
-    values, _ = load_checkpoint(checkpoint)
-    restore_params(model.params, values)
-    return model
-
-
 def _cmd_eval(args) -> int:
-    from .model import evaluate_accuracy, predict
+    from .model import evaluate_accuracy, predict, restore_model
     from .pipeline import load_stacks
 
     config, dataset = _load(args)
@@ -149,7 +129,7 @@ def _cmd_eval(args) -> int:
         raise FileNotFoundError(f"checkpoint {args.checkpoint} not found; "
                                 "run 'gamlp train' first")
     feature_stack, label_stack = load_stacks(dataset, config)
-    model = _restore_model(config, dataset, feature_stack, label_stack, args.checkpoint)
+    model = restore_model(args.checkpoint, config, feature_stack, label_stack)
     pred = predict(model, feature_stack, label_stack)
     for part in ("train", "val", "test"):
         split = getattr(dataset.splits, part)
@@ -209,7 +189,7 @@ def _parse_buckets(spec: str):
 
 
 def _cmd_export_attention(args) -> int:
-    from .model import export_attention, write_attention_csv
+    from .model import export_attention, restore_model, write_attention_csv
     from .pipeline import load_stacks
 
     config, dataset = _load(args)
@@ -217,7 +197,7 @@ def _cmd_export_attention(args) -> int:
         raise FileNotFoundError(f"checkpoint {args.checkpoint} not found; "
                                 "run 'gamlp train' first")
     feature_stack, label_stack = load_stacks(dataset, config)
-    model = _restore_model(config, dataset, feature_stack, label_stack, args.checkpoint)
+    model = restore_model(args.checkpoint, config, feature_stack, label_stack)
     degrees = dataset.graph.degrees()
     per_node, per_bucket = export_attention(model, feature_stack, label_stack,
                                             degrees, _parse_buckets(args.buckets))

@@ -21,6 +21,7 @@ from .config import TrainConfig
 from .data import Dataset, drop_edges, sample_labels_per_class
 from .model import evaluate_accuracy, predict
 from .pipeline import build_stacks, train_on_dataset
+from .propagation import atomic_write
 
 METHOD_OVERRIDES = {
     "gamlp_jk": dict(combiner="attention", attention="jk"),
@@ -41,8 +42,8 @@ def method_config(base: TrainConfig, method: str) -> TrainConfig:
 class _StackCache:
     """Memoizes in-memory stacks per (dataset object, config shape).
 
-    The residual scheme is not part of the key: it shapes only the
-    train-time blend of the cached label steps.
+    The residual scheme and ``zero_self_label`` are not part of the key:
+    they shape only the train-time inputs derived from the label steps.
     """
 
     def __init__(self):
@@ -50,8 +51,7 @@ class _StackCache:
 
     def get(self, dataset: Dataset, config: TrainConfig):
         key = (id(dataset), config.hops, config.r_mode, config.use_labels,
-               config.effective_label_hops, config.effective_label_r_mode,
-               config.zero_self_label)
+               config.effective_label_hops, config.effective_label_r_mode)
         if key not in self._store:
             self._store[key] = build_stacks(dataset, config)
         return self._store[key]
@@ -212,10 +212,10 @@ def write_report(report: dict, out_prefix) -> tuple[Path, Path]:
     csv_path = out_prefix.with_suffix(".csv")
     json_path = out_prefix.with_suffix(".json")
     fields = ["method", "setting", "seed", "val_acc", "test_acc", "epochs_run"]
-    with open(csv_path, "w", newline="", encoding="utf-8") as f:
+    with atomic_write(csv_path, "x", newline="", encoding="utf-8") as f:
         writer = csv.DictWriter(f, fieldnames=fields)
         writer.writeheader()
         writer.writerows(report["rows"])
-    with open(json_path, "w", encoding="utf-8") as f:
+    with atomic_write(json_path, "x", encoding="utf-8") as f:
         json.dump({k: v for k, v in report.items() if k != "rows"}, f, indent=2)
     return csv_path, json_path

@@ -14,11 +14,16 @@ The combined feature and label representations pass through separate
 MLPs whose outputs are summed (the label branch scaled by beta) to give
 the logits. Everything downstream of the precomputed stacks is row-wise,
 so training slices node rows freely (full batch or mini-batch).
+
+A checkpoint stores the fitted parameters together with the resolved
+config and the fingerprints of the stacks they were fitted on, and
+:func:`restore_model` refuses to rebuild the model under anything else.
 """
 
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +32,8 @@ from .config import TrainConfig
 from .nn import (Activation, Adam, Mlp, NonFiniteError, ParamTensor, Sgd,
                  cross_entropy, dropout, glorot_uniform, softmax_backward,
                  softmax_rows)
-from .propagation import FeatureStack, LabelStack, ResidualScheme, apply_last_residual
+from .propagation import (FeatureStack, LabelStack, ResidualScheme, apply_last_residual,
+                          atomic_write)
 
 
 class TrainingDiverged(Exception):
@@ -430,18 +436,37 @@ def _stack_inputs(feature_stack: FeatureStack, label_stack: LabelStack | None,
     if config.use_labels:
         if label_stack is None:
             raise ValueError("config.use_labels is on but no label stack was given")
-        # the cache holds the raw propagation; the smoothing follows this config
+        # the cache holds the raw propagation; the zeroing and the smoothing
+        # follow this config
+        label_mats = label_stack.mats
+        if config.zero_self_label:
+            # hide each training node's own label; the seed step is nonzero
+            # only on training rows, so this zeroes exactly those
+            label_mats = label_mats.copy()
+            label_mats[0] = 0.0
         scheme = ResidualScheme(config.residual_scheme, config.fixed_alpha)
-        if config.label_mode == "plain":
-            label_mats = label_stack.mats
-        elif config.label_mode == "uniform":
+        if config.label_mode == "uniform":
             # blend each raw step with the uniform class distribution instead
             # of the deepest step
             a = scheme.alphas(label_stack.steps)[:, None, None]
-            label_mats = (1.0 - a) * label_stack.mats + a / label_stack.dim
-        else:
-            label_mats = apply_last_residual(label_stack.mats, scheme)
+            label_mats = (1.0 - a) * label_mats + a / label_stack.dim
+        elif config.label_mode == "smoothed":
+            label_mats = apply_last_residual(label_mats, scheme)
     return feat_mats, label_mats
+
+
+def _new_model(config: TrainConfig, feature_stack: FeatureStack,
+               label_stack: LabelStack | None, num_classes: int):
+    """The model ``fit`` starts from, and the generator it goes on drawing from.
+
+    :func:`restore_model` rebuilds a model through the same seeded draws, so
+    a ``normal_noise`` reference buffer comes back exactly without being stored.
+    """
+    rng = np.random.default_rng(config.seed)
+    model = GamlpModel(config, feature_stack.n, feature_stack.dim, num_classes,
+                       feature_stack.steps, 0 if label_stack is None else label_stack.steps,
+                       rng)
+    return model, rng
 
 
 def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
@@ -466,10 +491,7 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
     if config.batch_size > n:
         raise ValueError(f"batch_size {config.batch_size} exceeds node count {n}")
 
-    rng = np.random.default_rng(config.seed)
-    model = GamlpModel(config, n, feature_stack.dim, num_classes,
-                       feature_stack.steps, 0 if label_stack is None else label_stack.steps,
-                       rng)
+    model, rng = _new_model(config, feature_stack, label_stack, num_classes)
     opt_cls = Adam if config.optimizer == "adam" else Sgd
     optimizer = opt_cls(model.params, lr=config.lr, weight_decay=config.weight_decay)
 
@@ -565,6 +587,104 @@ def evaluate_accuracy(pred: np.ndarray, truth: np.ndarray, split: np.ndarray) ->
 
 
 # ---------------------------------------------------------------------------
+# Checkpoints
+# ---------------------------------------------------------------------------
+
+
+class CheckpointFormatError(Exception):
+    """Not a checkpoint file, or parameters that do not fit the model."""
+
+
+class CheckpointMismatch(Exception):
+    """Config or stacks differ from the ones the checkpoint was fitted with."""
+
+
+def _fingerprints(config: TrainConfig, feature_stack: FeatureStack,
+                  label_stack: LabelStack | None) -> dict[str, np.ndarray]:
+    stacks = {"features": feature_stack, "labels": label_stack if config.use_labels else None}
+    return {f"fingerprint/{name}": np.frombuffer(stack.fingerprint, dtype=np.uint8)
+            for name, stack in stacks.items() if stack is not None}
+
+
+def save_checkpoint(path, model: GamlpModel, optimizer, feature_stack: FeatureStack,
+                    label_stack: LabelStack | None) -> None:
+    """Write one np.savez file, replacing ``path`` atomically. It holds
+
+    * ``param/<name>``: every parameter of ``model``;
+    * ``adam/t``, ``adam/m/<name>``, ``adam/v/<name>``: Adam's state (an
+      ``optimizer`` that is None or Sgd keeps none);
+    * ``config``: the model's resolved config, a 0-d JSON string;
+    * ``fingerprint/features`` and, with labels on, ``fingerprint/labels``:
+      uint8 digests of the stacks the model was fitted on.
+    """
+    arrays = {f"param/{p.name}": p.value for p in model.params}
+    if hasattr(optimizer, "m"):
+        arrays["adam/t"] = np.array(optimizer.t)
+        for p, m, v in zip(optimizer.params, optimizer.m, optimizer.v):
+            arrays[f"adam/m/{p.name}"] = m
+            arrays[f"adam/v/{p.name}"] = v
+    arrays["config"] = np.array(json.dumps(model.config.to_dict()))
+    arrays.update(_fingerprints(model.config, feature_stack, label_stack))
+    # np.savez appends ".npz" to a path, but not to a file it is handed
+    with atomic_write(path) as f:
+        np.savez(f, **arrays)
+
+
+def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """(stored config, every other entry by name) of a checkpoint file."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        config = json.loads(str(arrays.pop("config")))
+    except (ValueError, OSError, EOFError, zipfile.BadZipFile, KeyError):
+        raise CheckpointFormatError(
+            f"{path}: not a gamlp checkpoint (older GMCK files need a new "
+            "'gamlp train')") from None
+    return config, arrays
+
+
+def restore_params(params: list[ParamTensor], arrays: dict[str, np.ndarray]) -> None:
+    """Copy checkpointed ``param/<name>`` entries into a parameter list."""
+    for p in params:
+        value = arrays.get(f"param/{p.name}")
+        if value is None:
+            raise CheckpointFormatError(f"checkpoint missing parameter {p.name!r}")
+        if value.shape != p.value.shape:
+            raise CheckpointFormatError(
+                f"checkpoint parameter {p.name!r} has shape {value.shape}, "
+                f"model expects {p.value.shape}")
+        p.value[...] = value
+
+
+def restore_model(path, config: TrainConfig, feature_stack: FeatureStack,
+                  label_stack: LabelStack | None) -> GamlpModel:
+    """Rebuild the model saved at ``path`` over the given stacks.
+
+    Refuses a ``config`` that differs from the stored one on any key but
+    the dataset and cache directories, and stacks whose fingerprints differ
+    from the ones the model was fitted on.
+    """
+    stored, arrays = load_checkpoint(path)
+    now = config.to_dict()
+    for key in dict.fromkeys([*stored, *now]):
+        if key not in ("dataset_dir", "cache_dir") and stored.get(key) != now.get(key):
+            raise CheckpointMismatch(
+                f"{path}: trained with {key} = {stored.get(key)!r}, but the config "
+                f"gives {now.get(key)!r}; evaluate with the training config and seed")
+    for name, fingerprint in _fingerprints(config, feature_stack, label_stack).items():
+        if not np.array_equal(arrays.get(name), fingerprint):
+            raise CheckpointMismatch(
+                f"{path}: {name} differs from the stack the model was trained on; "
+                "the data changed since training, so train again")
+    out_bias = arrays.get(f"param/feat_mlp.{config.num_layers - 1}.b")  # one per class
+    if out_bias is None:
+        raise CheckpointFormatError(f"{path}: checkpoint missing its output layer")
+    model, _ = _new_model(config, feature_stack, label_stack, out_bias.size)
+    restore_params(model.params, arrays)
+    return model
+
+
+# ---------------------------------------------------------------------------
 # Attention interpretability export
 # ---------------------------------------------------------------------------
 
@@ -601,11 +721,11 @@ def export_attention(model: GamlpModel, feature_stack: FeatureStack,
 def write_attention_csv(per_node, per_bucket, node_path, bucket_path, steps: int) -> None:
     import csv
 
-    with open(node_path, "w", newline="", encoding="utf-8") as f:
+    with atomic_write(node_path, "x", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["node", "degree"] + [f"w{k}" for k in range(steps + 1)])
         writer.writerows(per_node)
-    with open(bucket_path, "w", newline="", encoding="utf-8") as f:
+    with atomic_write(bucket_path, "x", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["degree_range", "count"] + [f"w{k}" for k in range(steps + 1)])
         writer.writerows(per_bucket)

@@ -8,7 +8,6 @@ backward, and the model code wires them together.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,99 +283,3 @@ class Mlp:
             d_h = self.layers[i].backward(d_h)
         return d_h
 
-
-# ---------------------------------------------------------------------------
-# Checkpoint file: magic "GMCK", named f64 parameter blobs, optional optimizer
-# state (step counter plus first/second moments in parameter order).
-# ---------------------------------------------------------------------------
-
-_CK_MAGIC = b"GMCK"
-_CK_VERSION = 1
-
-
-class CheckpointFormatError(Exception):
-    pass
-
-
-def _write_array(f, a: np.ndarray) -> None:
-    a = np.ascontiguousarray(a, dtype="<f8")
-    f.write(struct.pack("<B", a.ndim))
-    for d in a.shape:
-        f.write(struct.pack("<Q", d))
-    f.write(a.tobytes())
-
-
-def _read_array(buf: memoryview, off: int):
-    (ndim,) = struct.unpack_from("<B", buf, off)
-    off += 1
-    shape = []
-    for _ in range(ndim):
-        (d,) = struct.unpack_from("<Q", buf, off)
-        off += 8
-        shape.append(d)
-    count = int(np.prod(shape)) if shape else 1
-    a = np.frombuffer(buf, dtype="<f8", count=count, offset=off).reshape(shape).copy()
-    return a, off + count * 8
-
-
-def save_checkpoint(path, params: list[ParamTensor], optimizer: Adam | None = None) -> None:
-    # only moment-carrying optimizers (Adam) have state worth persisting
-    has_opt = optimizer is not None and hasattr(optimizer, "m")
-    with open(path, "wb") as f:
-        f.write(_CK_MAGIC)
-        f.write(struct.pack("<IBI", _CK_VERSION, 1 if has_opt else 0, len(params)))
-        for p in params:
-            name = p.name.encode("utf-8")
-            f.write(struct.pack("<H", len(name)))
-            f.write(name)
-            _write_array(f, p.value)
-        if has_opt:
-            f.write(struct.pack("<Q", optimizer.t))
-            for m, v in zip(optimizer.m, optimizer.v):
-                _write_array(f, m)
-                _write_array(f, v)
-
-
-def load_checkpoint(path):
-    """Returns (name -> value dict, optimizer state dict or None)."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 13 or raw[:4] != _CK_MAGIC:
-        raise CheckpointFormatError(f"{path}: not a checkpoint file")
-    version, has_opt, n_params = struct.unpack_from("<IBI", raw, 4)
-    if version != _CK_VERSION:
-        raise CheckpointFormatError(f"{path}: unsupported checkpoint version {version}")
-    buf = memoryview(raw)
-    off = 13
-    values: dict[str, np.ndarray] = {}
-    order: list[str] = []
-    for _ in range(n_params):
-        (name_len,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        name = bytes(buf[off:off + name_len]).decode("utf-8")
-        off += name_len
-        values[name], off = _read_array(buf, off)
-        order.append(name)
-    opt_state = None
-    if has_opt:
-        (t,) = struct.unpack_from("<Q", buf, off)
-        off += 8
-        moments = {}
-        for name in order:
-            m, off = _read_array(buf, off)
-            v, off = _read_array(buf, off)
-            moments[name] = (m, v)
-        opt_state = {"t": t, "moments": moments}
-    return values, opt_state
-
-
-def restore_params(params: list[ParamTensor], values: dict[str, np.ndarray]) -> None:
-    """Copy checkpointed values into an existing parameter list by name."""
-    for p in params:
-        if p.name not in values:
-            raise CheckpointFormatError(f"checkpoint missing parameter {p.name!r}")
-        if values[p.name].shape != p.value.shape:
-            raise CheckpointFormatError(
-                f"checkpoint parameter {p.name!r} has shape {values[p.name].shape}, "
-                f"model expects {p.value.shape}")
-        p.value[...] = values[p.name]

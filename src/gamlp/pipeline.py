@@ -16,7 +16,7 @@ from .graph import add_self_loops, normalize
 from .model import FitResult, fit
 from .propagation import (FeatureStack, LabelStack, build_label_seed, cache_read,
                           cache_write, propagate_features, propagate_labels,
-                          stack_fingerprint, zero_seed_rows)
+                          stack_fingerprint)
 
 
 class MissingCacheError(Exception):
@@ -32,10 +32,7 @@ def build_label_stack(dataset: Dataset, config: TrainConfig) -> LabelStack:
     op = normalize(add_self_loops(dataset.graph), config.effective_label_r_mode)
     y0 = build_label_seed(dataset.labels, dataset.splits.train, dataset.n,
                           dataset.num_classes)
-    stack = propagate_labels(op, y0, config.effective_label_hops)
-    if config.zero_self_label:
-        zero_seed_rows(stack, dataset.splits.train)
-    return stack
+    return propagate_labels(op, y0, config.effective_label_hops)
 
 
 def build_stacks(dataset: Dataset, config: TrainConfig):
@@ -47,9 +44,8 @@ def build_stacks(dataset: Dataset, config: TrainConfig):
 def cache_paths(config: TrainConfig, cache_dir=None):
     base = Path(cache_dir if cache_dir is not None else config.cache_dir)
     feat = base / f"features_K{config.hops}_r{config.r_mode:g}.gmlp"
-    zeroed = "_zeroed" if config.zero_self_label else ""
     label = base / (f"labels_L{config.effective_label_hops}"
-                    f"_r{config.effective_label_r_mode:g}{zeroed}.gmlp")
+                    f"_r{config.effective_label_r_mode:g}.gmlp")
     return feat, label
 
 

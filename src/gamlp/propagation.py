@@ -29,6 +29,7 @@ import os
 import struct
 import uuid
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -182,17 +183,6 @@ def propagate_labels(op: PropagationOperator, y0: np.ndarray, steps: int,
                       fingerprint=stack_fingerprint(op, y0, steps, op.mode))
 
 
-def zero_seed_rows(stack: LabelStack, train_ids) -> LabelStack:
-    """Ablation switch: hide each training node's own seed row.
-
-    Zeroes the training rows of the step-0 matrix after propagation, so
-    the model never sees a node's raw label directly while the propagated
-    steps keep their information. Apply before the last-residual blend.
-    """
-    stack.mats[0, np.asarray(train_ids, dtype=np.int64)] = 0.0
-    return stack
-
-
 def apply_last_residual(mats: np.ndarray, scheme: ResidualScheme) -> np.ndarray:
     """Smoothed labels Y_hat^(l) = (1 - a_l) Y^(l) + a_l Y^(L) of an (L+1, n, c) stack.
 
@@ -209,28 +199,35 @@ def apply_last_residual(mats: np.ndarray, scheme: ResidualScheme) -> np.ndarray:
     return out
 
 
-def cache_write(stack: FeatureStack | LabelStack, path) -> None:
-    """Write a stack to its binary cache file (matrices truncated to f32).
+@contextmanager
+def atomic_write(path, mode: str = "xb", **open_kwargs):
+    """Open a new file beside ``path``; rename it over ``path`` on success.
 
-    The file is replaced atomically: readers see the old file or the whole
-    new one, never a partial write.
+    ``mode`` and ``open_kwargs`` go to ``open`` for the temporary file, which
+    must not exist yet (hence an exclusive "x" mode). Readers see the old
+    file or the whole new one, never a partial write: if the body raises
+    or is interrupted, the temporary is removed and ``path`` is untouched.
     """
-    kind = _KIND_LABEL if isinstance(stack, LabelStack) else _KIND_FEATURE
-    header = _HEADER.pack(_MAGIC, _VERSION, kind, stack.n, stack.dim, stack.steps,
-                          _R_CODES[stack.mode], stack.fingerprint)
-    # write beside the target and rename over it, so a failed or interrupted
-    # write leaves the previous cache file intact
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
-        with open(tmp, "xb") as f:
-            f.write(header)
-            for m in stack.mats:
-                f.write(np.ascontiguousarray(m, dtype="<f4"))
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def cache_write(stack: FeatureStack | LabelStack, path) -> None:
+    """Write a stack to its binary cache file (matrices truncated to f32), atomically."""
+    kind = _KIND_LABEL if isinstance(stack, LabelStack) else _KIND_FEATURE
+    header = _HEADER.pack(_MAGIC, _VERSION, kind, stack.n, stack.dim, stack.steps,
+                          _R_CODES[stack.mode], stack.fingerprint)
+    with atomic_write(path) as f:
+        f.write(header)
+        for m in stack.mats:
+            f.write(np.ascontiguousarray(m, dtype="<f4"))
 
 
 def cache_read(path, expect_fingerprint: bytes | None = None,

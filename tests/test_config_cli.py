@@ -148,6 +148,45 @@ def test_eval_missing_checkpoint(workdir, capsys):
     assert "train" in capsys.readouterr().err
 
 
+def _train(conf, capsys):
+    assert main(["preprocess", "--config", str(conf)]) == 0
+    assert main(["train", "--config", str(conf)]) == 0
+    capsys.readouterr()
+
+
+def test_eval_refuses_another_seed(workdir, capsys):
+    _, conf, cache_dir = workdir
+    _train(conf, capsys)
+    ckpt = str(cache_dir / "checkpoint.gmck")
+    assert main(["eval", "--config", str(conf), "--checkpoint", ckpt, "--seed", "5"]) != 0
+    err = capsys.readouterr().err
+    assert "seed" in err and ckpt in err
+
+
+def test_eval_refuses_another_label_mode(workdir, capsys):
+    tmp_path, conf, cache_dir = workdir
+    _train(conf, capsys)
+    plain = tmp_path / "plain.conf"
+    plain.write_text(conf.read_text() + "label_mode = plain\n")
+    ckpt = str(cache_dir / "checkpoint.gmck")
+    assert main(["eval", "--config", str(plain), "--checkpoint", ckpt]) != 0
+    assert "label_mode" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_dataset_replaced_after_training(workdir, capsys):
+    tmp_path, conf, cache_dir = workdir
+    _train(conf, capsys)
+    other = generate_sbm([20, 20], 0.3, 0.03, 5, 2.0, seed=99)
+    save_dataset(other, tmp_path / "data")
+    assert main(["preprocess", "--config", str(conf)]) == 0
+    ckpt = str(cache_dir / "checkpoint.gmck")
+    assert main(["eval", "--config", str(conf), "--checkpoint", ckpt]) != 0
+    assert "fingerprint" in capsys.readouterr().err
+    assert main(["export-attention", "--config", str(conf), "--checkpoint", ckpt,
+                 "--out", str(tmp_path / "att")]) != 0
+    assert "fingerprint" in capsys.readouterr().err
+
+
 def test_preprocess_idempotent_byte_identical(workdir):
     _, conf, cache_dir = workdir
     assert main(["preprocess", "--config", str(conf)]) == 0

@@ -5,7 +5,7 @@ import pytest
 
 from gamlp.config import TrainConfig
 from gamlp.data import generate_sbm
-from gamlp.model import TrainingDiverged, evaluate_accuracy, fit, predict
+from gamlp.model import TrainingDiverged, _stack_inputs, evaluate_accuracy, fit, predict
 from gamlp.pipeline import build_stacks, train_on_dataset
 
 
@@ -124,6 +124,7 @@ def test_label_modes_run(sbm60):
 def test_zero_self_label_flag_changes_inputs(sbm60):
     cfg = _config(zero_self_label=True, epochs=5, patience=5)
     fs, ls = build_stacks(sbm60, cfg)
-    assert not ls.mats[0][sbm60.splits.train].any()
+    _, label_mats = _stack_inputs(fs, ls, cfg.replace(label_mode="plain"))
+    assert not label_mats[0][sbm60.splits.train].any()
     result = train_on_dataset(sbm60, cfg)
     assert len(result.log) == 5

@@ -1,17 +1,22 @@
+import json
 import math
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gamlp.config import TrainConfig
 from gamlp.data import generate_sbm
-from gamlp.model import (BaselineCombiner, GamlpModel, JkAttention,
-                         RecursiveAttention, _JkEncoder, baseline_combine,
-                         evaluate_accuracy, export_attention, predict, slice_mats)
+from gamlp.model import (BaselineCombiner, CheckpointFormatError, CheckpointMismatch,
+                         GamlpModel, JkAttention, RecursiveAttention, _JkEncoder,
+                         _stack_inputs, baseline_combine, evaluate_accuracy,
+                         export_attention, fit, predict, restore_model, save_checkpoint,
+                         slice_mats)
 from gamlp.nn import (Activation, cross_entropy, dropout, grad_check, softmax_backward,
                       softmax_rows)
 from gamlp.pipeline import build_stacks
-from gamlp.propagation import ResidualScheme, apply_last_residual
+from gamlp.propagation import LabelStack, ResidualScheme, apply_last_residual
 
 
 def _sigmoid(x):
@@ -555,3 +560,137 @@ def test_export_attention_rejects_baseline():
                        np.random.default_rng(10))
     with pytest.raises(ValueError):
         export_attention(model, fs, None, ds.graph.degrees(), [(1, 4)])
+
+
+# ---------------------------------------------------------------------------
+# train-time label zeroing
+# ---------------------------------------------------------------------------
+
+
+def _zero_seed_rows_reference(stack, train_ids):
+    """The zeroing that preprocess once applied to the cached label stack:
+    the training rows of step 0, and nothing else."""
+    stack.mats[0, np.asarray(train_ids, dtype=np.int64)] = 0.0
+    return stack
+
+
+@pytest.mark.parametrize("scheme", [dict(residual_scheme="cosine"),
+                                    dict(residual_scheme="fixed", fixed_alpha=0.7)],
+                         ids=["cosine", "fixed0.7"])
+@pytest.mark.parametrize("label_mode", ["plain", "smoothed", "uniform"])
+def test_zero_self_label_matches_reference_zeroing(label_mode, scheme):
+    ds, cfg, fs, ls = _toy_setup(label_mode=label_mode, **scheme)
+    before = ls.mats.copy()
+    reference = _zero_seed_rows_reference(
+        LabelStack(mats=ls.mats.copy(), mode=ls.mode, fingerprint=ls.fingerprint),
+        ds.splits.train)
+    feats, got = _stack_inputs(fs, ls, cfg.replace(zero_self_label=True))
+    want_feats, want = _stack_inputs(fs, reference, cfg)
+    assert np.array_equal(got, want)
+    assert np.array_equal(feats, want_feats)
+    assert np.array_equal(ls.mats, before)
+
+
+# ---------------------------------------------------------------------------
+# checkpoints
+# ---------------------------------------------------------------------------
+
+
+def _fitted(tmp_path, **overrides):
+    ds, cfg, fs, ls = _toy_setup(epochs=5, patience=5, **overrides)
+    result = fit(fs, ls, ds.labels, ds.splits, cfg, num_classes=ds.num_classes)
+    path = tmp_path / "checkpoint.gmck"
+    save_checkpoint(path, result.model, result.optimizer, fs, ls)
+    return cfg, fs, ls, result, path
+
+
+def test_checkpoint_holds_params_adam_config_and_fingerprints(tmp_path):
+    cfg, fs, ls, result, path = _fitted(tmp_path, reference="normal_noise")
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.gmck"]
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    names = [p.name for p in result.model.params]
+    assert set(arrays) == ({f"param/{n}" for n in names}
+                           | {f"adam/{k}/{n}" for k in "mv" for n in names}
+                           | {"adam/t", "config", "fingerprint/features",
+                              "fingerprint/labels"})
+    assert arrays["adam/t"] == result.optimizer.t
+    assert json.loads(str(arrays["config"])) == cfg.to_dict()
+    assert arrays["fingerprint/features"].dtype == np.uint8
+    assert arrays["fingerprint/features"].tobytes() == fs.fingerprint
+    assert arrays["fingerprint/labels"].tobytes() == ls.fingerprint
+
+
+def test_checkpoint_without_labels_or_adam(tmp_path):
+    cfg, fs, _, _, path = _fitted(tmp_path, use_labels=False, optimizer="sgd")
+    with np.load(path, allow_pickle=False) as npz:
+        assert not [n for n in npz.files if n.startswith("adam/") or "labels" in n]
+    model = restore_model(path, cfg, fs, None)
+    assert model.label_combiner is None
+
+
+def test_restore_model_reproduces_normal_noise_logits(tmp_path):
+    cfg, fs, ls, result, path = _fitted(tmp_path, reference="normal_noise",
+                                        label_mode="plain")
+    model = restore_model(path, cfg, fs, ls)
+    inputs = _stack_inputs(fs, ls, cfg)
+    assert np.array_equal(model.forward(*inputs), result.model.forward(*inputs))
+
+
+@pytest.mark.parametrize("key,value", [("seed", 5), ("label_mode", "smoothed"),
+                                       ("beta", 0.5), ("residual_scheme", "linear")])
+def test_restore_model_refuses_another_config(tmp_path, key, value):
+    cfg, fs, ls, _, path = _fitted(tmp_path, reference="normal_noise",
+                                   label_mode="plain")
+    with pytest.raises(CheckpointMismatch, match=key) as err:
+        restore_model(path, cfg.replace(**{key: value}), fs, ls)
+    assert str(path) in str(err.value) and repr(value) in str(err.value)
+
+
+def test_restore_model_ignores_the_directories(tmp_path):
+    cfg, fs, ls, _, path = _fitted(tmp_path)
+    restore_model(path, cfg.replace(dataset_dir="moved", cache_dir="elsewhere"), fs, ls)
+
+
+def test_restore_model_refuses_another_label_stack(tmp_path):
+    cfg, fs, ls, _, path = _fitted(tmp_path)
+    other = LabelStack(mats=ls.mats, mode=ls.mode, fingerprint=bytes(32))
+    with pytest.raises(CheckpointMismatch, match="fingerprint/labels differs"):
+        restore_model(path, cfg, fs, other)
+
+
+def test_garbage_checkpoint_files_give_one_line_error(tmp_path):
+    cfg, fs, ls, _, path = _fitted(tmp_path)
+    blob = path.read_bytes()
+    old = tmp_path / "old.gmck"
+    old.write_bytes(b"GMCK" + struct.pack("<IBI", 1, 0, 0))  # a GMCK version-1 header
+    truncated = tmp_path / "truncated.gmck"
+    truncated.write_bytes(blob[:len(blob) // 2])
+    empty = tmp_path / "empty.gmck"
+    empty.write_bytes(b"")
+    for bad in (old, truncated, empty):
+        with pytest.raises(CheckpointFormatError) as err:
+            restore_model(bad, cfg, fs, ls)
+        assert str(err.value) == (f"{bad}: not a gamlp checkpoint (older GMCK files "
+                                  "need a new 'gamlp train')")
+
+
+class _FailingMatrix:
+    """Stands in for a parameter value; converting it to an array raises."""
+
+    def __array__(self, dtype=None, copy=None):
+        raise OSError("no space left on device")
+
+
+def test_checkpoint_write_failure_keeps_previous_file(tmp_path):
+    cfg, fs, ls, result, path = _fitted(tmp_path)
+    before = path.read_bytes()
+    # the first parameters reach the file before the last one fails
+    broken = SimpleNamespace(
+        params=[*result.model.params, SimpleNamespace(name="x", value=_FailingMatrix())],
+        config=cfg)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(path, broken, None, fs, ls)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.gmck"]
+    restore_model(path, cfg, fs, ls)

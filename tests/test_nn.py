@@ -1,11 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from gamlp.config import TrainConfig
+from gamlp.model import load_checkpoint, restore_params, save_checkpoint
 from gamlp.nn import (Activation, Adam, Linear, Mlp, NonFiniteError, ParamTensor,
                       Sgd, cross_entropy, dropout, glorot_uniform, grad_check,
-                      linear_backward, linear_forward, load_checkpoint,
-                      restore_params, save_checkpoint, softmax_backward,
+                      linear_backward, linear_forward, softmax_backward,
                       softmax_rows)
+from gamlp.propagation import FeatureStack
 
 
 def test_linear_identity():
@@ -265,6 +269,13 @@ def test_glorot_bounds():
     assert vals.min() >= -limit and vals.max() <= limit
 
 
+def _save(path, params, optimizer=None):
+    """Checkpoint bare parameters as if they were a model without labels."""
+    model = SimpleNamespace(params=params, config=TrainConfig(use_labels=False))
+    stack = FeatureStack(mats=np.zeros((1, 1, 1)), mode=0.5, fingerprint=b"\1" * 32)
+    save_checkpoint(path, model, optimizer, stack, None)
+
+
 def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     params = [ParamTensor("a.w", rng.standard_normal((3, 2))),
@@ -275,14 +286,14 @@ def test_checkpoint_round_trip(tmp_path):
         p.grad[:] = rng.standard_normal(p.grad.shape)
     opt.step()
     path = tmp_path / "model.gmck"
-    save_checkpoint(path, params, opt)
-    values, opt_state = load_checkpoint(path)
+    _save(path, params, opt)
+    _, arrays = load_checkpoint(path)
     for p in params:
-        assert np.array_equal(values[p.name], p.value)
-    assert opt_state["t"] == 1
-    assert np.array_equal(opt_state["moments"]["a.w"][0], opt.m[0])
+        assert np.array_equal(arrays[f"param/{p.name}"], p.value)
+    assert arrays["adam/t"] == 1
+    assert np.array_equal(arrays["adam/m/a.w"], opt.m[0])
     fresh = [ParamTensor(p.name, np.zeros_like(p.value)) for p in params]
-    restore_params(fresh, values)
+    restore_params(fresh, arrays)
     for p, q in zip(params, fresh):
         assert np.array_equal(p.value, q.value)
 
@@ -290,13 +301,14 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_without_optimizer(tmp_path):
     params = [ParamTensor("w", np.ones((2, 2)))]
     path = tmp_path / "p.gmck"
-    save_checkpoint(path, params)
-    values, opt_state = load_checkpoint(path)
-    assert opt_state is None and np.array_equal(values["w"], np.ones((2, 2)))
+    _save(path, params)
+    _, arrays = load_checkpoint(path)
+    assert not any(name.startswith("adam/") for name in arrays)
+    assert np.array_equal(arrays["param/w"], np.ones((2, 2)))
 
 
 def test_checkpoint_bad_magic(tmp_path):
-    from gamlp.nn import CheckpointFormatError
+    from gamlp.model import CheckpointFormatError
     path = tmp_path / "junk"
     path.write_bytes(b"NOPE" + b"\0" * 40)
     with pytest.raises(CheckpointFormatError):

@@ -7,8 +7,7 @@ from gamlp.graph import add_self_loops, build_graph, normalize
 from gamlp.propagation import (CacheFormatError, FeatureStack, FingerprintMismatch,
                                LabelStack, ResidualScheme, apply_last_residual,
                                build_label_seed, cache_read, cache_write,
-                               propagate_features, propagate_labels, stack_fingerprint,
-                               zero_seed_rows)
+                               propagate_features, propagate_labels, stack_fingerprint)
 
 from conftest import dense_ahat, operator_for, random_graph
 
@@ -175,17 +174,6 @@ def test_last_residual_equals_broadcast_blend(scheme, steps):
     assert np.array_equal(smoothed, (1.0 - a) * mats + a * mats[-1])
     assert smoothed.flags.c_contiguous and smoothed is not mats
     assert np.array_equal(mats, before)
-
-
-def test_zero_seed_rows_only_touches_train_step0():
-    stack, train = _label_stack(np.random.default_rng(5))
-    before = [m.copy() for m in stack.mats]
-    zero_seed_rows(stack, train)
-    assert not stack.mats[0][train].any()
-    others = np.setdiff1d(np.arange(stack.n), train)
-    assert np.array_equal(stack.mats[0][others], before[0][others])
-    for l in range(1, stack.steps + 1):
-        assert np.array_equal(stack.mats[l], before[l])
 
 
 def test_over_smoothing_shrinks_row_spread():
