@@ -13,7 +13,8 @@ by weighting each node's steps individually:
 The combined feature and label representations pass through separate
 MLPs whose outputs are summed (the label branch scaled by beta) to give
 the logits. Everything downstream of the precomputed stacks is row-wise,
-so training slices node rows freely (full batch or mini-batch).
+so training slices node rows freely (full batch or mini-batch), and
+inference runs over fixed blocks of ROW_BLOCK rows.
 
 A checkpoint stores the fitted parameters together with the resolved
 config and the fingerprints of the stacks they were fitted on, and
@@ -40,13 +41,17 @@ class TrainingDiverged(Exception):
     """Loss became non-finite; training aborted."""
 
 
-def slice_mats(mats: np.ndarray, rows: np.ndarray | None) -> np.ndarray:
-    """Rows of every step of an (S+1, n, d) stack in one step-major gather.
+ROW_BLOCK = 2048  # rows per eval-mode forward of predict, fit's validation and export
 
-    ``np.take`` keeps the result C-contiguous; ``mats[:, rows]`` would lay
-    it out node-major behind a transposed view.
+
+def slice_mats(mats: np.ndarray | None, rows) -> np.ndarray | None:
+    """Rows of every step of an (S+1, n, d) stack: all (``rows`` None), a view
+    (a slice) or one step-major gather (an index array). ``np.take`` keeps a
+    gather C-contiguous; ``mats[:, rows]`` would lay it out node-major.
     """
-    return mats if rows is None else np.take(mats, rows, axis=1)
+    if mats is None or rows is None:
+        return mats
+    return mats[:, rows] if isinstance(rows, slice) else np.take(mats, rows, axis=1)
 
 
 def _scores(xd: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -430,20 +435,20 @@ class FitResult:
 
 
 def _stack_inputs(feature_stack: FeatureStack, label_stack: LabelStack | None,
-                  config: TrainConfig):
-    feat_mats = feature_stack.mats
+                  config: TrainConfig, rows=None):
+    """Model inputs of ``rows`` (see :func:`slice_mats`); the row-wise label
+    zeroing and blend of ``config`` run on the raw rows once they are taken."""
     label_mats = None
     if config.use_labels:
         if label_stack is None:
             raise ValueError("config.use_labels is on but no label stack was given")
         # the cache holds the raw propagation; the zeroing and the smoothing
         # follow this config
-        label_mats = label_stack.mats
+        label_mats = slice_mats(label_stack.mats, rows)
         if config.zero_self_label:
             # hide each training node's own label; the seed step is nonzero
-            # only on training rows, so this zeroes exactly those
-            label_mats = label_mats.copy()
-            label_mats[0] = 0.0
+            # only on training rows, so this zeroes exactly those (in a copy)
+            label_mats = np.concatenate([np.zeros_like(label_mats[:1]), label_mats[1:]])
         scheme = ResidualScheme(config.residual_scheme, config.fixed_alpha)
         if config.label_mode == "uniform":
             # blend each raw step with the uniform class distribution instead
@@ -452,7 +457,26 @@ def _stack_inputs(feature_stack: FeatureStack, label_stack: LabelStack | None,
             label_mats = (1.0 - a) * label_mats + a / label_stack.dim
         elif config.label_mode == "smoothed":
             label_mats = apply_last_residual(label_mats, scheme)
-    return feat_mats, label_mats
+    return slice_mats(feature_stack.mats, rows), label_mats
+
+
+def _eval_blocks(model: GamlpModel, n_rows: int, inputs):
+    """Yield the eval-mode logits and feature weights of ``n_rows`` rows, ROW_BLOCK
+    at a time; ``inputs(block)`` gives the features, labels and global row ids
+    of the rows at positions ``block``, a slice."""
+    for lo in range(0, max(n_rows, 1), ROW_BLOCK):  # no rows: one empty block
+        feats, labels, ids = inputs(slice(lo, lo + ROW_BLOCK))
+        yield model.forward(feats, labels, rows=ids, training=False), model.feature_weights
+
+
+def _stack_blocks(model: GamlpModel, feature_stack: FeatureStack,
+                  label_stack: LabelStack | None, rows: np.ndarray | None):
+    """:func:`_eval_blocks` over ``rows`` of the stacks (None: every node, as views)."""
+    def inputs(block):
+        ids = block if rows is None else rows[block]
+        return (*_stack_inputs(feature_stack, label_stack, model.config, ids), ids)
+
+    return _eval_blocks(model, feature_stack.n if rows is None else len(rows), inputs)
 
 
 def _new_model(config: TrainConfig, feature_stack: FeatureStack,
@@ -495,11 +519,11 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
     opt_cls = Adam if config.optimizer == "adam" else Sgd
     optimizer = opt_cls(model.params, lr=config.lr, weight_decay=config.weight_decay)
 
-    feat_mats, label_mats = _stack_inputs(feature_stack, label_stack, config)
-    train_feats = slice_mats(feat_mats, train_ids)
-    train_labels_mats = slice_mats(label_mats, train_ids) if label_mats is not None else None
-    val_feats = slice_mats(feat_mats, val_ids) if val_ids.size else None
-    val_label_mats = slice_mats(label_mats, val_ids) if (label_mats is not None and val_ids.size) else None
+    train_feats, train_label_mats = _stack_inputs(feature_stack, label_stack, config, train_ids)
+    val_feats, val_label_mats = _stack_inputs(feature_stack, label_stack, config, val_ids)
+
+    def val_inputs(block):
+        return slice_mats(val_feats, block), slice_mats(val_label_mats, block), val_ids[block]
 
     onehot = np.zeros((train_ids.size, num_classes))
     onehot[np.arange(train_ids.size), labels[train_ids]] = 1.0
@@ -520,9 +544,9 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
             for batch in batches:
                 model.zero_grad()
                 try:
-                    logits = model.forward(slice_mats(train_feats, batch if config.batch_size else None),
-                                           slice_mats(train_labels_mats, batch if config.batch_size else None)
-                                           if train_labels_mats is not None else None,
+                    rows = batch if config.batch_size else None
+                    logits = model.forward(slice_mats(train_feats, rows),
+                                           slice_mats(train_label_mats, rows),
                                            rows=train_ids[batch], training=True, rng=rng)
                     loss, d_logits = cross_entropy(logits, onehot[batch], np.arange(batch.size))
                 except NonFiniteError as e:
@@ -540,9 +564,8 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
             train_loss = total_loss / total_rows
 
             if val_ids.size:
-                val_logits = model.forward(val_feats, val_label_mats, rows=val_ids,
-                                           training=False)
-                val_pred = np.argmax(val_logits, axis=1)
+                val_pred = np.concatenate([np.argmax(logits, axis=1) for logits, _ in
+                                           _eval_blocks(model, val_ids.size, val_inputs)])
                 val_acc = float(np.mean(val_pred == labels[val_ids]))
             else:
                 val_acc = float("nan")
@@ -571,12 +594,9 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
 
 def predict(model: GamlpModel, feature_stack: FeatureStack,
             label_stack: LabelStack | None, rows: np.ndarray | None = None) -> np.ndarray:
-    """Argmax class ids (ties resolve to the lowest class id)."""
-    feat_mats, label_mats = _stack_inputs(feature_stack, label_stack, model.config)
-    logits = model.forward(slice_mats(feat_mats, rows),
-                           slice_mats(label_mats, rows) if label_mats is not None else None,
-                           rows=rows, training=False)
-    return np.argmax(logits, axis=1)
+    """Argmax class ids of ``rows`` (default: every node); ties go to the lowest id."""
+    return np.concatenate([np.argmax(logits, axis=1) for logits, _ in
+                           _stack_blocks(model, feature_stack, label_stack, rows)])
 
 
 def evaluate_accuracy(pred: np.ndarray, truth: np.ndarray, split: np.ndarray) -> float:
@@ -701,9 +721,8 @@ def export_attention(model: GamlpModel, feature_stack: FeatureStack,
     """
     if not model.feature_combiner.has_weights:
         raise ValueError("baseline combiner has no attention weights to export")
-    feat_mats, label_mats = _stack_inputs(feature_stack, label_stack, model.config)
-    model.forward(feat_mats, label_mats, rows=None, training=False)
-    weights = model.feature_weights
+    weights = np.concatenate([w for _, w in _stack_blocks(model, feature_stack, label_stack,
+                                                           None)])
     degrees = np.asarray(degrees)
     per_node = [[int(i), int(degrees[i])] + [float(v) for v in weights[i]]
                 for i in range(weights.shape[0])]

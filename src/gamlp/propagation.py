@@ -254,11 +254,12 @@ def cache_read(path, expect_fingerprint: bytes | None = None,
             raise CacheFormatError(
                 f"{path}: truncated or oversized cache ({size} bytes, expected {expected})")
         mats = np.empty((steps + 1, n, dim))
-        for m in mats:
-            # one float32 step at a time, upcast straight into its slot
-            flat = np.fromfile(f, dtype="<f4", count=n * dim)
-            if flat.size != n * dim:
+        for k, m in enumerate(mats):
+            # each float32 step is upcast into its slot straight from the
+            # file's pages, one step mapped at a time, with no read buffer
+            if os.fstat(f.fileno()).st_size != expected:
                 raise CacheFormatError(f"{path}: file shrank while it was read")
-            m[...] = flat.reshape(n, dim)
+            m[...] = np.memmap(f, dtype="<f4", mode="r", shape=(n, dim),
+                               offset=_HEADER.size + k * n * dim * 4)
     cls = LabelStack if kind == _KIND_LABEL else FeatureStack
     return cls(mats=mats, mode=_R_FROM_CODE[r_code], fingerprint=fingerprint)

@@ -1,22 +1,24 @@
 import json
 import math
 import struct
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import gamlp.model
 from gamlp.config import TrainConfig
 from gamlp.data import generate_sbm
 from gamlp.model import (BaselineCombiner, CheckpointFormatError, CheckpointMismatch,
                          GamlpModel, JkAttention, RecursiveAttention, _JkEncoder,
-                         _stack_inputs, baseline_combine, evaluate_accuracy,
+                         _stack_blocks, _stack_inputs, baseline_combine, evaluate_accuracy,
                          export_attention, fit, predict, restore_model, save_checkpoint,
                          slice_mats)
 from gamlp.nn import (Activation, cross_entropy, dropout, grad_check, softmax_backward,
                       softmax_rows)
 from gamlp.pipeline import build_stacks
-from gamlp.propagation import LabelStack, ResidualScheme, apply_last_residual
+from gamlp.propagation import FeatureStack, LabelStack, ResidualScheme, apply_last_residual
 
 
 def _sigmoid(x):
@@ -373,6 +375,9 @@ def test_slice_mats_gathers_rows_of_every_step():
     assert np.array_equal(got, np.stack([m[rows] for m in stack]))
     assert got.flags.c_contiguous  # still step-major
     assert slice_mats(stack, None) is stack
+    view = slice_mats(stack, slice(2, 6))
+    assert view.base is stack and np.array_equal(view, stack[:, 2:6])
+    assert slice_mats(None, rows) is None
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +568,98 @@ def test_export_attention_rejects_baseline():
 
 
 # ---------------------------------------------------------------------------
+# row blocks: predict, the validation pass and export run ROW_BLOCK rows at a time
+# ---------------------------------------------------------------------------
+
+
+BLOCK_CASES = {"recursive": dict(attention="recursive"),
+               "jk": dict(reference="jk"),
+               "origin_feature": dict(reference="origin_feature"),
+               "normal_noise": dict(reference="normal_noise"),
+               "no_reference": dict(reference="no_reference"),
+               "sign": dict(combiner="sign")}
+
+
+def _block_outputs(monkeypatch, block, ds, cfg, fs, ls, model, rows):
+    """Everything that runs in row blocks, with ROW_BLOCK set to ``block``."""
+    monkeypatch.setattr(gamlp.model, "ROW_BLOCK", block)
+    result = fit(fs, ls, ds.labels, ds.splits, cfg, num_classes=ds.num_classes)
+    out = {"log": result.log, "best_epoch": result.best_epoch,
+           "pred": predict(model, fs, ls), "pred_rows": predict(model, fs, ls, rows),
+           "logits": np.concatenate([l for l, _ in _stack_blocks(model, fs, ls, None)]),
+           "logits_rows": np.concatenate([l for l, _ in _stack_blocks(model, fs, ls, rows)])}
+    if model.feature_combiner.has_weights:
+        out["attention"] = export_attention(model, fs, ls, ds.graph.degrees(),
+                                            [(0, 3), (4, 6), (7, 100)])
+    return out
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_row_blocks_match_one_block(monkeypatch, case):
+    ds, cfg, fs, ls = _toy_setup(epochs=8, patience=8, **BLOCK_CASES[case])
+    # a fitted model: every scoring vector, the noise one included, is nonzero
+    model = fit(fs, ls, ds.labels, ds.splits, cfg, num_classes=ds.num_classes).model
+    # unsorted, repeated, and not aligned with the 4-row blocks
+    rows = np.random.default_rng(3).permutation(ds.n)[:17]
+    rows[5] = rows[11]
+    # 30 nodes in 8 blocks, the 6 validation rows in 2
+    small = _block_outputs(monkeypatch, 4, ds, cfg, fs, ls, model, rows)
+    whole = _block_outputs(monkeypatch, ds.n, ds, cfg, fs, ls, model, rows)
+    assert small["log"] == whole["log"] and small["best_epoch"] == whole["best_epoch"]
+    for key in ("pred", "pred_rows"):
+        assert np.array_equal(small[key], whole[key])
+    assert np.allclose(small["logits"], whole["logits"], rtol=0.0, atol=1e-12)
+    assert np.allclose(small["logits_rows"], whole["logits_rows"], rtol=0.0, atol=1e-12)
+    assert np.allclose(small["logits_rows"], whole["logits"][rows], rtol=0.0, atol=1e-12)
+    assert small.get("attention") == whole.get("attention")
+
+
+def test_every_row_block_passes_its_global_row_ids(monkeypatch):
+    ds, cfg, fs, ls = _toy_setup(epochs=3, patience=3, reference="normal_noise")
+    monkeypatch.setattr(gamlp.model, "ROW_BLOCK", 4)
+    seen = []
+    forward = GamlpModel.forward
+
+    def spy(self, *args, rows=None, training=False, **kwargs):
+        if not training:
+            seen.append(np.arange(ds.n)[rows])
+        return forward(self, *args, rows=rows, training=training, **kwargs)
+
+    monkeypatch.setattr(GamlpModel, "forward", spy)
+    model = fit(fs, ls, ds.labels, ds.splits, cfg, num_classes=ds.num_classes).model
+    assert np.array_equal(np.concatenate(seen), np.tile(ds.splits.val, 3))
+    rows = np.array([9, 2, 2, 28, 0, 13, 7])
+    for call_rows, want in ((None, np.arange(ds.n)), (rows, rows)):
+        seen.clear()
+        predict(model, fs, ls, call_rows)
+        assert np.array_equal(np.concatenate(seen), want)
+    seen.clear()
+    export_attention(model, fs, ls, ds.graph.degrees(), [(0, 100)])
+    assert np.array_equal(np.concatenate(seen), np.arange(ds.n))
+
+
+def test_predict_memory_does_not_grow_with_the_stacks():
+    # 20k rows are about ten blocks; one all-row temporary of either stack,
+    # such as blending every label row, would exceed the bound on its own
+    n, dim, steps = 20000, 16, 7
+    rng = np.random.default_rng(4)
+    fs = FeatureStack(mats=rng.standard_normal((steps + 1, n, dim)), mode=0.5,
+                      fingerprint=bytes(32))
+    ls = LabelStack(mats=rng.random((steps + 1, n, dim)), mode=0.5, fingerprint=bytes(32))
+    cfg = TrainConfig(dataset_dir="unused", hops=steps, hidden=8, reference="normal_noise",
+                      label_mode="smoothed", zero_self_label=True).validate()
+    model = GamlpModel(cfg, n, dim, dim, steps, steps, rng)
+    tracemalloc.start()
+    try:
+        pred = predict(model, fs, ls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pred.shape == (n,)
+    assert peak < fs.mats.nbytes
+
+
+# ---------------------------------------------------------------------------
 # train-time label zeroing
 # ---------------------------------------------------------------------------
 
@@ -574,12 +671,15 @@ def _zero_seed_rows_reference(stack, train_ids):
     return stack
 
 
-@pytest.mark.parametrize("scheme", [dict(residual_scheme="cosine"),
-                                    dict(residual_scheme="fixed", fixed_alpha=0.7)],
-                         ids=["cosine", "fixed0.7"])
+SCHEMES = {"cosine": dict(residual_scheme="cosine"),
+           "linear": dict(residual_scheme="linear"),
+           "fixed0.7": dict(residual_scheme="fixed", fixed_alpha=0.7)}
+
+
+@pytest.mark.parametrize("scheme", list(SCHEMES))
 @pytest.mark.parametrize("label_mode", ["plain", "smoothed", "uniform"])
 def test_zero_self_label_matches_reference_zeroing(label_mode, scheme):
-    ds, cfg, fs, ls = _toy_setup(label_mode=label_mode, **scheme)
+    ds, cfg, fs, ls = _toy_setup(label_mode=label_mode, **SCHEMES[scheme])
     before = ls.mats.copy()
     reference = _zero_seed_rows_reference(
         LabelStack(mats=ls.mats.copy(), mode=ls.mode, fingerprint=ls.fingerprint),
@@ -589,6 +689,27 @@ def test_zero_self_label_matches_reference_zeroing(label_mode, scheme):
     assert np.array_equal(got, want)
     assert np.array_equal(feats, want_feats)
     assert np.array_equal(ls.mats, before)
+    # cosine and linear give a_0 = 1: smoothed and uniform overwrite step 0,
+    # so the switch changes nothing there
+    _, kept = _stack_inputs(fs, ls, cfg)
+    assert np.array_equal(got, kept) == (label_mode != "plain" and scheme != "fixed0.7")
+
+
+@pytest.mark.parametrize("zero_self_label", [False, True])
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+@pytest.mark.parametrize("label_mode", ["plain", "smoothed", "uniform"])
+def test_stack_inputs_of_rows_equal_the_sliced_inputs(label_mode, scheme, zero_self_label):
+    ds, cfg, fs, ls = _toy_setup(label_mode=label_mode, zero_self_label=zero_self_label,
+                                 **SCHEMES[scheme])
+    feats_before, labels_before = fs.mats.copy(), ls.mats.copy()
+    whole = _stack_inputs(fs, ls, cfg)
+    rows = np.array([17, 3, 3, 29, 0, 11])
+    for sel in (rows, slice(5, 23)):
+        got = _stack_inputs(fs, ls, cfg, sel)
+        for g, w in zip(got, whole):
+            assert np.array_equal(g, w[:, sel])
+    assert np.array_equal(fs.mats, feats_before)
+    assert np.array_equal(ls.mats, labels_before)
 
 
 # ---------------------------------------------------------------------------

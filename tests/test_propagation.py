@@ -303,6 +303,24 @@ def test_cache_rejects_truncation(tmp_path):
         cache_read(path)
 
 
+def test_cache_cut_short_while_read_is_refused(tmp_path, monkeypatch):
+    stack = _feature_stack(np.random.default_rng(3))
+    path = tmp_path / "t.gmlp"
+    cache_write(stack, path)
+    memmap = np.memmap
+
+    def map_then_truncate(*args, **kwargs):
+        # copy the step out, so that no mapping outlives the truncation
+        step = np.array(memmap(*args, **kwargs))
+        with open(path, "r+b") as f:
+            f.truncate(path.stat().st_size - 13)
+        return step
+
+    monkeypatch.setattr(np, "memmap", map_then_truncate)
+    with pytest.raises(CacheFormatError, match="shrank"):
+        cache_read(path)
+
+
 def test_cache_fingerprint_guard(tmp_path):
     stack = _feature_stack(np.random.default_rng(4))
     path = tmp_path / "fp.gmlp"
