@@ -128,7 +128,7 @@ class RecursiveAttention:
         sb = self.s.value[dim:]
         # the scores of every round share xd, so their gradients wrt sa are
         # summed per (row, step) and contracted with xd once
-        d_pre_sum = np.zeros((xd.shape[1], len(mats)))
+        d_pre_sum = np.zeros((xd.shape[1], len(mats)), dtype=xd.dtype)
         d_r = d_h
         for pre, w, rd, r_mask in [final, *reversed(levels)]:
             d_act = softmax_backward(_weight_grad(d_r, mats, w.shape[1]), w)
@@ -250,7 +250,7 @@ class JkAttention:
         n_rows = mats[0].shape[0]
         if self.reference == "jk":
             if self.encoder is None:
-                return np.zeros((n_rows, self.hidden))
+                return np.zeros((n_rows, self.hidden), dtype=mats[0].dtype)
             return self.encoder.forward(mats[1:], training, rng)
         if self.reference == "origin_feature":
             return mats[0]
@@ -336,7 +336,8 @@ def baseline_combine(mats: np.ndarray, mode: str, gbp_beta: float = 0.5) -> np.n
     if mode == "gbp":
         if not 0.0 < gbp_beta < 1.0:
             raise ValueError("gbp decay must lie in (0, 1)")
-        return np.tensordot(gbp_beta * (1.0 - gbp_beta) ** np.arange(len(mats)), mats, axes=1)
+        w = gbp_beta * (1.0 - gbp_beta) ** np.arange(len(mats))
+        return np.tensordot(w.astype(mats[0].dtype, copy=False), mats, axes=1)
     if mode == "sign":
         return np.concatenate(mats, axis=1)
     raise ValueError(f"unknown baseline combiner {mode!r}")
@@ -384,6 +385,15 @@ class GamlpModel:
                                  config.label_num_layers, act, config.dropout,
                                  name="label_mlp")
         self.beta = config.beta
+        # every initial value is drawn in float64 and then cast, so both
+        # dtypes start from the same draws
+        self.dtype = np.dtype(config.dtype)
+        for p in self.params:
+            p.value = p.value.astype(self.dtype, copy=False)
+            p.grad = np.zeros_like(p.value)
+        for combiner in (self.feature_combiner, self.label_combiner):
+            if getattr(combiner, "noise", None) is not None:
+                combiner.noise = combiner.noise.astype(self.dtype, copy=False)
 
     @property
     def params(self) -> list[ParamTensor]:
@@ -436,15 +446,17 @@ class FitResult:
 
 def _stack_inputs(feature_stack: FeatureStack, label_stack: LabelStack | None,
                   config: TrainConfig, rows=None):
-    """Model inputs of ``rows`` (see :func:`slice_mats`); the row-wise label
-    zeroing and blend of ``config`` run on the raw rows once they are taken."""
+    """Model inputs of ``rows`` (see :func:`slice_mats`) in ``config.dtype``; the
+    row-wise label zeroing and blend of ``config`` run on the raw rows once
+    they are taken and cast (a view stays a view when the dtypes match)."""
+    dtype = np.dtype(config.dtype)
     label_mats = None
     if config.use_labels:
         if label_stack is None:
             raise ValueError("config.use_labels is on but no label stack was given")
         # the cache holds the raw propagation; the zeroing and the smoothing
         # follow this config
-        label_mats = slice_mats(label_stack.mats, rows)
+        label_mats = slice_mats(label_stack.mats, rows).astype(dtype, copy=False)
         if config.zero_self_label:
             # hide each training node's own label; the seed step is nonzero
             # only on training rows, so this zeroes exactly those (in a copy)
@@ -453,11 +465,11 @@ def _stack_inputs(feature_stack: FeatureStack, label_stack: LabelStack | None,
         if config.label_mode == "uniform":
             # blend each raw step with the uniform class distribution instead
             # of the deepest step
-            a = scheme.alphas(label_stack.steps)[:, None, None]
+            a = scheme.alphas(label_stack.steps).astype(dtype)[:, None, None]
             label_mats = (1.0 - a) * label_mats + a / label_stack.dim
         elif config.label_mode == "smoothed":
             label_mats = apply_last_residual(label_mats, scheme)
-    return slice_mats(feature_stack.mats, rows), label_mats
+    return slice_mats(feature_stack.mats, rows).astype(dtype, copy=False), label_mats
 
 
 def _eval_blocks(model: GamlpModel, n_rows: int, inputs):
@@ -500,7 +512,8 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
 
     ``splits`` needs .train/.val attributes (or a dict with those keys).
     Returns the parameters of the best validation epoch. Raises
-    TrainingDiverged on a non-finite loss.
+    TrainingDiverged on a non-finite loss or layer output, in training or
+    in the validation pass.
     """
     train_ids = np.asarray(splits["train"] if isinstance(splits, dict) else splits.train,
                            dtype=np.int64)
@@ -525,9 +538,13 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
     def val_inputs(block):
         return slice_mats(val_feats, block), slice_mats(val_label_mats, block), val_ids[block]
 
-    onehot = np.zeros((train_ids.size, num_classes))
+    onehot = np.zeros((train_ids.size, num_classes), dtype=model.dtype)
     onehot[np.arange(train_ids.size), labels[train_ids]] = 1.0
     all_rows = np.arange(train_ids.size)
+
+    def diverged(what: str) -> TrainingDiverged:  # reads the running epoch
+        return TrainingDiverged(f"{what} at epoch {epoch} (lr={config.lr}); reduce the "
+                                "learning rate or check the input scaling")
 
     log: list[dict] = []
     best_val, best_epoch, best_values = -np.inf, 0, None
@@ -550,13 +567,9 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
                                            rows=train_ids[batch], training=True, rng=rng)
                     loss, d_logits = cross_entropy(logits, onehot[batch], np.arange(batch.size))
                 except NonFiniteError as e:
-                    raise TrainingDiverged(
-                        f"{e} at epoch {epoch} (lr={config.lr}); reduce the learning "
-                        "rate or check the input scaling") from None
+                    raise diverged(str(e)) from None
                 if not np.isfinite(loss):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch} (lr={config.lr}); "
-                        "reduce the learning rate or check the input scaling")
+                    raise diverged("non-finite loss")
                 model.backward(d_logits)
                 optimizer.step()
                 total_loss += loss * batch.size
@@ -564,8 +577,11 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
             train_loss = total_loss / total_rows
 
             if val_ids.size:
-                val_pred = np.concatenate([np.argmax(logits, axis=1) for logits, _ in
-                                           _eval_blocks(model, val_ids.size, val_inputs)])
+                try:
+                    val_pred = np.concatenate([np.argmax(logits, axis=1) for logits, _ in
+                                               _eval_blocks(model, val_ids.size, val_inputs)])
+                except NonFiniteError as e:
+                    raise diverged(f"{e} in the validation pass") from None
                 val_acc = float(np.mean(val_pred == labels[val_ids]))
             else:
                 val_acc = float("nan")

@@ -1,9 +1,11 @@
 """Minimal dense NN kernels with explicit forward/backward passes.
 
-Everything trains in float64 so that central finite differences can
-verify every backward pass to tight tolerances (see :func:`grad_check`).
-There is deliberately no autodiff: each layer exposes a hand-derived
-backward, and the model code wires them together.
+Every kernel computes in the dtype of its inputs and parameters: the
+model trains in float32 by default, and in float64 when the config asks
+for it. Gradient checks run in float64, so that central finite
+differences can verify every backward pass to tight tolerances (see
+:func:`grad_check`). There is deliberately no autodiff: each layer
+exposes a hand-derived backward, and the model code wires them together.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ class Activation:
         if self.kind == "relu":
             return d_out * (x > 0.0)
         if self.kind == "leaky_relu":
-            return d_out * np.where(x >= 0.0, 1.0, self.slope)
+            # no derivative array: a float64 one would upcast a float32 d_out
+            return np.where(x >= 0.0, d_out, self.slope * d_out)
         s = expit(x)
         return d_out * s * (1.0 - s)
 
@@ -129,7 +132,8 @@ def dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None,
     if not training or rate == 0.0:
         return x, None
     keep = 1.0 - rate
-    mask = (rng.random(x.shape) < keep) / keep
+    # drawn and built in x's dtype; for float64 the same stream as rng.random(shape)
+    mask = (rng.random(x.shape, dtype=x.dtype) < keep).astype(x.dtype) / keep
     return x * mask, mask
 
 

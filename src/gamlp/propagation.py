@@ -11,14 +11,16 @@ the training config's scheme each time the model takes its inputs;
 changing the scheme needs no new preprocess, and no cache can hold a
 blend of another scheme.
 
-A stack is one C-contiguous float64 array of shape (S+1, n, d), step-major:
+A stack is one C-contiguous array of shape (S+1, n, d), step-major:
 ``mats[k]`` is the n x d matrix of step k, and one gather along axis 1
 takes the rows of a node set from every step. Step-major is also the
 cache file order, so each step is written and read as one contiguous block.
 
-All propagation arithmetic runs in double precision; cache files store
-matrices as little-endian float32 (reads upcast back to float64, so a
-second round trip is the identity).
+All propagation arithmetic runs in double precision, so a stack built in
+memory is float64. Cache files store matrices as little-endian float32,
+and a stack read from a cache keeps them as float32 (a second round trip
+is the identity); the model casts its inputs to the configured compute
+dtype.
 """
 
 from __future__ import annotations
@@ -86,6 +88,8 @@ class ResidualScheme:
 
 @dataclass
 class _Stack:
+    """``mats``: float64 when propagated in memory, float32 when read from a cache."""
+
     mats: np.ndarray
     mode: float
     fingerprint: bytes
@@ -105,12 +109,12 @@ class _Stack:
 
 @dataclass
 class FeatureStack(_Stack):
-    """Propagated features [X^(0) ... X^(K)] as one (K+1, n, f) float64 array."""
+    """Propagated features [X^(0) ... X^(K)] as one (K+1, n, f) array."""
 
 
 @dataclass
 class LabelStack(_Stack):
-    """Propagated labels [Y^(0) ... Y^(L)] as one (L+1, n, c) float64 array.
+    """Propagated labels [Y^(0) ... Y^(L)] as one (L+1, n, c) array.
 
     Only the raw propagation is kept; the smoothed inputs are derived from
     ``mats`` by :func:`apply_last_residual`.
@@ -189,10 +193,11 @@ def apply_last_residual(mats: np.ndarray, scheme: ResidualScheme) -> np.ndarray:
     The blend is applied uniformly for l = 0..L; under the cosine schedule
     a_0 = 1, so the smoothed step-0 matrix equals Y^(L) and the raw seed
     labels never reach the model directly. The result is written into one
-    new array, step by step, with no stack-sized temporary; it equals the
-    broadcast ``(1 - a) * mats + a * mats[-1]`` bit for bit.
+    new array of the stack's dtype, step by step, with no stack-sized
+    temporary; it equals the broadcast ``(1 - a) * mats + a * mats[-1]``
+    bit for bit.
     """
-    a = scheme.alphas(len(mats) - 1)
+    a = scheme.alphas(len(mats) - 1).astype(mats.dtype, copy=False)
     out = np.multiply(mats, (1.0 - a)[:, None, None])
     for l, a_l in enumerate(a):
         out[l] += a_l * mats[-1]
@@ -253,10 +258,10 @@ def cache_read(path, expect_fingerprint: bytes | None = None,
         if size != expected:
             raise CacheFormatError(
                 f"{path}: truncated or oversized cache ({size} bytes, expected {expected})")
-        mats = np.empty((steps + 1, n, dim))
+        mats = np.empty((steps + 1, n, dim), dtype=np.float32)
         for k, m in enumerate(mats):
-            # each float32 step is upcast into its slot straight from the
-            # file's pages, one step mapped at a time, with no read buffer
+            # each step is copied into its slot straight from the file's
+            # pages, one step mapped at a time, with no read buffer
             if os.fstat(f.fileno()).st_size != expected:
                 raise CacheFormatError(f"{path}: file shrank while it was read")
             m[...] = np.memmap(f, dtype="<f4", mode="r", shape=(n, dim),

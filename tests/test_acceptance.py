@@ -48,9 +48,11 @@ def _citation_setup(name):
 
 
 def _toy_config(**overrides):
+    # float64: the gradient, oracle and SGC tolerances lie below float32 resolution
     base = dict(dataset_dir="unused", hops=3, hidden=12, num_layers=2,
                 label_num_layers=2, jk_layers=2, epochs=60, patience=60, lr=0.01,
-                input_dropout=0.0, attention_dropout=0.0, dropout=0.0, seed=0)
+                input_dropout=0.0, attention_dropout=0.0, dropout=0.0, seed=0,
+                dtype="float64")
     base.update(overrides)
     return TrainConfig(**base).validate()
 
@@ -305,11 +307,11 @@ def test_criterion_8(tmp_path):
             mats, loaded_mats = stack.mats, loaded.mats
             # the smoothing is not stored; derived on load, it is the smoothing
             # of the stored representation
-            stored = stack.mats.astype(np.float32).astype(np.float64)
+            stored = stack.mats.astype(np.float32)
             assert np.array_equal(apply_last_residual(loaded.mats, scheme),
                                   apply_last_residual(stored, scheme))
         for orig, back in zip(mats, loaded_mats):
-            assert np.array_equal(back, orig.astype(np.float32).astype(np.float64))
+            assert back.dtype == np.float32 and np.array_equal(back, orig.astype(np.float32))
         assert loaded.fingerprint == stack.fingerprint
         assert loaded.mode == stack.mode and loaded.steps == stack.steps
 

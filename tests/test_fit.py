@@ -3,10 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from gamlp.config import TrainConfig
+import gamlp.model
+import gamlp.nn
+from gamlp.config import REFERENCE_MODES, TrainConfig
 from gamlp.data import generate_sbm
-from gamlp.model import TrainingDiverged, _stack_inputs, evaluate_accuracy, fit, predict
-from gamlp.pipeline import build_stacks, train_on_dataset
+from gamlp.model import (GamlpModel, TrainingDiverged, _stack_blocks, _stack_inputs,
+                         evaluate_accuracy, fit, predict)
+from gamlp.nn import Activation, Mlp
+from gamlp.pipeline import build_stacks, load_stacks, preprocess, train_on_dataset
 
 
 def _config(**overrides):
@@ -57,6 +61,19 @@ def test_divergence_aborts_with_diagnostic(sbm60):
     cfg = _config(optimizer="sgd", lr=1e12, epochs=50, patience=50)
     with pytest.raises(TrainingDiverged):
         train_on_dataset(sbm60, cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_validation_overflow_aborts_with_diagnostic(sbm60, dtype):
+    cfg = _config(dtype=dtype, epochs=5, patience=5)
+    fs, ls = build_stacks(sbm60, cfg)
+    # the validation rows hold the largest finite value of the compute dtype;
+    # the training rows, and with them every training forward, stay finite
+    fs.mats[:, sbm60.splits.val] = np.finfo(dtype).max
+    with pytest.raises(TrainingDiverged,
+                       match=r"in the validation pass at epoch 1 \(lr=0\.01\)"):
+        fit(fs, ls, sbm60.labels, sbm60.splits, cfg, num_classes=sbm60.num_classes)
 
 
 def test_minibatch_training_runs_and_learns(sbm60):
@@ -128,3 +145,103 @@ def test_zero_self_label_flag_changes_inputs(sbm60):
     assert not label_mats[0][sbm60.splits.train].any()
     result = train_on_dataset(sbm60, cfg)
     assert len(result.log) == 5
+
+
+# ---------------------------------------------------------------------------
+# compute dtype
+# ---------------------------------------------------------------------------
+
+
+DTYPE_CASES = {"recursive": dict(attention="recursive"),
+               **{f"jk-{ref}": dict(reference=ref) for ref in REFERENCE_MODES},
+               "jk-no-steps": dict(hops=0),  # the encoder-less zero reference
+               "gbp": dict(combiner="gbp"),
+               **{f"labels-{mode}": dict(label_mode=mode)
+                  for mode in ("plain", "smoothed", "uniform")}}
+
+# every kernel of the forward and backward passes, by the name callers look it up by
+_KERNELS = [(gamlp.nn, "linear_forward"), (gamlp.nn, "linear_backward"),
+            (gamlp.nn, "dropout"), (gamlp.model, "dropout"),
+            (gamlp.model, "softmax_rows"), (gamlp.model, "softmax_backward"),
+            (gamlp.model, "cross_entropy"), (gamlp.model, "_scores"),
+            (gamlp.model, "_combine"), (gamlp.model, "_weight_grad"),
+            (gamlp.model, "baseline_combine"), (gamlp.model, "apply_last_residual"),
+            (Activation, "forward"), (Activation, "backward"),
+            (Mlp, "forward"), (Mlp, "backward"), (GamlpModel, "forward")]
+
+
+def _record_dtypes(monkeypatch) -> set:
+    """(kernel, dtype) of every array each kernel returns, until the test ends."""
+    seen = set()
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            out = original(*args, **kwargs)
+            for a in out if isinstance(out, tuple) else (out,):
+                if isinstance(a, np.ndarray):
+                    seen.add((name, a.dtype))
+            return out
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    for owner, name in _KERNELS:
+        spy(owner, name)
+    return seen
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("case", list(DTYPE_CASES))
+def test_fit_computes_in_the_config_dtype_only(monkeypatch, sbm60, case, dtype):
+    cfg = _config(dtype=dtype, epochs=1, patience=1, input_dropout=0.1,
+                  attention_dropout=0.2, dropout=0.3, **DTYPE_CASES[case])
+    fs, ls = build_stacks(sbm60, cfg)  # float64, as propagated
+    seen = _record_dtypes(monkeypatch)
+    result = fit(fs, ls, sbm60.labels, sbm60.splits, cfg, num_classes=sbm60.num_classes)
+    arrays = {f"{p.name} {kind}": a for p in result.model.params
+              for kind, a in (("value", p.value), ("grad", p.grad))}
+    arrays.update({f"adam m {i}": m for i, m in enumerate(result.optimizer.m)})
+    arrays.update({f"adam v {i}": v for i, v in enumerate(result.optimizer.v)})
+    for rows in (None, sbm60.splits.train):
+        feats, labels = _stack_inputs(fs, ls, cfg, rows)
+        arrays.update({f"features {rows is None}": feats, f"labels {rows is None}": labels})
+    arrays.update({f"logits {i}": logits
+                   for i, (logits, _) in enumerate(_stack_blocks(result.model, fs, ls, None))})
+    assert {name for name, a in arrays.items() if a.dtype != dtype} == set()
+    assert {kernel for kernel, d in seen if d != dtype} == set()
+    assert {"linear_backward", "backward", "dropout"} <= {kernel for kernel, _ in seen}
+
+
+def test_float32_and_float64_fits_agree_within_seed_noise(sbm60):
+    # a short fit with dropout: best_val_acc still varies with the seed, and the
+    # two dtypes draw different dropout masks, so they differ by seed noise only
+    seeds = range(8)
+    accs = {dtype: np.array([train_on_dataset(sbm60, _config(
+                dtype=dtype, seed=seed, epochs=4, patience=4, dropout=0.3,
+                attention_dropout=0.2)).best_val_acc for seed in seeds])
+            for dtype in ("float32", "float64")}
+    # the margin is the standard error of the float64 mean over the seeds
+    # (0.064 here: best_val_acc spreads from 0.5 to 1.0 across seeds); a float32
+    # path that learned nothing would sit near chance, 0.5, against a mean of 0.84
+    margin = accs["float64"].std(ddof=1) / np.sqrt(len(seeds))
+    assert 0.0 < margin < 0.15
+    assert abs(accs["float32"].mean() - accs["float64"].mean()) <= margin
+
+
+def test_float64_fit_on_cached_stacks_equals_rounded_in_memory_stacks(sbm60, tmp_path):
+    cfg = _config(dtype="float64", epochs=20, patience=20, dropout=0.3,
+                  attention_dropout=0.2, cache_dir=str(tmp_path))
+    preprocess(sbm60, cfg)
+    cached = load_stacks(sbm60, cfg)
+    assert [s.mats.dtype for s in cached] == [np.float32, np.float32]
+    rounded = build_stacks(sbm60, cfg)
+    for stack in rounded:
+        stack.mats = stack.mats.astype(np.float32).astype(np.float64)
+    a = fit(*cached, sbm60.labels, sbm60.splits, cfg, num_classes=sbm60.num_classes)
+    b = fit(*rounded, sbm60.labels, sbm60.splits, cfg, num_classes=sbm60.num_classes)
+    assert a.log == b.log
+    assert np.array_equal(predict(a.model, *cached), predict(b.model, *rounded))
+    for (la, _), (lb, _) in zip(_stack_blocks(a.model, *cached, None),
+                                _stack_blocks(b.model, *rounded, None)):
+        assert la.dtype == np.float64 and np.array_equal(la, lb)

@@ -468,7 +468,8 @@ def test_model_zero_params_give_uniform_softmax():
 
 @pytest.mark.parametrize("kind", ["jk", "recursive"])
 def test_full_model_gradient_check(kind):
-    ds, cfg, fs, ls = _toy_setup(attention=kind, hidden=6)
+    # float64: the 1e-4 bound lies below float32's finite-difference error
+    ds, cfg, fs, ls = _toy_setup(attention=kind, hidden=6, dtype="float64")
     rng = np.random.default_rng(3)
     model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps, rng)
     for p in model.params:
@@ -596,7 +597,8 @@ def _block_outputs(monkeypatch, block, ds, cfg, fs, ls, model, rows):
 
 @pytest.mark.parametrize("case", list(BLOCK_CASES))
 def test_row_blocks_match_one_block(monkeypatch, case):
-    ds, cfg, fs, ls = _toy_setup(epochs=8, patience=8, **BLOCK_CASES[case])
+    # float64: a float32 GEMM may round differently with the block's row count
+    ds, cfg, fs, ls = _toy_setup(epochs=8, patience=8, dtype="float64", **BLOCK_CASES[case])
     # a fitted model: every scoring vector, the noise one included, is nonzero
     model = fit(fs, ls, ds.labels, ds.splits, cfg, num_classes=ds.num_classes).model
     # unsorted, repeated, and not aligned with the 4-row blocks
@@ -766,6 +768,47 @@ def test_restore_model_refuses_another_config(tmp_path, key, value):
     with pytest.raises(CheckpointMismatch, match=key) as err:
         restore_model(path, cfg.replace(**{key: value}), fs, ls)
     assert str(path) in str(err.value) and repr(value) in str(err.value)
+
+
+def test_float32_checkpoint_restores_equal_logits(tmp_path):
+    cfg, fs, ls, result, path = _fitted(tmp_path, reference="normal_noise")
+    assert cfg.dtype == "float32"
+    with np.load(path, allow_pickle=False) as npz:
+        assert {npz[n].dtype for n in npz.files if n.startswith(("param/", "adam/m", "adam/v"))} \
+            == {np.dtype(np.float32)}
+    model = restore_model(path, cfg, fs, ls)
+    assert model.label_combiner.noise.dtype == np.float32
+    inputs = _stack_inputs(fs, ls, cfg)
+    logits = model.forward(*inputs)
+    assert logits.dtype == np.float32
+    assert np.array_equal(logits, result.model.forward(*inputs))
+
+
+def _one_line_dtype_refusal(path, cfg, fs, ls, stored):
+    with pytest.raises(CheckpointMismatch) as err:
+        restore_model(path, cfg, fs, ls)
+    assert str(err.value) == (f"{path}: trained with dtype = {stored!r}, but the config "
+                              f"gives {cfg.dtype!r}; evaluate with the training config "
+                              "and seed")
+
+
+def test_restore_model_refuses_another_dtype(tmp_path):
+    cfg, fs, ls, _, path = _fitted(tmp_path, dtype="float64")
+    _one_line_dtype_refusal(path, cfg.replace(dtype="float32"), fs, ls, "float64")
+
+
+def test_restore_model_refuses_a_checkpoint_without_a_dtype(tmp_path):
+    # checkpoints written before the compute dtype existed store no dtype key
+    cfg, fs, ls, _, path = _fitted(tmp_path, dtype="float64")
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    stored = json.loads(str(arrays["config"]))
+    del stored["dtype"]
+    arrays["config"] = np.array(json.dumps(stored))
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+    for dtype in ("float64", "float32"):
+        _one_line_dtype_refusal(path, cfg.replace(dtype=dtype), fs, ls, None)
 
 
 def test_restore_model_ignores_the_directories(tmp_path):

@@ -246,11 +246,12 @@ def test_stacks_are_one_contiguous_array(tmp_path):
         path = tmp_path / "s.gmlp"
         cache_write(stack, path)
         loaded = cache_read(path)
-        arrays = [stack.mats, loaded.mats]
+        # propagation computes in float64; a cache read keeps the stored float32
+        arrays = [(stack.mats, np.float64), (loaded.mats, np.float32)]
         if isinstance(stack, LabelStack):
-            arrays.append(apply_last_residual(loaded.mats, ResidualScheme()))
-        for a in arrays:
-            assert isinstance(a, np.ndarray) and a.dtype == np.float64
+            arrays.append((apply_last_residual(loaded.mats, ResidualScheme()), np.float32))
+        for a, dtype in arrays:
+            assert isinstance(a, np.ndarray) and a.dtype == dtype
             assert a.shape == (stack.steps + 1, stack.n, stack.dim)
             assert a.flags.c_contiguous
 
