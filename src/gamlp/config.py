@@ -17,7 +17,6 @@ LABEL_MODES = ("smoothed", "plain", "uniform")
 RESIDUAL_KINDS = ("cosine", "linear", "fixed")
 OPTIMIZERS = ("adam", "sgd")
 ACTIVATION_KINDS = ("leaky_relu", "relu", "sigmoid")
-DTYPES = ("float32", "float64")
 MAX_HOPS = 128
 
 
@@ -66,8 +65,6 @@ class TrainConfig:
     # linear scheme, whose a_0 = 1 makes the blend overwrite step 0
     zero_self_label: bool = False
     seed: int = 0
-    # compute dtype of training and inference; propagation runs in float64
-    dtype: str = "float32"
 
     @property
     def effective_label_hops(self) -> int:
@@ -116,7 +113,6 @@ class TrainConfig:
         require(self.beta >= 0.0, "beta must be nonnegative")
         require(self.label_mode in LABEL_MODES,
                 f"label_mode must be one of {LABEL_MODES}")
-        require(self.dtype in DTYPES, f"dtype must be one of {DTYPES}")
         return self
 
     def replace(self, **kwargs) -> "TrainConfig":

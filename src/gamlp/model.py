@@ -349,11 +349,12 @@ def baseline_combine(mats: np.ndarray, mode: str, gbp_beta: float = 0.5) -> np.n
 
 
 class GamlpModel:
-    """Two-branch classifier over precomputed feature and label stacks."""
+    """Two-branch classifier over precomputed feature and label stacks,
+    computing in ``dtype`` (float32 or float64)."""
 
     def __init__(self, config: TrainConfig, n_nodes: int, feat_dim: int,
                  num_classes: int, feat_steps: int, label_steps: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, dtype=np.float64):
         self.config = config
         self.num_classes = num_classes
         act = Activation(config.activation, config.leaky_slope)
@@ -387,7 +388,7 @@ class GamlpModel:
         self.beta = config.beta
         # every initial value is drawn in float64 and then cast, so both
         # dtypes start from the same draws
-        self.dtype = np.dtype(config.dtype)
+        self.dtype = np.dtype(dtype)
         for p in self.params:
             p.value = p.value.astype(self.dtype, copy=False)
             p.grad = np.zeros_like(p.value)
@@ -445,11 +446,12 @@ class FitResult:
 
 
 def _stack_inputs(feature_stack: FeatureStack, label_stack: LabelStack | None,
-                  config: TrainConfig, rows=None):
-    """Model inputs of ``rows`` (see :func:`slice_mats`) in ``config.dtype``; the
-    row-wise label zeroing and blend of ``config`` run on the raw rows once
-    they are taken and cast (a view stays a view when the dtypes match)."""
-    dtype = np.dtype(config.dtype)
+                  config: TrainConfig, rows=None, dtype=None):
+    """Model inputs of ``rows`` (see :func:`slice_mats`) in ``dtype`` (default:
+    the feature stack's); the row-wise label zeroing and blend of ``config``
+    run on the raw rows once they are taken and cast (a view stays a view
+    when the dtypes match)."""
+    dtype = feature_stack.mats.dtype if dtype is None else np.dtype(dtype)
     label_mats = None
     if config.use_labels:
         if label_stack is None:
@@ -486,22 +488,25 @@ def _stack_blocks(model: GamlpModel, feature_stack: FeatureStack,
     """:func:`_eval_blocks` over ``rows`` of the stacks (None: every node, as views)."""
     def inputs(block):
         ids = block if rows is None else rows[block]
-        return (*_stack_inputs(feature_stack, label_stack, model.config, ids), ids)
+        return (*_stack_inputs(feature_stack, label_stack, model.config, ids, model.dtype),
+                ids)
 
     return _eval_blocks(model, feature_stack.n if rows is None else len(rows), inputs)
 
 
 def _new_model(config: TrainConfig, feature_stack: FeatureStack,
-               label_stack: LabelStack | None, num_classes: int):
+               label_stack: LabelStack | None, num_classes: int, dtype=None):
     """The model ``fit`` starts from, and the generator it goes on drawing from.
 
+    The model computes in ``dtype``, by default the feature stack's: float32
+    over stacks read from a cache, float64 over stacks propagated in memory.
     :func:`restore_model` rebuilds a model through the same seeded draws, so
     a ``normal_noise`` reference buffer comes back exactly without being stored.
     """
     rng = np.random.default_rng(config.seed)
     model = GamlpModel(config, feature_stack.n, feature_stack.dim, num_classes,
                        feature_stack.steps, 0 if label_stack is None else label_stack.steps,
-                       rng)
+                       rng, feature_stack.mats.dtype if dtype is None else dtype)
     return model, rng
 
 
@@ -511,9 +516,9 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
     """Train with early stopping on validation accuracy.
 
     ``splits`` needs .train/.val attributes (or a dict with those keys).
-    Returns the parameters of the best validation epoch. Raises
-    TrainingDiverged on a non-finite loss or layer output, in training or
-    in the validation pass.
+    The model computes in the feature stack's dtype. Returns the parameters
+    of the best validation epoch. Raises TrainingDiverged on a non-finite
+    loss or layer output, in training or in the validation pass.
     """
     train_ids = np.asarray(splits["train"] if isinstance(splits, dict) else splits.train,
                            dtype=np.int64)
@@ -698,15 +703,21 @@ def restore_model(path, config: TrainConfig, feature_stack: FeatureStack,
 
     Refuses a ``config`` that differs from the stored one on any key but
     the dataset and cache directories, and stacks whose fingerprints differ
-    from the ones the model was fitted on.
+    from the ones the model was fitted on. The model computes in the dtype
+    its parameters were stored in, whatever the stacks' dtype.
     """
     stored, arrays = load_checkpoint(path)
     now = config.to_dict()
     for key in dict.fromkeys([*stored, *now]):
-        if key not in ("dataset_dir", "cache_dir") and stored.get(key) != now.get(key):
+        if key in ("dataset_dir", "cache_dir") or stored.get(key) == now.get(key):
+            continue
+        if key not in stored:
             raise CheckpointMismatch(
-                f"{path}: trained with {key} = {stored.get(key)!r}, but the config "
-                f"gives {now.get(key)!r}; evaluate with the training config and seed")
+                f"{path}: written before the config key {key!r} existed; "
+                "run 'gamlp train' again")
+        raise CheckpointMismatch(
+            f"{path}: trained with {key} = {stored[key]!r}, but the config "
+            f"gives {now.get(key)!r}; evaluate with the training config and seed")
     for name, fingerprint in _fingerprints(config, feature_stack, label_stack).items():
         if not np.array_equal(arrays.get(name), fingerprint):
             raise CheckpointMismatch(
@@ -715,7 +726,7 @@ def restore_model(path, config: TrainConfig, feature_stack: FeatureStack,
     out_bias = arrays.get(f"param/feat_mlp.{config.num_layers - 1}.b")  # one per class
     if out_bias is None:
         raise CheckpointFormatError(f"{path}: checkpoint missing its output layer")
-    model, _ = _new_model(config, feature_stack, label_stack, out_bias.size)
+    model, _ = _new_model(config, feature_stack, label_stack, out_bias.size, out_bias.dtype)
     restore_params(model.params, arrays)
     return model
 

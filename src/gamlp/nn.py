@@ -1,11 +1,12 @@
 """Minimal dense NN kernels with explicit forward/backward passes.
 
 Every kernel computes in the dtype of its inputs and parameters: the
-model trains in float32 by default, and in float64 when the config asks
-for it. Gradient checks run in float64, so that central finite
-differences can verify every backward pass to tight tolerances (see
-:func:`grad_check`). There is deliberately no autodiff: each layer
-exposes a hand-derived backward, and the model code wires them together.
+model trains in float32 on stacks read from a cache, and in float64 on
+stacks propagated in memory. Gradient checks run in float64, so that
+central finite differences can verify every backward pass to tight
+tolerances (see :func:`grad_check`). There is deliberately no autodiff:
+each layer exposes a hand-derived backward, and the model code wires
+them together.
 """
 
 from __future__ import annotations

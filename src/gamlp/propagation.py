@@ -19,8 +19,8 @@ cache file order, so each step is written and read as one contiguous block.
 All propagation arithmetic runs in double precision, so a stack built in
 memory is float64. Cache files store matrices as little-endian float32,
 and a stack read from a cache keeps them as float32 (a second round trip
-is the identity); the model casts its inputs to the configured compute
-dtype.
+is the identity); a model computes in the dtype of the stacks it is
+fitted on.
 """
 
 from __future__ import annotations

@@ -48,11 +48,9 @@ def _citation_setup(name):
 
 
 def _toy_config(**overrides):
-    # float64: the gradient, oracle and SGC tolerances lie below float32 resolution
     base = dict(dataset_dir="unused", hops=3, hidden=12, num_layers=2,
                 label_num_layers=2, jk_layers=2, epochs=60, patience=60, lr=0.01,
-                input_dropout=0.0, attention_dropout=0.0, dropout=0.0, seed=0,
-                dtype="float64")
+                input_dropout=0.0, attention_dropout=0.0, dropout=0.0, seed=0)
     base.update(overrides)
     return TrainConfig(**base).validate()
 

@@ -80,16 +80,6 @@ def test_config_validate_catches_bad_enum():
         TrainConfig(dataset_dir="d", combiner="gcn").validate()
 
 
-def test_config_dtype_defaults_to_float32_and_is_validated(tmp_path):
-    path = tmp_path / "c.conf"
-    path.write_text("dataset_dir = d\n")
-    assert parse_config(path).dtype == "float32"
-    path.write_text("dataset_dir = d\ndtype = float64\n")
-    assert parse_config(path).dtype == "float64"
-    with pytest.raises(ConfigError, match="dtype must be one of"):
-        TrainConfig(dataset_dir="d", dtype="float16").validate()
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -19,6 +20,12 @@ def _config(**overrides):
                 input_dropout=0.0, attention_dropout=0.0, dropout=0.0, seed=0)
     base.update(overrides)
     return TrainConfig(**base).validate()
+
+
+def _cast(stacks, dtype):
+    """``stacks`` with their mats in ``dtype``; float32 is what a cache read gives."""
+    return tuple(None if s is None else dataclasses.replace(s, mats=s.mats.astype(dtype))
+                 for s in stacks)
 
 
 @pytest.fixture(scope="module")
@@ -66,8 +73,8 @@ def test_divergence_aborts_with_diagnostic(sbm60):
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_validation_overflow_aborts_with_diagnostic(sbm60, dtype):
-    cfg = _config(dtype=dtype, epochs=5, patience=5)
-    fs, ls = build_stacks(sbm60, cfg)
+    cfg = _config(epochs=5, patience=5)
+    fs, ls = _cast(build_stacks(sbm60, cfg), dtype)
     # the validation rows hold the largest finite value of the compute dtype;
     # the training rows, and with them every training forward, stay finite
     fs.mats[:, sbm60.splits.val] = np.finfo(dtype).max
@@ -193,10 +200,10 @@ def _record_dtypes(monkeypatch) -> set:
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("case", list(DTYPE_CASES))
-def test_fit_computes_in_the_config_dtype_only(monkeypatch, sbm60, case, dtype):
-    cfg = _config(dtype=dtype, epochs=1, patience=1, input_dropout=0.1,
-                  attention_dropout=0.2, dropout=0.3, **DTYPE_CASES[case])
-    fs, ls = build_stacks(sbm60, cfg)  # float64, as propagated
+def test_fit_computes_in_the_stack_dtype_only(monkeypatch, sbm60, case, dtype):
+    cfg = _config(epochs=1, patience=1, input_dropout=0.1, attention_dropout=0.2,
+                  dropout=0.3, **DTYPE_CASES[case])
+    fs, ls = _cast(build_stacks(sbm60, cfg), dtype)
     seen = _record_dtypes(monkeypatch)
     result = fit(fs, ls, sbm60.labels, sbm60.splits, cfg, num_classes=sbm60.num_classes)
     arrays = {f"{p.name} {kind}": a for p in result.model.params
@@ -217,9 +224,11 @@ def test_float32_and_float64_fits_agree_within_seed_noise(sbm60):
     # a short fit with dropout: best_val_acc still varies with the seed, and the
     # two dtypes draw different dropout masks, so they differ by seed noise only
     seeds = range(8)
-    accs = {dtype: np.array([train_on_dataset(sbm60, _config(
-                dtype=dtype, seed=seed, epochs=4, patience=4, dropout=0.3,
-                attention_dropout=0.2)).best_val_acc for seed in seeds])
+    configs = [_config(seed=seed, epochs=4, patience=4, dropout=0.3, attention_dropout=0.2)
+               for seed in seeds]
+    accs = {dtype: np.array([train_on_dataset(
+                sbm60, cfg, _cast(build_stacks(sbm60, cfg), dtype)).best_val_acc
+                for cfg in configs])
             for dtype in ("float32", "float64")}
     # the margin is the standard error of the float64 mean over the seeds
     # (0.064 here: best_val_acc spreads from 0.5 to 1.0 across seeds); a float32
@@ -229,19 +238,20 @@ def test_float32_and_float64_fits_agree_within_seed_noise(sbm60):
     assert abs(accs["float32"].mean() - accs["float64"].mean()) <= margin
 
 
-def test_float64_fit_on_cached_stacks_equals_rounded_in_memory_stacks(sbm60, tmp_path):
-    cfg = _config(dtype="float64", epochs=20, patience=20, dropout=0.3,
-                  attention_dropout=0.2, cache_dir=str(tmp_path))
+def test_float64_model_over_cached_stacks_equals_rounded_in_memory_stacks(sbm60, tmp_path):
+    cfg = _config(epochs=20, patience=20, dropout=0.3, attention_dropout=0.2,
+                  cache_dir=str(tmp_path))
     preprocess(sbm60, cfg)
     cached = load_stacks(sbm60, cfg)
     assert [s.mats.dtype for s in cached] == [np.float32, np.float32]
-    rounded = build_stacks(sbm60, cfg)
-    for stack in rounded:
-        stack.mats = stack.mats.astype(np.float32).astype(np.float64)
-    a = fit(*cached, sbm60.labels, sbm60.splits, cfg, num_classes=sbm60.num_classes)
-    b = fit(*rounded, sbm60.labels, sbm60.splits, cfg, num_classes=sbm60.num_classes)
-    assert a.log == b.log
-    assert np.array_equal(predict(a.model, *cached), predict(b.model, *rounded))
-    for (la, _), (lb, _) in zip(_stack_blocks(a.model, *cached, None),
-                                _stack_blocks(b.model, *rounded, None)):
+    rounded = _cast(_cast(build_stacks(sbm60, cfg), np.float32), np.float64)
+    for c, r in zip(cached, rounded):
+        assert np.array_equal(c.mats, r.mats)
+    # a float64 model, such as one restored from an older checkpoint, casts
+    # the float32 rows it takes before the label zeroing and blend
+    model = fit(*rounded, sbm60.labels, sbm60.splits, cfg,
+                num_classes=sbm60.num_classes).model
+    assert np.array_equal(predict(model, *cached), predict(model, *rounded))
+    for (la, _), (lb, _) in zip(_stack_blocks(model, *cached, None),
+                                _stack_blocks(model, *rounded, None)):
         assert la.dtype == np.float64 and np.array_equal(la, lb)
