@@ -2,8 +2,9 @@
 
 Subcommands: preprocess, train, eval, sweep, ablate, export-attention.
 Thread-count control (--threads, or the GAMLP_THREADS environment
-variable) must take effect before the numerics libraries load, so the
-heavy imports happen inside the handlers.
+variable) sets the BLAS pools and the propagation (spmm) threads. The BLAS
+pools read it only when the numerics libraries load, so the heavy imports
+happen inside the handlers.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ def _set_threads(argv) -> None:
         elif arg.startswith("--threads="):
             threads = arg.split("=", 1)[1]
     if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+        for var in ("GAMLP_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                     "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
             os.environ[var] = str(threads)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 from .config import TrainConfig
 from .data import Dataset
 from .graph import add_self_loops, normalize
@@ -23,21 +25,24 @@ class MissingCacheError(Exception):
     """Raised when train/eval runs before preprocess."""
 
 
-def build_feature_stack(dataset: Dataset, config: TrainConfig) -> FeatureStack:
+def build_feature_stack(dataset: Dataset, config: TrainConfig,
+                        dtype=np.float64) -> FeatureStack:
     op = normalize(add_self_loops(dataset.graph), config.r_mode)
-    return propagate_features(op, dataset.features, config.hops)
+    return propagate_features(op, dataset.features, config.hops, dtype=dtype)
 
 
-def build_label_stack(dataset: Dataset, config: TrainConfig) -> LabelStack:
+def build_label_stack(dataset: Dataset, config: TrainConfig,
+                      dtype=np.float64) -> LabelStack:
     op = normalize(add_self_loops(dataset.graph), config.effective_label_r_mode)
     y0 = build_label_seed(dataset.labels, dataset.splits.train, dataset.n,
                           dataset.num_classes)
-    return propagate_labels(op, y0, config.effective_label_hops)
+    return propagate_labels(op, y0, config.effective_label_hops, dtype=dtype)
 
 
-def build_stacks(dataset: Dataset, config: TrainConfig):
-    feature_stack = build_feature_stack(dataset, config)
-    label_stack = build_label_stack(dataset, config) if config.use_labels else None
+def build_stacks(dataset: Dataset, config: TrainConfig, dtype=np.float64):
+    """Propagate both stacks in float64, storing them as ``dtype``."""
+    feature_stack = build_feature_stack(dataset, config, dtype)
+    label_stack = build_label_stack(dataset, config, dtype) if config.use_labels else None
     return feature_stack, label_stack
 
 
@@ -50,10 +55,14 @@ def cache_paths(config: TrainConfig, cache_dir=None):
 
 
 def preprocess(dataset: Dataset, config: TrainConfig, cache_dir=None):
-    """Build the stacks once and persist them; returns the written paths."""
+    """Build the stacks once and persist them; returns the written paths.
+
+    The stacks are built straight in float32, the dtype the caches store;
+    the files equal those written from float64 stacks byte for byte.
+    """
     feat_path, label_path = cache_paths(config, cache_dir)
     feat_path.parent.mkdir(parents=True, exist_ok=True)
-    feature_stack, label_stack = build_stacks(dataset, config)
+    feature_stack, label_stack = build_stacks(dataset, config, np.float32)
     cache_write(feature_stack, feat_path)
     written = [feat_path]
     if label_stack is not None:

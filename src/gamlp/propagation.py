@@ -16,11 +16,13 @@ A stack is one C-contiguous array of shape (S+1, n, d), step-major:
 takes the rows of a node set from every step. Step-major is also the
 cache file order, so each step is written and read as one contiguous block.
 
-All propagation arithmetic runs in double precision, so a stack built in
-memory is float64. Cache files store matrices as little-endian float32,
-and a stack read from a cache keeps them as float32 (a second round trip
-is the identity); a model computes in the dtype of the stacks it is
-fitted on.
+All propagation arithmetic runs in double precision; the caller picks the
+dtype the stack stores. Stacks built in memory for experiments and tests
+are float64 by default, while ``pipeline.preprocess`` builds float32
+stacks, the dtype of the cache files, rounding each hop once as it is
+stored. Cache files store matrices as little-endian float32, and a stack
+read from a cache keeps them as float32 (a second round trip is the
+identity); a model computes in the dtype of the stacks it is fitted on.
 """
 
 from __future__ import annotations
@@ -88,7 +90,11 @@ class ResidualScheme:
 
 @dataclass
 class _Stack:
-    """``mats``: float64 when propagated in memory, float32 when read from a cache."""
+    """One propagated stack; ``mats`` has the dtype its builder asked for.
+
+    That is float64 by default, float32 in ``preprocess``, and float32 when
+    the stack is read from a cache.
+    """
 
     mats: np.ndarray
     mode: float
@@ -137,24 +143,39 @@ def stack_fingerprint(graph_or_op, x0: np.ndarray, steps: int, r: float) -> byte
 
 
 def _propagate(op: PropagationOperator, x0: np.ndarray, steps: int,
-               max_steps: int) -> np.ndarray:
+               max_steps: int, dtype) -> np.ndarray:
+    """The (steps+1, n, d) stack of ``dtype``; every hop is computed in float64.
+
+    A float64 stack holds the chain itself, each hop written straight into
+    its slot. Any other dtype gets two reused float64 hop buffers, and each
+    hop is rounded once into its slot, so a float32 stack equals the float64
+    one cast to float32.
+    """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
     if steps > max_steps:
         raise ValueError(f"step count {steps} exceeds supported maximum {max_steps}")
     if x0.ndim != 2 or x0.shape[0] != op.n:
         raise ValueError(f"seed matrix shape {x0.shape} does not match n={op.n}")
-    mats = np.empty((steps + 1, *x0.shape))
-    mats[0] = x0
-    for k in range(1, steps + 1):
-        mats[k] = spmm(op, mats[k - 1])
+    mats = np.empty((steps + 1, *x0.shape), dtype=dtype)
+    chain = mats if mats.dtype == np.float64 else np.empty((2, *x0.shape))
+    chain[0] = x0
+    for k in range(steps + 1):
+        hop = chain[k % len(chain)]
+        if k:
+            spmm(op, chain[(k - 1) % len(chain)], out=hop)
+        if chain is not mats:
+            mats[k] = hop
     return mats
 
 
 def propagate_features(op: PropagationOperator, x0: np.ndarray, steps: int,
-                       max_steps: int = MAX_STEPS) -> FeatureStack:
-    """Iteratively apply the operator: X^(k) = A_hat X^(k-1), k = 1..K."""
-    mats = _propagate(op, x0, steps, max_steps)
+                       max_steps: int = MAX_STEPS, dtype=np.float64) -> FeatureStack:
+    """Iteratively apply the operator: X^(k) = A_hat X^(k-1), k = 1..K.
+
+    Each hop runs in float64; ``dtype`` is the dtype the stack stores.
+    """
+    mats = _propagate(op, x0, steps, max_steps, dtype)
     return FeatureStack(mats=mats, mode=op.mode,
                         fingerprint=stack_fingerprint(op, x0, steps, op.mode))
 
@@ -180,9 +201,12 @@ def build_label_seed(labels, train_ids, n: int, num_classes: int) -> np.ndarray:
 
 
 def propagate_labels(op: PropagationOperator, y0: np.ndarray, steps: int,
-                     max_steps: int = MAX_STEPS) -> LabelStack:
-    """Iteratively apply the operator to the label seed (smoothing not applied)."""
-    mats = _propagate(op, y0, steps, max_steps)
+                     max_steps: int = MAX_STEPS, dtype=np.float64) -> LabelStack:
+    """Iteratively apply the operator to the label seed (smoothing not applied).
+
+    Each hop runs in float64; ``dtype`` is the dtype the stack stores.
+    """
+    mats = _propagate(op, y0, steps, max_steps, dtype)
     return LabelStack(mats=mats, mode=op.mode,
                       fingerprint=stack_fingerprint(op, y0, steps, op.mode))
 
@@ -225,7 +249,11 @@ def atomic_write(path, mode: str = "xb", **open_kwargs):
 
 
 def cache_write(stack: FeatureStack | LabelStack, path) -> None:
-    """Write a stack to its binary cache file (matrices truncated to f32), atomically."""
+    """Write a stack to its binary cache file, atomically.
+
+    Float32 stacks are written as they are; float64 steps are rounded to
+    float32 one at a time.
+    """
     kind = _KIND_LABEL if isinstance(stack, LabelStack) else _KIND_FEATURE
     header = _HEADER.pack(_MAGIC, _VERSION, kind, stack.n, stack.dim, stack.steps,
                           _R_CODES[stack.mode], stack.fingerprint)

@@ -196,6 +196,21 @@ def test_preprocess_idempotent_byte_identical(workdir):
         assert p.read_bytes() == blobs[p.name]
 
 
+def test_preprocess_threads_do_not_change_the_caches(workdir, monkeypatch):
+    _, conf, cache_dir = workdir
+    # main exports the thread count; restore every variable it sets afterwards
+    for var in ("GAMLP_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    assert main(["preprocess", "--config", str(conf)]) == 0
+    blobs = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
+    assert len(blobs) == 2
+    for threads in ("1", "3"):
+        assert main(["preprocess", "--config", str(conf), "--threads", threads]) == 0
+        assert os.environ["GAMLP_THREADS"] == threads
+        assert {p.name: p.read_bytes() for p in cache_dir.iterdir()} == blobs
+
+
 def test_cache_invalidated_by_fingerprint(workdir, tmp_path, capsys):
     _, conf, cache_dir = workdir
     assert main(["preprocess", "--config", str(conf)]) == 0
@@ -274,3 +289,5 @@ def test_threads_env_plumbing(monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "4"
     _set_threads(["--threads=3"])
     assert os.environ["OMP_NUM_THREADS"] == "3"
+    # the propagation threads follow the flag too
+    assert os.environ["GAMLP_THREADS"] == "3"

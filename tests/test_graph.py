@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from gamlp.graph import add_self_loops, build_graph, normalize, spmm, unique_sorted
+from gamlp import graph
+from gamlp.graph import (PropagationOperator, add_self_loops, build_graph, normalize,
+                         row_blocks, spmm, spmm_threads, unique_sorted)
 
 from conftest import dense_ahat, operator_for, random_graph
 
@@ -222,3 +224,113 @@ def test_unique_sorted_matches_np_unique():
     for size in (0, 1, 2, 5, 1000):
         values = rng.integers(-20, 20, size=size)
         assert np.array_equal(unique_sorted(values), np.unique(values))
+
+
+def _operator(dense):
+    """Operator holding the nonzeros of ``dense`` as they are (rows may be empty)."""
+    rows, cols = np.nonzero(dense)
+    row_offsets = np.zeros(dense.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=dense.shape[0]), out=row_offsets[1:])
+    return PropagationOperator(n=dense.shape[0], row_offsets=row_offsets,
+                               col_indices=cols.astype(np.int64),
+                               values=dense[rows, cols], mode=0.5)
+
+
+def _hub_operator(rng, n):
+    # row 0 holds a full row, most other rows one entry, every fifth row none
+    dense = np.zeros((n, n))
+    dense[0] = rng.random(n) + 0.5
+    for i in range(1, n):
+        if i % 5:
+            dense[i, rng.integers(n)] = rng.random() + 0.5
+    return _operator(dense)
+
+
+def test_row_blocks_cut_by_nnz():
+    # the hub row holds 90 of 100 entries: it is a block on its own
+    hub = np.array([0, 90, 92, 94, 96, 98, 100])
+    assert row_blocks(hub, 2).tolist() == [0, 1, 6]
+    assert row_blocks(np.arange(0, 61, 10), 3).tolist() == [0, 2, 4, 6]
+    # fewer rows than parts: never an empty block
+    assert row_blocks(np.array([0, 1, 2]), 8).tolist() == [0, 1, 2]
+    assert row_blocks(np.array([0, 0, 0]), 4).tolist() == [0, 2]
+    assert row_blocks(hub, 1).tolist() == [0, 6]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+@pytest.mark.parametrize("with_out", [False, True])
+@pytest.mark.parametrize("chunk_bytes", [None, 24])
+def test_parallel_spmm_is_bit_identical_to_scipy(monkeypatch, threads, with_out,
+                                                  chunk_bytes):
+    monkeypatch.setenv("GAMLP_THREADS", str(threads))
+    if chunk_bytes is not None:  # chunks of 3 rows (or 1 row when d = 7)
+        monkeypatch.setattr(graph, "_CHUNK_BYTES", chunk_bytes)
+    assert spmm_threads() == threads
+    rng = np.random.default_rng(21)
+    cases = [
+        operator_for(build_graph([(0, 1)], 2), 0.5),        # fewer nodes than threads
+        operator_for(build_graph([], 1), 0.0),
+        _operator(np.diag([0.0, 2.0, 0.0, 0.0, 3.0, 0.0])),  # empty rows
+        _operator(np.zeros((5, 5))),                          # no entries at all
+        _hub_operator(rng, 60),                               # one row holds most nnz
+        operator_for(random_graph(rng, 300, 0.05), 0.5),
+    ]
+    for op in cases:
+        for d in (1, 7):
+            x = rng.standard_normal((op.n, d))
+            want = op.to_scipy() @ x
+            out = np.full((op.n, d), np.nan) if with_out else None
+            got = spmm(op, x, out=out)
+            assert np.array_equal(got, want)
+            if with_out:
+                assert got is out
+
+
+def test_spmm_reads_a_strided_or_float32_input_as_float64(monkeypatch):
+    monkeypatch.setenv("GAMLP_THREADS", "3")
+    op = _hub_operator(np.random.default_rng(22), 40)
+    x = np.random.default_rng(23).standard_normal((40, 6))
+    want = op.to_scipy() @ x[:, ::2]
+    assert np.array_equal(spmm(op, x[:, ::2]), want)
+    x32 = x.astype(np.float32)
+    assert np.array_equal(spmm(op, x32), op.to_scipy() @ x32.astype(np.float64))
+
+
+@pytest.mark.parametrize("make_out, message", [
+    (lambda x: np.empty((x.shape[0] + 1, x.shape[1])), "shape"),
+    (lambda x: np.empty((x.shape[0], x.shape[1] + 1)), "shape"),
+    (lambda x: np.empty(x.shape, dtype=np.float32), "float64"),
+    (lambda x: np.empty(x.shape, order="F"), "C-contiguous"),
+    (lambda x: np.empty((x.shape[0], 2 * x.shape[1]))[:, ::2], "C-contiguous"),
+    (lambda x: x, "overlap"),
+])
+def test_spmm_out_contract(make_out, message):
+    op = operator_for(random_graph(np.random.default_rng(24), 10, 0.3), 0.5)
+    x = np.random.default_rng(25).standard_normal((10, 3))
+    with pytest.raises(ValueError, match=message) as exc:
+        spmm(op, x, out=make_out(x))
+    assert "\n" not in str(exc.value)
+
+
+def test_spmm_out_must_not_overlap_a_view_of_its_input():
+    op = operator_for(random_graph(np.random.default_rng(26), 10, 0.3), 0.5)
+    buf = np.random.default_rng(27).standard_normal((11, 3))
+    with pytest.raises(ValueError, match="overlap"):
+        spmm(op, buf[:10], out=buf[1:])
+    # disjoint slots of one array are fine
+    stack = np.random.default_rng(28).standard_normal((2, 10, 3))
+    spmm(op, stack[0], out=stack[1])
+    assert np.array_equal(stack[1], op.to_scipy() @ stack[0])
+
+
+def test_spmm_threads_defaults_to_the_usable_cpus(monkeypatch):
+    import os
+    monkeypatch.delenv("GAMLP_THREADS", raising=False)
+    assert spmm_threads() == len(os.sched_getaffinity(0))
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two", "1.5"])
+def test_spmm_threads_rejects_a_bad_value(monkeypatch, value):
+    monkeypatch.setenv("GAMLP_THREADS", value)
+    with pytest.raises(ValueError, match="GAMLP_THREADS"):
+        spmm_threads()

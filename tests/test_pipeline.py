@@ -4,8 +4,9 @@ import pytest
 from gamlp.config import TrainConfig
 from gamlp.data import generate_sbm
 from gamlp.model import _stack_inputs
-from gamlp.pipeline import build_label_stack, build_stacks, load_stacks, preprocess
-from gamlp.propagation import ResidualScheme
+from gamlp.pipeline import (build_label_stack, build_stacks, cache_paths, load_stacks,
+                            preprocess)
+from gamlp.propagation import ResidualScheme, cache_write
 
 
 @pytest.fixture(scope="module")
@@ -52,3 +53,22 @@ def test_load_stacks_validates_a_label_cache_of_another_r_mode(sbm, tmp_path):
     feature_stack, label_stack = load_stacks(sbm, config)
     assert (feature_stack.mode, label_stack.mode) == (0.5, 0.0)
     assert label_stack.fingerprint == build_label_stack(sbm, config).fingerprint
+
+
+@pytest.mark.parametrize("overrides", [{}, {"label_hops": 0, "label_r_mode": 1.0}])
+def test_preprocess_writes_the_float64_stacks_rounded_once(sbm, tmp_path, overrides):
+    # preprocess builds float32 stacks, but every hop runs in float64: its
+    # files equal cache_write of the float64 in-memory stacks byte for byte
+    config = _config(tmp_path / "pre", **overrides)
+    written = preprocess(sbm, config)
+    feature_stack, label_stack = build_stacks(sbm, config)
+    expected = cache_paths(config, tmp_path / "f64")
+    expected[0].parent.mkdir()
+    cache_write(feature_stack, expected[0])
+    cache_write(label_stack, expected[1])
+    assert [p.read_bytes() for p in written] == [p.read_bytes() for p in expected]
+    f32 = build_stacks(sbm, config, np.float32)
+    for got, want in zip(f32, (feature_stack, label_stack)):
+        assert got.mats.dtype == np.float32
+        assert np.array_equal(got.mats, want.mats.astype(np.float32))
+        assert got.fingerprint == want.fingerprint
