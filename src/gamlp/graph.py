@@ -193,7 +193,7 @@ def spmm_threads() -> int:
 # allocates. Pool threads allocate from their own malloc arenas, which keep
 # what they free; block-sized temporaries there raised peak RSS by 5 MB on
 # a 40k-node graph.
-_CHUNK_BYTES = 2**21
+_CHUNK_BYTES = 2**22
 _pool: tuple[int, ThreadPoolExecutor | None] = (0, None)
 
 
@@ -218,8 +218,9 @@ def spmm(op: PropagationOperator, x: np.ndarray, out: np.ndarray | None = None) 
     """Sparse operator times dense matrix, exact in double precision.
 
     The rows are cut into one block per thread (:func:`spmm_threads`), by
-    equal nnz rather than equal row count. Each block's product runs in a
-    pool thread (scipy releases the GIL) and writes its own rows of
+    equal nnz rather than equal row count, but into no more blocks than
+    the output has chunks of ``_CHUNK_BYTES``. Each block's product runs
+    in a pool thread (scipy releases the GIL) and writes its own rows of
     ``out``, one chunk of rows at a time. Every row sums the same terms in
     the same order as one whole-matrix product, so the result is
     bit-identical to ``op.to_scipy() @ x`` at any thread count. ``out``,
@@ -249,9 +250,10 @@ def spmm(op: PropagationOperator, x: np.ndarray, out: np.ndarray | None = None) 
                                   shape=(b - a, op.n))
             out[a:b] = chunk @ x
 
-    threads = spmm_threads()
+    # an output of one chunk is not worth handing to the pool
+    threads = max(1, min(spmm_threads(), -(-out.nbytes // _CHUNK_BYTES)))
     bounds = row_blocks(indptr, threads)
-    if bounds.size == 2:
+    if bounds.size <= 2:
         product(0, op.n)
     else:
         list(_executor(threads).map(product, bounds[:-1], bounds[1:]))
