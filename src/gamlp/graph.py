@@ -189,10 +189,10 @@ def spmm_threads() -> int:
     return int(value)
 
 
-# Output bytes of one spmm chunk, the largest temporary a pool thread
-# allocates. Pool threads allocate from their own malloc arenas, which keep
-# what they free; block-sized temporaries there raised peak RSS by 5 MB on
-# a 40k-node graph.
+# Output bytes of one spmm chunk: the largest temporary a pool thread
+# allocates, and the least output worth a thread of its own. Pool threads
+# allocate from their own malloc arenas, which keep what they free;
+# block-sized temporaries there raised peak RSS by 5 MB on a 40k-node graph.
 _CHUNK_BYTES = 2**22
 _pool: tuple[int, ThreadPoolExecutor | None] = (0, None)
 
@@ -250,9 +250,8 @@ def spmm(op: PropagationOperator, x: np.ndarray, out: np.ndarray | None = None) 
                                   shape=(b - a, op.n))
             out[a:b] = chunk @ x
 
-    # an output of one chunk is not worth handing to the pool
-    threads = max(1, min(spmm_threads(), -(-out.nbytes // _CHUNK_BYTES)))
-    bounds = row_blocks(indptr, threads)
+    threads = spmm_threads()
+    bounds = row_blocks(indptr, max(1, min(threads, -(-out.nbytes // _CHUNK_BYTES))))
     if bounds.size <= 2:
         product(0, op.n)
     else:
