@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from gamlp import graph
 from gamlp.cli import main
 from gamlp.config import ConfigError, TrainConfig, parse_config
 from gamlp.data import generate_sbm, save_dataset
@@ -202,6 +203,8 @@ def test_preprocess_threads_do_not_change_the_caches(workdir, monkeypatch):
     for var in ("GAMLP_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
+    # 64-byte chunks, so that these 40-node products are cut into row blocks
+    monkeypatch.setattr(graph, "_CHUNK_BYTES", 64)
     assert main(["preprocess", "--config", str(conf)]) == 0
     blobs = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
     assert len(blobs) == 2

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,7 @@ def test_parallel_spmm_is_bit_identical_to_scipy(monkeypatch, threads, with_out,
 
 def test_spmm_reads_a_strided_or_float32_input_as_float64(monkeypatch):
     monkeypatch.setenv("GAMLP_THREADS", "3")
+    monkeypatch.setattr(graph, "_CHUNK_BYTES", 8)
     op = _hub_operator(np.random.default_rng(22), 40)
     x = np.random.default_rng(23).standard_normal((40, 6))
     want = op.to_scipy() @ x[:, ::2]
@@ -324,7 +327,6 @@ def test_spmm_out_must_not_overlap_a_view_of_its_input():
 
 
 def test_spmm_threads_defaults_to_the_usable_cpus(monkeypatch):
-    import os
     monkeypatch.delenv("GAMLP_THREADS", raising=False)
     assert spmm_threads() == len(os.sched_getaffinity(0))
 
