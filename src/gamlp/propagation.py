@@ -146,10 +146,9 @@ def _propagate(op: PropagationOperator, x0: np.ndarray, steps: int,
                max_steps: int, dtype) -> np.ndarray:
     """The (steps+1, n, d) stack of ``dtype``; every hop is computed in float64.
 
-    A float64 stack holds the chain itself, each hop written straight into
-    its slot. Any other dtype gets two reused float64 hop buffers, and each
-    hop is rounded once into its slot, so a float32 stack equals the float64
-    one cast to float32.
+    The chain runs through two reused float64 hop buffers, and each hop is
+    stored into its slot, rounded once, so a float32 stack equals the
+    float64 one cast to float32.
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
@@ -158,14 +157,12 @@ def _propagate(op: PropagationOperator, x0: np.ndarray, steps: int,
     if x0.ndim != 2 or x0.shape[0] != op.n:
         raise ValueError(f"seed matrix shape {x0.shape} does not match n={op.n}")
     mats = np.empty((steps + 1, *x0.shape), dtype=dtype)
-    chain = mats if mats.dtype == np.float64 else np.empty((2, *x0.shape))
-    chain[0] = x0
-    for k in range(steps + 1):
-        hop = chain[k % len(chain)]
-        if k:
-            spmm(op, chain[(k - 1) % len(chain)], out=hop)
-        if chain is not mats:
-            mats[k] = hop
+    buf = np.empty((2, *x0.shape))
+    buf[0] = x0
+    mats[0] = buf[0]
+    for k in range(1, steps + 1):
+        spmm(op, buf[(k - 1) % 2], out=buf[k % 2])
+        mats[k] = buf[k % 2]
     return mats
 
 
