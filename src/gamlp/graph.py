@@ -219,9 +219,10 @@ def spmm(op: PropagationOperator, x: np.ndarray, out: np.ndarray | None = None) 
 
     The rows are cut into one block per thread (:func:`spmm_threads`), by
     equal nnz rather than equal row count, but into no more blocks than
-    the output has chunks of ``_CHUNK_BYTES``. Each block's product runs
-    in a pool thread (scipy releases the GIL) and writes its own rows of
-    ``out``, one chunk of rows at a time. Every row sums the same terms in
+    the output has chunks of ``_CHUNK_BYTES``. The last block's product
+    runs in the calling thread and every other block's in a pool thread
+    (scipy releases the GIL); each writes its own rows of ``out``, one
+    chunk of rows at a time. Every row sums the same terms in
     the same order as one whole-matrix product, so the result is
     bit-identical to ``op.to_scipy() @ x`` at any thread count. ``out``,
     if given, must be a C-contiguous float64 (n, d) array that does not
@@ -252,8 +253,11 @@ def spmm(op: PropagationOperator, x: np.ndarray, out: np.ndarray | None = None) 
 
     threads = spmm_threads()
     bounds = row_blocks(indptr, max(1, min(threads, -(-out.nbytes // _CHUNK_BYTES))))
-    if bounds.size <= 2:
-        product(0, op.n)
-    else:
-        list(_executor(threads).map(product, bounds[:-1], bounds[1:]))
+    pool = _executor(threads)
+    futures = [pool.submit(product, lo, hi) for lo, hi in zip(bounds[:-2], bounds[1:-1])]
+    try:
+        product(bounds[-2], bounds[-1])
+    finally:
+        for f in futures:
+            f.result()
     return out
