@@ -197,14 +197,24 @@ def test_preprocess_idempotent_byte_identical(workdir):
         assert p.read_bytes() == blobs[p.name]
 
 
-def test_preprocess_threads_do_not_change_the_caches(workdir, monkeypatch):
-    _, conf, cache_dir = workdir
-    # main exports the thread count; restore every variable it sets afterwards
+@pytest.fixture
+def thread_env(monkeypatch):
+    """Unset the variables ``--threads`` exports, and restore them after the test.
+
+    ``setenv`` before ``delenv`` makes monkeypatch record a variable that
+    was unset, so one the test sets is removed again afterwards.
+    """
     for var in ("GAMLP_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv(var, "")
+        monkeypatch.delenv(var)
+    return monkeypatch
+
+
+def test_preprocess_threads_do_not_change_the_caches(workdir, thread_env):
+    _, conf, cache_dir = workdir
     # 64-byte chunks, so that these 40-node products are cut into row blocks
-    monkeypatch.setattr(graph, "_CHUNK_BYTES", 64)
+    thread_env.setattr(graph, "_CHUNK_BYTES", 64)
     assert main(["preprocess", "--config", str(conf)]) == 0
     blobs = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
     assert len(blobs) == 2
@@ -282,10 +292,9 @@ def test_seed_override(workdir, capsys):
     assert first.splitlines()[0] == second.splitlines()[0]
 
 
-def test_threads_env_plumbing(monkeypatch):
+def test_threads_env_plumbing(thread_env):
     from gamlp.cli import _set_threads
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    monkeypatch.setenv("GAMLP_THREADS", "2")
+    thread_env.setenv("GAMLP_THREADS", "2")
     _set_threads([])
     assert os.environ["OMP_NUM_THREADS"] == "2"
     _set_threads(["--threads", "4"])
