@@ -184,7 +184,10 @@ def _cmd_ablate(args) -> int:
 def _parse_buckets(spec: str):
     buckets = []
     for part in spec.split(","):
-        lo, hi = part.split("-")
+        lo, sep, hi = part.strip().partition("-")
+        if not (sep and lo.isdigit() and hi.isdigit() and int(lo) <= int(hi)):
+            raise ValueError(f"--buckets: bad degree bucket {part!r} in {spec!r}; "
+                             "expected lo-hi with integers lo <= hi")
         buckets.append((int(lo), int(hi)))
     return buckets
 
@@ -193,6 +196,7 @@ def _cmd_export_attention(args) -> int:
     from .model import export_attention, restore_model, write_attention_csv
     from .pipeline import load_stacks
 
+    buckets = _parse_buckets(args.buckets)
     config, dataset = _load(args)
     if not os.path.exists(args.checkpoint):
         raise FileNotFoundError(f"checkpoint {args.checkpoint} not found; "
@@ -201,7 +205,7 @@ def _cmd_export_attention(args) -> int:
     model = restore_model(args.checkpoint, config, feature_stack, label_stack)
     degrees = dataset.graph.degrees()
     per_node, per_bucket = export_attention(model, feature_stack, label_stack,
-                                            degrees, _parse_buckets(args.buckets))
+                                            degrees, buckets)
     node_path = f"{args.out}_nodes.csv"
     bucket_path = f"{args.out}_buckets.csv"
     write_attention_csv(per_node, per_bucket, node_path, bucket_path,

@@ -133,10 +133,11 @@ def _read_features(directory: Path) -> np.ndarray:
             if len(header) < 20 or header[:4] != _FEAT_MAGIC:
                 raise DatasetError(f"{bin_path}: not a feature file (bad magic)")
             n, dim = struct.unpack("<QQ", header[4:])
-            data = np.frombuffer(f.read(), dtype="<f4")
-        if data.size != n * dim:
-            raise DatasetError(f"{bin_path}: expected {n * dim} values, found {data.size}")
-        return data.reshape(n, dim).astype(np.float64)
+            payload = f.read()
+        if len(payload) != 4 * n * dim:
+            raise DatasetError(f"{bin_path}: expected {4 * n * dim} bytes of float32 "
+                               f"values after the header, found {len(payload)}")
+        return np.frombuffer(payload, dtype="<f4").reshape(n, dim).astype(np.float64)
     if csv_path.exists():
         try:
             x = np.loadtxt(csv_path, delimiter=",", dtype=np.float64, ndmin=2)

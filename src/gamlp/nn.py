@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-ACTIVATIONS = ("leaky_relu", "relu", "sigmoid")
+from .config import ACTIVATION_KINDS
 
 
 class NonFiniteError(FloatingPointError):
@@ -72,7 +72,7 @@ class Activation:
     slope: float = 0.2  # leaky_relu only
 
     def __post_init__(self):
-        if self.kind not in ACTIVATIONS:
+        if self.kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {self.kind!r}")
 
     def forward(self, x: np.ndarray) -> np.ndarray:

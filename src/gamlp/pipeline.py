@@ -48,14 +48,14 @@ def build_stacks(dataset: Dataset, config: TrainConfig, dtype=np.float64):
 
 def cache_paths(config: TrainConfig, cache_dir=None):
     base = Path(cache_dir if cache_dir is not None else config.cache_dir)
-    feat = base / f"features_K{config.hops}_r{config.r_mode:g}.gmlp"
+    feat = base / f"features_K{config.hops}_r{config.r_mode:g}.npy"
     label = base / (f"labels_L{config.effective_label_hops}"
-                    f"_r{config.effective_label_r_mode:g}.gmlp")
+                    f"_r{config.effective_label_r_mode:g}.npy")
     return feat, label
 
 
 def preprocess(dataset: Dataset, config: TrainConfig, cache_dir=None):
-    """Build the stacks once and persist them; returns the written paths.
+    """Build the stacks once and persist them; returns the ``.npy`` paths written.
 
     The stacks are built straight in float32, the dtype the caches store;
     the files equal those written from float64 stacks byte for byte.

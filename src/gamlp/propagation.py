@@ -2,8 +2,8 @@
 
 Propagation is the one graph-touching step of the whole pipeline: the
 stacks  [X^(0) ... X^(K)]  and  [Y^(0) ... Y^(L)]  are computed once and
-written to a binary cache. Training afterwards treats nodes as independent
-rows and never sees the graph again.
+written to a ``.npy`` cache. Training afterwards treats nodes as
+independent rows and never sees the graph again.
 
 The last-residual label smoothing is not stored. It is a per-row blend of
 the cached label steps, so :func:`apply_last_residual` recomputes it from
@@ -14,20 +14,21 @@ blend of another scheme.
 A stack is one C-contiguous array of shape (S+1, n, d), step-major:
 ``mats[k]`` is the n x d matrix of step k, and one gather along axis 1
 takes the rows of a node set from every step. Step-major is also the
-cache file order, so each step is written and read as one contiguous block.
+cache file order, so the whole stack is written and read as one block.
 
 All propagation arithmetic runs in double precision; the caller picks the
 dtype the stack stores. Stacks built in memory for experiments and tests
 are float64 by default, while ``pipeline.preprocess`` builds float32
 stacks, the dtype of the cache files, rounding each hop once as it is
-stored. Cache files store matrices as little-endian float32, and a stack
-read from a cache keeps them as float32 (a second round trip is the
+stored. Cache files store the stack as little-endian float32, and a stack
+read from a cache keeps it as float32 (a second round trip is the
 identity); a model computes in the dtype of the stacks it is fitted on.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import os
 import struct
@@ -39,22 +40,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import CsrGraph, PropagationOperator, spmm
-
-MAX_STEPS = 128
-
-_MAGIC = b"GMLP"
-_VERSION = 2
-_HEADER = struct.Struct("<4sIBQQIB32s")  # magic, version, kind, n, dim, steps,
-                                         # r-mode, fingerprint
-_KIND_FEATURE = 0
-_KIND_LABEL = 1
-_R_CODES = {0.0: 0, 0.5: 1, 1.0: 2}
-_R_FROM_CODE = {v: k for k, v in _R_CODES.items()}
+from .config import MAX_HOPS, RESIDUAL_KINDS
+from .graph import PropagationOperator, spmm
 
 
 class CacheFormatError(Exception):
-    """Bad magic/version or a truncated cache file."""
+    """A cache file or its sidecar is missing, malformed or truncated."""
 
 
 class FingerprintMismatch(Exception):
@@ -69,7 +60,7 @@ class ResidualScheme:
     fixed_alpha: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("cosine", "linear", "fixed"):
+        if self.kind not in RESIDUAL_KINDS:
             raise ValueError(f"unknown residual scheme {self.kind!r}")
         if self.kind == "fixed" and not 0.0 <= self.fixed_alpha <= 1.0:
             raise ValueError("fixed_alpha must lie in [0, 1]")
@@ -97,7 +88,6 @@ class _Stack:
     """
 
     mats: np.ndarray
-    mode: float
     fingerprint: bytes
 
     @property
@@ -142,8 +132,7 @@ def stack_fingerprint(graph_or_op, x0: np.ndarray, steps: int, r: float) -> byte
     return h.digest()
 
 
-def _propagate(op: PropagationOperator, x0: np.ndarray, steps: int,
-               max_steps: int, dtype) -> np.ndarray:
+def _propagate(op: PropagationOperator, x0: np.ndarray, steps: int, dtype) -> np.ndarray:
     """The (steps+1, n, d) stack of ``dtype``; every hop is computed in float64.
 
     The chain runs through two reused float64 hop buffers, and each hop is
@@ -152,8 +141,8 @@ def _propagate(op: PropagationOperator, x0: np.ndarray, steps: int,
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
-    if steps > max_steps:
-        raise ValueError(f"step count {steps} exceeds supported maximum {max_steps}")
+    if steps > MAX_HOPS:
+        raise ValueError(f"step count {steps} exceeds supported maximum {MAX_HOPS}")
     if x0.ndim != 2 or x0.shape[0] != op.n:
         raise ValueError(f"seed matrix shape {x0.shape} does not match n={op.n}")
     mats = np.empty((steps + 1, *x0.shape), dtype=dtype)
@@ -167,14 +156,13 @@ def _propagate(op: PropagationOperator, x0: np.ndarray, steps: int,
 
 
 def propagate_features(op: PropagationOperator, x0: np.ndarray, steps: int,
-                       max_steps: int = MAX_STEPS, dtype=np.float64) -> FeatureStack:
+                       dtype=np.float64) -> FeatureStack:
     """Iteratively apply the operator: X^(k) = A_hat X^(k-1), k = 1..K.
 
     Each hop runs in float64; ``dtype`` is the dtype the stack stores.
     """
-    mats = _propagate(op, x0, steps, max_steps, dtype)
-    return FeatureStack(mats=mats, mode=op.mode,
-                        fingerprint=stack_fingerprint(op, x0, steps, op.mode))
+    mats = _propagate(op, x0, steps, dtype)
+    return FeatureStack(mats=mats, fingerprint=stack_fingerprint(op, x0, steps, op.mode))
 
 
 def build_label_seed(labels, train_ids, n: int, num_classes: int) -> np.ndarray:
@@ -198,14 +186,13 @@ def build_label_seed(labels, train_ids, n: int, num_classes: int) -> np.ndarray:
 
 
 def propagate_labels(op: PropagationOperator, y0: np.ndarray, steps: int,
-                     max_steps: int = MAX_STEPS, dtype=np.float64) -> LabelStack:
+                     dtype=np.float64) -> LabelStack:
     """Iteratively apply the operator to the label seed (smoothing not applied).
 
     Each hop runs in float64; ``dtype`` is the dtype the stack stores.
     """
-    mats = _propagate(op, y0, steps, max_steps, dtype)
-    return LabelStack(mats=mats, mode=op.mode,
-                      fingerprint=stack_fingerprint(op, y0, steps, op.mode))
+    mats = _propagate(op, y0, steps, dtype)
+    return LabelStack(mats=mats, fingerprint=stack_fingerprint(op, y0, steps, op.mode))
 
 
 def apply_last_residual(mats: np.ndarray, scheme: ResidualScheme) -> np.ndarray:
@@ -245,51 +232,56 @@ def atomic_write(path, mode: str = "xb", **open_kwargs):
         raise
 
 
-def cache_write(stack: FeatureStack | LabelStack, path) -> None:
-    """Write a stack to its binary cache file, atomically.
+def _read_sidecar(path) -> dict:
+    with open(Path(path).with_suffix(".json"), encoding="utf-8") as f:
+        return json.load(f)
 
-    Float32 stacks are written as they are; float64 steps are rounded to
-    float32 one at a time.
+
+def cache_write(stack: FeatureStack | LabelStack, path) -> None:
+    """Write the stack to ``path`` as float32 ``.npy`` and its sidecar ``<stem>.json``.
+
+    Both go to temporaries first; then the old sidecar is removed, the array
+    renamed into place and the new sidecar last. A failed write leaves the
+    previous pair readable, and a crash between the renames leaves no
+    sidecar, so the cache is refused.
     """
-    kind = _KIND_LABEL if isinstance(stack, LabelStack) else _KIND_FEATURE
-    header = _HEADER.pack(_MAGIC, _VERSION, kind, stack.n, stack.dim, stack.steps,
-                          _R_CODES[stack.mode], stack.fingerprint)
-    with atomic_write(path) as f:
-        f.write(header)
-        for m in stack.mats:
-            f.write(np.ascontiguousarray(m, dtype="<f4"))
+    sidecar = Path(path).with_suffix(".json")
+    kind = "labels" if isinstance(stack, LabelStack) else "features"
+    with atomic_write(sidecar, "x", encoding="utf-8") as meta:
+        json.dump({"kind": kind, "fingerprint": stack.fingerprint.hex()}, meta)
+        with atomic_write(path) as f:
+            np.save(f, np.asarray(stack.mats, dtype="<f4"))
+            sidecar.unlink(missing_ok=True)
 
 
 def cache_read(path, expect_fingerprint: bytes | None = None,
                force: bool = False) -> FeatureStack | LabelStack:
-    """Read a stack back; refuses fingerprint mismatches unless forced."""
-    with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-        if len(head) < _HEADER.size or head[:4] != _MAGIC:
-            raise CacheFormatError(f"{path}: not a propagation cache (bad magic)")
-        _, version, kind, n, dim, steps, r_code, fingerprint = _HEADER.unpack(head)
-        if version != _VERSION:
-            raise CacheFormatError(
-                f"{path}: cache format version {version} is not supported (expected "
-                f"{_VERSION}); rerun gamlp preprocess")
+    """Read a stack back; refuses fingerprint mismatches unless forced.
+
+    The sidecar is read, and its fingerprint checked, before the array; a
+    sidecar that changed by the time the array is read means another
+    ``cache_write`` replaced the pair. Any malformed part raises a one-line
+    :class:`CacheFormatError`.
+    """
+    try:
+        meta = _read_sidecar(path)
+        cls = {"features": FeatureStack, "labels": LabelStack}[meta["kind"]]
+        fingerprint = bytes.fromhex(meta["fingerprint"])
         if expect_fingerprint is not None and fingerprint != expect_fingerprint:
             if not force:
                 raise FingerprintMismatch(
                     f"{path}: cache fingerprint does not match the current graph/input; "
                     "rerun preprocess or pass force=True to use it anyway")
             warnings.warn(f"{path}: using cache despite a fingerprint mismatch")
-        expected = _HEADER.size + (steps + 1) * n * dim * 4
-        size = os.fstat(f.fileno()).st_size
-        if size != expected:
-            raise CacheFormatError(
-                f"{path}: truncated or oversized cache ({size} bytes, expected {expected})")
-        mats = np.empty((steps + 1, n, dim), dtype=np.float32)
-        for k, m in enumerate(mats):
-            # each step is copied into its slot straight from the file's
-            # pages, one step mapped at a time, with no read buffer
-            if os.fstat(f.fileno()).st_size != expected:
-                raise CacheFormatError(f"{path}: file shrank while it was read")
-            m[...] = np.memmap(f, dtype="<f4", mode="r", shape=(n, dim),
-                               offset=_HEADER.size + k * n * dim * 4)
-    cls = LabelStack if kind == _KIND_LABEL else FeatureStack
-    return cls(mats=mats, mode=_R_FROM_CODE[r_code], fingerprint=fingerprint)
+        with open(path, "rb") as f:
+            np.lib.format.read_magic(f)  # np.load takes any other file for a pickle
+            f.seek(0)
+            mats = np.load(f, allow_pickle=False)
+        if mats.ndim != 3 or mats.dtype != np.dtype("<f4"):
+            raise ValueError(f"expected a 3-d float32 array, found {mats.dtype} "
+                             f"of shape {mats.shape}")
+        if _read_sidecar(path) != meta:
+            raise ValueError("the cache was replaced while it was read")
+    except (ValueError, OSError, KeyError, TypeError) as e:
+        raise CacheFormatError(f"{path}: {e}; rerun gamlp preprocess") from None
+    return cls(mats=mats, fingerprint=fingerprint)

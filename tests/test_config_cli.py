@@ -217,7 +217,8 @@ def test_preprocess_threads_do_not_change_the_caches(workdir, thread_env):
     thread_env.setattr(graph, "_CHUNK_BYTES", 64)
     assert main(["preprocess", "--config", str(conf)]) == 0
     blobs = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
-    assert len(blobs) == 2
+    # two .npy caches and their .json sidecars
+    assert sorted(p.suffix for p in cache_dir.iterdir()) == [".json"] * 2 + [".npy"] * 2
     for threads in ("1", "3"):
         assert main(["preprocess", "--config", str(conf), "--threads", threads]) == 0
         assert os.environ["GAMLP_THREADS"] == threads
@@ -271,6 +272,20 @@ def test_export_attention_cli(workdir):
     assert len(nodes) == 41
     buckets = (tmp_path / "att_buckets.csv").read_text().splitlines()
     assert buckets[0].startswith("degree_range,count,w0")
+
+
+@pytest.mark.parametrize("spec, bad", [("1-4,5", "5"), ("1-4,", ""), ("a-b", "a-b"),
+                                       ("8-5", "8-5"), ("-3", "-3")])
+def test_export_attention_rejects_malformed_buckets(workdir, capsys, spec, bad):
+    tmp_path, conf, cache_dir = workdir
+    code = main(["export-attention", "--config", str(conf),
+                 "--checkpoint", str(cache_dir / "checkpoint.gmck"),
+                 "--out", str(tmp_path / "att"), "--buckets", spec])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert repr(bad) in err[0] and "lo-hi" in err[0] and "lo <= hi" in err[0]
+    assert not (tmp_path / "att_buckets.csv").exists()
 
 
 def test_train_with_sgd_optimizer(workdir, tmp_path):

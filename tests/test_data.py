@@ -27,6 +27,17 @@ def write_fixture(root, features_kind="csv"):
     return root
 
 
+@pytest.mark.parametrize("cut", [3, 4])
+def test_load_rejects_a_truncated_feature_file(tmp_path, cut):
+    # cut mid-value or at a value boundary: either way the file is named
+    save_dataset(generate_sbm([5, 5], 0.5, 0.1, 3, 2.0, seed=0), tmp_path)
+    path = tmp_path / "features.bin"
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(DatasetError) as err:
+        load_dataset(tmp_path)
+    assert str(err.value).startswith(f"{path}: expected 120 bytes")
+
+
 def test_load_fixture_csv(tmp_path):
     ds = load_dataset(write_fixture(tmp_path / "toy"))
     assert ds.n == 3

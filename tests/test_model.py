@@ -675,9 +675,8 @@ def test_predict_memory_does_not_grow_with_the_stacks():
     # such as blending every label row, would exceed the bound on its own
     n, dim, steps = 20000, 16, 7
     rng = np.random.default_rng(4)
-    fs = FeatureStack(mats=rng.standard_normal((steps + 1, n, dim)), mode=0.5,
-                      fingerprint=bytes(32))
-    ls = LabelStack(mats=rng.random((steps + 1, n, dim)), mode=0.5, fingerprint=bytes(32))
+    fs = FeatureStack(mats=rng.standard_normal((steps + 1, n, dim)), fingerprint=bytes(32))
+    ls = LabelStack(mats=rng.random((steps + 1, n, dim)), fingerprint=bytes(32))
     cfg = TrainConfig(dataset_dir="unused", hops=steps, hidden=8, reference="normal_noise",
                       label_mode="smoothed", zero_self_label=True).validate()
     model = GamlpModel(cfg, n, dim, dim, steps, steps, rng)
@@ -714,7 +713,7 @@ def test_zero_self_label_matches_reference_zeroing(label_mode, scheme):
     ds, cfg, fs, ls = _toy_setup(label_mode=label_mode, **SCHEMES[scheme])
     before = ls.mats.copy()
     reference = _zero_seed_rows_reference(
-        LabelStack(mats=ls.mats.copy(), mode=ls.mode, fingerprint=ls.fingerprint),
+        LabelStack(mats=ls.mats.copy(), fingerprint=ls.fingerprint),
         ds.splits.train)
     feats, got = _stack_inputs(fs, ls, cfg.replace(zero_self_label=True))
     want_feats, want = _stack_inputs(fs, reference, cfg)
@@ -843,7 +842,7 @@ def test_restore_model_ignores_the_directories(tmp_path):
 
 def test_restore_model_refuses_another_label_stack(tmp_path):
     cfg, fs, ls, _, path = _fitted(tmp_path)
-    other = LabelStack(mats=ls.mats, mode=ls.mode, fingerprint=bytes(32))
+    other = LabelStack(mats=ls.mats, fingerprint=bytes(32))
     with pytest.raises(CheckpointMismatch, match="fingerprint/labels differs"):
         restore_model(path, cfg, fs, other)
 

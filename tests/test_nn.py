@@ -272,7 +272,7 @@ def test_glorot_bounds():
 def _save(path, params, optimizer=None):
     """Checkpoint bare parameters as if they were a model without labels."""
     model = SimpleNamespace(params=params, config=TrainConfig(use_labels=False))
-    stack = FeatureStack(mats=np.zeros((1, 1, 1)), mode=0.5, fingerprint=b"\1" * 32)
+    stack = FeatureStack(mats=np.zeros((1, 1, 1)), fingerprint=b"\1" * 32)
     save_checkpoint(path, model, optimizer, stack, None)
 
 

@@ -4,8 +4,8 @@ import pytest
 from gamlp.config import TrainConfig
 from gamlp.data import generate_sbm
 from gamlp.model import _stack_inputs
-from gamlp.pipeline import (build_label_stack, build_stacks, cache_paths, load_stacks,
-                            preprocess)
+from gamlp.pipeline import (build_feature_stack, build_label_stack, build_stacks,
+                            cache_paths, load_stacks, preprocess)
 from gamlp.propagation import ResidualScheme, cache_write
 
 
@@ -51,8 +51,23 @@ def test_load_stacks_validates_a_label_cache_of_another_r_mode(sbm, tmp_path):
     config = _config(tmp_path, r_mode=0.5, label_r_mode=0.0)
     preprocess(sbm, config)
     feature_stack, label_stack = load_stacks(sbm, config)
-    assert (feature_stack.mode, label_stack.mode) == (0.5, 0.0)
+    assert feature_stack.fingerprint == build_feature_stack(sbm, config).fingerprint
     assert label_stack.fingerprint == build_label_stack(sbm, config).fingerprint
+    assert label_stack.fingerprint != build_label_stack(
+        sbm, config.replace(label_r_mode=0.5)).fingerprint
+
+
+def test_preprocess_writes_two_npy_caches_and_their_sidecars(sbm, tmp_path):
+    # the benchmark checks that preprocess returns exactly the two cache paths
+    config = _config(tmp_path / "cache")
+    written = preprocess(sbm, config)
+    assert written == list(cache_paths(config))
+    assert [p.suffix for p in written] == [".npy", ".npy"]
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
+        name for p in written for name in (p.name, p.with_suffix(".json").name))
+    feature_stack, label_stack = load_stacks(sbm, config)
+    assert (feature_stack.steps, label_stack.steps) == (3, config.effective_label_hops)
+    assert feature_stack.mats.dtype == label_stack.mats.dtype == np.float32
 
 
 @pytest.mark.parametrize("overrides", [{}, {"label_hops": 0, "label_r_mode": 1.0}])

@@ -1,4 +1,4 @@
-import struct
+import json
 
 import numpy as np
 import pytest
@@ -212,17 +212,19 @@ def _feature_stack(rng, n=10, steps=3):
 
 def test_cache_round_trip_features(tmp_path):
     stack = _feature_stack(np.random.default_rng(0))
-    path = tmp_path / "f.gmlp"
+    path = tmp_path / "f.npy"
     cache_write(stack, path)
+    assert json.loads((tmp_path / "f.json").read_text()) == {
+        "kind": "features", "fingerprint": stack.fingerprint.hex()}
     loaded = cache_read(path)
     # values survive as their float32 representation; a second trip is exact
-    path2 = tmp_path / "f2.gmlp"
+    path2 = tmp_path / "f2.npy"
     cache_write(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
     again = cache_read(path2)
     for a, b in zip(loaded.mats, again.mats):
         assert np.array_equal(a, b)
-    assert loaded.mode == stack.mode
+    assert isinstance(loaded, FeatureStack)
     assert loaded.fingerprint == stack.fingerprint
     assert loaded.steps == stack.steps
 
@@ -243,7 +245,7 @@ def test_stacks_are_one_contiguous_array(tmp_path):
     features = _feature_stack(rng, n=10, steps=3)
     labels, _ = _label_stack(rng, n=12, steps=4)
     for stack in (features, labels):
-        path = tmp_path / "s.gmlp"
+        path = tmp_path / "s.npy"
         cache_write(stack, path)
         loaded = cache_read(path)
         # propagation computes in float64; a cache read keeps the stored float32
@@ -258,73 +260,97 @@ def test_stacks_are_one_contiguous_array(tmp_path):
 
 def test_cache_round_trip_labels(tmp_path):
     stack, _ = _label_stack(np.random.default_rng(1))
-    path = tmp_path / "l.gmlp"
+    path = tmp_path / "l.npy"
     cache_write(stack, path)
-    # a 62-byte header (magic, version, kind, n, c, L, r mode, fingerprint)
-    # and the raw steps only: no smoothed copy is stored
-    assert path.stat().st_size == 62 + (stack.steps + 1) * stack.n * stack.dim * 4
+    # the 128-byte npy header and the raw steps only: no smoothed copy is stored
+    assert path.stat().st_size == 128 + (stack.steps + 1) * stack.n * stack.dim * 4
     loaded = cache_read(path)
     assert isinstance(loaded, LabelStack)
+    assert loaded.fingerprint == stack.fingerprint
     for a, b in zip(loaded.mats, stack.mats):
         assert np.allclose(a, b, atol=1e-7)
-    path2 = tmp_path / "l2.gmlp"
+    path2 = tmp_path / "l2.npy"
     cache_write(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+    assert (tmp_path / "l.json").read_bytes() == (tmp_path / "l2.json").read_bytes()
 
 
-def test_cache_of_format_version_1_asks_for_a_new_preprocess(tmp_path):
-    # version 1 also stored the residual scheme and the smoothed matrices
-    n, c, steps = 4, 3, 2
-    header = struct.pack("<4sIBQQIBBd32s", b"GMLP", 1, 1, n, c, steps, 0, 2, 0.7,
-                         b"\0" * 32)
-    path = tmp_path / "old.gmlp"
-    path.write_bytes(header + np.zeros(2 * (steps + 1) * n * c, dtype="<f4").tobytes())
+def _refused(path) -> str:
+    """The one-line message ``cache_read`` refuses ``path`` with."""
     with pytest.raises(CacheFormatError) as err:
         cache_read(path)
     message = str(err.value)
     assert "\n" not in message
-    assert message.startswith(f"{path}: ") and "version 1" in message
-    assert message.endswith("rerun gamlp preprocess")
+    assert message.startswith(f"{path}: ") and message.endswith("rerun gamlp preprocess")
+    return message
 
 
-def test_cache_rejects_bad_magic(tmp_path):
-    path = tmp_path / "bad.gmlp"
-    path.write_bytes(b"NOPE" + b"\0" * 100)
-    with pytest.raises(CacheFormatError):
-        cache_read(path)
+def test_cache_without_sidecar_asks_for_a_new_preprocess(tmp_path):
+    cache_write(_feature_stack(np.random.default_rng(2)), tmp_path / "f.npy")
+    (tmp_path / "f.json").unlink()
+    assert "f.json" in _refused(tmp_path / "f.npy")
+    # a stray cache of the former format has no sidecar either
+    old = tmp_path / "features_K3_r0.5.gmlp"
+    old.write_bytes(b"GMLP" + bytes(58 + 4 * 12))
+    assert "features_K3_r0.5.json" in _refused(old)
+
+
+@pytest.mark.parametrize("sidecar", ['{"kind": "features"}', '{"kind": "x", "fingerprint": ""}',
+                                     '{"kind": "labels", "fingerprint": "zz"}', "[]", "{"])
+def test_cache_rejects_a_malformed_sidecar(tmp_path, sidecar):
+    cache_write(_feature_stack(np.random.default_rng(2)), tmp_path / "f.npy")
+    (tmp_path / "f.json").write_text(sidecar)
+    _refused(tmp_path / "f.npy")
+
+
+@pytest.mark.parametrize("payload", [b"", b"NOPE" + b"\0" * 100, b"\x93NUMPY\x01\x00"],
+                         ids=["empty", "not_npy", "header_cut"])
+def test_cache_rejects_non_npy_bytes(tmp_path, payload):
+    cache_write(_feature_stack(np.random.default_rng(2)), tmp_path / "f.npy")
+    (tmp_path / "f.npy").write_bytes(payload)
+    _refused(tmp_path / "f.npy")
+
+
+@pytest.mark.parametrize("array", [np.zeros((2, 3), np.float32), np.zeros((1, 2, 3)),
+                                   np.zeros((1, 2, 3), ">f4")],
+                         ids=["2d", "float64", "big_endian"])
+def test_cache_rejects_another_array(tmp_path, array):
+    cache_write(_feature_stack(np.random.default_rng(2)), tmp_path / "f.npy")
+    np.save(tmp_path / "f.npy", array)
+    assert "3-d float32" in _refused(tmp_path / "f.npy")
 
 
 def test_cache_rejects_truncation(tmp_path):
     stack = _feature_stack(np.random.default_rng(3))
-    path = tmp_path / "t.gmlp"
+    path = tmp_path / "t.npy"
     cache_write(stack, path)
     raw = path.read_bytes()
     path.write_bytes(raw[:len(raw) - 13])
-    with pytest.raises(CacheFormatError):
-        cache_read(path)
+    assert "Failed to read all data" in _refused(path)
 
 
-def test_cache_cut_short_while_read_is_refused(tmp_path, monkeypatch):
-    stack = _feature_stack(np.random.default_rng(3))
-    path = tmp_path / "t.gmlp"
+def test_cache_replaced_while_read_is_refused(tmp_path, monkeypatch):
+    # a preprocess that replaces the pair between the sidecar read and the
+    # array read: the array read is the old one, the sidecar then the new one
+    rng = np.random.default_rng(3)
+    stack, other = _feature_stack(rng), _feature_stack(rng)
+    path = tmp_path / "t.npy"
     cache_write(stack, path)
-    memmap = np.memmap
+    load = np.load
 
-    def map_then_truncate(*args, **kwargs):
-        # copy the step out, so that no mapping outlives the truncation
-        step = np.array(memmap(*args, **kwargs))
-        with open(path, "r+b") as f:
-            f.truncate(path.stat().st_size - 13)
-        return step
+    def load_then_replace(*args, **kwargs):
+        cache_write(other, path)
+        return load(*args, **kwargs)
 
-    monkeypatch.setattr(np, "memmap", map_then_truncate)
-    with pytest.raises(CacheFormatError, match="shrank"):
-        cache_read(path)
+    monkeypatch.setattr(np, "load", load_then_replace)
+    assert "replaced while it was read" in _refused(path)
+    monkeypatch.undo()
+    assert cache_read(path).fingerprint == other.fingerprint
 
 
 def test_cache_fingerprint_guard(tmp_path):
     stack = _feature_stack(np.random.default_rng(4))
-    path = tmp_path / "fp.gmlp"
+    path = tmp_path / "fp.npy"
     cache_write(stack, path)
     with pytest.raises(FingerprintMismatch):
         cache_read(path, expect_fingerprint=b"\0" * 32)
@@ -344,14 +370,14 @@ class _FailingMatrix:
 
 def test_cache_write_failure_keeps_previous_file(tmp_path):
     stack = _feature_stack(np.random.default_rng(5))
-    path = tmp_path / "f.gmlp"
+    path = tmp_path / "f.npy"
     cache_write(stack, path)
-    before = path.read_bytes()
-    # header and first matrix reach the file before the second one fails
-    broken = FeatureStack(mats=[stack.mats[0] + 1.0, _FailingMatrix()], mode=stack.mode,
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert sorted(before) == ["f.json", "f.npy"]
+    # both temporaries exist when the array fails to convert
+    broken = FeatureStack(mats=[stack.mats[0] + 1.0, _FailingMatrix()],
                           fingerprint=b"\1" * 32)
     with pytest.raises(OSError, match="no space"):
         cache_write(broken, path)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["f.gmlp"]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     assert cache_read(path, expect_fingerprint=stack.fingerprint).steps == stack.steps
