@@ -143,21 +143,16 @@ def _cmd_sweep(args) -> int:
     from .experiments import (method_config, run_depth_sweep, run_sparsity_sweep,
                               write_report)
 
+    levels = _parse_levels(args.levels, float if args.kind == "edge" else int)
     config, dataset = _load(args)
     methods = {name: method_config(config, name.strip())
                for name in args.methods.split(",") if name.strip()}
     base_seed = config.seed
     if args.kind == "depth":
-        levels = [int(v) for v in args.levels.split(",")]
         report = run_depth_sweep(dataset, levels, methods, n_runs=args.runs,
                                  base_seed=base_seed)
-    elif args.kind == "edge":
-        levels = [float(v) for v in args.levels.split(",")]
-        report = run_sparsity_sweep(dataset, "edge", levels, methods,
-                                    n_runs=args.runs, base_seed=base_seed)
     else:
-        levels = [int(v) for v in args.levels.split(",")]
-        report = run_sparsity_sweep(dataset, "label", levels, methods,
+        report = run_sparsity_sweep(dataset, args.kind, levels, methods,
                                     n_runs=args.runs, base_seed=base_seed)
     csv_path, json_path = write_report(report, args.out)
     for row in report["summary"]:
@@ -179,6 +174,17 @@ def _cmd_ablate(args) -> int:
               f"({row['n_runs']} runs)")
     print(f"wrote {csv_path} and {json_path}")
     return 0
+
+
+def _parse_levels(spec: str, number):
+    levels = []
+    for part in spec.split(","):
+        try:
+            levels.append(number(part.strip()))
+        except ValueError:
+            raise ValueError(f"--levels: bad level {part!r} in {spec!r}; "
+                             f"expected comma-separated {number.__name__}s") from None
+    return levels
 
 
 def _parse_buckets(spec: str):

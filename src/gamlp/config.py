@@ -101,6 +101,7 @@ class TrainConfig:
         require(self.jk_layers >= 1, "jk_layers must be >= 1")
         require(self.activation in ACTIVATION_KINDS,
                 f"activation must be one of {ACTIVATION_KINDS}")
+        require(0.0 <= self.leaky_slope <= 1.0, "leaky_slope must lie in [0, 1]")
         for key in ("input_dropout", "attention_dropout", "dropout"):
             require(0.0 <= getattr(self, key) < 1.0, f"{key} must lie in [0, 1)")
         require(self.lr >= 0.0, "lr must be nonnegative")

@@ -31,8 +31,8 @@ import numpy as np
 
 from .config import TrainConfig
 from .nn import (Activation, Adam, Mlp, NonFiniteError, ParamTensor, Sgd,
-                 cross_entropy, dropout, glorot_uniform, softmax_backward,
-                 softmax_rows)
+                 cross_entropy, dropout, dropout_backward, glorot_uniform,
+                 softmax_backward, softmax_rows)
 from .propagation import (FeatureStack, LabelStack, ResidualScheme, apply_last_residual,
                           atomic_write)
 
@@ -136,9 +136,7 @@ class RecursiveAttention:
             d_pre_sum[:, :d_pre.shape[1]] += d_pre
             row_sum = d_pre.sum(axis=1)
             self.s.grad[dim:] += rd.T @ row_sum
-            d_r = row_sum[:, None] * sb
-            if r_mask is not None:
-                d_r = d_r * r_mask
+            d_r = dropout_backward(row_sum[:, None] * sb, r_mask, self.attention_dropout)
         self.s.grad[:dim] += np.tensordot(d_pre_sum.T, xd, axes=2)
         # the round-0 combination is X^(0); nothing trainable upstream
 
@@ -191,9 +189,7 @@ class _JkEncoder:
         xs, z, mask = self._cache
         d_z = d_out
         if self.rest is not None:
-            d_z = self.rest.backward(d_out)
-            if mask is not None:
-                d_z = d_z * mask
+            d_z = dropout_backward(self.rest.backward(d_out), mask, self.dropout_rate)
             d_z = self.activation.backward(d_z, z)
         self.b1.grad += d_z.sum(axis=0)
         self.w1.grad += (xs.transpose(0, 2, 1) @ d_z).reshape(-1, self.hidden)
@@ -289,9 +285,8 @@ class JkAttention:
             row_sum = d_pre.sum(axis=1, keepdims=True)
             self.s.grad[dim:] += rd.T @ row_sum[:, 0]
             if self.reference == "jk" and self.encoder is not None:
-                d_ref = row_sum * self.s.value[dim:]
-                if r_mask is not None:
-                    d_ref = d_ref * r_mask
+                d_ref = dropout_backward(row_sum * self.s.value[dim:], r_mask,
+                                         self.attention_dropout)
                 self.encoder.backward(d_ref)
 
 

@@ -66,7 +66,14 @@ def linear_backward(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
 
 @dataclass(frozen=True)
 class Activation:
-    """Elementwise nonlinearity with its derivative."""
+    """Elementwise nonlinearity with its derivative.
+
+    Leaky ReLU multiplies by a factor k (1 where x >= 0, the slope
+    elsewhere) built without a per-element branch, which a random-signed
+    input would mispredict. For 0 <= slope <= 1 it equals
+    ``np.where(x >= 0, x, slope * x)`` bit for bit, -0.0, infinities and
+    NaN included, in float32 and float64.
+    """
 
     kind: str = "leaky_relu"
     slope: float = 0.2  # leaky_relu only
@@ -74,12 +81,24 @@ class Activation:
     def __post_init__(self):
         if self.kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {self.kind!r}")
+        if not 0.0 <= self.slope <= 1.0:
+            raise ValueError(f"leaky_slope must lie in [0, 1], got {self.slope}")
+
+    def _leaky_times(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """v times the leaky factor of x, in v's dtype."""
+        # in x's memory order: the attention scores are column-major, and
+        # softmax_rows reduces their short rows fast only in that order
+        k = np.greater_equal(x, 0.0, out=np.empty_like(x, dtype=v.dtype))
+        np.maximum(k, self.slope, out=k)
+        k *= v
+        return k
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "relu":
             return np.maximum(x, 0.0)
         if self.kind == "leaky_relu":
-            return np.where(x >= 0.0, x, self.slope * x)
+            # not max(x, slope * x): at slope 0 that turns +inf into 0 * inf = NaN
+            return self._leaky_times(x, x)
         return expit(x)
 
     def backward(self, d_out: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -87,8 +106,7 @@ class Activation:
         if self.kind == "relu":
             return d_out * (x > 0.0)
         if self.kind == "leaky_relu":
-            # no derivative array: a float64 one would upcast a float32 d_out
-            return np.where(x >= 0.0, d_out, self.slope * d_out)
+            return self._leaky_times(x, d_out)
         s = expit(x)
         return d_out * s * (1.0 - s)
 
@@ -125,17 +143,38 @@ def cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask: np.ndarray):
     return float(loss), grad
 
 
+def _dropout_scale(rate: float, dtype) -> np.generic:
+    """1 / (1 - rate), with both operands rounded to ``dtype`` before dividing."""
+    dtype = np.dtype(dtype)
+    return dtype.type(1.0) / dtype.type(1.0 - rate)
+
+
 def dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None,
             training: bool):
-    """Inverted dropout. Returns (output, mask); mask is None when inactive."""
+    """Inverted dropout. Returns (output, mask); mask is None when inactive.
+
+    The mask is the bool array ``rng.random(x.shape, dtype=x.dtype) < 1 - rate``;
+    the kept elements are scaled by 1 / (1 - rate), and the output keeps
+    x's dtype.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x, None
-    keep = 1.0 - rate
-    # drawn and built in x's dtype; for float64 the same stream as rng.random(shape)
-    mask = (rng.random(x.shape, dtype=x.dtype) < keep).astype(x.dtype) / keep
-    return x * mask, mask
+    draw = rng.random(x.shape, dtype=x.dtype)
+    mask = draw < 1.0 - rate
+    out = np.multiply(x, mask, out=draw)  # the draw's buffer becomes the output
+    out *= _dropout_scale(rate, out.dtype)
+    return out, mask
+
+
+def dropout_backward(d: np.ndarray, mask: np.ndarray | None, rate: float) -> np.ndarray:
+    """Gradient through :func:`dropout` given the mask it returned."""
+    if mask is None:
+        return d
+    out = np.multiply(d, mask)
+    out *= _dropout_scale(rate, out.dtype)
+    return out
 
 
 class Adam:
@@ -282,8 +321,7 @@ class Mlp:
         for i in range(len(self.layers) - 1, -1, -1):
             if i < len(self.layers) - 1:
                 pre, mask = self._cache[i]
-                if mask is not None:
-                    d_h = d_h * mask
+                d_h = dropout_backward(d_h, mask, self.dropout_rate)
                 d_h = self.activation.backward(d_h, pre)
             d_h = self.layers[i].backward(d_h)
         return d_h

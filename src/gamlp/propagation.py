@@ -277,6 +277,11 @@ def cache_read(path, expect_fingerprint: bytes | None = None,
             np.lib.format.read_magic(f)  # np.load takes any other file for a pickle
             f.seek(0)
             mats = np.load(f, allow_pickle=False)
+            # np.load stops after the element count its header gives: at the
+            # header offset plus mats.nbytes, which must be the file's end
+            extra = os.fstat(f.fileno()).st_size - f.tell()
+        if extra:
+            raise ValueError(f"{extra} bytes after the array data")
         if mats.ndim != 3 or mats.dtype != np.dtype("<f4"):
             raise ValueError(f"expected a 3-d float32 array, found {mats.dtype} "
                              f"of shape {mats.shape}")

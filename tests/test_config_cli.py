@@ -81,6 +81,14 @@ def test_config_validate_catches_bad_enum():
         TrainConfig(dataset_dir="d", combiner="gcn").validate()
 
 
+@pytest.mark.parametrize("slope", [-0.1, 1.5, float("nan")])
+def test_config_refuses_a_leaky_slope_outside_0_1(slope):
+    with pytest.raises(ConfigError, match=r"^leaky_slope must lie in \[0, 1\]$"):
+        TrainConfig(dataset_dir="d", leaky_slope=slope).validate()
+    for ok in (0.0, 1.0):
+        assert TrainConfig(dataset_dir="d", leaky_slope=ok).validate().leaky_slope == ok
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -256,6 +264,22 @@ def test_edge_sweep_cli(workdir):
                  "--levels", "0,0.5", "--methods", "sgc", "--runs", "1",
                  "--out", str(tmp_path / "reports" / "edge")])
     assert code == 0
+
+
+@pytest.mark.parametrize("kind, levels, bad", [("depth", "0,,2", "''"),
+                                               ("edge", "0,x", "'x'")])
+def test_sweep_rejects_malformed_levels_before_loading(workdir, capsys, monkeypatch,
+                                                        kind, levels, bad):
+    tmp_path, conf, _ = workdir
+    loads = []
+    monkeypatch.setattr("gamlp.data.load_dataset", loads.append)
+    code = main(["sweep", "--config", str(conf), "--kind", kind, "--levels", levels,
+                 "--methods", "sgc", "--out", str(tmp_path / "reports" / kind)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "--levels" in err[0] and bad in err[0]
+    assert loads == []
 
 
 def test_export_attention_cli(workdir):

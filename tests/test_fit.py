@@ -178,7 +178,10 @@ _KERNELS = [(gamlp.nn, "linear_forward"), (gamlp.nn, "linear_backward"),
 
 
 def _record_dtypes(monkeypatch) -> set:
-    """(kernel, dtype) of every array each kernel returns, until the test ends."""
+    """(kernel, dtype) of every float array each kernel returns, until the test ends.
+
+    Bool arrays (dropout masks) are skipped; they hold no computed values.
+    """
     seen = set()
 
     def spy(owner, name):
@@ -187,7 +190,7 @@ def _record_dtypes(monkeypatch) -> set:
         def recorded(*args, **kwargs):
             out = original(*args, **kwargs)
             for a in out if isinstance(out, tuple) else (out,):
-                if isinstance(a, np.ndarray):
+                if isinstance(a, np.ndarray) and a.dtype != np.bool_:
                     seen.add((name, a.dtype))
             return out
 

@@ -16,8 +16,8 @@ from gamlp.model import (BaselineCombiner, CheckpointFormatError, CheckpointMism
                          _stack_blocks, _stack_inputs, baseline_combine, evaluate_accuracy,
                          export_attention, fit, predict, restore_model, save_checkpoint,
                          slice_mats)
-from gamlp.nn import (Activation, cross_entropy, dropout, grad_check, softmax_backward,
-                      softmax_rows)
+from gamlp.nn import (Activation, cross_entropy, dropout, dropout_backward, grad_check,
+                      softmax_backward, softmax_rows)
 from gamlp.pipeline import build_stacks
 from gamlp.propagation import FeatureStack, LabelStack, ResidualScheme, apply_last_residual
 
@@ -120,8 +120,7 @@ class ListRecursiveAttention(RecursiveAttention):
             self.s.grad[:self.dim] += xd[k].T @ d_pre[:, k]
         row_sum = d_pre.sum(axis=1, keepdims=True)
         self.s.grad[self.dim:] += rd.T @ row_sum[:, 0]
-        d_r = row_sum * sb
-        return d_r * r_mask if r_mask is not None else d_r
+        return dropout_backward(row_sum * sb, r_mask, self.attention_dropout)
 
     def backward(self, d_h):
         mats, xd, levels, final = self._cache
@@ -149,9 +148,7 @@ class ListJkEncoder(_JkEncoder):
         xs, z, mask = self._cache
         d_z = d_out
         if self.rest is not None:
-            d_z = self.rest.backward(d_out)
-            if mask is not None:
-                d_z = d_z * mask
+            d_z = dropout_backward(self.rest.backward(d_out), mask, self.dropout_rate)
             d_z = self.activation.backward(d_z, z)
         self.b1.grad += d_z.sum(axis=0)
         for k in range(self.steps):
@@ -190,9 +187,8 @@ class ListJkAttention(JkAttention):
             row_sum = d_pre.sum(axis=1, keepdims=True)
             self.s.grad[dim:] += rd.T @ row_sum[:, 0]
             if self.reference == "jk" and self.encoder is not None:
-                d_ref = row_sum * self.s.value[dim:]
-                if r_mask is not None:
-                    d_ref = d_ref * r_mask
+                d_ref = dropout_backward(row_sum * self.s.value[dim:], r_mask,
+                                         self.attention_dropout)
                 self.encoder.backward(d_ref)
 
 

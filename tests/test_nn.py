@@ -6,8 +6,8 @@ import pytest
 from gamlp.config import TrainConfig
 from gamlp.model import load_checkpoint, restore_params, save_checkpoint
 from gamlp.nn import (Activation, Adam, Linear, Mlp, NonFiniteError, ParamTensor,
-                      Sgd, cross_entropy, dropout, glorot_uniform, grad_check,
-                      linear_backward, linear_forward, softmax_backward,
+                      Sgd, cross_entropy, dropout, dropout_backward, glorot_uniform,
+                      grad_check, linear_backward, linear_forward, softmax_backward,
                       softmax_rows)
 from gamlp.propagation import FeatureStack
 
@@ -64,6 +64,40 @@ def test_activation_backward_matches_central_differences(kind, slope):
     numeric = g * (act.forward(x + h) - act.forward(x - h)) / (2 * h)
     err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
     assert err.max() <= 1e-6
+
+
+@pytest.mark.parametrize("slope", [-0.2, 1.01, float("nan")])
+def test_activation_refuses_a_slope_outside_0_1(slope):
+    with pytest.raises(ValueError, match=r"^leaky_slope must lie in \[0, 1\], got"):
+        Activation("leaky_relu", slope)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.0, 0.2, 1.0])
+def test_leaky_relu_equals_the_where_form_bit_for_bit(dtype, slope):
+    rng = np.random.default_rng(8)
+    special = [-0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 1e-45, -1e-45]
+    x = np.concatenate([special, rng.standard_normal(200)]).astype(dtype)
+    d = np.concatenate([special[::-1], rng.standard_normal(200)]).astype(dtype)
+    act = Activation("leaky_relu", slope)
+    with np.errstate(invalid="ignore"):
+        want_f = np.where(x >= 0.0, x, slope * x)
+        want_b = np.where(x >= 0.0, d, slope * d)
+        got_f, got_b = act.forward(x), act.backward(d, x)
+    assert got_f.dtype == got_b.dtype == dtype
+    assert np.array_equal(_bits(got_f), _bits(want_f))
+    assert np.array_equal(_bits(got_b), _bits(want_b))
+
+
+def test_leaky_relu_keeps_the_memory_order_of_its_input():
+    x = np.asfortranarray(np.random.default_rng(9).standard_normal((50, 6)))
+    act = Activation("leaky_relu", 0.2)
+    assert act.forward(x).flags.f_contiguous
+    assert act.backward(np.ones_like(x), x).flags.f_contiguous
 
 
 def test_softmax_uniform_and_analytic():
@@ -158,6 +192,46 @@ def test_dropout_preserves_mean():
     x = np.ones(10 ** 6)
     out, _ = dropout(x.reshape(1000, 1000), 0.5, rng, training=True)
     assert abs(out.mean() - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rate", [0.5, 0.1])
+def test_dropout_keep_rate_and_mean(dtype, rate):
+    x = np.ones((1000, 1000), dtype=dtype)
+    out, mask = dropout(x, rate, np.random.default_rng(7), training=True)
+    assert mask.dtype == np.bool_ and out.dtype == dtype
+    assert np.array_equal(out == 0, ~mask)
+    assert abs(mask.mean() - (1 - rate)) < 2e-3
+    assert abs(out.mean() - 1.0) < 4e-3
+    # the kept entries carry exactly 1 / the kept fraction, divided in x's dtype
+    assert set(np.unique(out).tolist()) == {0.0, float(dtype(1) / dtype(1 - rate))}
+
+
+def test_dropout_equals_the_float_mask_form_bit_for_bit():
+    # reference: x times the float mask (draw < keep) / keep, in x's dtype
+    rng = np.random.default_rng(5)
+    special = [-0.0, np.inf, -np.inf, np.nan]
+    for dtype in (np.float32, np.float64):
+        x = np.concatenate([special, rng.standard_normal(400)]).astype(dtype)
+        d = rng.standard_normal(x.size).astype(dtype)
+        for rate in (0.5, 0.1, 0.3):
+            state = rng.bit_generator.state
+            with np.errstate(invalid="ignore"):
+                out, mask = dropout(x, rate, rng, training=True)
+                rng.bit_generator.state = state
+                ref_mask = ((rng.random(x.shape, dtype=dtype) < 1.0 - rate).astype(dtype)
+                            / (1.0 - rate))
+                assert np.array_equal(_bits(out), _bits(x * ref_mask))
+            assert np.array_equal(_bits(dropout_backward(d, mask, rate)), _bits(d * ref_mask))
+
+
+def test_dropout_backward_zeroes_exactly_the_dropped_entries():
+    rng = np.random.default_rng(4)
+    x, d = rng.standard_normal((2, 50, 9))
+    for rate in (0.5, 0.3):
+        _, mask = dropout(x, rate, rng, training=True)
+        assert np.array_equal(dropout_backward(d, mask, rate) == 0, ~mask)
+    assert dropout_backward(d, None, 0.5) is d
 
 
 def test_adam_zero_gradient_is_noop():

@@ -329,6 +329,14 @@ def test_cache_rejects_truncation(tmp_path):
     assert "Failed to read all data" in _refused(path)
 
 
+def test_cache_rejects_bytes_after_the_data(tmp_path):
+    path = tmp_path / "t.npy"
+    cache_write(_feature_stack(np.random.default_rng(3)), path)
+    with open(path, "ab") as f:
+        f.write(bytes(100))
+    assert "100 bytes after the array data" in _refused(path)
+
+
 def test_cache_replaced_while_read_is_refused(tmp_path, monkeypatch):
     # a preprocess that replaces the pair between the sidecar read and the
     # array read: the array read is the old one, the sidecar then the new one
