@@ -112,7 +112,7 @@ def _cmd_train(args) -> int:
     log_path = args.out or ckpt + ".log.jsonl"
     result = fit(feature_stack, label_stack, dataset.labels, dataset.splits, config,
                  num_classes=dataset.num_classes, log_path=log_path)
-    save_checkpoint(ckpt, result.model, result.optimizer, feature_stack, label_stack)
+    save_checkpoint(ckpt, result.model, feature_stack, label_stack)
     pred = predict(result.model, feature_stack, label_stack)
     test_acc = evaluate_accuracy(pred, dataset.labels, dataset.splits.test)
     print(f"best val accuracy {result.best_val_acc:.4f} (epoch {result.best_epoch}), "
@@ -121,8 +121,9 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
-    from .model import evaluate_accuracy, predict, restore_model
+def _restore(args):
+    """(dataset, model, feature stack, label stack) of ``args.checkpoint``."""
+    from .model import restore_model
     from .pipeline import load_stacks
 
     config, dataset = _load(args)
@@ -131,6 +132,13 @@ def _cmd_eval(args) -> int:
                                 "run 'gamlp train' first")
     feature_stack, label_stack = load_stacks(dataset, config)
     model = restore_model(args.checkpoint, config, feature_stack, label_stack)
+    return dataset, model, feature_stack, label_stack
+
+
+def _cmd_eval(args) -> int:
+    from .model import evaluate_accuracy, predict
+
+    dataset, model, feature_stack, label_stack = _restore(args)
     pred = predict(model, feature_stack, label_stack)
     for part in ("train", "val", "test"):
         split = getattr(dataset.splits, part)
@@ -199,16 +207,10 @@ def _parse_buckets(spec: str):
 
 
 def _cmd_export_attention(args) -> int:
-    from .model import export_attention, restore_model, write_attention_csv
-    from .pipeline import load_stacks
+    from .model import export_attention, write_attention_csv
 
     buckets = _parse_buckets(args.buckets)
-    config, dataset = _load(args)
-    if not os.path.exists(args.checkpoint):
-        raise FileNotFoundError(f"checkpoint {args.checkpoint} not found; "
-                                "run 'gamlp train' first")
-    feature_stack, label_stack = load_stacks(dataset, config)
-    model = restore_model(args.checkpoint, config, feature_stack, label_stack)
+    dataset, model, feature_stack, label_stack = _restore(args)
     degrees = dataset.graph.degrees()
     per_node, per_bucket = export_attention(model, feature_stack, label_stack,
                                             degrees, buckets)

@@ -20,7 +20,7 @@ import numpy as np
 from .config import TrainConfig
 from .data import Dataset, drop_edges, sample_labels_per_class
 from .model import evaluate_accuracy, predict
-from .pipeline import build_stacks, train_on_dataset
+from .pipeline import build_stacks, stack_recipes, train_on_dataset
 from .propagation import atomic_write
 
 METHOD_OVERRIDES = {
@@ -40,7 +40,7 @@ def method_config(base: TrainConfig, method: str) -> TrainConfig:
 
 
 class _StackCache:
-    """Memoizes in-memory stacks per (dataset object, config shape).
+    """Memoizes in-memory stacks per (dataset object, stack recipes).
 
     The residual scheme and ``zero_self_label`` are not part of the key:
     they shape only the train-time inputs derived from the label steps.
@@ -50,8 +50,7 @@ class _StackCache:
         self._store = {}
 
     def get(self, dataset: Dataset, config: TrainConfig):
-        key = (id(dataset), config.hops, config.r_mode, config.use_labels,
-               config.effective_label_hops, config.effective_label_r_mode)
+        key = (id(dataset), *stack_recipes(config))
         if key not in self._store:
             self._store[key] = build_stacks(dataset, config)
         return self._store[key]

@@ -510,15 +510,13 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
         num_classes: int | None = None, log_path=None) -> FitResult:
     """Train with early stopping on validation accuracy.
 
-    ``splits`` needs .train/.val attributes (or a dict with those keys).
+    ``splits`` needs .train/.val attributes, such as a :class:`~gamlp.data.Splits`.
     The model computes in the feature stack's dtype. Returns the parameters
     of the best validation epoch. Raises TrainingDiverged on a non-finite
     loss or layer output, in training or in the validation pass.
     """
-    train_ids = np.asarray(splits["train"] if isinstance(splits, dict) else splits.train,
-                           dtype=np.int64)
-    val_ids = np.asarray(splits["val"] if isinstance(splits, dict) else splits.val,
-                         dtype=np.int64)
+    train_ids = np.asarray(splits.train, dtype=np.int64)
+    val_ids = np.asarray(splits.val, dtype=np.int64)
     if train_ids.size == 0:
         raise ValueError("training split is empty")
     labels = np.asarray(labels, dtype=np.int64)
@@ -642,23 +640,16 @@ def _fingerprints(config: TrainConfig, feature_stack: FeatureStack,
             for name, stack in stacks.items() if stack is not None}
 
 
-def save_checkpoint(path, model: GamlpModel, optimizer, feature_stack: FeatureStack,
+def save_checkpoint(path, model: GamlpModel, feature_stack: FeatureStack,
                     label_stack: LabelStack | None) -> None:
     """Write one np.savez file, replacing ``path`` atomically. It holds
 
     * ``param/<name>``: every parameter of ``model``;
-    * ``adam/t``, ``adam/m/<name>``, ``adam/v/<name>``: Adam's state (an
-      ``optimizer`` that is None or Sgd keeps none);
     * ``config``: the model's resolved config, a 0-d JSON string;
     * ``fingerprint/features`` and, with labels on, ``fingerprint/labels``:
       uint8 digests of the stacks the model was fitted on.
     """
     arrays = {f"param/{p.name}": p.value for p in model.params}
-    if hasattr(optimizer, "m"):
-        arrays["adam/t"] = np.array(optimizer.t)
-        for p, m, v in zip(optimizer.params, optimizer.m, optimizer.v):
-            arrays[f"adam/m/{p.name}"] = m
-            arrays[f"adam/v/{p.name}"] = v
     arrays["config"] = np.array(json.dumps(model.config.to_dict()))
     arrays.update(_fingerprints(model.config, feature_stack, label_stack))
     # np.savez appends ".npz" to a path, but not to a file it is handed

@@ -3,7 +3,8 @@
 The propagation caches are the hand-off point between the one-off graph
 preprocessing and the row-wise training stage; cache files are named by
 the parameters that shape their contents and validated by fingerprint
-against the dataset they are loaded for.
+against the dataset they are loaded for. :func:`stack_recipes` is the one
+place that decides which stacks a config uses and what shapes them.
 """
 
 from __future__ import annotations
@@ -16,42 +17,52 @@ from .config import TrainConfig
 from .data import Dataset
 from .graph import add_self_loops, normalize
 from .model import FitResult, fit
-from .propagation import (FeatureStack, LabelStack, build_label_seed, cache_read,
-                          cache_write, propagate_features, propagate_labels,
-                          stack_fingerprint)
+from .propagation import (build_label_seed, cache_read, cache_write, propagate_features,
+                          propagate_labels, stack_fingerprint)
 
 
 class MissingCacheError(Exception):
     """Raised when train/eval runs before preprocess."""
 
 
-def build_feature_stack(dataset: Dataset, config: TrainConfig,
-                        dtype=np.float64) -> FeatureStack:
-    op = normalize(add_self_loops(dataset.graph), config.r_mode)
-    return propagate_features(op, dataset.features, config.hops, dtype=dtype)
+def stack_recipes(config: TrainConfig) -> tuple:
+    """``(kind, steps, r)`` of each stack ``config`` uses: the features', then,
+    with ``use_labels`` on, the labels' (whose -1 hops and r follow the features)."""
+    recipes = (("features", config.hops, config.r_mode),)
+    if config.use_labels:
+        recipes += (("labels", config.effective_label_hops, config.effective_label_r_mode),)
+    return recipes
 
 
-def build_label_stack(dataset: Dataset, config: TrainConfig,
-                      dtype=np.float64) -> LabelStack:
-    op = normalize(add_self_loops(dataset.graph), config.effective_label_r_mode)
-    y0 = build_label_seed(dataset.labels, dataset.splits.train, dataset.n,
-                          dataset.num_classes)
-    return propagate_labels(op, y0, config.effective_label_hops, dtype=dtype)
+def _seed(dataset: Dataset, kind: str) -> np.ndarray:
+    """The matrix that a stack of ``kind`` propagates from."""
+    if kind == "features":
+        return dataset.features
+    return build_label_seed(dataset.labels, dataset.splits.train, dataset.n,
+                            dataset.num_classes)
+
+
+def _pair(stacks: list):
+    """(feature stack, label stack or None) from stacks in recipe order."""
+    return stacks[0], stacks[1] if len(stacks) > 1 else None
 
 
 def build_stacks(dataset: Dataset, config: TrainConfig, dtype=np.float64):
-    """Propagate both stacks in float64, storing them as ``dtype``."""
-    feature_stack = build_feature_stack(dataset, config, dtype)
-    label_stack = build_label_stack(dataset, config, dtype) if config.use_labels else None
-    return feature_stack, label_stack
+    """Propagate each stack in float64, storing it as ``dtype``."""
+    stacks = []
+    for kind, steps, r in stack_recipes(config):
+        op = normalize(add_self_loops(dataset.graph), r)
+        propagate = propagate_features if kind == "features" else propagate_labels
+        stacks.append(propagate(op, _seed(dataset, kind), steps, dtype=dtype))
+    return _pair(stacks)
 
 
-def cache_paths(config: TrainConfig, cache_dir=None):
+def cache_paths(config: TrainConfig, cache_dir=None) -> list[Path]:
+    """The ``.npy`` cache of each stack ``config`` uses, in stack order."""
     base = Path(cache_dir if cache_dir is not None else config.cache_dir)
-    feat = base / f"features_K{config.hops}_r{config.r_mode:g}.npy"
-    label = base / (f"labels_L{config.effective_label_hops}"
-                    f"_r{config.effective_label_r_mode:g}.npy")
-    return feat, label
+    letter = {"features": "K", "labels": "L"}
+    return [base / f"{kind}_{letter[kind]}{steps}_r{r:g}.npy"
+            for kind, steps, r in stack_recipes(config)]
 
 
 def preprocess(dataset: Dataset, config: TrainConfig, cache_dir=None):
@@ -60,37 +71,28 @@ def preprocess(dataset: Dataset, config: TrainConfig, cache_dir=None):
     The stacks are built straight in float32, the dtype the caches store;
     the files equal those written from float64 stacks byte for byte.
     """
-    feat_path, label_path = cache_paths(config, cache_dir)
-    feat_path.parent.mkdir(parents=True, exist_ok=True)
-    feature_stack, label_stack = build_stacks(dataset, config, np.float32)
-    cache_write(feature_stack, feat_path)
-    written = [feat_path]
-    if label_stack is not None:
-        cache_write(label_stack, label_path)
-        written.append(label_path)
-    return written
+    paths = cache_paths(config, cache_dir)
+    paths[0].parent.mkdir(parents=True, exist_ok=True)
+    for stack, path in zip(build_stacks(dataset, config, np.float32), paths):
+        cache_write(stack, path)
+    return paths
 
 
 def load_stacks(dataset: Dataset, config: TrainConfig, cache_dir=None,
                 force: bool = False):
     """Read cached stacks, validating their fingerprints against ``dataset``."""
-    feat_path, label_path = cache_paths(config, cache_dir)
-    if not feat_path.exists() or (config.use_labels and not label_path.exists()):
-        missing = feat_path if not feat_path.exists() else label_path
-        raise MissingCacheError(
-            f"propagation cache {missing} not found; run 'gamlp preprocess' first")
+    paths = cache_paths(config, cache_dir)
+    for path in paths:
+        if not path.exists():
+            raise MissingCacheError(
+                f"propagation cache {path} not found; run 'gamlp preprocess' first")
     # normalize keeps the self-looped structure, which is all the digest hashes
     looped = add_self_loops(dataset.graph)
-    expect = stack_fingerprint(looped, dataset.features, config.hops, config.r_mode)
-    feature_stack = cache_read(feat_path, expect_fingerprint=expect, force=force)
-    label_stack = None
-    if config.use_labels:
-        y0 = build_label_seed(dataset.labels, dataset.splits.train, dataset.n,
-                              dataset.num_classes)
-        expect = stack_fingerprint(looped, y0, config.effective_label_hops,
-                                   config.effective_label_r_mode)
-        label_stack = cache_read(label_path, expect_fingerprint=expect, force=force)
-    return feature_stack, label_stack
+    stacks = []
+    for path, (kind, steps, r) in zip(paths, stack_recipes(config)):
+        expect = stack_fingerprint(looped, _seed(dataset, kind), steps, r)
+        stacks.append(cache_read(path, expect_fingerprint=expect, force=force))
+    return _pair(stacks)
 
 
 def train_on_dataset(dataset: Dataset, config: TrainConfig,

@@ -168,15 +168,12 @@ def propagate_features(op: PropagationOperator, x0: np.ndarray, steps: int,
 def build_label_seed(labels, train_ids, n: int, num_classes: int) -> np.ndarray:
     """One-hot rows for training nodes, zero rows everywhere else.
 
-    ``labels`` maps node id to class (dict or full-length array with -1
-    for unlabeled). Validation and test labels never enter the seed.
+    ``labels`` is the full-length class array, -1 where unlabeled.
+    Validation and test labels never enter the seed.
     """
     y0 = np.zeros((n, num_classes), dtype=np.float64)
     train_ids = np.asarray(train_ids, dtype=np.int64)
-    if isinstance(labels, dict):
-        classes = np.array([labels.get(int(i), -1) for i in train_ids], dtype=np.int64)
-    else:
-        classes = np.asarray(labels)[train_ids].astype(np.int64)
+    classes = np.asarray(labels)[train_ids].astype(np.int64)
     bad = np.flatnonzero((classes < 0) | (classes >= num_classes))
     if bad.size:
         i = bad[0]

@@ -7,7 +7,7 @@ import pytest
 import gamlp.model
 import gamlp.nn
 from gamlp.config import REFERENCE_MODES, TrainConfig
-from gamlp.data import generate_sbm
+from gamlp.data import Splits, generate_sbm
 from gamlp.model import (GamlpModel, TrainingDiverged, _stack_blocks, _stack_inputs,
                          evaluate_accuracy, fit, predict)
 from gamlp.nn import Activation, Mlp
@@ -96,8 +96,9 @@ def test_batch_size_validated(sbm60):
 
 def test_empty_train_split_rejected(sbm60):
     fs, ls = build_stacks(sbm60, _config())
-    with pytest.raises(ValueError):
-        fit(fs, ls, sbm60.labels, {"train": [], "val": [0]}, _config())
+    empty = Splits(train=np.array([], dtype=np.int64), val=np.array([0]), test=np.array([1]))
+    with pytest.raises(ValueError, match="training split is empty"):
+        fit(fs, ls, sbm60.labels, empty, _config())
 
 
 def test_log_file_written(sbm60, tmp_path):

@@ -749,21 +749,18 @@ def _fitted(tmp_path, dtype=np.float64, **overrides):
     fs, ls = _cast(stacks, dtype)
     result = fit(fs, ls, ds.labels, ds.splits, cfg, num_classes=ds.num_classes)
     path = tmp_path / "checkpoint.gmck"
-    save_checkpoint(path, result.model, result.optimizer, fs, ls)
+    save_checkpoint(path, result.model, fs, ls)
     return cfg, fs, ls, result, path
 
 
-def test_checkpoint_holds_params_adam_config_and_fingerprints(tmp_path):
+def test_checkpoint_holds_params_config_and_fingerprints(tmp_path):
     cfg, fs, ls, result, path = _fitted(tmp_path, reference="normal_noise")
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.gmck"]
     with np.load(path, allow_pickle=False) as npz:
         arrays = {name: npz[name] for name in npz.files}
     names = [p.name for p in result.model.params]
     assert set(arrays) == ({f"param/{n}" for n in names}
-                           | {f"adam/{k}/{n}" for k in "mv" for n in names}
-                           | {"adam/t", "config", "fingerprint/features",
-                              "fingerprint/labels"})
-    assert arrays["adam/t"] == result.optimizer.t
+                           | {"config", "fingerprint/features", "fingerprint/labels"})
     assert json.loads(str(arrays["config"])) == cfg.to_dict()
     assert arrays["fingerprint/features"].dtype == np.uint8
     assert arrays["fingerprint/features"].tobytes() == fs.fingerprint
@@ -776,6 +773,26 @@ def test_checkpoint_without_labels_or_adam(tmp_path):
         assert not [n for n in npz.files if n.startswith("adam/") or "labels" in n]
     model = restore_model(path, cfg, fs, None)
     assert model.label_combiner is None
+
+
+def test_checkpoint_with_adam_state_still_restores(tmp_path):
+    # checkpoints written before the optimizer state was dropped also hold
+    # adam/t, adam/m/<name> and adam/v/<name>; restoring ignores them
+    cfg, fs, ls, result, path = _fitted(tmp_path, reference="normal_noise")
+    opt = result.optimizer
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays["adam/t"] = np.array(opt.t)
+    for p, m, v in zip(opt.params, opt.m, opt.v):
+        arrays[f"adam/m/{p.name}"] = m
+        arrays[f"adam/v/{p.name}"] = v
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+    model = restore_model(path, cfg, fs, ls)
+    for p, q in zip(model.params, result.model.params):
+        assert np.array_equal(p.value, q.value)
+    inputs = _stack_inputs(fs, ls, cfg)
+    assert np.array_equal(model.forward(*inputs), result.model.forward(*inputs))
 
 
 def test_restore_model_reproduces_normal_noise_logits(tmp_path):
@@ -804,7 +821,7 @@ def test_restore_model_computes_in_the_checkpoint_dtype(tmp_path, trained, given
     # over float32 caches it still evaluates exactly as it was trained
     cfg, fs, ls, result, path = _fitted(tmp_path, trained, reference="normal_noise")
     with np.load(path, allow_pickle=False) as npz:
-        assert {npz[n].dtype for n in npz.files if n.startswith(("param/", "adam/m", "adam/v"))} \
+        assert {npz[n].dtype for n in npz.files if n.startswith("param/")} \
             == {np.dtype(trained)}
     other = _cast((fs, ls), given)
     model = restore_model(path, cfg, *other)
@@ -874,7 +891,7 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path):
         params=[*result.model.params, SimpleNamespace(name="x", value=_FailingMatrix())],
         config=cfg)
     with pytest.raises(OSError, match="no space"):
-        save_checkpoint(path, broken, None, fs, ls)
+        save_checkpoint(path, broken, fs, ls)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.gmck"]
     restore_model(path, cfg, fs, ls)

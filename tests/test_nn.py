@@ -343,11 +343,11 @@ def test_glorot_bounds():
     assert vals.min() >= -limit and vals.max() <= limit
 
 
-def _save(path, params, optimizer=None):
+def _save(path, params):
     """Checkpoint bare parameters as if they were a model without labels."""
     model = SimpleNamespace(params=params, config=TrainConfig(use_labels=False))
     stack = FeatureStack(mats=np.zeros((1, 1, 1)), fingerprint=b"\1" * 32)
-    save_checkpoint(path, model, optimizer, stack, None)
+    save_checkpoint(path, model, stack, None)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -355,17 +355,12 @@ def test_checkpoint_round_trip(tmp_path):
     params = [ParamTensor("a.w", rng.standard_normal((3, 2))),
               ParamTensor("a.b", rng.standard_normal(2)),
               ParamTensor("s", rng.standard_normal(5))]
-    opt = Adam(params, lr=0.01)
-    for p in params:
-        p.grad[:] = rng.standard_normal(p.grad.shape)
-    opt.step()
     path = tmp_path / "model.gmck"
-    _save(path, params, opt)
+    _save(path, params)
     _, arrays = load_checkpoint(path)
     for p in params:
         assert np.array_equal(arrays[f"param/{p.name}"], p.value)
-    assert arrays["adam/t"] == 1
-    assert np.array_equal(arrays["adam/m/a.w"], opt.m[0])
+    assert set(arrays) == {"param/a.w", "param/a.b", "param/s", "fingerprint/features"}
     fresh = [ParamTensor(p.name, np.zeros_like(p.value)) for p in params]
     restore_params(fresh, arrays)
     for p, q in zip(params, fresh):
@@ -373,6 +368,8 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_without_optimizer(tmp_path):
+    # checkpoints keep no optimizer state: fit restores the best epoch's
+    # parameters, which the last epoch's moments would not match
     params = [ParamTensor("w", np.ones((2, 2)))]
     path = tmp_path / "p.gmck"
     _save(path, params)

@@ -4,8 +4,8 @@ import pytest
 from gamlp.config import TrainConfig
 from gamlp.data import generate_sbm
 from gamlp.model import _stack_inputs
-from gamlp.pipeline import (build_feature_stack, build_label_stack, build_stacks,
-                            cache_paths, load_stacks, preprocess)
+from gamlp.pipeline import (MissingCacheError, build_stacks, cache_paths, load_stacks,
+                            preprocess, stack_recipes)
 from gamlp.propagation import ResidualScheme, cache_write
 
 
@@ -51,10 +51,38 @@ def test_load_stacks_validates_a_label_cache_of_another_r_mode(sbm, tmp_path):
     config = _config(tmp_path, r_mode=0.5, label_r_mode=0.0)
     preprocess(sbm, config)
     feature_stack, label_stack = load_stacks(sbm, config)
-    assert feature_stack.fingerprint == build_feature_stack(sbm, config).fingerprint
-    assert label_stack.fingerprint == build_label_stack(sbm, config).fingerprint
-    assert label_stack.fingerprint != build_label_stack(
-        sbm, config.replace(label_r_mode=0.5)).fingerprint
+    built_features, built_labels = build_stacks(sbm, config)
+    assert feature_stack.fingerprint == built_features.fingerprint
+    assert label_stack.fingerprint == built_labels.fingerprint
+    assert label_stack.fingerprint != build_stacks(
+        sbm, config.replace(label_r_mode=0.5))[1].fingerprint
+
+
+def test_cache_names_follow_the_stack_recipes(sbm, tmp_path):
+    config = _config(tmp_path, label_hops=2, r_mode=0.5, label_r_mode=0.0)
+    assert stack_recipes(config) == (("features", 3, 0.5), ("labels", 2, 0.0))
+    assert [p.name for p in cache_paths(config)] == ["features_K3_r0.5.npy",
+                                                     "labels_L2_r0.npy"]
+    assert [p.name for p in preprocess(sbm, config)] == ["features_K3_r0.5.npy",
+                                                         "labels_L2_r0.npy"]
+    # -1 label hops and r follow the feature stack's
+    assert [p.name for p in cache_paths(_config(tmp_path, r_mode=1.0))] == [
+        "features_K3_r1.npy", "labels_L3_r1.npy"]
+
+
+def test_without_labels_only_the_feature_cache_is_used(sbm, tmp_path):
+    config = _config(tmp_path / "cache", use_labels=False)
+    assert stack_recipes(config) == (("features", 3, 0.5),)
+    assert cache_paths(config) == [tmp_path / "cache" / "features_K3_r0.5.npy"]
+    assert preprocess(sbm, config) == cache_paths(config)
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+        "features_K3_r0.5.json", "features_K3_r0.5.npy"]
+    feature_stack, label_stack = load_stacks(sbm, config)
+    assert (feature_stack.steps, label_stack) == (3, None)
+    assert build_stacks(sbm, config)[1] is None
+    # the label cache of the same hops and r is never looked for
+    with pytest.raises(MissingCacheError, match="labels_L3_r0.5.npy"):
+        load_stacks(sbm, config.replace(use_labels=True))
 
 
 def test_preprocess_writes_two_npy_caches_and_their_sidecars(sbm, tmp_path):

@@ -58,12 +58,12 @@ def test_step_limits(path3):
 
 
 def test_label_seed_rows():
-    y = build_label_seed({0: 2}, [0], n=2, num_classes=3)
+    y = build_label_seed(np.array([2, -1]), [0], n=2, num_classes=3)
     assert y.tolist() == [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
 
 
 def test_label_seed_empty_train():
-    y = build_label_seed({}, [], n=4, num_classes=2)
+    y = build_label_seed(np.full(4, -1), [], n=4, num_classes=2)
     assert not y.any()
 
 
@@ -75,8 +75,8 @@ def test_label_seed_full_train():
 
 def test_label_seed_missing_label():
     with pytest.raises(ValueError):
-        build_label_seed({0: 1}, [0, 1], n=2, num_classes=2)
-    # the first bad node in training order is named, for array labels too
+        build_label_seed(np.array([1, -1]), [0, 1], n=2, num_classes=2)
+    # the first bad node in training order is named
     labels = np.array([0, -1, 5, 1])
     with pytest.raises(ValueError, match=r"^train node 2 has no valid label \(got 5\)$"):
         build_label_seed(labels, [0, 2, 1], n=4, num_classes=3)
@@ -85,7 +85,7 @@ def test_label_seed_missing_label():
 
 
 def test_label_propagation_zero_steps(path3):
-    y0 = build_label_seed({0: 0}, [0], n=3, num_classes=2)
+    y0 = build_label_seed(np.array([0, -1, -1]), [0], n=3, num_classes=2)
     stack = propagate_labels(operator_for(path3, 0.0), y0, 0)
     assert len(stack.mats) == 1
     assert np.array_equal(stack.mats[0], y0)
@@ -105,7 +105,7 @@ def test_label_row_sums_stay_probabilistic():
 
 def test_two_node_label_step_matches_dense():
     g = build_graph([(0, 1)], 2)
-    y0 = build_label_seed({0: 1}, [0], n=2, num_classes=2)
+    y0 = build_label_seed(np.array([1, -1]), [0], n=2, num_classes=2)
     stack = propagate_labels(operator_for(g, 0.5), y0, 1)
     assert np.allclose(stack.mats[1], dense_ahat(g, 0.5) @ y0, atol=1e-14)
 
