@@ -55,16 +55,6 @@ class CsrGraph:
         """Per-node degree = number of stored entries in the row."""
         return np.diff(self.row_offsets).astype(np.int64)
 
-    def neighbors(self, i: int) -> np.ndarray:
-        return self.col_indices[self.row_offsets[i]:self.row_offsets[i + 1]]
-
-    def to_dense(self) -> np.ndarray:
-        """Dense 0/1 adjacency, for oracles and small-graph debugging."""
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        rows = np.repeat(np.arange(self.n), self.degrees())
-        a[rows, self.col_indices] = 1.0
-        return a
-
 
 @dataclass(frozen=True)
 class PropagationOperator:
@@ -84,9 +74,6 @@ class PropagationOperator:
         return sp.csr_matrix(
             (self.values, self.col_indices, self.row_offsets), shape=(self.n, self.n)
         )
-
-    def to_dense(self) -> np.ndarray:
-        return self.to_scipy().toarray()
 
 
 def unique_sorted(values: np.ndarray) -> np.ndarray:

@@ -55,8 +55,12 @@ def slice_mats(mats: np.ndarray | None, rows) -> np.ndarray | None:
 
 
 def _scores(xd: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """rows x (S+1) dot products of every step's rows with ``s``, one GEMV."""
-    return (xd.reshape(-1, xd.shape[2]) @ s).reshape(xd.shape[:2]).T
+    """rows x (S+1) dot products of every step's rows with ``s``.
+
+    One GEMV per step, reading each step in place, so a row-block view
+    ``mats[:, lo:hi]`` is never copied. The result is column-major.
+    """
+    return (xd @ s).T
 
 
 def _combine(w: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -86,6 +90,13 @@ class RecursiveAttention:
     previous combination and re-softmaxed, and the combination is
     recomputed. The returned H uses a final softmax over all S+1 steps.
     Only the scoring vector is trainable; the stack itself is data.
+
+    When no dropout mask is drawn on the running combination (eval mode,
+    or ``attention_dropout`` 0), its score is r . s_b = sum_k w_k (X^(k) . s_b),
+    so every round is scored from the per-step projections X^(k) . s_b and
+    only the final combination is built: O(S*n*d + S^2*n) per forward
+    instead of O(S^2*n*d). Training with dropout draws a mask on each
+    round's combination and builds all S+1 of them.
     """
 
     has_weights = True
@@ -111,14 +122,22 @@ class RecursiveAttention:
         sa, sb = self.s.value[:self.dim], self.s.value[self.dim:]
         xd, _ = dropout(mats, self.attention_dropout, rng, training)
         xa = _scores(xd, sa)
+        masked = training and self.attention_dropout > 0.0
+        xb = None if masked else _scores(mats, sb)
         levels = []
         r = mats[0]
         for l in range(1, len(mats) + 1):
-            rd, r_mask = dropout(r, self.attention_dropout, rng, training)
-            pre = xa[:, :l] + (rd @ sb)[:, None]
+            if masked:
+                rd, r_mask = dropout(r, self.attention_dropout, rng, training)
+                rb = rd @ sb
+            else:  # backward rebuilds rd from the previous round's weights
+                rd, r_mask = None, None
+                rb = xb[:, 0] if l == 1 else (w * xb[:, :l - 1]).sum(axis=1)
+            pre = xa[:, :l] + rb[:, None]
             w = softmax_rows(self.activation.forward(pre))
             levels.append((pre, w, rd, r_mask))
-            r = _combine(w, mats)
+            if masked or l == len(mats):
+                r = _combine(w, mats)
         self._cache = (mats, xd, levels[:-1], levels[-1])
         return r, w
 
@@ -130,7 +149,11 @@ class RecursiveAttention:
         # summed per (row, step) and contracted with xd once
         d_pre_sum = np.zeros((xd.shape[1], len(mats)), dtype=xd.dtype)
         d_r = d_h
-        for pre, w, rd, r_mask in [final, *reversed(levels)]:
+        rounds = [*levels, final]
+        for i in range(len(rounds) - 1, -1, -1):
+            pre, w, rd, r_mask = rounds[i]
+            if rd is None:
+                rd = mats[0] if i == 0 else _combine(rounds[i - 1][1], mats)
             d_act = softmax_backward(_weight_grad(d_r, mats, w.shape[1]), w)
             d_pre = self.activation.backward(d_act, pre)  # rows x steps of this round
             d_pre_sum[:, :d_pre.shape[1]] += d_pre

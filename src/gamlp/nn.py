@@ -4,9 +4,8 @@ Every kernel computes in the dtype of its inputs and parameters: the
 model trains in float32 on stacks read from a cache, and in float64 on
 stacks propagated in memory. Gradient checks run in float64, so that
 central finite differences can verify every backward pass to tight
-tolerances (see :func:`grad_check`). There is deliberately no autodiff:
-each layer exposes a hand-derived backward, and the model code wires
-them together.
+tolerances. There is deliberately no autodiff: each layer exposes a
+hand-derived backward, and the model code wires them together.
 """
 
 from __future__ import annotations
@@ -223,37 +222,6 @@ class Sgd:
             if self.weight_decay:
                 g = g + self.weight_decay * p.value
             p.value -= self.lr * g
-
-
-def grad_check(loss_fn, params: list[ParamTensor], h: float = 1e-5,
-               max_coords: int = 64, rng: np.random.Generator | None = None) -> float:
-    """Compare populated analytic gradients against central differences.
-
-    ``loss_fn`` must deterministically evaluate the loss at the current
-    parameter values (dropout off, fixed inputs); ``params`` must already
-    carry the analytic gradients for that same point. A sampled subset of
-    coordinates per parameter is perturbed. Returns the maximum error
-    |analytic - numeric| / max(1, |analytic|, |numeric|).
-    """
-    rng = rng or np.random.default_rng(0)
-    worst = 0.0
-    for p in params:
-        flat_v = p.value.reshape(-1)
-        flat_g = p.grad.reshape(-1)
-        idx = np.arange(flat_v.size)
-        if flat_v.size > max_coords:
-            idx = rng.choice(flat_v.size, size=max_coords, replace=False)
-        for i in idx:
-            saved = flat_v[i]
-            flat_v[i] = saved + h
-            up = loss_fn()
-            flat_v[i] = saved - h
-            down = loss_fn()
-            flat_v[i] = saved
-            numeric = (up - down) / (2.0 * h)
-            err = abs(flat_g[i] - numeric) / max(1.0, abs(flat_g[i]), abs(numeric))
-            worst = max(worst, err)
-    return worst
 
 
 class Linear:

@@ -1,9 +1,10 @@
-"""Shared fixtures, dense oracles, and the acceptance summary printer."""
+"""Shared fixtures, dense oracles, the gradient check, and the acceptance summary printer."""
 
 import numpy as np
 import pytest
 
 from gamlp.graph import add_self_loops, build_graph, normalize
+from gamlp.nn import ParamTensor
 
 
 def random_graph(rng, n, p=0.2):
@@ -13,9 +14,53 @@ def random_graph(rng, n, p=0.2):
     return build_graph(np.stack([iu[keep], ju[keep]], axis=1), n)
 
 
+def dense_adjacency(graph):
+    """Dense 0/1 adjacency of a CsrGraph."""
+    a = np.zeros((graph.n, graph.n), dtype=np.float64)
+    rows = np.repeat(np.arange(graph.n), graph.degrees())
+    a[rows, graph.col_indices] = 1.0
+    return a
+
+
+def neighbors(graph, i):
+    """Column ids stored in row ``i`` of a CsrGraph."""
+    return graph.col_indices[graph.row_offsets[i]:graph.row_offsets[i + 1]]
+
+
+def grad_check(loss_fn, params: list[ParamTensor], h: float = 1e-5,
+               max_coords: int = 64, rng: np.random.Generator | None = None) -> float:
+    """Compare populated analytic gradients against central differences.
+
+    ``loss_fn`` must deterministically evaluate the loss at the current
+    parameter values (dropout off, fixed inputs); ``params`` must already
+    carry the analytic gradients for that same point. A sampled subset of
+    coordinates per parameter is perturbed. Returns the maximum error
+    |analytic - numeric| / max(1, |analytic|, |numeric|).
+    """
+    rng = rng or np.random.default_rng(0)
+    worst = 0.0
+    for p in params:
+        flat_v = p.value.reshape(-1)
+        flat_g = p.grad.reshape(-1)
+        idx = np.arange(flat_v.size)
+        if flat_v.size > max_coords:
+            idx = rng.choice(flat_v.size, size=max_coords, replace=False)
+        for i in idx:
+            saved = flat_v[i]
+            flat_v[i] = saved + h
+            up = loss_fn()
+            flat_v[i] = saved - h
+            down = loss_fn()
+            flat_v[i] = saved
+            numeric = (up - down) / (2.0 * h)
+            err = abs(flat_g[i] - numeric) / max(1.0, abs(flat_g[i]), abs(numeric))
+            worst = max(worst, err)
+    return worst
+
+
 def dense_ahat(graph, r):
     """Dense normalization oracle: D^(r-1) (A + I) D^(-r) from scratch."""
-    a = graph.to_dense()
+    a = dense_adjacency(graph)
     if not graph.has_self_loops:
         a = a + np.eye(graph.n)
     d = a.sum(axis=1)

@@ -23,14 +23,13 @@ from gamlp.experiments import method_config, run_baseline_table, run_depth_sweep
 from gamlp.graph import spmm
 from gamlp.model import (GamlpModel, JkAttention, RecursiveAttention, fit,
                          slice_mats)
-from gamlp.nn import (Activation, Linear, Mlp, cross_entropy, grad_check,
-                      softmax_rows)
+from gamlp.nn import Activation, Linear, Mlp, cross_entropy, softmax_rows
 from gamlp.pipeline import build_stacks
 from gamlp.propagation import (ResidualScheme, apply_last_residual, build_label_seed,
                                cache_read, cache_write, propagate_features,
                                propagate_labels)
 
-from conftest import dense_ahat, operator_for, random_graph
+from conftest import dense_ahat, grad_check, operator_for, random_graph
 from test_model import _leaky, _sigmoid, jk_oracle, recursive_oracle
 
 REPO = Path(__file__).resolve().parent.parent

@@ -12,14 +12,16 @@ import gamlp.model
 from gamlp.config import TrainConfig
 from gamlp.data import generate_sbm
 from gamlp.model import (BaselineCombiner, CheckpointFormatError, CheckpointMismatch,
-                         GamlpModel, JkAttention, RecursiveAttention, _JkEncoder,
-                         _stack_blocks, _stack_inputs, baseline_combine, evaluate_accuracy,
-                         export_attention, fit, predict, restore_model, save_checkpoint,
-                         slice_mats)
-from gamlp.nn import (Activation, cross_entropy, dropout, dropout_backward, grad_check,
-                      softmax_backward, softmax_rows)
+                         GamlpModel, JkAttention, RecursiveAttention, _combine, _JkEncoder,
+                         _scores, _stack_blocks, _stack_inputs, baseline_combine,
+                         evaluate_accuracy, export_attention, fit, predict, restore_model,
+                         save_checkpoint, slice_mats)
+from gamlp.nn import (Activation, cross_entropy, dropout, dropout_backward, softmax_backward,
+                      softmax_rows)
 from gamlp.pipeline import build_stacks
 from gamlp.propagation import FeatureStack, LabelStack, ResidualScheme, apply_last_residual
+
+from conftest import grad_check
 
 
 def _sigmoid(x):
@@ -192,22 +194,23 @@ class ListJkAttention(JkAttention):
                 self.encoder.backward(d_ref)
 
 
-def _assert_matches_list_reference(cls, ref_cls, n, d, hops, **kwargs):
+def _assert_matches_list_reference(cls, ref_cls, n, d, hops, rate=0.5, training=True,
+                                   **kwargs):
     """Array combiner vs its list reference on a stack of ``hops`` + 1 steps.
 
-    Trains with dropout 0.5 and equal seeds, so both must also draw the
-    same masks from the generator.
+    By default both train with dropout 0.5 and equal seeds, so they must
+    also draw the same masks from the generator.
     """
     data_rng = np.random.default_rng(100 + hops)
     mats = _random_mats(data_rng, n, d, hops)
     d_h = data_rng.standard_normal((n, d))
-    comb = cls(np.random.default_rng(1), attention_dropout=0.5, **kwargs)
-    ref = ref_cls(np.random.default_rng(1), attention_dropout=0.5, **kwargs)
+    comb = cls(np.random.default_rng(1), attention_dropout=rate, **kwargs)
+    ref = ref_cls(np.random.default_rng(1), attention_dropout=rate, **kwargs)
     for p, q in zip(comb.params, ref.params):
         p.value[...] = q.value[...] = data_rng.standard_normal(p.value.shape) * 0.5
     rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
-    h, w = comb.forward(np.stack(mats), rows=np.arange(n), training=True, rng=rng)
-    want_h, want_w = ref.forward(mats, rows=np.arange(n), training=True, rng=ref_rng)
+    h, w = comb.forward(np.stack(mats), rows=np.arange(n), training=training, rng=rng)
+    want_h, want_w = ref.forward(mats, rows=np.arange(n), training=training, rng=ref_rng)
     assert np.abs(h - want_h).max() <= 1e-12
     assert np.abs(w - want_w).max() <= 1e-12
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -223,6 +226,48 @@ def _assert_matches_list_reference(cls, ref_cls, n, d, hops, **kwargs):
 def test_recursive_matches_list_reference(kind, steps):
     _assert_matches_list_reference(RecursiveAttention, ListRecursiveAttention, 23, 5, steps,
                                    dim=5, activation=Activation(kind, 0.2))
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("steps", [0, 1, 4, 16])
+def test_mask_free_recursive_matches_list_reference(steps, training):
+    # no dropout on the running combination: rounds are scored from the
+    # per-step projections, and backward rebuilds the combinations
+    _assert_matches_list_reference(RecursiveAttention, ListRecursiveAttention, 23, 5, steps,
+                                   rate=0.0, training=training, dim=5,
+                                   activation=Activation("leaky_relu", 0.2))
+
+
+@pytest.mark.parametrize("steps", [0, 1, 4, 16])
+def test_recursive_builds_one_combination_without_a_mask(monkeypatch, steps):
+    combined = []
+
+    def spy(w, mats):
+        combined.append(w.shape[1])
+        return _combine(w, mats)
+
+    monkeypatch.setattr(gamlp.model, "_combine", spy)
+    mats = np.stack(_random_mats(np.random.default_rng(15), 9, 4, steps))
+    act = Activation("leaky_relu", 0.2)
+    for rate, training in [(0.5, False), (0.0, True)]:
+        combined.clear()
+        RecursiveAttention(np.random.default_rng(0), 4, act, rate).forward(
+            mats, training=training, rng=np.random.default_rng(1))
+        assert combined == [steps + 1]
+    combined.clear()
+    RecursiveAttention(np.random.default_rng(0), 4, act, 0.5).forward(
+        mats, training=True, rng=np.random.default_rng(1))
+    assert combined == list(range(1, steps + 2))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_scores_of_a_row_block_view_equal_those_of_its_copy(dtype):
+    rng = np.random.default_rng(16)
+    mats = rng.standard_normal((17, 300, 64)).astype(dtype)
+    s = rng.standard_normal(64).astype(dtype)
+    view = slice_mats(mats, slice(100, 260))
+    assert not view.flags.c_contiguous
+    assert np.array_equal(_scores(view, s), _scores(np.ascontiguousarray(view), s))
 
 
 @pytest.mark.parametrize("reference", ["jk", "origin_feature", "no_reference"])

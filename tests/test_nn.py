@@ -7,9 +7,10 @@ from gamlp.config import TrainConfig
 from gamlp.model import load_checkpoint, restore_params, save_checkpoint
 from gamlp.nn import (Activation, Adam, Linear, Mlp, NonFiniteError, ParamTensor,
                       Sgd, cross_entropy, dropout, dropout_backward, glorot_uniform,
-                      grad_check, linear_backward, linear_forward, softmax_backward,
-                      softmax_rows)
+                      linear_backward, linear_forward, softmax_backward, softmax_rows)
 from gamlp.propagation import FeatureStack
+
+from conftest import grad_check
 
 
 def test_linear_identity():
