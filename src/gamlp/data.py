@@ -224,7 +224,7 @@ def load_dataset(directory) -> Dataset:
     edges_path = directory / "edges.tsv"
     if not edges_path.exists():
         raise DatasetError(f"{edges_path}: missing")
-    graph = build_graph(_read_edges(edges_path, n), n, symmetrize=True)
+    graph = build_graph(_read_edges(edges_path, n), n)
 
     labels_path = directory / "labels.tsv"
     if not labels_path.exists():
@@ -281,7 +281,7 @@ def generate_sbm(block_sizes, p_in: float, p_out: float, feature_dim: int,
     prob = np.where(blocks[iu] == blocks[ju], p_in, p_out)
     keep = rng.random(iu.size) < prob
     edges = np.stack([iu[keep], ju[keep]], axis=1)
-    graph = build_graph(edges, n, symmetrize=True)
+    graph = build_graph(edges, n)
 
     means = np.zeros((len(block_sizes), feature_dim))
     for b in range(len(block_sizes)):
@@ -319,7 +319,7 @@ def drop_edges(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     dropped = rng.choice(m, size=n_drop, replace=False)
     keep = np.ones(m, dtype=bool)
     keep[dropped] = False
-    graph = build_graph(pairs[keep], dataset.n, symmetrize=True)
+    graph = build_graph(pairs[keep], dataset.n)
     return Dataset(graph=graph, features=dataset.features, labels=dataset.labels,
                    splits=dataset.splits, num_classes=dataset.num_classes,
                    name=f"{dataset.name}-edges{fraction:g}").validate()

@@ -39,98 +39,55 @@ def method_config(base: TrainConfig, method: str) -> TrainConfig:
     return base.replace(**METHOD_OVERRIDES[method])
 
 
-class _StackCache:
-    """Memoizes in-memory stacks per (dataset object, stack recipes).
+def _run(cases, n_runs: int, base_seed: int) -> dict:
+    """Train every ``(config name, setting, method, dataset, config)`` case
+    over ``n_runs`` seeds and report the rows, per-(method, setting)
+    summaries, the resolved configs by name and the seeds.
 
-    The residual scheme and ``zero_self_label`` are not part of the key:
-    they shape only the train-time inputs derived from the label steps.
+    Stacks are built once per dataset and stack recipe; the residual scheme
+    and ``zero_self_label`` shape only the train-time label inputs. They are
+    dropped when a case on another dataset starts, and that dataset is held
+    while they are kept, so memory stays bounded by one dataset's stacks.
     """
-
-    def __init__(self):
-        self._store = {}
-
-    def get(self, dataset: Dataset, config: TrainConfig):
-        key = (id(dataset), *stack_recipes(config))
-        if key not in self._store:
-            self._store[key] = build_stacks(dataset, config)
-        return self._store[key]
-
-
-def _run_method(dataset: Dataset, config: TrainConfig, seeds, setting: str,
-                method: str, stacks) -> list[dict]:
-    rows = []
-    for seed in seeds:
-        cfg = config.replace(seed=seed)
-        result = train_on_dataset(dataset, cfg, stacks=stacks)
-        feature_stack, label_stack = stacks
-        pred = predict(result.model, feature_stack, label_stack)
-        rows.append({
-            "method": method,
-            "setting": setting,
-            "seed": seed,
-            "val_acc": result.best_val_acc,
-            "test_acc": evaluate_accuracy(pred, dataset.labels, dataset.splits.test),
-            "epochs_run": len(result.log),
-        })
-    return rows
-
-
-def _summarize(rows: list[dict]) -> list[dict]:
-    summary = []
-    seen = []
-    for row in rows:
-        key = (row["method"], row["setting"])
-        if key not in seen:
-            seen.append(key)
-    for method, setting in seen:
-        accs = [r["test_acc"] for r in rows
-                if r["method"] == method and r["setting"] == setting]
-        summary.append({
-            "method": method,
-            "setting": setting,
-            "mean": float(np.mean(accs)),
-            "std": float(np.std(accs)),
-            "n_runs": len(accs),
-        })
-    return summary
-
-
-def _report(rows, configs, seeds) -> dict:
-    return {
-        "rows": rows,
-        "summary": _summarize(rows),
-        "configs": {name: cfg.to_dict() for name, cfg in configs.items()},
-        "seeds": list(seeds),
-    }
+    seeds = [base_seed + i for i in range(n_runs)]
+    rows, configs, accs = [], {}, {}
+    dataset, cache = None, {}
+    for name, setting, method, ds, config in cases:
+        if ds is not dataset:
+            dataset, cache = ds, {}
+        recipes = stack_recipes(config)
+        if recipes not in cache:
+            cache[recipes] = build_stacks(ds, config)
+        stacks = cache[recipes]
+        configs[name] = config.to_dict()
+        for seed in seeds:
+            result = train_on_dataset(ds, config.replace(seed=seed), stacks=stacks)
+            test_acc = evaluate_accuracy(predict(result.model, *stacks), ds.labels,
+                                         ds.splits.test)
+            rows.append({"method": method, "setting": setting, "seed": seed,
+                         "val_acc": result.best_val_acc, "test_acc": test_acc,
+                         "epochs_run": len(result.log)})
+            accs.setdefault((method, setting), []).append(test_acc)
+    summary = [{"method": method, "setting": setting, "mean": float(np.mean(a)),
+                "std": float(np.std(a)), "n_runs": len(a)}
+               for (method, setting), a in accs.items()]
+    return {"rows": rows, "summary": summary, "configs": configs, "seeds": seeds}
 
 
 def run_baseline_table(dataset: Dataset, configs: dict[str, TrainConfig],
                        n_runs: int, base_seed: int = 0) -> dict:
     """Mean/std test accuracy per method over n_runs seeds."""
-    seeds = [base_seed + i for i in range(n_runs)]
-    cache = _StackCache()
-    rows = []
-    for method, config in configs.items():
-        stacks = cache.get(dataset, config)
-        rows.extend(_run_method(dataset, config, seeds, "base", method, stacks))
-    return _report(rows, configs, seeds)
+    return _run([(method, "base", method, dataset, config)
+                 for method, config in configs.items()], n_runs, base_seed)
 
 
 def run_depth_sweep(dataset: Dataset, depths, configs: dict[str, TrainConfig],
                     n_runs: int = 1, base_seed: int = 0) -> dict:
     """Test accuracy per propagation depth; depth sets K (and L)."""
-    seeds = [base_seed + i for i in range(n_runs)]
-    cache = _StackCache()
-    rows = []
-    resolved = {}
-    for depth in depths:
-        for method, config in configs.items():
-            cfg = config.replace(hops=depth,
-                                 label_hops=depth if config.use_labels else -1)
-            resolved[f"{method}@depth{depth}"] = cfg
-            stacks = cache.get(dataset, cfg)
-            rows.extend(_run_method(dataset, cfg, seeds, f"depth{depth}", method, stacks))
-    return _report(rows, resolved, seeds)
+    return _run([(f"{method}@depth{depth}", f"depth{depth}", method, dataset,
+                  config.replace(hops=depth, label_hops=depth if config.use_labels else -1))
+                 for depth in depths for method, config in configs.items()],
+                n_runs, base_seed)
 
 
 def run_sparsity_sweep(dataset: Dataset, kind: str, levels,
@@ -145,23 +102,20 @@ def run_sparsity_sweep(dataset: Dataset, kind: str, levels,
     """
     if kind not in ("edge", "label"):
         raise ValueError("sparsity kind must be 'edge' or 'label'")
-    seeds = [base_seed + i for i in range(n_runs)]
-    rows = []
-    resolved = {}
-    for idx, level in enumerate(levels):
-        level_seed = perturb_seed + 1000 * idx
-        if kind == "edge":
-            perturbed = drop_edges(dataset, float(level), level_seed) if level else dataset
-            setting = f"edge{level:g}"
-        else:
-            perturbed = sample_labels_per_class(dataset, int(level), level_seed)
-            setting = f"label{level}"
-        cache = _StackCache()
-        for method, config in configs.items():
-            resolved[f"{method}@{setting}"] = config
-            stacks = cache.get(perturbed, config)
-            rows.extend(_run_method(perturbed, config, seeds, setting, method, stacks))
-    report = _report(rows, resolved, seeds)
+
+    def cases():  # one perturbed dataset at a time
+        for idx, level in enumerate(levels):
+            level_seed = perturb_seed + 1000 * idx
+            if kind == "edge":
+                perturbed = drop_edges(dataset, float(level), level_seed) if level else dataset
+                setting = f"edge{level:g}"
+            else:
+                perturbed = sample_labels_per_class(dataset, int(level), level_seed)
+                setting = f"label{level}"
+            for method, config in configs.items():
+                yield f"{method}@{setting}", setting, method, perturbed, config
+
+    report = _run(cases(), n_runs, base_seed)
     report["perturb_seed"] = perturb_seed
     return report
 
@@ -192,16 +146,8 @@ def run_ablation(dataset: Dataset, which: str, base_config: TrainConfig,
     """Per-variant accuracy table for one ablation family."""
     if which not in ABLATIONS:
         raise ValueError(f"unknown ablation {which!r}; choose from {sorted(ABLATIONS)}")
-    seeds = [base_seed + i for i in range(n_runs)]
-    cache = _StackCache()
-    rows = []
-    resolved = {}
-    for variant, overrides in ABLATIONS[which].items():
-        cfg = base_config.replace(**overrides)
-        resolved[variant] = cfg
-        stacks = cache.get(dataset, cfg)
-        rows.extend(_run_method(dataset, cfg, seeds, which, variant, stacks))
-    return _report(rows, resolved, seeds)
+    return _run([(variant, which, variant, dataset, base_config.replace(**overrides))
+                 for variant, overrides in ABLATIONS[which].items()], n_runs, base_seed)
 
 
 def write_report(report: dict, out_prefix) -> tuple[Path, Path]:

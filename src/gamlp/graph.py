@@ -91,7 +91,7 @@ def _from_keys(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return row_offsets, (keys % n).astype(np.int64)
 
 
-def build_graph(edges, n: int, symmetrize: bool = True) -> CsrGraph:
+def build_graph(edges, n: int) -> CsrGraph:
     """Build a deduplicated symmetric CSR graph from an edge list.
 
     ``edges`` is any sequence of (u, v) id pairs; duplicates and both
@@ -106,9 +106,7 @@ def build_graph(edges, n: int, symmetrize: bool = True) -> CsrGraph:
     if e.size and (e.min() < 0 or e.max() >= n):
         bad = e[(e < 0) | (e >= n)].flat[0]
         raise ValueError(f"edge endpoint {bad} outside [0, {n})")
-    keys = e[:, 0] * n + e[:, 1]
-    if symmetrize:
-        keys = np.concatenate([keys, e[:, 1] * n + e[:, 0]])
+    keys = np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]])
     row_offsets, cols = _from_keys(unique_sorted(keys), n)
     has_loops = bool(n > 0 and _all_rows_have_loop(row_offsets, cols, n))
     return CsrGraph(n=n, row_offsets=row_offsets, col_indices=cols,

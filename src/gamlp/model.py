@@ -30,9 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TrainConfig
-from .nn import (Activation, Adam, Mlp, NonFiniteError, ParamTensor, Sgd,
-                 cross_entropy, dropout, dropout_backward, glorot_uniform,
-                 softmax_backward, softmax_rows)
+from .nn import (Activation, Adam, Linear, Mlp, NonFiniteError, ParamTensor, Sgd,
+                 cross_entropy, dropout, dropout_backward, softmax_backward, softmax_rows)
 from .propagation import (FeatureStack, LabelStack, ResidualScheme, apply_last_residual,
                           atomic_write)
 
@@ -164,58 +163,32 @@ class RecursiveAttention:
         # the round-0 combination is X^(0); nothing trainable upstream
 
 
-class _JkEncoder:
-    """MLP over the concatenated stack, first layer applied blockwise.
+class _StackLinear(Linear):
+    """The JK encoder's first layer, applied to the step-major stack.
 
     The concatenation X^(1) || ... || X^(S) is never materialized: the
-    first linear layer is evaluated as a sum of per-step products
-    X^(k) W1_k accumulated in place, reading each step where it lies in
-    the step-major stack. That keeps deep stacks (S up to 128) affordable
-    and copies no (rows, S*f) matrix.
+    layer computes sum_k X^(k) W_k, accumulated in place, reading each
+    step where it lies in the stack. That keeps deep stacks (S up to 128)
+    affordable and copies no (rows, S*f) matrix. The stack is data, so
+    backward returns no input gradient.
     """
 
-    def __init__(self, rng: np.random.Generator, steps: int, dim: int, hidden: int,
-                 depth: int, activation: Activation, dropout_rate: float, name: str):
-        self.steps, self.dim, self.hidden = steps, dim, hidden
-        self.activation = activation
-        self.dropout_rate = dropout_rate
-        self.w1 = ParamTensor(f"{name}.0.w", glorot_uniform(rng, steps * dim, hidden))
-        self.b1 = ParamTensor(f"{name}.0.b", np.zeros(hidden))
-        self.rest = (Mlp(rng, hidden, hidden, hidden, depth - 1, activation,
-                         dropout_rate, name=f"{name}.rest") if depth > 1 else None)
-        self._cache = None
+    def __init__(self, layer: Linear):
+        self.w, self.b = layer.w, layer.b
+        self._x = None
 
-    @property
-    def params(self) -> list[ParamTensor]:
-        out = [self.w1, self.b1]
-        if self.rest is not None:
-            out += self.rest.params
-        return out
-
-    def forward(self, xs: np.ndarray, training: bool,
-                rng: np.random.Generator | None) -> np.ndarray:
-        w1 = self.w1.value.reshape(self.steps, self.dim, self.hidden)
-        z = xs[0] @ w1[0]
-        for k in range(1, self.steps):
-            z += xs[k] @ w1[k]
-        z += self.b1.value
-        if self.rest is None:
-            self._cache = (xs, None, None)
-            return z
-        a = self.activation.forward(z)
-        a_drop, mask = dropout(a, self.dropout_rate, rng, training)
-        out = self.rest.forward(a_drop, training, rng)
-        self._cache = (xs, z, mask)
-        return out
+    def forward(self, xs: np.ndarray) -> np.ndarray:
+        self._x = xs
+        w = self.w.value.reshape(len(xs), -1, self.w.value.shape[1])
+        z = xs[0] @ w[0]
+        for k in range(1, len(xs)):
+            z += xs[k] @ w[k]
+        z += self.b.value
+        return z
 
     def backward(self, d_out: np.ndarray) -> None:
-        xs, z, mask = self._cache
-        d_z = d_out
-        if self.rest is not None:
-            d_z = dropout_backward(self.rest.backward(d_out), mask, self.dropout_rate)
-            d_z = self.activation.backward(d_z, z)
-        self.b1.grad += d_z.sum(axis=0)
-        self.w1.grad += (xs.transpose(0, 2, 1) @ d_z).reshape(-1, self.hidden)
+        self.b.grad += d_out.sum(axis=0)
+        self.w.grad += (self._x.transpose(0, 2, 1) @ d_out).reshape(self.w.value.shape)
 
 
 class JkAttention:
@@ -241,8 +214,9 @@ class JkAttention:
         if reference == "jk":
             ref_dim = hidden
             if steps > 0:
-                self.encoder = _JkEncoder(rng, steps, dim, hidden, depth, activation,
-                                          mlp_dropout, name=f"{name}.enc")
+                self.encoder = Mlp(rng, steps * dim, hidden, hidden, depth, activation,
+                                   mlp_dropout, name=f"{name}.enc")
+                self.encoder.layers[0] = _StackLinear(self.encoder.layers[0])
         elif reference == "origin_feature":
             ref_dim = dim
         elif reference == "normal_noise":
@@ -254,7 +228,6 @@ class JkAttention:
             ref_dim = 0
         else:
             raise ValueError(f"unknown reference mode {reference!r}")
-        self.ref_dim = ref_dim
         self.s = ParamTensor(f"{name}.s", np.zeros(dim + ref_dim))
         self._cache = None
 
@@ -736,7 +709,10 @@ def restore_model(path, config: TrainConfig, feature_stack: FeatureStack,
     if out_bias is None:
         raise CheckpointFormatError(f"{path}: checkpoint missing its output layer")
     model, _ = _new_model(config, feature_stack, label_stack, out_bias.size, out_bias.dtype)
-    restore_params(model.params, arrays)
+    try:
+        restore_params(model.params, arrays)
+    except CheckpointFormatError as e:  # e.g. written under older parameter names
+        raise CheckpointFormatError(f"{path}: {e}; run 'gamlp train' again") from None
     return model
 
 

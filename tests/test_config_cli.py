@@ -182,6 +182,22 @@ def test_eval_refuses_another_label_mode(workdir, capsys):
     assert "label_mode" in capsys.readouterr().err
 
 
+def test_eval_refuses_a_checkpoint_in_the_old_jk_encoder_layout(workdir, capsys):
+    # before the JK encoder was an nn.Mlp, its layers after the first were
+    # stored as <branch>.enc.rest.<i>
+    _, conf, cache_dir = workdir
+    _train(conf, capsys)
+    ckpt = cache_dir / "checkpoint.gmck"
+    with np.load(ckpt, allow_pickle=False) as npz:
+        arrays = {name.replace("param/feat.enc.1.", "param/feat.enc.rest.0."): npz[name]
+                  for name in npz.files}
+    with open(ckpt, "wb") as f:
+        np.savez(f, **arrays)
+    assert main(["eval", "--config", str(conf), "--checkpoint", str(ckpt)]) != 0
+    assert capsys.readouterr().err == (f"gamlp: error: {ckpt}: checkpoint missing parameter "
+                                       "'feat.enc.1.w'; run 'gamlp train' again\n")
+
+
 def test_eval_refuses_a_dataset_replaced_after_training(workdir, capsys):
     tmp_path, conf, cache_dir = workdir
     _train(conf, capsys)

@@ -139,6 +139,22 @@ def test_alpha_scheme_ablation_builds_the_stacks_once(sbm, monkeypatch):
     assert len(calls) == 1
 
 
+def test_sparsity_sweep_builds_the_stacks_once_per_level(sbm, monkeypatch):
+    # gamlp_jk and gamlp_r share a stack recipe; each level has its own graph
+    calls = []
+
+    def counting_build_stacks(dataset, config):
+        calls.append(dataset)
+        return build_stacks(dataset, config)
+
+    monkeypatch.setattr(experiments, "build_stacks", counting_build_stacks)
+    report = run_sparsity_sweep(sbm, "edge", [0.0, 0.5],
+                                _methods(_base_config(epochs=5, patience=5),
+                                         ["gamlp_jk", "gamlp_r"]), n_runs=1)
+    assert len(report["rows"]) == 4
+    assert len(calls) == 2 and calls[0] is sbm and calls[1] is not sbm
+
+
 def test_ablation_rejects_unknown_family(sbm):
     with pytest.raises(ValueError):
         run_ablation(sbm, "magic", _base_config(), 1)

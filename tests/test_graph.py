@@ -153,9 +153,9 @@ def _reference_from_keys(keys, n):
     return row_offsets, cols.astype(np.int64)
 
 
-def reference_build(edges, n, symmetrize=True):
+def reference_build(edges, n):
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if symmetrize and e.size:
+    if e.size:
         e = np.concatenate([e, e[:, ::-1]], axis=0)
     keys = np.unique(e[:, 0] * n + e[:, 1]) if e.size else np.empty(0, dtype=np.int64)
     return _reference_from_keys(keys, n)
@@ -167,9 +167,9 @@ def reference_add_self_loops(row_offsets, cols, n):
     return _reference_from_keys(np.unique(np.concatenate([rows * n + cols, diag])), n)
 
 
-def assert_matches_reference(edges, n, symmetrize=True):
-    g = build_graph(edges, n, symmetrize=symmetrize)
-    offsets, cols = reference_build(edges, n, symmetrize)
+def assert_matches_reference(edges, n):
+    g = build_graph(edges, n)
+    offsets, cols = reference_build(edges, n)
     assert np.array_equal(g.row_offsets, offsets) and g.row_offsets.dtype == np.int64
     assert np.array_equal(g.col_indices, cols) and g.col_indices.dtype == np.int64
     looped = add_self_loops(g)
@@ -179,15 +179,14 @@ def assert_matches_reference(edges, n, symmetrize=True):
     assert looped.has_self_loops
 
 
-@pytest.mark.parametrize("symmetrize", [True, False])
-def test_build_matches_reference_with_duplicates_and_both_orientations(symmetrize):
+def test_build_matches_reference_with_duplicates_and_both_orientations():
     rng = np.random.default_rng(11)
     for _ in range(100):
         n = int(rng.integers(1, 40))
         # up to twice as many lines as node pairs: heavy duplication
         e = rng.integers(0, n, size=(int(rng.integers(0, 2 * n * n + 1)), 2))
         e = np.concatenate([e, e[: e.shape[0] // 3, ::-1]])  # reversed repeats
-        assert_matches_reference(e[rng.permutation(e.shape[0])], n, symmetrize)
+        assert_matches_reference(e[rng.permutation(e.shape[0])], n)
 
 
 def test_build_matches_reference_with_existing_self_loops():
@@ -217,7 +216,7 @@ def test_build_matches_reference_on_sparse_and_degenerate_graphs():
         assert_matches_reference(np.empty((0, 2), dtype=np.int64), n)
         assert_matches_reference([], n)
     assert_matches_reference([(0, 0)], 1)
-    assert_matches_reference([(0, 0), (0, 0)], 1, symmetrize=False)
+    assert_matches_reference([(0, 0), (0, 0)], 1)
     assert add_self_loops(build_graph([], 1)).col_indices.tolist() == [0]
 
 

@@ -12,12 +12,12 @@ import gamlp.model
 from gamlp.config import TrainConfig
 from gamlp.data import generate_sbm
 from gamlp.model import (BaselineCombiner, CheckpointFormatError, CheckpointMismatch,
-                         GamlpModel, JkAttention, RecursiveAttention, _combine, _JkEncoder,
-                         _scores, _stack_blocks, _stack_inputs, baseline_combine,
+                         GamlpModel, JkAttention, RecursiveAttention, _combine, _scores,
+                         _stack_blocks, _stack_inputs, _StackLinear, baseline_combine,
                          evaluate_accuracy, export_attention, fit, predict, restore_model,
                          save_checkpoint, slice_mats)
-from gamlp.nn import (Activation, cross_entropy, dropout, dropout_backward, softmax_backward,
-                      softmax_rows)
+from gamlp.nn import (Activation, Linear, Mlp, cross_entropy, dropout, dropout_backward,
+                      softmax_backward, softmax_rows)
 from gamlp.pipeline import build_stacks
 from gamlp.propagation import FeatureStack, LabelStack, ResidualScheme, apply_last_residual
 
@@ -60,17 +60,12 @@ def recursive_oracle(mats, s, act):
 def jk_oracle(mats, comb):
     """Dense reimplementation of the JK pipeline from the combiner's weights."""
     n, d = mats[0].shape
-    concat = np.hstack(mats[1:])
-    z = concat @ comb.encoder.w1.value + comb.encoder.b1.value
-    if comb.encoder.rest is not None:
-        h = comb.activation.forward(z)
-        for i, layer in enumerate(comb.encoder.rest.layers):
-            h = h @ layer.w.value + layer.b.value
-            if i < len(comb.encoder.rest.layers) - 1:
-                h = comb.activation.forward(h)
-        e = h
-    else:
-        e = z
+    layers = comb.encoder.layers
+    e = np.hstack(mats[1:])
+    for i, layer in enumerate(layers):
+        e = e @ layer.w.value + layer.b.value
+        if i < len(layers) - 1:
+            e = comb.activation.forward(e)
     s = comb.s.value
     sa, sb = s[:d], s[d:]
     out = np.zeros((n, d))
@@ -134,34 +129,25 @@ class ListRecursiveAttention(RecursiveAttention):
             d_r = self._score_backward(d_w, *levels[l - 1], xd, sb)
 
 
-class ListJkEncoder(_JkEncoder):
-    def forward(self, xs, training, rng):
-        dim = self.dim
-        z = self.b1.value + sum(xs[k] @ self.w1.value[k * dim:(k + 1) * dim]
-                                for k in range(self.steps))
-        if self.rest is None:
-            self._cache = (xs, None, None)
-            return z
-        a_drop, mask = dropout(self.activation.forward(z), self.dropout_rate, rng, training)
-        self._cache = (xs, z, mask)
-        return self.rest.forward(a_drop, training, rng)
+class ListStackLinear(_StackLinear):
+    def forward(self, xs):
+        self._x = xs
+        dim = xs[0].shape[1]
+        return self.b.value + sum(xs[k] @ self.w.value[k * dim:(k + 1) * dim]
+                                  for k in range(len(xs)))
 
     def backward(self, d_out):
-        xs, z, mask = self._cache
-        d_z = d_out
-        if self.rest is not None:
-            d_z = dropout_backward(self.rest.backward(d_out), mask, self.dropout_rate)
-            d_z = self.activation.backward(d_z, z)
-        self.b1.grad += d_z.sum(axis=0)
-        for k in range(self.steps):
-            self.w1.grad[k * self.dim:(k + 1) * self.dim] += xs[k].T @ d_z
+        dim = self._x[0].shape[1]
+        self.b.grad += d_out.sum(axis=0)
+        for k in range(len(self._x)):
+            self.w.grad[k * dim:(k + 1) * dim] += self._x[k].T @ d_out
 
 
 class ListJkAttention(JkAttention):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         if self.encoder is not None:
-            self.encoder.__class__ = ListJkEncoder
+            self.encoder.layers[0].__class__ = ListStackLinear
 
     def forward(self, mats, rows=None, training=False, rng=None):
         sa, sb = self.s.value[:self.dim], self.s.value[self.dim:]
@@ -367,6 +353,44 @@ def test_jk_matches_dense_oracle():
     want_h, want_w = jk_oracle(mats, comb)
     assert np.allclose(h, want_h, atol=1e-10)
     assert np.allclose(w, want_w, atol=1e-10)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 16])
+def test_stack_linear_matches_linear_over_the_concatenation(steps):
+    rng = np.random.default_rng(20 + steps)
+    xs = rng.standard_normal((steps, 11, 4))
+    d_out = rng.standard_normal((11, 6))
+    dense = Linear(np.random.default_rng(1), steps * 4, 6, "enc.0")
+    dense.b.value[:] = rng.standard_normal(6)
+    first = Linear(np.random.default_rng(1), steps * 4, 6, "enc.0")
+    layer = _StackLinear(first)
+    assert layer.w is first.w and layer.b is first.b
+    layer.b.value[:] = dense.b.value
+    assert np.abs(layer.forward(xs) - dense.forward(np.hstack(xs))).max() <= 1e-12
+    assert layer.backward(d_out) is None  # the stack is data
+    dense.backward(d_out)
+    for p, q in zip(layer.params, dense.params):
+        assert p.name == q.name
+        assert np.abs(p.grad - q.grad).max() <= 1e-12, p.name
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_jk_encoder_is_an_mlp_over_the_concatenated_steps(depth):
+    steps, d, hidden = 4, 3, 5
+    act = Activation("leaky_relu", 0.2)
+    comb = JkAttention(np.random.default_rng(1), steps, d, hidden, depth, act,
+                       mlp_dropout=0.5)
+    assert [p.name for p in comb.params] == ["jk.s"] + [f"jk.enc.{i}.{p}" for i in range(depth)
+                                                        for p in "wb"]
+    mlp = Mlp(np.random.default_rng(1), steps * d, hidden, hidden, depth, act, 0.5,
+              name="jk.enc")
+    for p, q in zip(comb.encoder.params, mlp.params):
+        assert p.name == q.name and np.array_equal(p.value, q.value)
+    xs = np.random.default_rng(2).standard_normal((steps, 9, d))
+    rng, mlp_rng = np.random.default_rng(3), np.random.default_rng(3)
+    got = comb.encoder.forward(xs, True, rng)
+    assert np.abs(got - mlp.forward(np.hstack(xs), True, mlp_rng)).max() <= 1e-12
+    assert rng.bit_generator.state == mlp_rng.bit_generator.state
 
 
 def test_jk_reference_modes():
@@ -919,6 +943,38 @@ def test_garbage_checkpoint_files_give_one_line_error(tmp_path):
             restore_model(bad, cfg, fs, ls)
         assert str(err.value) == (f"{bad}: not a gamlp checkpoint (older GMCK files "
                                   "need a new 'gamlp train')")
+
+
+def _rewrite(path, edit):
+    """Apply ``edit`` to the arrays of the checkpoint at ``path``, in place."""
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    edit(arrays)
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+
+
+def _old_jk_layout(arrays):
+    """The encoder names before the JK encoder became an ``Mlp``: the layers
+    after the first were ``<branch>.enc.rest.<i>``."""
+    for name in [n for n in arrays if n.startswith("param/feat.enc.1.")]:
+        arrays[name.replace("enc.1.", "enc.rest.0.")] = arrays.pop(name)
+
+
+def _narrowed_encoder(arrays):
+    arrays["param/feat.enc.1.w"] = arrays["param/feat.enc.1.w"][:, :-1]
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (_old_jk_layout, "checkpoint missing parameter 'feat.enc.1.w'"),
+    (_narrowed_encoder, "checkpoint parameter 'feat.enc.1.w' has shape (8, 7), "
+                          "model expects (8, 8)")])
+def test_restore_model_names_the_file_of_parameters_that_do_not_fit(tmp_path, edit, problem):
+    cfg, fs, ls, _, path = _fitted(tmp_path)
+    _rewrite(path, edit)
+    with pytest.raises(CheckpointFormatError) as err:
+        restore_model(path, cfg, fs, ls)
+    assert str(err.value) == f"{path}: {problem}; run 'gamlp train' again"
 
 
 class _FailingMatrix:
