@@ -14,17 +14,14 @@ import os
 import sys
 
 
-def _set_threads(argv) -> None:
-    threads = os.environ.get("GAMLP_THREADS")
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif arg.startswith("--threads="):
-            threads = arg.split("=", 1)[1]
+def _set_threads(threads) -> None:
+    """Export ``threads`` (the parsed --threads; None: GAMLP_THREADS) to the
+    thread variables, before any handler loads the numerics libraries."""
+    threads = os.environ.get("GAMLP_THREADS") if threads is None else str(threads)
     if threads:
         for var in ("GAMLP_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-            os.environ[var] = str(threads)
+            os.environ[var] = threads
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -142,6 +139,9 @@ def _cmd_eval(args) -> int:
     pred = predict(model, feature_stack, label_stack)
     for part in ("train", "val", "test"):
         split = getattr(dataset.splits, part)
+        if split.size == 0:
+            print(f"{part} accuracy n/a (0 nodes)")
+            continue
         acc = evaluate_accuracy(pred, dataset.labels, split)
         print(f"{part} accuracy {acc:.4f} ({split.size} nodes)")
     return 0
@@ -233,10 +233,8 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    _set_threads(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)  # loads no numpy
+    _set_threads(args.threads)
     try:
         return _HANDLERS[args.command](args)
     except Exception as e:  # one-line diagnostic, nonzero exit

@@ -123,7 +123,7 @@ class RecursiveAttention:
         xa = _scores(xd, sa)
         masked = training and self.attention_dropout > 0.0
         xb = None if masked else _scores(mats, sb)
-        levels = []
+        rounds = []
         r = mats[0]
         for l in range(1, len(mats) + 1):
             if masked:
@@ -134,21 +134,20 @@ class RecursiveAttention:
                 rb = xb[:, 0] if l == 1 else (w * xb[:, :l - 1]).sum(axis=1)
             pre = xa[:, :l] + rb[:, None]
             w = softmax_rows(self.activation.forward(pre))
-            levels.append((pre, w, rd, r_mask))
+            rounds.append((pre, w, rd, r_mask))
             if masked or l == len(mats):
                 r = _combine(w, mats)
-        self._cache = (mats, xd, levels[:-1], levels[-1])
+        self._cache = (mats, xd, rounds)
         return r, w
 
     def backward(self, d_h: np.ndarray) -> None:
-        mats, xd, levels, final = self._cache
+        mats, xd, rounds = self._cache
         dim = self.dim
         sb = self.s.value[dim:]
         # the scores of every round share xd, so their gradients wrt sa are
         # summed per (row, step) and contracted with xd once
         d_pre_sum = np.zeros((xd.shape[1], len(mats)), dtype=xd.dtype)
         d_r = d_h
-        rounds = [*levels, final]
         for i in range(len(rounds) - 1, -1, -1):
             pre, w, rd, r_mask = rounds[i]
             if rd is None:
@@ -351,31 +350,27 @@ class GamlpModel:
         act = Activation(config.activation, config.leaky_slope)
         self.activation = act
 
-        def make_combiner(steps: int, dim: int, name: str):
+        def branch(steps: int, dim: int, name: str, depth: int):
+            """(combiner, MLP) of one branch; the combiner draws first."""
+            out = dim
             if config.combiner != "attention":
-                return BaselineCombiner(config.combiner, config.gbp_beta)
-            if config.attention == "recursive":
-                return RecursiveAttention(rng, dim, act, config.attention_dropout, name)
-            return JkAttention(rng, steps, dim, config.hidden, config.jk_layers, act,
-                               config.attention_dropout, config.reference, n_nodes, name,
-                               mlp_dropout=config.dropout)
+                combiner = BaselineCombiner(config.combiner, config.gbp_beta)
+                out = combiner.output_dim(steps, dim)
+            elif config.attention == "recursive":
+                combiner = RecursiveAttention(rng, dim, act, config.attention_dropout, name)
+            else:
+                combiner = JkAttention(rng, steps, dim, config.hidden, config.jk_layers, act,
+                                       config.attention_dropout, config.reference, n_nodes,
+                                       name, mlp_dropout=config.dropout)
+            return combiner, Mlp(rng, out, config.hidden, num_classes, depth, act,
+                                 config.dropout, name=f"{name}_mlp")
 
-        self.feature_combiner = make_combiner(feat_steps, feat_dim, "feat")
-        feat_out = feat_dim
-        if isinstance(self.feature_combiner, BaselineCombiner):
-            feat_out = self.feature_combiner.output_dim(feat_steps, feat_dim)
-        self.feature_mlp = Mlp(rng, feat_out, config.hidden, num_classes,
-                               config.num_layers, act, config.dropout, name="feat_mlp")
-        self.label_combiner = None
-        self.label_mlp = None
+        self.feature_combiner, self.feature_mlp = branch(feat_steps, feat_dim, "feat",
+                                                         config.num_layers)
+        self.label_combiner = self.label_mlp = None
         if config.use_labels:
-            self.label_combiner = make_combiner(label_steps, num_classes, "label")
-            label_out = num_classes
-            if isinstance(self.label_combiner, BaselineCombiner):
-                label_out = self.label_combiner.output_dim(label_steps, num_classes)
-            self.label_mlp = Mlp(rng, label_out, config.hidden, num_classes,
-                                 config.label_num_layers, act, config.dropout,
-                                 name="label_mlp")
+            self.label_combiner, self.label_mlp = branch(label_steps, num_classes, "label",
+                                                         config.label_num_layers)
         self.beta = config.beta
         # every initial value is drawn in float64 and then cast, so both
         # dtypes start from the same draws
@@ -405,12 +400,11 @@ class GamlpModel:
         x_in, _ = dropout(np.asarray(feat_mats), cfg.input_dropout, rng, training)
         h_x, self.feature_weights = self.feature_combiner.forward(x_in, rows, training, rng)
         logits = self.feature_mlp.forward(h_x, training, rng)
-        self.label_weights = None
         if self.label_combiner is not None:
             if label_mats is None:
                 raise ValueError("model was built with a label branch but got no label stack")
             y_in, _ = dropout(np.asarray(label_mats), cfg.input_dropout, rng, training)
-            h_y, self.label_weights = self.label_combiner.forward(y_in, rows, training, rng)
+            h_y, _ = self.label_combiner.forward(y_in, rows, training, rng)
             logits = logits + self.beta * self.label_mlp.forward(h_y, training, rng)
         return logits
 
@@ -465,24 +459,16 @@ def _stack_inputs(feature_stack: FeatureStack, label_stack: LabelStack | None,
     return slice_mats(feature_stack.mats, rows).astype(dtype, copy=False), label_mats
 
 
-def _eval_blocks(model: GamlpModel, n_rows: int, inputs):
-    """Yield the eval-mode logits and feature weights of ``n_rows`` rows, ROW_BLOCK
-    at a time; ``inputs(block)`` gives the features, labels and global row ids
-    of the rows at positions ``block``, a slice."""
-    for lo in range(0, max(n_rows, 1), ROW_BLOCK):  # no rows: one empty block
-        feats, labels, ids = inputs(slice(lo, lo + ROW_BLOCK))
-        yield model.forward(feats, labels, rows=ids, training=False), model.feature_weights
-
-
 def _stack_blocks(model: GamlpModel, feature_stack: FeatureStack,
                   label_stack: LabelStack | None, rows: np.ndarray | None):
-    """:func:`_eval_blocks` over ``rows`` of the stacks (None: every node, as views)."""
-    def inputs(block):
-        ids = block if rows is None else rows[block]
-        return (*_stack_inputs(feature_stack, label_stack, model.config, ids, model.dtype),
-                ids)
-
-    return _eval_blocks(model, feature_stack.n if rows is None else len(rows), inputs)
+    """Yield the eval-mode logits and feature weights of ``rows`` of the stacks
+    (None: every node, as views), ROW_BLOCK rows at a time."""
+    n_rows = feature_stack.n if rows is None else len(rows)
+    for lo in range(0, max(n_rows, 1), ROW_BLOCK):  # no rows: one empty block
+        ids = slice(lo, lo + ROW_BLOCK) if rows is None else rows[lo:lo + ROW_BLOCK]
+        feats, label_mats = _stack_inputs(feature_stack, label_stack, model.config, ids,
+                                          model.dtype)
+        yield model.forward(feats, label_mats, rows=ids, training=False), model.feature_weights
 
 
 def _new_model(config: TrainConfig, feature_stack: FeatureStack,
@@ -507,7 +493,8 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
     """Train with early stopping on validation accuracy.
 
     ``splits`` needs .train/.val attributes, such as a :class:`~gamlp.data.Splits`.
-    The model computes in the feature stack's dtype. Returns the parameters
+    Each epoch validates through :func:`predict` over the val rows. The model
+    computes in the feature stack's dtype. Returns the parameters
     of the best validation epoch. Raises TrainingDiverged on a non-finite
     loss or layer output, in training or in the validation pass.
     """
@@ -527,11 +514,6 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
     optimizer = opt_cls(model.params, lr=config.lr, weight_decay=config.weight_decay)
 
     train_feats, train_label_mats = _stack_inputs(feature_stack, label_stack, config, train_ids)
-    val_feats, val_label_mats = _stack_inputs(feature_stack, label_stack, config, val_ids)
-
-    def val_inputs(block):
-        return slice_mats(val_feats, block), slice_mats(val_label_mats, block), val_ids[block]
-
     onehot = np.zeros((train_ids.size, num_classes), dtype=model.dtype)
     onehot[np.arange(train_ids.size), labels[train_ids]] = 1.0
     all_rows = np.arange(train_ids.size)
@@ -572,8 +554,7 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
 
             if val_ids.size:
                 try:
-                    val_pred = np.concatenate([np.argmax(logits, axis=1) for logits, _ in
-                                               _eval_blocks(model, val_ids.size, val_inputs)])
+                    val_pred = predict(model, feature_stack, label_stack, val_ids)
                 except NonFiniteError as e:
                     raise diverged(f"{e} in the validation pass") from None
                 val_acc = float(np.mean(val_pred == labels[val_ids]))

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -348,13 +350,43 @@ def test_seed_override(workdir, capsys):
 
 
 def test_threads_env_plumbing(thread_env):
-    from gamlp.cli import _set_threads
+    from gamlp.cli import _build_parser, _set_threads
+
+    def parsed(*flags):
+        return _build_parser().parse_args(["preprocess", "--config", "c", *flags]).threads
+
     thread_env.setenv("GAMLP_THREADS", "2")
-    _set_threads([])
+    _set_threads(parsed())
     assert os.environ["OMP_NUM_THREADS"] == "2"
-    _set_threads(["--threads", "4"])
+    _set_threads(parsed("--threads", "4"))
     assert os.environ["OMP_NUM_THREADS"] == "4"
-    _set_threads(["--threads=3"])
+    _set_threads(parsed("--threads=3"))
     assert os.environ["OMP_NUM_THREADS"] == "3"
     # the propagation threads follow the flag too
     assert os.environ["GAMLP_THREADS"] == "3"
+
+
+def test_parsing_the_command_line_loads_no_numpy():
+    # the thread variables are exported after parsing, so parsing must not
+    # load the numerics libraries that read them
+    code = ("import sys; from gamlp import cli; "
+            "cli._build_parser().parse_args(['train', '--config', 'c', '--threads', '2']); "
+            "print('numpy' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
+def test_eval_reports_an_empty_split_as_not_available(workdir, capsys):
+    tmp_path, conf, cache_dir = workdir
+    (tmp_path / "data" / "splits" / "val.txt").write_text("")
+    _train(conf, capsys)
+    ckpt = str(cache_dir / "checkpoint.gmck")
+    assert main(["eval", "--config", str(conf), "--checkpoint", ckpt]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("train accuracy ")
+    assert out[1] == "val accuracy n/a (0 nodes)"
+    assert out[2].startswith("test accuracy ")

@@ -119,6 +119,27 @@ def test_best_epoch_parameters_restored(sbm60):
     assert result.best_epoch == 1
 
 
+def test_fit_validates_through_the_predict_path(monkeypatch, sbm60):
+    cfg = _config(seed=3, epochs=4, patience=4)
+    fs, ls = build_stacks(sbm60, cfg)
+    calls = []
+    stack_blocks = gamlp.model._stack_blocks
+
+    def spy(model, feature_stack, label_stack, rows):
+        calls.append(rows)
+        return stack_blocks(model, feature_stack, label_stack, rows)
+
+    monkeypatch.setattr(gamlp.model, "_stack_blocks", spy)
+    result = fit(fs, ls, sbm60.labels, sbm60.splits, cfg)
+    # one validation pass per epoch, over the val rows
+    assert len(calls) == len(result.log) == 4
+    for rows in calls:
+        assert np.array_equal(rows, sbm60.splits.val)
+    monkeypatch.undo()
+    pred = predict(result.model, fs, ls)
+    assert result.best_val_acc == evaluate_accuracy(pred, sbm60.labels, sbm60.splits.val)
+
+
 def test_sgd_optimizer_runs(sbm60):
     result = train_on_dataset(sbm60, _config(optimizer="sgd", lr=0.05,
                                              epochs=50, patience=50))

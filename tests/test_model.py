@@ -429,7 +429,7 @@ def test_attention_score_shift_invariance():
     comb = RecursiveAttention(rng, 3, Activation("sigmoid"))
     comb.s.value[:] = rng.standard_normal(6)
     _, w = comb.forward(mats)
-    pre, w_cached, _, _ = comb._cache[3]
+    pre, w_cached, _, _ = comb._cache[2][-1]
     scores = comb.activation.forward(pre)
     assert np.allclose(softmax_rows(scores + 123.0), w, atol=1e-12)
 
@@ -525,6 +525,46 @@ def test_model_beta_zero_matches_feature_branch():
     h_x, _ = model.feature_combiner.forward(fs.mats)
     manual = model.feature_mlp.forward(h_x)
     assert np.allclose(logits, manual, atol=1e-14)
+
+
+def test_branches_keep_the_checkpoint_layout_of_sign():
+    ds, cfg, fs, ls = _toy_setup(combiner="sign", label_hops=2)
+    model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps,
+                       np.random.default_rng(0))
+    shapes = {p.name: p.value.shape for p in model.params}
+    assert shapes["feat_mlp.0.w"] == ((fs.steps + 1) * fs.dim, cfg.hidden)
+    assert shapes["label_mlp.0.w"] == ((ls.steps + 1) * ds.num_classes, cfg.hidden)
+
+
+def _branch_names(branch, combiner_names, depth):
+    return combiner_names + [f"{branch}_mlp.{i}.{p}" for i in range(depth) for p in "wb"]
+
+
+@pytest.mark.parametrize("attention", ["jk", "recursive"])
+def test_branches_keep_the_checkpoint_layout_and_draws(attention):
+    ds, cfg, fs, ls = _toy_setup(attention=attention, label_hops=2, label_num_layers=3)
+    model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps,
+                       np.random.default_rng(0))
+    enc = [f"enc.{i}.{p}" for i in range(cfg.jk_layers) for p in "wb"]
+    feat = ["feat.s"] + ([f"feat.{e}" for e in enc] if attention == "jk" else [])
+    label = ["label.s"] + ([f"label.{e}" for e in enc] if attention == "jk" else [])
+    assert [p.name for p in model.params] == (_branch_names("feat", feat, cfg.num_layers)
+                                              + _branch_names("label", label, 3))
+    # the draws: feature combiner, feature MLP, label combiner, label MLP
+    rng, act = np.random.default_rng(0), Activation(cfg.activation, cfg.leaky_slope)
+    parts = []
+    for steps, dim, name, depth in ((fs.steps, fs.dim, "feat", cfg.num_layers),
+                                    (ls.steps, ds.num_classes, "label", 3)):
+        if attention == "jk":
+            parts.append(JkAttention(rng, steps, dim, cfg.hidden, cfg.jk_layers, act,
+                                     name=name))
+        else:
+            parts.append(RecursiveAttention(rng, dim, act, name=name))
+        parts.append(Mlp(rng, dim, cfg.hidden, ds.num_classes, depth, act, name=f"{name}_mlp"))
+    want = [p for part in parts for p in part.params]
+    assert [p.name for p in want] == [p.name for p in model.params]
+    for got, ref in zip(model.params, want):
+        assert np.array_equal(got.value, ref.value), got.name
 
 
 def test_model_zero_params_give_uniform_softmax():
