@@ -111,9 +111,12 @@ def _cmd_train(args) -> int:
                  num_classes=dataset.num_classes, log_path=log_path)
     save_checkpoint(ckpt, result.model, feature_stack, label_stack)
     pred = predict(result.model, feature_stack, label_stack)
-    test_acc = evaluate_accuracy(pred, dataset.labels, dataset.splits.test)
-    print(f"best val accuracy {result.best_val_acc:.4f} (epoch {result.best_epoch}), "
-          f"test accuracy {test_acc:.4f}")
+    splits = dataset.splits
+    val = (f"{result.best_val_acc:.4f} (epoch {result.best_epoch})" if splits.val.size
+           else "n/a (0 nodes)")
+    test = (f"{evaluate_accuracy(pred, dataset.labels, splits.test):.4f}" if splits.test.size
+            else "n/a (0 nodes)")
+    print(f"best val accuracy {val}, test accuracy {test}")
     print(f"wrote {ckpt} and {log_path}")
     return 0
 

@@ -10,11 +10,12 @@ On-disk dataset layout (all little-endian, ids 0-based decimal):
 
 The integer files (edges, labels, splits) are parsed in bulk: one
 ``np.loadtxt`` call per file, then vectorised range checks. Whenever that
-parse raises or finds an id out of range, the file is read again line by
-line. That loop is the reference reader: it alone reports errors, as one
-line naming the file and the line number, and it also accepts the few
-inputs numpy rejects (whitespace-only lines, a trailing tab, ``1_0``), so
-both paths load every file to the same arrays.
+parse raises or finds an id out of range, the file is read again by one
+line loop, ``_read_lines``. That loop is the reference reader for every
+integer file: it alone reports errors, as one line naming the file and the
+line number (split ids are range-checked there too), and it also accepts
+the few inputs numpy rejects (whitespace-only lines, a trailing tab,
+``1_0``), so both paths load every file to the same arrays.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ def _read_table(path: Path, columns: int) -> np.ndarray | None:
     """Bulk-parse a TAB-separated integer file into a (rows, columns) int64 array.
 
     Blank lines are skipped. Returns None when numpy's parser rejects the
-    file or finds another column count; the caller then falls back to its
-    line loop, which reports the error or accepts what numpy does not.
+    file or finds another column count; the caller then falls back to
+    ``_read_lines``, which reports the error or accepts what numpy does not.
     """
     if not path.read_bytes().strip():
         return np.empty((0, columns), dtype=np.int64)
@@ -103,25 +104,6 @@ def _read_table(path: Path, columns: int) -> np.ndarray | None:
     except (ValueError, DeprecationWarning):
         return None
     return table if table.shape[1] == columns else None
-
-
-def _read_id_file(path: Path) -> np.ndarray:
-    table = _read_table(path, 1)
-    return table[:, 0] if table is not None else _read_id_file_by_line(path)
-
-
-def _read_id_file_by_line(path: Path) -> np.ndarray:
-    ids = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                ids.append(int(text))
-            except ValueError:
-                raise DatasetError(f"{path}:{line_no}: not a node id: {text!r}") from None
-    return np.asarray(ids, dtype=np.int64)
 
 
 def _read_features(directory: Path) -> np.ndarray:
@@ -147,70 +129,70 @@ def _read_features(directory: Path) -> np.ndarray:
     raise DatasetError(f"{directory}: missing features.bin / features.csv")
 
 
-def _read_edges(path: Path, n: int) -> np.ndarray:
-    """(m, 2) array of the edge lines' endpoints, in file order."""
-    table = _read_table(path, 2)
-    if table is None or (table.size and (table.min() < 0 or table.max() >= n)):
-        return _read_edges_by_line(path, n)
-    return table
-
-
-def _read_edges_by_line(path: Path, n: int) -> np.ndarray:
-    edges = []
+def _read_lines(path: Path, columns: int, form: str, not_int: str, check) -> np.ndarray:
+    """The reference reader: the file's non-blank lines as a (rows, columns)
+    int64 array. A wrong column count raises ``form`` and a non-integer field
+    ``not_int``, each followed by the line's text; ``check(*ints)`` returns
+    the line's range problem, or None."""
+    rows = []
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             text = line.strip()
             if not text:
                 continue
             parts = text.split("\t")
-            if len(parts) != 2:
-                raise DatasetError(f"{path}:{line_no}: expected 'src<TAB>dst', "
-                                   f"got {text!r}")
+            if len(parts) != columns:
+                raise DatasetError(f"{path}:{line_no}: {form}{text!r}")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                ints = tuple(map(int, parts))
             except ValueError:
-                raise DatasetError(f"{path}:{line_no}: non-integer id in {text!r}") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise DatasetError(f"{path}:{line_no}: node id outside [0, {n})")
-            edges.append((u, v))
-    return np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+                raise DatasetError(f"{path}:{line_no}: {not_int}{text!r}") from None
+            problem = check(*ints)
+            if problem:
+                raise DatasetError(f"{path}:{line_no}: {problem}")
+            rows.append(ints)
+    return np.asarray(rows, dtype=np.int64).reshape(-1, columns)
+
+
+def _read_ints(path: Path, columns: int, form: str, not_int: str, check,
+               table_ok) -> np.ndarray:
+    """``_read_table``'s bulk parse when numpy takes the file and ``table_ok``
+    accepts the (non-empty) table; otherwise ``_read_lines`` reads it."""
+    table = _read_table(path, columns)
+    if table is not None and (not table.size or table_ok(table)):
+        return table
+    return _read_lines(path, columns, form, not_int, check)
+
+
+def _read_edges(path: Path, n: int) -> np.ndarray:
+    """(m, 2) array of the edge lines' endpoints, in file order."""
+    return _read_ints(path, 2, "expected 'src<TAB>dst', got ", "non-integer id in ",
+                      lambda u, v: None if 0 <= u < n and 0 <= v < n
+                      else f"node id outside [0, {n})",
+                      lambda table: table.min() >= 0 and table.max() < n)
 
 
 def _read_labels(path: Path, n: int) -> np.ndarray:
     """Length-n class vector, -1 for nodes without a line; a later line wins."""
-    table = _read_table(path, 2)
-    if table is None or (table.size and (table[:, 0].min() < 0 or table[:, 0].max() >= n
-                                         or table[:, 1].min() < 0)):
-        return _read_labels_by_line(path, n)
+    table = _read_ints(path, 2, "expected 'node<TAB>class', got ", "non-integer value in ",
+                       lambda node, cls: f"node id {node} outside [0, {n})"
+                       if not 0 <= node < n else f"negative class {cls}" if cls < 0 else None,
+                       lambda table: (table[:, 0].min() >= 0 and table[:, 0].max() < n
+                                      and table[:, 1].min() >= 0))
     labels = np.full(n, -1, dtype=np.int64)
     order = np.argsort(table[:, 0], kind="stable")
     nodes, classes = table[order, 0], table[order, 1]
-    last = np.append(nodes[1:] != nodes[:-1], True)
+    last = np.ones(nodes.size, dtype=bool)
+    last[:-1] = nodes[1:] != nodes[:-1]
     labels[nodes[last]] = classes[last]
     return labels
 
 
-def _read_labels_by_line(path: Path, n: int) -> np.ndarray:
-    labels = np.full(n, -1, dtype=np.int64)
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split("\t")
-            if len(parts) != 2:
-                raise DatasetError(f"{path}:{line_no}: expected 'node<TAB>class', "
-                                   f"got {text!r}")
-            try:
-                node, cls = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DatasetError(f"{path}:{line_no}: non-integer value in {text!r}") from None
-            if not 0 <= node < n:
-                raise DatasetError(f"{path}:{line_no}: node id {node} outside [0, {n})")
-            if cls < 0:
-                raise DatasetError(f"{path}:{line_no}: negative class {cls}")
-            labels[node] = cls
-    return labels
+def _read_split(path: Path, n: int) -> np.ndarray:
+    """Node ids of one split file, in file order."""
+    return _read_ints(path, 1, "not a node id: ", "not a node id: ",
+                      lambda i: None if 0 <= i < n else f"node id {i} outside [0, {n})",
+                      lambda table: table.min() >= 0 and table.max() < n)[:, 0]
 
 
 def load_dataset(directory) -> Dataset:
@@ -231,7 +213,7 @@ def load_dataset(directory) -> Dataset:
         raise DatasetError(f"{labels_path}: missing")
     labels = _read_labels(labels_path, n)
 
-    splits = Splits(*(_read_id_file(directory / "splits" / f"{part}.txt")
+    splits = Splits(*(_read_split(directory / "splits" / f"{part}.txt", n)
                       for part in ("train", "val", "test")))
     num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 0
     return Dataset(graph=graph, features=features, labels=labels, splits=splits,
@@ -242,21 +224,18 @@ def save_dataset(dataset: Dataset, directory) -> None:
     """Write a dataset in the directory layout that load_dataset reads."""
     directory = Path(directory)
     (directory / "splits").mkdir(parents=True, exist_ok=True)
-    with open(directory / "edges.tsv", "w", encoding="utf-8") as f:
-        for u, v in dataset.undirected_edges():
-            f.write(f"{u}\t{v}\n")
+    np.savetxt(directory / "edges.tsv", dataset.undirected_edges(), fmt="%d", delimiter="\t")
     with open(directory / "features.bin", "wb") as f:
         n, dim = dataset.features.shape
         f.write(_FEAT_MAGIC)
         f.write(struct.pack("<QQ", n, dim))
         f.write(np.ascontiguousarray(dataset.features, dtype="<f4").tobytes())
-    with open(directory / "labels.tsv", "w", encoding="utf-8") as f:
-        for node in np.flatnonzero(dataset.labels >= 0):
-            f.write(f"{node}\t{dataset.labels[node]}\n")
+    labeled = np.flatnonzero(dataset.labels >= 0)
+    np.savetxt(directory / "labels.tsv", np.column_stack([labeled, dataset.labels[labeled]]),
+               fmt="%d", delimiter="\t")
     for part in ("train", "val", "test"):
-        with open(directory / "splits" / f"{part}.txt", "w", encoding="utf-8") as f:
-            for i in getattr(dataset.splits, part):
-                f.write(f"{i}\n")
+        np.savetxt(directory / "splits" / f"{part}.txt", getattr(dataset.splits, part),
+                   fmt="%d", delimiter="\t")
 
 
 def generate_sbm(block_sizes, p_in: float, p_out: float, feature_dim: int,

@@ -493,7 +493,8 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
     """Train with early stopping on validation accuracy.
 
     ``splits`` needs .train/.val attributes, such as a :class:`~gamlp.data.Splits`.
-    Each epoch validates through :func:`predict` over the val rows. The model
+    Each training batch takes its rows' inputs through :func:`_stack_inputs`,
+    and each epoch validates through :func:`predict` over the val rows. The model
     computes in the feature stack's dtype. Returns the parameters
     of the best validation epoch. Raises TrainingDiverged on a non-finite
     loss or layer output, in training or in the validation pass.
@@ -513,10 +514,8 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
     opt_cls = Adam if config.optimizer == "adam" else Sgd
     optimizer = opt_cls(model.params, lr=config.lr, weight_decay=config.weight_decay)
 
-    train_feats, train_label_mats = _stack_inputs(feature_stack, label_stack, config, train_ids)
     onehot = np.zeros((train_ids.size, num_classes), dtype=model.dtype)
     onehot[np.arange(train_ids.size), labels[train_ids]] = 1.0
-    all_rows = np.arange(train_ids.size)
 
     def diverged(what: str) -> TrainingDiverged:  # reads the running epoch
         return TrainingDiverged(f"{what} at epoch {epoch} (lr={config.lr}); reduce the "
@@ -528,7 +527,7 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
     try:
         for epoch in range(1, config.epochs + 1):
             if config.batch_size == 0:
-                batches = [all_rows]
+                batches = [np.arange(train_ids.size)]
             else:
                 perm = rng.permutation(train_ids.size)
                 batches = [perm[i:i + config.batch_size]
@@ -536,11 +535,10 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
             total_loss, total_rows = 0.0, 0
             for batch in batches:
                 model.zero_grad()
+                ids = train_ids[batch]
+                feats, label_mats = _stack_inputs(feature_stack, label_stack, config, ids)
                 try:
-                    rows = batch if config.batch_size else None
-                    logits = model.forward(slice_mats(train_feats, rows),
-                                           slice_mats(train_label_mats, rows),
-                                           rows=train_ids[batch], training=True, rng=rng)
+                    logits = model.forward(feats, label_mats, rows=ids, training=True, rng=rng)
                     loss, d_logits = cross_entropy(logits, onehot[batch], np.arange(batch.size))
                 except NonFiniteError as e:
                     raise diverged(str(e)) from None

@@ -380,6 +380,20 @@ def test_parsing_the_command_line_loads_no_numpy():
     assert out.strip() == "False"
 
 
+@pytest.mark.parametrize("part", ["val", "test"])
+def test_train_reports_an_empty_split_as_not_available(workdir, capsys, part):
+    tmp_path, conf, cache_dir = workdir
+    (tmp_path / "data" / "splits" / f"{part}.txt").write_text("")
+    assert main(["preprocess", "--config", str(conf)]) == 0
+    capsys.readouterr()
+    assert main(["train", "--config", str(conf)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    val, test = out[0].removeprefix("best val accuracy ").split(", test accuracy ")
+    assert (val == "n/a (0 nodes)") == (part == "val")
+    assert (test == "n/a (0 nodes)") == (part == "test")
+    assert (cache_dir / "checkpoint.gmck").exists()
+
+
 def test_eval_reports_an_empty_split_as_not_available(workdir, capsys):
     tmp_path, conf, cache_dir = workdir
     (tmp_path / "data" / "splits" / "val.txt").write_text("")

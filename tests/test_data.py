@@ -6,6 +6,7 @@ import pytest
 from gamlp import data
 from gamlp.data import (Dataset, DatasetError, Splits, drop_edges, generate_sbm,
                         load_dataset, sample_labels_per_class, save_dataset)
+from gamlp.graph import build_graph
 
 from conftest import dense_adjacency, neighbors
 
@@ -100,6 +101,20 @@ def test_round_trip_keeps_raw_self_loops(tmp_path):
     assert np.array_equal(ds.graph.col_indices, again.graph.col_indices)
 
 
+def test_save_writes_one_tab_separated_line_per_row(tmp_path):
+    graph = build_graph(np.array([[1, 0], [1, 1], [3, 2]]), 4)  # a raw self loop
+    ds = Dataset(graph=graph, features=np.ones((4, 2)), labels=np.array([0, 1, -1, 0]),
+                 splits=Splits(np.array([0, 1]), np.array([], dtype=np.int64),
+                               np.array([3, 2])), num_classes=2).validate()
+    save_dataset(ds, tmp_path)
+    assert (tmp_path / "edges.tsv").read_bytes() == b"0\t1\n1\t1\n2\t3\n"
+    assert (tmp_path / "labels.tsv").read_bytes() == b"0\t0\n1\t1\n3\t0\n"  # node 2 unlabeled
+    splits = tmp_path / "splits"
+    assert (splits / "train.txt").read_bytes() == b"0\n1\n"
+    assert (splits / "val.txt").read_bytes() == b""
+    assert (splits / "test.txt").read_bytes() == b"3\n2\n"  # file order is split order
+
+
 def test_round_trip_identity(tmp_path):
     ds = generate_sbm([8, 7], 0.4, 0.1, 3, 1.0, seed=5)
     save_dataset(ds, tmp_path / "a")
@@ -157,6 +172,7 @@ PARSE_CASES = {
     "no trailing newline": dict(edges="0\t1\n1\t2", labels=CLEAN_LABELS.rstrip()),
     "empty and blank splits": dict(val="", test="\n\n"),
     "no edges": dict(edges=""),
+    "no labels": dict(labels="", train="", val="", test=""),
 }
 
 
@@ -202,6 +218,10 @@ PARSE_ERRORS = {
     "split float id": (dict(val="4\n5.0\n"), "val.txt", 2, "not a node id: '5.0'"),
     "split two columns": (dict(train="0\t1\n"), "train.txt", 1,
                           "not a node id: '0\\t1'"),
+    "split id out of range": (dict(val="4\n\n99\n"), "val.txt", 3,
+                              "node id 99 outside [0, 12)"),
+    "label three columns": (dict(labels="0\t1\t2\n"), "labels.tsv", 1,
+                            "expected 'node<TAB>class', got '0\\t1\\t2'"),
 }
 
 
@@ -241,8 +261,7 @@ def test_clean_files_take_the_bulk_path(tmp_path, monkeypatch):
     def refuse(*args):
         raise AssertionError("line loop used on a clean file")
 
-    for name in ("_read_edges_by_line", "_read_labels_by_line", "_read_id_file_by_line"):
-        monkeypatch.setattr(data, name, refuse)
+    monkeypatch.setattr(data, "_read_lines", refuse)
     ds = load_dataset(write_parity_fixture(tmp_path / "ds", val=""))
     assert ds.graph.nnz == 8 and ds.num_classes == 3 and ds.splits.val.size == 0
 

@@ -140,6 +140,35 @@ def test_fit_validates_through_the_predict_path(monkeypatch, sbm60):
     assert result.best_val_acc == evaluate_accuracy(pred, sbm60.labels, sbm60.splits.val)
 
 
+def test_fit_reads_each_training_batch_through_stack_inputs(monkeypatch, sbm60):
+    cfg = _config(seed=3, epochs=2, patience=2, batch_size=9)
+    fs, ls = build_stacks(sbm60, cfg)
+    train = sbm60.splits.train
+    assert train.size == 18  # two batches per epoch
+    inputs, forwards = [], []
+    stack_inputs, forward = gamlp.model._stack_inputs, GamlpModel.forward
+
+    def inputs_spy(feature_stack, label_stack, config, rows=None, dtype=None):
+        inputs.append(np.array(rows))
+        return stack_inputs(feature_stack, label_stack, config, rows, dtype)
+
+    def forward_spy(self, feats, label_mats, rows=None, training=False, rng=None):
+        if training:
+            forwards.append(rows)
+        return forward(self, feats, label_mats, rows=rows, training=training, rng=rng)
+
+    monkeypatch.setattr(gamlp.model, "_stack_inputs", inputs_spy)
+    monkeypatch.setattr(GamlpModel, "forward", forward_spy)
+    fit(fs, ls, sbm60.labels, sbm60.splits, cfg)
+    # the validation pass reads the val rows; every other call is one training batch
+    batches = [rows for rows in inputs if np.isin(rows, train).all()]
+    assert len(batches) == len(forwards) == 4
+    for rows, seen in zip(batches, forwards):
+        assert rows.size == 9 and np.array_equal(rows, seen)
+    for epoch in (batches[:2], batches[2:]):
+        assert np.array_equal(np.sort(np.concatenate(epoch)), train)
+
+
 def test_sgd_optimizer_runs(sbm60):
     result = train_on_dataset(sbm60, _config(optimizer="sgd", lr=0.05,
                                              epochs=50, patience=50))
