@@ -16,9 +16,13 @@ import sys
 
 def _set_threads(threads) -> None:
     """Export ``threads`` (the parsed --threads; None: GAMLP_THREADS) to the
-    thread variables, before any handler loads the numerics libraries."""
+    thread variables, before any handler loads the numerics libraries.
+    Raises ValueError unless it is a positive integer."""
     threads = os.environ.get("GAMLP_THREADS") if threads is None else str(threads)
     if threads:
+        if not threads.strip().isdigit() or int(threads) < 1:  # as graph.spmm_threads
+            raise ValueError("--threads and GAMLP_THREADS must be a positive integer, "
+                             f"got {threads!r}")
         for var in ("GAMLP_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
             os.environ[var] = threads
@@ -100,7 +104,7 @@ def _cmd_preprocess(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .model import evaluate_accuracy, fit, predict, save_checkpoint
+    from .model import evaluate_accuracy, fit, labeled_ids, predict, save_checkpoint
     from .pipeline import load_stacks
 
     config, dataset = _load(args)
@@ -111,11 +115,11 @@ def _cmd_train(args) -> int:
                  num_classes=dataset.num_classes, log_path=log_path)
     save_checkpoint(ckpt, result.model, feature_stack, label_stack)
     pred = predict(result.model, feature_stack, label_stack)
-    splits = dataset.splits
-    val = (f"{result.best_val_acc:.4f} (epoch {result.best_epoch})" if splits.val.size
-           else "n/a (0 nodes)")
-    test = (f"{evaluate_accuracy(pred, dataset.labels, splits.test):.4f}" if splits.test.size
-            else "n/a (0 nodes)")
+    labels, splits = dataset.labels, dataset.splits
+    val = (f"{result.best_val_acc:.4f} (epoch {result.best_epoch})"
+           if labeled_ids(splits.val, labels).size else "n/a (0 nodes)")
+    test = (f"{evaluate_accuracy(pred, labels, splits.test):.4f}"
+            if labeled_ids(splits.test, labels).size else "n/a (0 nodes)")
     print(f"best val accuracy {val}, test accuracy {test}")
     print(f"wrote {ckpt} and {log_path}")
     return 0
@@ -126,22 +130,22 @@ def _restore(args):
     from .model import restore_model
     from .pipeline import load_stacks
 
-    config, dataset = _load(args)
     if not os.path.exists(args.checkpoint):
         raise FileNotFoundError(f"checkpoint {args.checkpoint} not found; "
                                 "run 'gamlp train' first")
+    config, dataset = _load(args)
     feature_stack, label_stack = load_stacks(dataset, config)
     model = restore_model(args.checkpoint, config, feature_stack, label_stack)
     return dataset, model, feature_stack, label_stack
 
 
 def _cmd_eval(args) -> int:
-    from .model import evaluate_accuracy, predict
+    from .model import evaluate_accuracy, labeled_ids, predict
 
     dataset, model, feature_stack, label_stack = _restore(args)
     pred = predict(model, feature_stack, label_stack)
     for part in ("train", "val", "test"):
-        split = getattr(dataset.splits, part)
+        split = labeled_ids(getattr(dataset.splits, part), dataset.labels)
         if split.size == 0:
             print(f"{part} accuracy n/a (0 nodes)")
             continue
@@ -237,8 +241,8 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)  # loads no numpy
-    _set_threads(args.threads)
     try:
+        _set_threads(args.threads)
         return _HANDLERS[args.command](args)
     except Exception as e:  # one-line diagnostic, nonzero exit
         print(f"gamlp: error: {e}", file=sys.stderr)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -427,7 +427,6 @@ class FitResult:
     log: list[dict]
     best_val_acc: float
     best_epoch: int
-    optimizer: object = field(default=None, repr=False)
 
 
 def _stack_inputs(feature_stack: FeatureStack, label_stack: LabelStack | None,
@@ -494,16 +493,16 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
 
     ``splits`` needs .train/.val attributes, such as a :class:`~gamlp.data.Splits`.
     Each training batch takes its rows' inputs through :func:`_stack_inputs`,
-    and each epoch validates through :func:`predict` over the val rows. The model
-    computes in the feature stack's dtype. Returns the parameters
+    and each epoch validates through :func:`predict` over the labeled val rows.
+    The model computes in the feature stack's dtype. Returns the parameters
     of the best validation epoch. Raises TrainingDiverged on a non-finite
     loss or layer output, in training or in the validation pass.
     """
     train_ids = np.asarray(splits.train, dtype=np.int64)
-    val_ids = np.asarray(splits.val, dtype=np.int64)
     if train_ids.size == 0:
         raise ValueError("training split is empty")
     labels = np.asarray(labels, dtype=np.int64)
+    val_ids = labeled_ids(splits.val, labels)
     if num_classes is None:
         num_classes = int(labels.max()) + 1
     n = feature_stack.n
@@ -578,7 +577,7 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
             p.value[...] = v
     return FitResult(model=model, log=log,
                      best_val_acc=best_val if val_ids.size else float("nan"),
-                     best_epoch=best_epoch, optimizer=optimizer)
+                     best_epoch=best_epoch)
 
 
 def predict(model: GamlpModel, feature_stack: FeatureStack,
@@ -588,10 +587,17 @@ def predict(model: GamlpModel, feature_stack: FeatureStack,
                            _stack_blocks(model, feature_stack, label_stack, rows)])
 
 
-def evaluate_accuracy(pred: np.ndarray, truth: np.ndarray, split: np.ndarray) -> float:
+def labeled_ids(split, truth) -> np.ndarray:
+    """The ids of ``split`` whose class in ``truth`` is known (not -1)."""
     split = np.asarray(split, dtype=np.int64)
+    return split[np.asarray(truth)[split] >= 0]
+
+
+def evaluate_accuracy(pred: np.ndarray, truth: np.ndarray, split: np.ndarray) -> float:
+    """Share of ``split``'s labeled nodes whose prediction is their class."""
+    split = labeled_ids(split, truth)
     if split.size == 0:
-        raise ValueError("cannot evaluate accuracy on an empty split")
+        raise ValueError("cannot evaluate accuracy on a split with no labeled node")
     return float(np.mean(pred[split] == np.asarray(truth)[split]))
 
 

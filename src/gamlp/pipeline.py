@@ -80,7 +80,8 @@ def preprocess(dataset: Dataset, config: TrainConfig, cache_dir=None):
 
 def load_stacks(dataset: Dataset, config: TrainConfig, cache_dir=None,
                 force: bool = False):
-    """Read cached stacks, validating their fingerprints against ``dataset``."""
+    """Read cached stacks, validating their fingerprints against ``dataset``;
+    each recipe's kind decides the stack class its file is read as."""
     paths = cache_paths(config, cache_dir)
     for path in paths:
         if not path.exists():
@@ -91,7 +92,7 @@ def load_stacks(dataset: Dataset, config: TrainConfig, cache_dir=None,
     stacks = []
     for path, (kind, steps, r) in zip(paths, stack_recipes(config)):
         expect = stack_fingerprint(looped, _seed(dataset, kind), steps, r)
-        stacks.append(cache_read(path, expect_fingerprint=expect, force=force))
+        stacks.append(cache_read(path, kind, expect_fingerprint=expect, force=force))
     return _pair(stacks)
 
 

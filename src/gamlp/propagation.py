@@ -28,7 +28,6 @@ identity); a model computes in the dtype of the stacks it is fitted on.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import struct
@@ -45,7 +44,7 @@ from .graph import PropagationOperator, spmm
 
 
 class CacheFormatError(Exception):
-    """A cache file or its sidecar is missing, malformed or truncated."""
+    """A cache file is missing, malformed or truncated."""
 
 
 class FingerprintMismatch(Exception):
@@ -229,61 +228,45 @@ def atomic_write(path, mode: str = "xb", **open_kwargs):
         raise
 
 
-def _read_sidecar(path) -> dict:
-    with open(Path(path).with_suffix(".json"), encoding="utf-8") as f:
-        return json.load(f)
-
-
 def cache_write(stack: FeatureStack | LabelStack, path) -> None:
-    """Write the stack to ``path`` as float32 ``.npy`` and its sidecar ``<stem>.json``.
-
-    Both go to temporaries first; then the old sidecar is removed, the array
-    renamed into place and the new sidecar last. A failed write leaves the
-    previous pair readable, and a crash between the renames leaves no
-    sidecar, so the cache is refused.
-    """
-    sidecar = Path(path).with_suffix(".json")
-    kind = "labels" if isinstance(stack, LabelStack) else "features"
-    with atomic_write(sidecar, "x", encoding="utf-8") as meta:
-        json.dump({"kind": kind, "fingerprint": stack.fingerprint.hex()}, meta)
-        with atomic_write(path) as f:
-            np.save(f, np.asarray(stack.mats, dtype="<f4"))
-            sidecar.unlink(missing_ok=True)
+    """Write the stack to ``path`` as two ``.npy`` records, the float32 stack and
+    then its 32-byte fingerprint as uint8, through one :func:`atomic_write`.
+    ``np.load(path)`` reads the stack."""
+    with atomic_write(path) as f:
+        np.save(f, np.asarray(stack.mats, dtype="<f4"))
+        np.save(f, np.frombuffer(stack.fingerprint, dtype=np.uint8))
 
 
-def cache_read(path, expect_fingerprint: bytes | None = None,
+def cache_read(path, kind: str, expect_fingerprint: bytes | None = None,
                force: bool = False) -> FeatureStack | LabelStack:
-    """Read a stack back; refuses fingerprint mismatches unless forced.
-
-    The sidecar is read, and its fingerprint checked, before the array; a
-    sidecar that changed by the time the array is read means another
-    ``cache_write`` replaced the pair. Any malformed part raises a one-line
-    :class:`CacheFormatError`.
-    """
+    """Read a ``kind`` ("features" or "labels") stack back; refuses a fingerprint
+    mismatch unless forced, and any malformed part with a one-line
+    :class:`CacheFormatError`. Both records come from one open file, so a
+    cache replaced meanwhile still yields one write's stack and fingerprint."""
     try:
-        meta = _read_sidecar(path)
-        cls = {"features": FeatureStack, "labels": LabelStack}[meta["kind"]]
-        fingerprint = bytes.fromhex(meta["fingerprint"])
-        if expect_fingerprint is not None and fingerprint != expect_fingerprint:
-            if not force:
-                raise FingerprintMismatch(
-                    f"{path}: cache fingerprint does not match the current graph/input; "
-                    "rerun preprocess or pass force=True to use it anyway")
-            warnings.warn(f"{path}: using cache despite a fingerprint mismatch")
         with open(path, "rb") as f:
-            np.lib.format.read_magic(f)  # np.load takes any other file for a pickle
-            f.seek(0)
-            mats = np.load(f, allow_pickle=False)
-            # np.load stops after the element count its header gives: at the
-            # header offset plus mats.nbytes, which must be the file's end
-            extra = os.fstat(f.fileno()).st_size - f.tell()
-        if extra:
-            raise ValueError(f"{extra} bytes after the array data")
-        if mats.ndim != 3 or mats.dtype != np.dtype("<f4"):
-            raise ValueError(f"expected a 3-d float32 array, found {mats.dtype} "
-                             f"of shape {mats.shape}")
-        if _read_sidecar(path) != meta:
-            raise ValueError("the cache was replaced while it was read")
-    except (ValueError, OSError, KeyError, TypeError) as e:
+            size = os.fstat(f.fileno()).st_size
+            mats = np.lib.format.read_array(f, allow_pickle=False)
+            if mats.ndim != 3 or mats.dtype != np.dtype("<f4"):
+                raise ValueError(f"expected a 3-d float32 array, found {mats.dtype} "
+                                 f"of shape {mats.shape}")
+            if f.tell() == size:
+                raise ValueError("no fingerprint record after the stack")
+            fingerprint = np.lib.format.read_array(f, allow_pickle=False)
+            if fingerprint.dtype != np.uint8 or fingerprint.shape != (32,):
+                raise ValueError(f"expected a 32-byte uint8 fingerprint, found "
+                                 f"{fingerprint.dtype} of shape {fingerprint.shape}")
+            # read_array stops after the element count its header gives
+            if f.tell() != size:
+                raise ValueError(f"{size - f.tell()} bytes after the array data")
+    except (ValueError, OSError) as e:
         raise CacheFormatError(f"{path}: {e}; rerun gamlp preprocess") from None
-    return cls(mats=mats, fingerprint=fingerprint)
+    fingerprint = fingerprint.tobytes()
+    if expect_fingerprint is not None and fingerprint != expect_fingerprint:
+        if not force:
+            raise FingerprintMismatch(
+                f"{path}: cache fingerprint does not match the current graph/input; "
+                "rerun preprocess or pass force=True to use it anyway")
+        warnings.warn(f"{path}: using cache despite a fingerprint mismatch")
+    return {"features": FeatureStack, "labels": LabelStack}[kind](
+        mats=mats, fingerprint=fingerprint)

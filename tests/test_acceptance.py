@@ -291,7 +291,7 @@ def test_criterion_8(tmp_path):
             x = rng.standard_normal((n, 3))
             stack = propagate_features(operator_for(g, 0.5), x, steps)
             cache_write(stack, path)
-            loaded = cache_read(path, expect_fingerprint=stack.fingerprint)
+            loaded = cache_read(path, "features", expect_fingerprint=stack.fingerprint)
             mats, loaded_mats = stack.mats, loaded.mats
         else:
             c = int(rng.integers(2, 4))
@@ -300,7 +300,7 @@ def test_criterion_8(tmp_path):
             stack = propagate_labels(operator_for(g, 0.0), y0, steps)
             scheme = ResidualScheme("fixed", float(rng.uniform(0, 1)))
             cache_write(stack, path)
-            loaded = cache_read(path, expect_fingerprint=stack.fingerprint)
+            loaded = cache_read(path, "labels", expect_fingerprint=stack.fingerprint)
             mats, loaded_mats = stack.mats, loaded.mats
             # the smoothing is not stored; derived on load, it is the smoothing
             # of the stored representation

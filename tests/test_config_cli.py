@@ -159,6 +159,20 @@ def test_eval_missing_checkpoint(workdir, capsys):
     assert "train" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "export-attention"])
+def test_a_missing_checkpoint_is_reported_before_the_dataset_loads(workdir, capsys,
+                                                                   monkeypatch, command):
+    _, conf, _ = workdir
+
+    def refuse(directory):
+        raise AssertionError("the dataset was loaded")
+
+    monkeypatch.setattr("gamlp.data.load_dataset", refuse)
+    assert main([command, "--config", str(conf), "--checkpoint", "missing.gmck"]) == 1
+    assert capsys.readouterr().err == ("gamlp: error: checkpoint missing.gmck not found; "
+                                       "run 'gamlp train' first\n")
+
+
 def _train(conf, capsys):
     assert main(["preprocess", "--config", str(conf)]) == 0
     assert main(["train", "--config", str(conf)]) == 0
@@ -243,8 +257,8 @@ def test_preprocess_threads_do_not_change_the_caches(workdir, thread_env):
     thread_env.setattr(graph, "_CHUNK_BYTES", 64)
     assert main(["preprocess", "--config", str(conf)]) == 0
     blobs = {p.name: p.read_bytes() for p in cache_dir.iterdir()}
-    # two .npy caches and their .json sidecars
-    assert sorted(p.suffix for p in cache_dir.iterdir()) == [".json"] * 2 + [".npy"] * 2
+    # two .npy caches and nothing else
+    assert sorted(p.suffix for p in cache_dir.iterdir()) == [".npy"] * 2
     for threads in ("1", "3"):
         assert main(["preprocess", "--config", str(conf), "--threads", threads]) == 0
         assert os.environ["GAMLP_THREADS"] == threads
@@ -366,6 +380,26 @@ def test_threads_env_plumbing(thread_env):
     assert os.environ["GAMLP_THREADS"] == "3"
 
 
+@pytest.mark.parametrize("command, flags, env", [
+    ("preprocess", ["--threads", "0"], None),
+    ("train", ["--threads", "0"], None),
+    ("eval", ["--checkpoint", "c.gmck", "--threads", "-3"], None),
+    ("train", [], "abc")], ids=["preprocess-0", "train-0", "eval--3", "train-env-abc"])
+def test_a_bad_thread_count_is_refused_before_any_handler(workdir, thread_env, capsys,
+                                                          command, flags, env):
+    _, conf, _ = workdir
+    loads = []
+    thread_env.setattr("gamlp.data.load_dataset", loads.append)
+    if env is not None:
+        thread_env.setenv("GAMLP_THREADS", env)
+    assert main([command, "--config", str(conf), *flags]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("gamlp: error: ") and "positive integer" in err[0]
+    assert loads == []
+    assert os.environ.get("OMP_NUM_THREADS") is None
+
+
 def test_parsing_the_command_line_loads_no_numpy():
     # the thread variables are exported after parsing, so parsing must not
     # load the numerics libraries that read them
@@ -392,6 +426,20 @@ def test_train_reports_an_empty_split_as_not_available(workdir, capsys, part):
     assert (val == "n/a (0 nodes)") == (part == "val")
     assert (test == "n/a (0 nodes)") == (part == "test")
     assert (cache_dir / "checkpoint.gmck").exists()
+
+
+def test_eval_counts_and_scores_only_labeled_nodes(workdir, capsys):
+    tmp_path, conf, cache_dir = workdir
+    data_dir = tmp_path / "data"
+    val = np.loadtxt(data_dir / "splits" / "val.txt", dtype=np.int64, ndmin=1)
+    lines = (data_dir / "labels.tsv").read_text().splitlines()
+    (data_dir / "labels.tsv").write_text("".join(
+        f"{line}\n" for line in lines if int(line.split()[0]) != val[0]))
+    _train(conf, capsys)
+    ckpt = str(cache_dir / "checkpoint.gmck")
+    assert main(["eval", "--config", str(conf), "--checkpoint", ckpt]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].startswith("val accuracy ") and out[1].endswith(f"({val.size - 1} nodes)")
 
 
 def test_eval_reports_an_empty_split_as_not_available(workdir, capsys):

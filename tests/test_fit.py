@@ -169,6 +169,25 @@ def test_fit_reads_each_training_batch_through_stack_inputs(monkeypatch, sbm60):
         assert np.array_equal(np.sort(np.concatenate(epoch)), train)
 
 
+def test_fit_validates_on_the_labeled_val_nodes_only(sbm60):
+    cfg = _config(epochs=3, patience=3)
+    stacks = build_stacks(sbm60, cfg)
+    train, val = sbm60.splits.train, sbm60.splits.val
+    labels = sbm60.labels.copy()
+    labels[val[0]] = -1
+
+    def run(labels, val_ids):
+        return fit(*stacks, labels, Splits(train, val_ids, sbm60.splits.test), cfg,
+                   num_classes=sbm60.num_classes)
+
+    # an unlabeled val node changes nothing; a val split of unlabeled nodes
+    # only is an empty one
+    assert run(labels, val).log == run(sbm60.labels, val[1:]).log
+    unlabeled_only = run(labels, val[:1])
+    assert np.isnan(unlabeled_only.best_val_acc) and unlabeled_only.best_epoch == 0
+    assert len(unlabeled_only.log) == cfg.epochs
+
+
 def test_sgd_optimizer_runs(sbm60):
     result = train_on_dataset(sbm60, _config(optimizer="sgd", lr=0.05,
                                              epochs=50, patience=50))
@@ -259,11 +278,20 @@ def test_fit_computes_in_the_stack_dtype_only(monkeypatch, sbm60, case, dtype):
                   dropout=0.3, **DTYPE_CASES[case])
     fs, ls = _cast(build_stacks(sbm60, cfg), dtype)
     seen = _record_dtypes(monkeypatch)
+    optimizers = []
+
+    class KeptAdam(gamlp.nn.Adam):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(gamlp.model, "Adam", KeptAdam)
     result = fit(fs, ls, sbm60.labels, sbm60.splits, cfg, num_classes=sbm60.num_classes)
     arrays = {f"{p.name} {kind}": a for p in result.model.params
               for kind, a in (("value", p.value), ("grad", p.grad))}
-    arrays.update({f"adam m {i}": m for i, m in enumerate(result.optimizer.m)})
-    arrays.update({f"adam v {i}": v for i, v in enumerate(result.optimizer.v)})
+    (optimizer,) = optimizers
+    arrays.update({f"adam m {i}": m for i, m in enumerate(optimizer.m)})
+    arrays.update({f"adam v {i}": v for i, v in enumerate(optimizer.v)})
     for rows in (None, sbm60.splits.train):
         feats, labels = _stack_inputs(fs, ls, cfg, rows)
         arrays.update({f"features {rows is None}": feats, f"labels {rows is None}": labels})

@@ -628,6 +628,14 @@ def test_evaluate_accuracy_counts():
         evaluate_accuracy(pred, truth, np.array([], dtype=int))
 
 
+def test_evaluate_accuracy_scores_only_labeled_nodes():
+    # node 2 is unlabeled (-1): no prediction can be right or wrong there
+    pred, truth = np.array([0, 1, 0, 0]), np.array([0, 1, -1, 0])
+    assert evaluate_accuracy(pred, truth, np.array([3, 2])) == 1.0
+    with pytest.raises(ValueError, match="no labeled node"):
+        evaluate_accuracy(pred, truth, np.array([2]))
+
+
 def test_evaluate_accuracy_matches_manual_tally():
     rng = np.random.default_rng(6)
     pred = rng.integers(0, 3, size=10)
@@ -888,13 +896,12 @@ def test_checkpoint_with_adam_state_still_restores(tmp_path):
     # checkpoints written before the optimizer state was dropped also hold
     # adam/t, adam/m/<name> and adam/v/<name>; restoring ignores them
     cfg, fs, ls, result, path = _fitted(tmp_path, reference="normal_noise")
-    opt = result.optimizer
     with np.load(path, allow_pickle=False) as npz:
         arrays = {name: npz[name] for name in npz.files}
-    arrays["adam/t"] = np.array(opt.t)
-    for p, m, v in zip(opt.params, opt.m, opt.v):
-        arrays[f"adam/m/{p.name}"] = m
-        arrays[f"adam/v/{p.name}"] = v
+    arrays["adam/t"] = np.array(7)
+    for p in result.model.params:
+        arrays[f"adam/m/{p.name}"] = np.full_like(p.value, 0.5)
+        arrays[f"adam/v/{p.name}"] = np.full_like(p.value, 0.25)
     with open(path, "wb") as f:
         np.savez(f, **arrays)
     model = restore_model(path, cfg, fs, ls)

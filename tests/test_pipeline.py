@@ -6,7 +6,7 @@ from gamlp.data import generate_sbm
 from gamlp.model import _stack_inputs
 from gamlp.pipeline import (MissingCacheError, build_stacks, cache_paths, load_stacks,
                             preprocess, stack_recipes)
-from gamlp.propagation import ResidualScheme, cache_write
+from gamlp.propagation import FingerprintMismatch, ResidualScheme, cache_write
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +75,7 @@ def test_without_labels_only_the_feature_cache_is_used(sbm, tmp_path):
     assert stack_recipes(config) == (("features", 3, 0.5),)
     assert cache_paths(config) == [tmp_path / "cache" / "features_K3_r0.5.npy"]
     assert preprocess(sbm, config) == cache_paths(config)
-    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
-        "features_K3_r0.5.json", "features_K3_r0.5.npy"]
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == ["features_K3_r0.5.npy"]
     feature_stack, label_stack = load_stacks(sbm, config)
     assert (feature_stack.steps, label_stack) == (3, None)
     assert build_stacks(sbm, config)[1] is None
@@ -85,17 +84,26 @@ def test_without_labels_only_the_feature_cache_is_used(sbm, tmp_path):
         load_stacks(sbm, config.replace(use_labels=True))
 
 
-def test_preprocess_writes_two_npy_caches_and_their_sidecars(sbm, tmp_path):
+def test_preprocess_writes_exactly_the_two_npy_caches(sbm, tmp_path):
     # the benchmark checks that preprocess returns exactly the two cache paths
     config = _config(tmp_path / "cache")
     written = preprocess(sbm, config)
     assert written == list(cache_paths(config))
     assert [p.suffix for p in written] == [".npy", ".npy"]
-    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
-        name for p in written for name in (p.name, p.with_suffix(".json").name))
+    assert sorted((tmp_path / "cache").iterdir()) == sorted(written)
     feature_stack, label_stack = load_stacks(sbm, config)
     assert (feature_stack.steps, label_stack.steps) == (3, config.effective_label_hops)
     assert feature_stack.mats.dtype == label_stack.mats.dtype == np.float32
+
+
+def test_load_stacks_refuses_a_feature_cache_at_the_label_cache_path(sbm, tmp_path):
+    # the recipe, not the file, decides the kind; the label seed's fingerprint
+    # tells the feature stack apart
+    config = _config(tmp_path)
+    features, labels = preprocess(sbm, config)
+    labels.write_bytes(features.read_bytes())
+    with pytest.raises(FingerprintMismatch, match=labels.name):
+        load_stacks(sbm, config)
 
 
 @pytest.mark.parametrize("overrides", [{}, {"label_hops": 0, "label_r_mode": 1.0}])

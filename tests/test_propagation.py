@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -210,18 +211,30 @@ def _feature_stack(rng, n=10, steps=3):
     return propagate_features(operator_for(g, 0.5), x, steps)
 
 
+def _npy(array) -> bytes:
+    """The bytes ``np.save`` writes for ``array``."""
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
 def test_cache_round_trip_features(tmp_path):
     stack = _feature_stack(np.random.default_rng(0))
     path = tmp_path / "f.npy"
     cache_write(stack, path)
-    assert json.loads((tmp_path / "f.json").read_text()) == {
-        "kind": "features", "fingerprint": stack.fingerprint.hex()}
-    loaded = cache_read(path)
+    # one file: the float32 stack record, then the fingerprint as uint8 (32,)
+    stored = stack.mats.astype("<f4")
+    assert path.read_bytes() == (_npy(stored)
+                                 + _npy(np.frombuffer(stack.fingerprint, np.uint8)))
+    # np.load reads the stack record, whole or mapped
+    assert np.array_equal(np.load(path), stored)
+    assert np.array_equal(np.load(path, mmap_mode="r"), stored)
+    loaded = cache_read(path, "features")
     # values survive as their float32 representation; a second trip is exact
     path2 = tmp_path / "f2.npy"
     cache_write(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
-    again = cache_read(path2)
+    again = cache_read(path2, "features")
     for a, b in zip(loaded.mats, again.mats):
         assert np.array_equal(a, b)
     assert isinstance(loaded, FeatureStack)
@@ -247,7 +260,7 @@ def test_stacks_are_one_contiguous_array(tmp_path):
     for stack in (features, labels):
         path = tmp_path / "s.npy"
         cache_write(stack, path)
-        loaded = cache_read(path)
+        loaded = cache_read(path, "labels" if isinstance(stack, LabelStack) else "features")
         # propagation computes in float64; a cache read keeps the stored float32
         arrays = [(stack.mats, np.float64), (loaded.mats, np.float32)]
         if isinstance(stack, LabelStack):
@@ -262,9 +275,10 @@ def test_cache_round_trip_labels(tmp_path):
     stack, _ = _label_stack(np.random.default_rng(1))
     path = tmp_path / "l.npy"
     cache_write(stack, path)
-    # the 128-byte npy header and the raw steps only: no smoothed copy is stored
-    assert path.stat().st_size == 128 + (stack.steps + 1) * stack.n * stack.dim * 4
-    loaded = cache_read(path)
+    # the 128-byte npy header and the raw steps only, then the 160-byte
+    # fingerprint record: no smoothed copy is stored
+    assert path.stat().st_size == 128 + (stack.steps + 1) * stack.n * stack.dim * 4 + 160
+    loaded = cache_read(path, "labels")
     assert isinstance(loaded, LabelStack)
     assert loaded.fingerprint == stack.fingerprint
     for a, b in zip(loaded.mats, stack.mats):
@@ -272,35 +286,47 @@ def test_cache_round_trip_labels(tmp_path):
     path2 = tmp_path / "l2.npy"
     cache_write(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
-    assert (tmp_path / "l.json").read_bytes() == (tmp_path / "l2.json").read_bytes()
 
 
 def _refused(path) -> str:
     """The one-line message ``cache_read`` refuses ``path`` with."""
     with pytest.raises(CacheFormatError) as err:
-        cache_read(path)
+        cache_read(path, "features")
     message = str(err.value)
     assert "\n" not in message
     assert message.startswith(f"{path}: ") and message.endswith("rerun gamlp preprocess")
     return message
 
 
-def test_cache_without_sidecar_asks_for_a_new_preprocess(tmp_path):
-    cache_write(_feature_stack(np.random.default_rng(2)), tmp_path / "f.npy")
-    (tmp_path / "f.json").unlink()
-    assert "f.json" in _refused(tmp_path / "f.npy")
-    # a stray cache of the former format has no sidecar either
+def test_cache_in_the_former_format_asks_for_a_new_preprocess(tmp_path):
+    # a lone stack .npy whose fingerprint sat in a <stem>.json sidecar
+    stack = _feature_stack(np.random.default_rng(2))
+    path = tmp_path / "f.npy"
+    np.save(path, stack.mats.astype("<f4"))
+    assert "no fingerprint record after the stack" in _refused(path)
+    (tmp_path / "f.json").write_text(json.dumps(
+        {"kind": "features", "fingerprint": stack.fingerprint.hex()}))
+    assert "no fingerprint record after the stack" in _refused(path)
+    # a stray cache of the format before that is no .npy file at all
     old = tmp_path / "features_K3_r0.5.gmlp"
     old.write_bytes(b"GMLP" + bytes(58 + 4 * 12))
-    assert "features_K3_r0.5.json" in _refused(old)
+    assert "magic string" in _refused(old)
 
 
-@pytest.mark.parametrize("sidecar", ['{"kind": "features"}', '{"kind": "x", "fingerprint": ""}',
-                                     '{"kind": "labels", "fingerprint": "zz"}', "[]", "{"])
-def test_cache_rejects_a_malformed_sidecar(tmp_path, sidecar):
-    cache_write(_feature_stack(np.random.default_rng(2)), tmp_path / "f.npy")
-    (tmp_path / "f.json").write_text(sidecar)
-    _refused(tmp_path / "f.npy")
+_FINGERPRINT = np.arange(32, dtype=np.uint8)
+
+
+@pytest.mark.parametrize("after, problem", [
+    (_npy(_FINGERPRINT.astype(np.float32)), "expected a 32-byte uint8 fingerprint"),
+    (_npy(_FINGERPRINT[:31]), "expected a 32-byte uint8 fingerprint"),
+    (_npy(_FINGERPRINT.reshape(4, 8)), "expected a 32-byte uint8 fingerprint"),
+    (_npy(_FINGERPRINT)[:-13], "Failed to read all data"),
+    (b"", "no fingerprint record after the stack")],
+    ids=["float", "short", "2d", "cut", "missing"])
+def test_cache_rejects_a_malformed_fingerprint_record(tmp_path, after, problem):
+    path = tmp_path / "f.npy"
+    path.write_bytes(_npy(np.zeros((2, 3, 4), "<f4")) + after)
+    assert problem in _refused(path)
 
 
 @pytest.mark.parametrize("payload", [b"", b"NOPE" + b"\0" * 100, b"\x93NUMPY\x01\x00"],
@@ -325,7 +351,7 @@ def test_cache_rejects_truncation(tmp_path):
     path = tmp_path / "t.npy"
     cache_write(stack, path)
     raw = path.read_bytes()
-    path.write_bytes(raw[:len(raw) - 13])
+    path.write_bytes(raw[:len(raw) // 2])  # a cut inside the stack's data
     assert "Failed to read all data" in _refused(path)
 
 
@@ -337,23 +363,27 @@ def test_cache_rejects_bytes_after_the_data(tmp_path):
     assert "100 bytes after the array data" in _refused(path)
 
 
-def test_cache_replaced_while_read_is_refused(tmp_path, monkeypatch):
-    # a preprocess that replaces the pair between the sidecar read and the
-    # array read: the array read is the old one, the sidecar then the new one
+def test_cache_replaced_while_read_yields_one_write(tmp_path, monkeypatch):
+    # a preprocess that replaces the cache between the two record reads: the
+    # open file goes on reading the old one, and the next read gets the new one
     rng = np.random.default_rng(3)
     stack, other = _feature_stack(rng), _feature_stack(rng)
     path = tmp_path / "t.npy"
     cache_write(stack, path)
-    load = np.load
+    read_array = np.lib.format.read_array
 
-    def load_then_replace(*args, **kwargs):
-        cache_write(other, path)
-        return load(*args, **kwargs)
+    def read_then_replace(*args, **kwargs):
+        array = read_array(*args, **kwargs)
+        if array.ndim == 3:
+            cache_write(other, path)
+        return array
 
-    monkeypatch.setattr(np, "load", load_then_replace)
-    assert "replaced while it was read" in _refused(path)
+    monkeypatch.setattr(np.lib.format, "read_array", read_then_replace)
+    loaded = cache_read(path, "features")
     monkeypatch.undo()
-    assert cache_read(path).fingerprint == other.fingerprint
+    assert loaded.fingerprint == stack.fingerprint != other.fingerprint
+    assert np.array_equal(loaded.mats, stack.mats.astype(np.float32))
+    assert cache_read(path, "features").fingerprint == other.fingerprint
 
 
 def test_cache_fingerprint_guard(tmp_path):
@@ -361,11 +391,11 @@ def test_cache_fingerprint_guard(tmp_path):
     path = tmp_path / "fp.npy"
     cache_write(stack, path)
     with pytest.raises(FingerprintMismatch):
-        cache_read(path, expect_fingerprint=b"\0" * 32)
+        cache_read(path, "features", expect_fingerprint=b"\0" * 32)
     with pytest.warns(UserWarning, match="fingerprint"):
-        loaded = cache_read(path, expect_fingerprint=b"\0" * 32, force=True)
+        loaded = cache_read(path, "features", expect_fingerprint=b"\0" * 32, force=True)
     assert loaded.steps == stack.steps
-    loaded = cache_read(path, expect_fingerprint=stack.fingerprint)
+    loaded = cache_read(path, "features", expect_fingerprint=stack.fingerprint)
     assert loaded.steps == stack.steps
 
 
@@ -381,11 +411,12 @@ def test_cache_write_failure_keeps_previous_file(tmp_path):
     path = tmp_path / "f.npy"
     cache_write(stack, path)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    assert sorted(before) == ["f.json", "f.npy"]
-    # both temporaries exist when the array fails to convert
+    assert sorted(before) == ["f.npy"]
+    # the temporary exists when the array fails to convert
     broken = FeatureStack(mats=[stack.mats[0] + 1.0, _FailingMatrix()],
                           fingerprint=b"\1" * 32)
     with pytest.raises(OSError, match="no space"):
         cache_write(broken, path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-    assert cache_read(path, expect_fingerprint=stack.fingerprint).steps == stack.steps
+    loaded = cache_read(path, "features", expect_fingerprint=stack.fingerprint)
+    assert loaded.steps == stack.steps
