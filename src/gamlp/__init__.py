@@ -13,9 +13,8 @@ _EXPORTS = {
     "add_self_loops": "graph",
     "normalize": "graph",
     "spmm": "graph",
-    "FeatureStack": "propagation",
-    "LabelStack": "propagation",
     "ResidualScheme": "propagation",
+    "Stack": "propagation",
     "propagate_features": "propagation",
     "propagate_labels": "propagation",
     "build_label_seed": "propagation",

@@ -158,6 +158,8 @@ def _read_ints(path: Path, columns: int, form: str, not_int: str, check,
                table_ok) -> np.ndarray:
     """``_read_table``'s bulk parse when numpy takes the file and ``table_ok``
     accepts the (non-empty) table; otherwise ``_read_lines`` reads it."""
+    if not path.is_file():
+        raise DatasetError(f"{path}: missing")
     table = _read_table(path, columns)
     if table is not None and (not table.size or table_ok(table)):
         return table
@@ -203,16 +205,8 @@ def load_dataset(directory) -> Dataset:
     features = _read_features(directory)
     n = features.shape[0]
 
-    edges_path = directory / "edges.tsv"
-    if not edges_path.exists():
-        raise DatasetError(f"{edges_path}: missing")
-    graph = build_graph(_read_edges(edges_path, n), n)
-
-    labels_path = directory / "labels.tsv"
-    if not labels_path.exists():
-        raise DatasetError(f"{labels_path}: missing")
-    labels = _read_labels(labels_path, n)
-
+    graph = build_graph(_read_edges(directory / "edges.tsv", n), n)
+    labels = _read_labels(directory / "labels.tsv", n)
     splits = Splits(*(_read_split(directory / "splits" / f"{part}.txt", n)
                       for part in ("train", "val", "test")))
     num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 0

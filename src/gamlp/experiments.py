@@ -153,7 +153,6 @@ def run_ablation(dataset: Dataset, which: str, base_config: TrainConfig,
 def write_report(report: dict, out_prefix) -> tuple[Path, Path]:
     """Write <prefix>.csv (per-run rows) and <prefix>.json (summary + configs)."""
     out_prefix = Path(out_prefix)
-    out_prefix.parent.mkdir(parents=True, exist_ok=True)
     csv_path = out_prefix.with_suffix(".csv")
     json_path = out_prefix.with_suffix(".json")
     fields = ["method", "setting", "seed", "val_acc", "test_acc", "epochs_run"]

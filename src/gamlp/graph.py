@@ -1,8 +1,9 @@
 """Sparse graph structure and the normalized propagation operator.
 
 The graph is stored in compressed sparse row form (row offsets + sorted
-column indices). Normalization follows A_hat = D^(r-1) (A + I) D^(-r)
-where D is the degree matrix of the self-looped adjacency:
+column indices) with whatever self loops its edges hold. :func:`normalize`
+adds the missing ones and follows A_hat = D^(r-1) (A + I) D^(-r), where
+A + I has every diagonal entry 1 and D is its degree matrix:
 
 * r = 0.5  symmetric normalization (values symmetric in i, j)
 * r = 0    row-stochastic (every row sums to 1)
@@ -45,7 +46,6 @@ class CsrGraph:
     n: int
     row_offsets: np.ndarray
     col_indices: np.ndarray
-    has_self_loops: bool
 
     @property
     def nnz(self) -> int:
@@ -70,11 +70,6 @@ class PropagationOperator:
     def nnz(self) -> int:
         return int(self.row_offsets[-1])
 
-    def to_scipy(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets), shape=(self.n, self.n)
-        )
-
 
 def unique_sorted(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a 1-d array; the same output as ``np.unique``."""
@@ -96,8 +91,7 @@ def build_graph(edges, n: int) -> CsrGraph:
 
     ``edges`` is any sequence of (u, v) id pairs; duplicates and both
     orientations are tolerated. Pre-existing self loops are kept as a
-    single entry but the graph is only flagged as self-looped once every
-    node has one (see :func:`add_self_loops`).
+    single entry; :func:`normalize` adds the missing ones.
     """
     if n <= 0:
         raise ValueError("node count must be positive")
@@ -108,14 +102,7 @@ def build_graph(edges, n: int) -> CsrGraph:
         raise ValueError(f"edge endpoint {bad} outside [0, {n})")
     keys = np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]])
     row_offsets, cols = _from_keys(unique_sorted(keys), n)
-    has_loops = bool(n > 0 and _all_rows_have_loop(row_offsets, cols, n))
-    return CsrGraph(n=n, row_offsets=row_offsets, col_indices=cols,
-                    has_self_loops=has_loops)
-
-
-def _all_rows_have_loop(row_offsets: np.ndarray, cols: np.ndarray, n: int) -> bool:
-    rows = np.repeat(np.arange(n), np.diff(row_offsets))
-    return int(np.count_nonzero(rows == cols)) == n
+    return CsrGraph(n=n, row_offsets=row_offsets, col_indices=cols)
 
 
 def add_self_loops(g: CsrGraph) -> CsrGraph:
@@ -139,21 +126,20 @@ def add_self_loops(g: CsrGraph) -> CsrGraph:
     missing = np.flatnonzero(lacks)
     left_of_diag = np.bincount(rows[cols < rows], minlength=n)
     new_cols[row_offsets[missing] + left_of_diag[missing]] = missing
-    return CsrGraph(n=n, row_offsets=row_offsets, col_indices=new_cols,
-                    has_self_loops=True)
+    return CsrGraph(n=n, row_offsets=row_offsets, col_indices=new_cols)
 
 
 def normalize(g: CsrGraph, r: float) -> PropagationOperator:
-    """Normalize a self-looped graph into a propagation operator.
+    """Normalize a graph, with its missing self loops added, into an operator.
 
-    Entry (i, j) gets value d_i^(r-1) * d_j^(-r) with d the self-looped
-    degrees, so r in {0, 0.5, 1} yields the row-stochastic, symmetric and
-    column-stochastic operators respectively.
+    The operator's entries are those of ``add_self_loops(g)``; entry (i, j)
+    gets value d_i^(r-1) * d_j^(-r) with d the self-looped degrees, so r in
+    {0, 0.5, 1} yields the row-stochastic, symmetric and column-stochastic
+    operators respectively.
     """
-    if not g.has_self_loops:
-        raise ValueError("normalize requires self loops; call add_self_loops first")
     if r not in VALID_MODES:
         raise ValueError(f"r must be one of {VALID_MODES}, got {r}")
+    g = add_self_loops(g)
     d = g.degrees().astype(np.float64)
     assert d.min(initial=1.0) >= 1.0, "zero degree impossible after self loops"
     rows = np.repeat(np.arange(g.n), g.degrees())
@@ -207,11 +193,11 @@ def spmm(op: PropagationOperator, x: np.ndarray, out: np.ndarray | None = None) 
     the output has chunks of ``_CHUNK_BYTES``. The last block's product
     runs in the calling thread and every other block's in a pool thread
     (scipy releases the GIL); each writes its own rows of ``out``, one
-    chunk of rows at a time. Every row sums the same terms in
-    the same order as one whole-matrix product, so the result is
-    bit-identical to ``op.to_scipy() @ x`` at any thread count. ``out``,
-    if given, must be a C-contiguous float64 (n, d) array that does not
-    overlap ``x``; it is filled and returned.
+    chunk of rows at a time. Every row sums the same terms in the same
+    order as one scipy product of the whole operator, so the result is
+    bit-identical to it at any thread count. ``out``, if given, must be a
+    C-contiguous float64 (n, d) array that does not overlap ``x``; it is
+    filled and returned.
     """
     if x.ndim != 2 or x.shape[0] != op.n:
         raise ValueError(f"matrix has {x.shape} rows/cols, operator expects {op.n} rows")

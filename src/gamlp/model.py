@@ -26,14 +26,14 @@ from __future__ import annotations
 import json
 import zipfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .config import TrainConfig
 from .nn import (Activation, Adam, Linear, Mlp, NonFiniteError, ParamTensor, Sgd,
                  cross_entropy, dropout, dropout_backward, softmax_backward, softmax_rows)
-from .propagation import (FeatureStack, LabelStack, ResidualScheme, apply_last_residual,
-                          atomic_write)
+from .propagation import ResidualScheme, Stack, apply_last_residual, atomic_write
 
 
 class TrainingDiverged(Exception):
@@ -429,7 +429,7 @@ class FitResult:
     best_epoch: int
 
 
-def _stack_inputs(feature_stack: FeatureStack, label_stack: LabelStack | None,
+def _stack_inputs(feature_stack: Stack, label_stack: Stack | None,
                   config: TrainConfig, rows=None, dtype=None):
     """Model inputs of ``rows`` (see :func:`slice_mats`) in ``dtype`` (default:
     the feature stack's); the row-wise label zeroing and blend of ``config``
@@ -458,8 +458,8 @@ def _stack_inputs(feature_stack: FeatureStack, label_stack: LabelStack | None,
     return slice_mats(feature_stack.mats, rows).astype(dtype, copy=False), label_mats
 
 
-def _stack_blocks(model: GamlpModel, feature_stack: FeatureStack,
-                  label_stack: LabelStack | None, rows: np.ndarray | None):
+def _stack_blocks(model: GamlpModel, feature_stack: Stack,
+                  label_stack: Stack | None, rows: np.ndarray | None):
     """Yield the eval-mode logits and feature weights of ``rows`` of the stacks
     (None: every node, as views), ROW_BLOCK rows at a time."""
     n_rows = feature_stack.n if rows is None else len(rows)
@@ -470,8 +470,8 @@ def _stack_blocks(model: GamlpModel, feature_stack: FeatureStack,
         yield model.forward(feats, label_mats, rows=ids, training=False), model.feature_weights
 
 
-def _new_model(config: TrainConfig, feature_stack: FeatureStack,
-               label_stack: LabelStack | None, num_classes: int, dtype=None):
+def _new_model(config: TrainConfig, feature_stack: Stack,
+               label_stack: Stack | None, num_classes: int, dtype=None):
     """The model ``fit`` starts from, and the generator it goes on drawing from.
 
     The model computes in ``dtype``, by default the feature stack's: float32
@@ -486,7 +486,7 @@ def _new_model(config: TrainConfig, feature_stack: FeatureStack,
     return model, rng
 
 
-def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
+def fit(feature_stack: Stack, label_stack: Stack | None,
         labels: np.ndarray, splits, config: TrainConfig,
         num_classes: int | None = None, log_path=None) -> FitResult:
     """Train with early stopping on validation accuracy.
@@ -522,6 +522,8 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
 
     log: list[dict] = []
     best_val, best_epoch, best_values = -np.inf, 0, None
+    if log_path:
+        Path(log_path).parent.mkdir(parents=True, exist_ok=True)
     log_file = open(log_path, "w", encoding="utf-8") if log_path else None
     try:
         for epoch in range(1, config.epochs + 1):
@@ -580,8 +582,8 @@ def fit(feature_stack: FeatureStack, label_stack: LabelStack | None,
                      best_epoch=best_epoch)
 
 
-def predict(model: GamlpModel, feature_stack: FeatureStack,
-            label_stack: LabelStack | None, rows: np.ndarray | None = None) -> np.ndarray:
+def predict(model: GamlpModel, feature_stack: Stack,
+            label_stack: Stack | None, rows: np.ndarray | None = None) -> np.ndarray:
     """Argmax class ids of ``rows`` (default: every node); ties go to the lowest id."""
     return np.concatenate([np.argmax(logits, axis=1) for logits, _ in
                            _stack_blocks(model, feature_stack, label_stack, rows)])
@@ -614,15 +616,15 @@ class CheckpointMismatch(Exception):
     """Config or stacks differ from the ones the checkpoint was fitted with."""
 
 
-def _fingerprints(config: TrainConfig, feature_stack: FeatureStack,
-                  label_stack: LabelStack | None) -> dict[str, np.ndarray]:
+def _fingerprints(config: TrainConfig, feature_stack: Stack,
+                  label_stack: Stack | None) -> dict[str, np.ndarray]:
     stacks = {"features": feature_stack, "labels": label_stack if config.use_labels else None}
     return {f"fingerprint/{name}": np.frombuffer(stack.fingerprint, dtype=np.uint8)
             for name, stack in stacks.items() if stack is not None}
 
 
-def save_checkpoint(path, model: GamlpModel, feature_stack: FeatureStack,
-                    label_stack: LabelStack | None) -> None:
+def save_checkpoint(path, model: GamlpModel, feature_stack: Stack,
+                    label_stack: Stack | None) -> None:
     """Write one np.savez file, replacing ``path`` atomically. It holds
 
     * ``param/<name>``: every parameter of ``model``;
@@ -664,8 +666,8 @@ def restore_params(params: list[ParamTensor], arrays: dict[str, np.ndarray]) -> 
         p.value[...] = value
 
 
-def restore_model(path, config: TrainConfig, feature_stack: FeatureStack,
-                  label_stack: LabelStack | None) -> GamlpModel:
+def restore_model(path, config: TrainConfig, feature_stack: Stack,
+                  label_stack: Stack | None) -> GamlpModel:
     """Rebuild the model saved at ``path`` over the given stacks.
 
     Refuses a ``config`` that differs from the stored one on any key but
@@ -706,8 +708,8 @@ def restore_model(path, config: TrainConfig, feature_stack: FeatureStack,
 # ---------------------------------------------------------------------------
 
 
-def export_attention(model: GamlpModel, feature_stack: FeatureStack,
-                     label_stack: LabelStack | None, degrees: np.ndarray,
+def export_attention(model: GamlpModel, feature_stack: Stack,
+                     label_stack: Stack | None, degrees: np.ndarray,
                      buckets: list[tuple[int, int]]):
     """Per-node attention weights plus degree-bucket averages.
 

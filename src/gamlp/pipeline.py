@@ -51,7 +51,7 @@ def build_stacks(dataset: Dataset, config: TrainConfig, dtype=np.float64):
     """Propagate each stack in float64, storing it as ``dtype``."""
     stacks = []
     for kind, steps, r in stack_recipes(config):
-        op = normalize(add_self_loops(dataset.graph), r)
+        op = normalize(dataset.graph, r)
         propagate = propagate_features if kind == "features" else propagate_labels
         stacks.append(propagate(op, _seed(dataset, kind), steps, dtype=dtype))
     return _pair(stacks)
@@ -72,7 +72,6 @@ def preprocess(dataset: Dataset, config: TrainConfig, cache_dir=None):
     the files equal those written from float64 stacks byte for byte.
     """
     paths = cache_paths(config, cache_dir)
-    paths[0].parent.mkdir(parents=True, exist_ok=True)
     for stack, path in zip(build_stacks(dataset, config, np.float32), paths):
         cache_write(stack, path)
     return paths
@@ -80,8 +79,7 @@ def preprocess(dataset: Dataset, config: TrainConfig, cache_dir=None):
 
 def load_stacks(dataset: Dataset, config: TrainConfig, cache_dir=None,
                 force: bool = False):
-    """Read cached stacks, validating their fingerprints against ``dataset``;
-    each recipe's kind decides the stack class its file is read as."""
+    """Read cached stacks, validating their fingerprints against ``dataset``."""
     paths = cache_paths(config, cache_dir)
     for path in paths:
         if not path.exists():
@@ -92,7 +90,7 @@ def load_stacks(dataset: Dataset, config: TrainConfig, cache_dir=None,
     stacks = []
     for path, (kind, steps, r) in zip(paths, stack_recipes(config)):
         expect = stack_fingerprint(looped, _seed(dataset, kind), steps, r)
-        stacks.append(cache_read(path, kind, expect_fingerprint=expect, force=force))
+        stacks.append(cache_read(path, expect_fingerprint=expect, force=force))
     return _pair(stacks)
 
 

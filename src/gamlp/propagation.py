@@ -79,11 +79,14 @@ class ResidualScheme:
 
 
 @dataclass
-class _Stack:
-    """One propagated stack; ``mats`` has the dtype its builder asked for.
+class Stack:
+    """One propagated stack, [X^(0) ... X^(K)] or [Y^(0) ... Y^(L)], as one
+    (S+1, n, d) array; ``mats`` has the dtype its builder asked for.
 
     That is float64 by default, float32 in ``preprocess``, and float32 when
-    the stack is read from a cache.
+    the stack is read from a cache. A label stack keeps only the raw
+    propagation; the smoothed inputs are derived from ``mats`` by
+    :func:`apply_last_residual`.
     """
 
     mats: np.ndarray
@@ -102,32 +105,20 @@ class _Stack:
         return self.mats[0].shape[1]
 
 
-@dataclass
-class FeatureStack(_Stack):
-    """Propagated features [X^(0) ... X^(K)] as one (K+1, n, f) array."""
-
-
-@dataclass
-class LabelStack(_Stack):
-    """Propagated labels [Y^(0) ... Y^(L)] as one (L+1, n, c) array.
-
-    Only the raw propagation is kept; the smoothed inputs are derived from
-    ``mats`` by :func:`apply_last_residual`.
-    """
-
-
 def stack_fingerprint(graph_or_op, x0: np.ndarray, steps: int, r: float) -> bytes:
     """32-byte digest of (graph structure, seed matrix, step count, r mode).
 
-    The seed matrix is hashed in its float32 representation so that a
-    cache written to disk validates against the features it was built
-    from after they round-trip through the float32 feature file format.
+    SHA-256 over the ``<QId`` header (n, steps, r), the row offsets and
+    column indices as int64 and the seed matrix as float32, each passed as
+    a C-contiguous array without a copy. The float32 seed lets a cache
+    written to disk validate against the features it was built from after
+    they round-trip through the float32 feature file format.
     """
     h = hashlib.sha256()
     h.update(struct.pack("<QId", graph_or_op.n, steps, float(r)))
-    h.update(np.ascontiguousarray(graph_or_op.row_offsets, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(graph_or_op.col_indices, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(x0, dtype=np.float32).tobytes())
+    h.update(np.ascontiguousarray(graph_or_op.row_offsets, dtype=np.int64))
+    h.update(np.ascontiguousarray(graph_or_op.col_indices, dtype=np.int64))
+    h.update(np.ascontiguousarray(x0, dtype=np.float32))
     return h.digest()
 
 
@@ -155,13 +146,13 @@ def _propagate(op: PropagationOperator, x0: np.ndarray, steps: int, dtype) -> np
 
 
 def propagate_features(op: PropagationOperator, x0: np.ndarray, steps: int,
-                       dtype=np.float64) -> FeatureStack:
+                       dtype=np.float64) -> Stack:
     """Iteratively apply the operator: X^(k) = A_hat X^(k-1), k = 1..K.
 
     Each hop runs in float64; ``dtype`` is the dtype the stack stores.
     """
     mats = _propagate(op, x0, steps, dtype)
-    return FeatureStack(mats=mats, fingerprint=stack_fingerprint(op, x0, steps, op.mode))
+    return Stack(mats=mats, fingerprint=stack_fingerprint(op, x0, steps, op.mode))
 
 
 def build_label_seed(labels, train_ids, n: int, num_classes: int) -> np.ndarray:
@@ -182,13 +173,13 @@ def build_label_seed(labels, train_ids, n: int, num_classes: int) -> np.ndarray:
 
 
 def propagate_labels(op: PropagationOperator, y0: np.ndarray, steps: int,
-                     dtype=np.float64) -> LabelStack:
+                     dtype=np.float64) -> Stack:
     """Iteratively apply the operator to the label seed (smoothing not applied).
 
     Each hop runs in float64; ``dtype`` is the dtype the stack stores.
     """
     mats = _propagate(op, y0, steps, dtype)
-    return LabelStack(mats=mats, fingerprint=stack_fingerprint(op, y0, steps, op.mode))
+    return Stack(mats=mats, fingerprint=stack_fingerprint(op, y0, steps, op.mode))
 
 
 def apply_last_residual(mats: np.ndarray, scheme: ResidualScheme) -> np.ndarray:
@@ -212,12 +203,14 @@ def apply_last_residual(mats: np.ndarray, scheme: ResidualScheme) -> np.ndarray:
 def atomic_write(path, mode: str = "xb", **open_kwargs):
     """Open a new file beside ``path``; rename it over ``path`` on success.
 
-    ``mode`` and ``open_kwargs`` go to ``open`` for the temporary file, which
-    must not exist yet (hence an exclusive "x" mode). Readers see the old
-    file or the whole new one, never a partial write: if the body raises
-    or is interrupted, the temporary is removed and ``path`` is untouched.
+    ``path``'s directory is created if it is missing. ``mode`` and
+    ``open_kwargs`` go to ``open`` for the temporary file, which must not
+    exist yet (hence an exclusive "x" mode). Readers see the old file or
+    the whole new one, never a partial write: if the body raises or is
+    interrupted, the temporary is removed and ``path`` is untouched.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, mode, **open_kwargs) as f:
@@ -228,7 +221,7 @@ def atomic_write(path, mode: str = "xb", **open_kwargs):
         raise
 
 
-def cache_write(stack: FeatureStack | LabelStack, path) -> None:
+def cache_write(stack: Stack, path) -> None:
     """Write the stack to ``path`` as two ``.npy`` records, the float32 stack and
     then its 32-byte fingerprint as uint8, through one :func:`atomic_write`.
     ``np.load(path)`` reads the stack."""
@@ -237,12 +230,12 @@ def cache_write(stack: FeatureStack | LabelStack, path) -> None:
         np.save(f, np.frombuffer(stack.fingerprint, dtype=np.uint8))
 
 
-def cache_read(path, kind: str, expect_fingerprint: bytes | None = None,
-               force: bool = False) -> FeatureStack | LabelStack:
-    """Read a ``kind`` ("features" or "labels") stack back; refuses a fingerprint
-    mismatch unless forced, and any malformed part with a one-line
-    :class:`CacheFormatError`. Both records come from one open file, so a
-    cache replaced meanwhile still yields one write's stack and fingerprint."""
+def cache_read(path, expect_fingerprint: bytes | None = None,
+               force: bool = False) -> Stack:
+    """Read a stack back; refuses a fingerprint mismatch unless forced, and
+    any malformed part with a one-line :class:`CacheFormatError`. Both
+    records come from one open file, so a cache replaced meanwhile still
+    yields one write's stack and fingerprint."""
     try:
         with open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
@@ -268,5 +261,4 @@ def cache_read(path, kind: str, expect_fingerprint: bytes | None = None,
                 f"{path}: cache fingerprint does not match the current graph/input; "
                 "rerun preprocess or pass force=True to use it anyway")
         warnings.warn(f"{path}: using cache despite a fingerprint mismatch")
-    return {"features": FeatureStack, "labels": LabelStack}[kind](
-        mats=mats, fingerprint=fingerprint)
+    return Stack(mats=mats, fingerprint=fingerprint)

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from gamlp.graph import add_self_loops, build_graph, normalize
+from gamlp.graph import build_graph
 from gamlp.nn import ParamTensor
 
 
@@ -59,16 +60,17 @@ def grad_check(loss_fn, params: list[ParamTensor], h: float = 1e-5,
 
 
 def dense_ahat(graph, r):
-    """Dense normalization oracle: D^(r-1) (A + I) D^(-r) from scratch."""
+    """Dense normalization oracle: D^(r-1) (A + I) D^(-r) from scratch, where
+    A + I has every diagonal entry 1 whether or not the graph stores a loop."""
     a = dense_adjacency(graph)
-    if not graph.has_self_loops:
-        a = a + np.eye(graph.n)
+    np.fill_diagonal(a, 1.0)
     d = a.sum(axis=1)
     return np.diag(d ** (r - 1.0)) @ a @ np.diag(d ** (-r))
 
 
-def operator_for(graph, r):
-    return normalize(add_self_loops(graph), r)
+def to_scipy(op):
+    """A PropagationOperator as a scipy CSR matrix sharing its arrays."""
+    return sp.csr_matrix((op.values, op.col_indices, op.row_offsets), shape=(op.n, op.n))
 
 
 @pytest.fixture

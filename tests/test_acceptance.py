@@ -20,7 +20,7 @@ import pytest
 from gamlp.config import TrainConfig, parse_config
 from gamlp.data import generate_sbm, load_dataset
 from gamlp.experiments import method_config, run_baseline_table, run_depth_sweep
-from gamlp.graph import spmm
+from gamlp.graph import normalize, spmm
 from gamlp.model import (GamlpModel, JkAttention, RecursiveAttention, fit,
                          slice_mats)
 from gamlp.nn import Activation, Linear, Mlp, cross_entropy, softmax_rows
@@ -29,7 +29,7 @@ from gamlp.propagation import (ResidualScheme, apply_last_residual, build_label_
                                cache_read, cache_write, propagate_features,
                                propagate_labels)
 
-from conftest import dense_ahat, grad_check, operator_for, random_graph
+from conftest import dense_ahat, grad_check, random_graph
 from test_model import _leaky, _sigmoid, jk_oracle, recursive_oracle
 
 REPO = Path(__file__).resolve().parent.parent
@@ -196,7 +196,7 @@ def test_criterion_7():
         r = float(rng.choice([0.0, 0.5, 1.0]))
         g = random_graph(rng, n, float(rng.uniform(0.05, 0.4)))
         x = rng.standard_normal((n, 3))
-        stack = propagate_features(operator_for(g, r), x, steps)
+        stack = propagate_features(normalize(g, r), x, steps)
         dense = dense_ahat(g, r)
         for k in (0, steps):
             want = np.linalg.matrix_power(dense, k) @ x
@@ -259,7 +259,7 @@ def test_criterion_8(tmp_path):
     # r = 0: all-ones fixed point
     for _ in range(100):
         n = int(rng.integers(2, 30))
-        op = operator_for(random_graph(rng, n, 0.3), 0.0)
+        op = normalize(random_graph(rng, n, 0.3), 0.0)
         ones = np.ones((n, 1))
         assert np.abs(spmm(op, ones) - 1.0).max() <= 1e-12
 
@@ -271,7 +271,7 @@ def test_criterion_8(tmp_path):
         labels = rng.integers(0, c, size=n)
         train = rng.choice(n, size=max(1, n // 3), replace=False)
         y0 = build_label_seed(labels, train, n=n, num_classes=c)
-        stack = propagate_labels(operator_for(g, 0.0), y0, int(rng.integers(0, 5)))
+        stack = propagate_labels(normalize(g, 0.0), y0, int(rng.integers(0, 5)))
         for m in stack.mats:
             sums = m.sum(axis=1)
             assert sums.min() >= -1e-12 and sums.max() <= 1.0 + 1e-12
@@ -289,18 +289,18 @@ def test_criterion_8(tmp_path):
         path = tmp_path / f"c{case}.npy"
         if case % 2:
             x = rng.standard_normal((n, 3))
-            stack = propagate_features(operator_for(g, 0.5), x, steps)
+            stack = propagate_features(normalize(g, 0.5), x, steps)
             cache_write(stack, path)
-            loaded = cache_read(path, "features", expect_fingerprint=stack.fingerprint)
+            loaded = cache_read(path, expect_fingerprint=stack.fingerprint)
             mats, loaded_mats = stack.mats, loaded.mats
         else:
             c = int(rng.integers(2, 4))
             labels = rng.integers(0, c, size=n)
             y0 = build_label_seed(labels, np.arange(n), n=n, num_classes=c)
-            stack = propagate_labels(operator_for(g, 0.0), y0, steps)
+            stack = propagate_labels(normalize(g, 0.0), y0, steps)
             scheme = ResidualScheme("fixed", float(rng.uniform(0, 1)))
             cache_write(stack, path)
-            loaded = cache_read(path, "labels", expect_fingerprint=stack.fingerprint)
+            loaded = cache_read(path, expect_fingerprint=stack.fingerprint)
             mats, loaded_mats = stack.mats, loaded.mats
             # the smoothing is not stored; derived on load, it is the smoothing
             # of the stored representation

@@ -330,6 +330,20 @@ def test_export_attention_cli(workdir):
     assert buckets[0].startswith("degree_range,count,w0")
 
 
+def test_outputs_go_into_missing_nested_directories(workdir, capsys):
+    tmp_path, conf, _ = workdir
+    assert main(["preprocess", "--config", str(conf)]) == 0
+    ckpt = tmp_path / "runs" / "a" / "ck.gmck"
+    assert main(["train", "--config", str(conf), "--checkpoint", str(ckpt)]) == 0
+    assert ckpt.is_file() and (ckpt.parent / "ck.gmck.log.jsonl").is_file()
+    prefix = tmp_path / "exports" / "b" / "att"
+    assert main(["export-attention", "--config", str(conf), "--checkpoint", str(ckpt),
+                 "--out", str(prefix)]) == 0
+    assert sorted(p.name for p in prefix.parent.iterdir()) == ["att_buckets.csv",
+                                                               "att_nodes.csv"]
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("spec, bad", [("1-4,5", "5"), ("1-4,", ""), ("a-b", "a-b"),
                                        ("8-5", "8-5"), ("-3", "-3")])
 def test_export_attention_rejects_malformed_buckets(workdir, capsys, spec, bad):

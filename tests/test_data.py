@@ -91,6 +91,15 @@ def test_load_missing_file(tmp_path):
         load_dataset(root)
 
 
+@pytest.mark.parametrize("name", ["edges.tsv", "splits/val.txt"])
+def test_load_reports_a_missing_integer_file(tmp_path, name):
+    root = write_fixture(tmp_path / "toy")
+    (root / name).unlink()
+    with pytest.raises(DatasetError) as err:
+        load_dataset(root)
+    assert str(err.value) == f"{root / name}: missing"
+
+
 def test_round_trip_keeps_raw_self_loops(tmp_path):
     root = write_fixture(tmp_path / "loopy")
     (root / "edges.tsv").write_text("0\t1\n1\t2\n1\t1\n")

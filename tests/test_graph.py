@@ -7,7 +7,7 @@ from gamlp import graph
 from gamlp.graph import (PropagationOperator, add_self_loops, build_graph, normalize,
                          row_blocks, spmm, spmm_threads, unique_sorted)
 
-from conftest import dense_adjacency, dense_ahat, neighbors, operator_for, random_graph
+from conftest import dense_adjacency, dense_ahat, neighbors, random_graph, to_scipy
 
 
 def test_single_edge_symmetry():
@@ -36,7 +36,7 @@ def test_build_rejects_bad_ids():
 def test_add_self_loops_single_edge():
     g = add_self_loops(build_graph([(0, 1)], 2))
     assert g.degrees().tolist() == [2, 2]
-    assert g.has_self_loops
+    assert [neighbors(g, i).tolist() for i in range(2)] == [[0, 1], [0, 1]]
 
 
 def test_add_self_loops_edgeless():
@@ -54,23 +54,42 @@ def test_add_self_loops_idempotent_on_existing_loop():
 def test_normalize_two_node_symmetric(path3):
     g = add_self_loops(build_graph([(0, 1)], 2))
     op = normalize(g, 0.5)
-    assert np.allclose(op.to_scipy().toarray(), 0.5)
+    assert np.allclose(to_scipy(op).toarray(), 0.5)
 
 
 def test_normalize_path_value(path3):
     # frozen from the dense D^(-1/2) (A+I) D^(-1/2) computation: 1/sqrt(6)
-    op = operator_for(path3, 0.5)
-    assert op.to_scipy().toarray()[0, 1] == pytest.approx(0.4082482904638631, abs=1e-12)
+    op = normalize(path3, 0.5)
+    assert to_scipy(op).toarray()[0, 1] == pytest.approx(0.4082482904638631, abs=1e-12)
 
 
 def test_normalize_row_stochastic(path3):
-    op = operator_for(path3, 0.0)
-    assert np.allclose(op.to_scipy().toarray().sum(axis=1), 1.0, atol=1e-12)
+    op = normalize(path3, 0.0)
+    assert np.allclose(to_scipy(op).toarray().sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_normalize_requires_loops(path3):
-    with pytest.raises(ValueError):
-        normalize(path3, 0.5)
+def _partly_looped(rng, n=20, p=0.2):
+    """Random graph where about half of the nodes carry a raw self loop."""
+    iu, ju = np.triu_indices(n, k=1)
+    keep = rng.random(iu.size) < p
+    loops = np.flatnonzero(rng.random(n) < 0.5)
+    edges = np.concatenate([np.stack([iu[keep], ju[keep]], axis=1),
+                            np.stack([loops, loops], axis=1)])
+    g = build_graph(edges, n)
+    assert 0 < loops.size < n
+    return g
+
+
+def test_normalize_adds_self_loops(path3):
+    rng = np.random.default_rng(6)
+    raw, partly = random_graph(rng, 20), _partly_looped(rng)
+    for g in (path3, raw, partly, add_self_loops(raw)):
+        looped = add_self_loops(g)
+        for r in (0.0, 0.5, 1.0):
+            got, want = normalize(g, r), normalize(looped, r)
+            for name in ("row_offsets", "col_indices", "values"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b)
     with pytest.raises(ValueError):
         normalize(add_self_loops(path3), 0.3)
 
@@ -78,19 +97,19 @@ def test_normalize_requires_loops(path3):
 def test_spmm_row_stochastic_fixed_point():
     rng = np.random.default_rng(0)
     g = random_graph(rng, 12, 0.3)
-    op = operator_for(g, 0.0)
+    op = normalize(g, 0.0)
     ones = np.ones((12, 2))
     assert np.allclose(spmm(op, ones), ones, atol=1e-12)
 
 
 def test_spmm_identity_on_edgeless():
-    op = operator_for(build_graph([], 4), 0.5)
+    op = normalize(build_graph([], 4), 0.5)
     x = np.random.default_rng(1).standard_normal((4, 3))
     assert np.array_equal(spmm(op, x), x)
 
 
 def test_spmm_one_hot_matches_dense(path3):
-    op = operator_for(path3, 0.5)
+    op = normalize(path3, 0.5)
     e0 = np.zeros((3, 1))
     e0[0, 0] = 1.0
     assert np.allclose(spmm(op, e0), dense_ahat(path3, 0.5) @ e0, atol=1e-14)
@@ -98,7 +117,7 @@ def test_spmm_one_hot_matches_dense(path3):
 
 def test_spmm_shape_mismatch(path3):
     with pytest.raises(ValueError):
-        spmm(operator_for(path3, 0.5), np.ones((4, 2)))
+        spmm(normalize(path3, 0.5), np.ones((4, 2)))
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
@@ -107,10 +126,17 @@ def test_spmm_matches_dense_product_random(r):
     for _ in range(20):
         n = int(rng.integers(2, 50))
         g = random_graph(rng, n, 0.2)
-        op = operator_for(g, r)
+        op = normalize(g, r)
         x = rng.standard_normal((n, 4))
         want = dense_ahat(g, r) @ x
         got = spmm(op, x)
+        assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+    # a raw self loop and an added one are the same diagonal entry of 1
+    for _ in range(10):
+        g = _partly_looped(rng, int(rng.integers(4, 30)), 0.25)
+        x = rng.standard_normal((g.n, 4))
+        want = dense_ahat(g, r) @ x
+        got = spmm(normalize(g, r), x)
         assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
 
 
@@ -118,7 +144,7 @@ def test_r1_column_sums():
     rng = np.random.default_rng(3)
     for _ in range(10):
         g = random_graph(rng, int(rng.integers(2, 30)), 0.25)
-        cols = operator_for(g, 1.0).to_scipy().toarray().sum(axis=0)
+        cols = to_scipy(normalize(g, 1.0)).toarray().sum(axis=0)
         assert np.allclose(cols, 1.0, atol=1e-12)
 
 
@@ -126,7 +152,7 @@ def test_symmetric_mode_values():
     rng = np.random.default_rng(4)
     for _ in range(10):
         g = random_graph(rng, int(rng.integers(2, 30)), 0.25)
-        dense = operator_for(g, 0.5).to_scipy().toarray()
+        dense = to_scipy(normalize(g, 0.5)).toarray()
         assert np.allclose(dense, dense.T, atol=0)
 
 
@@ -134,7 +160,7 @@ def test_operator_values_positive():
     rng = np.random.default_rng(5)
     g = random_graph(rng, 15, 0.3)
     for r in (0.0, 0.5, 1.0):
-        assert operator_for(g, r).values.min() > 0
+        assert normalize(g, r).values.min() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +202,6 @@ def assert_matches_reference(edges, n):
     offsets, cols = reference_add_self_loops(offsets, cols, n)
     assert np.array_equal(looped.row_offsets, offsets) and looped.row_offsets.dtype == np.int64
     assert np.array_equal(looped.col_indices, cols) and looped.col_indices.dtype == np.int64
-    assert looped.has_self_loops
 
 
 def test_build_matches_reference_with_duplicates_and_both_orientations():
@@ -200,7 +225,7 @@ def test_build_matches_reference_with_existing_self_loops():
     # every node already looped: add_self_loops must leave the arrays as they are
     full = np.stack([np.arange(6), np.arange(6)], axis=1)
     g = build_graph(np.concatenate([full, [[0, 5], [2, 3]]]), 6)
-    assert g.has_self_loops
+    assert all(i in neighbors(g, i) for i in range(6))
     looped = add_self_loops(g)
     assert np.array_equal(looped.row_offsets, g.row_offsets)
     assert np.array_equal(looped.col_indices, g.col_indices)
@@ -269,17 +294,17 @@ def test_parallel_spmm_is_bit_identical_to_scipy(monkeypatch, threads, with_out,
     assert spmm_threads() == threads
     rng = np.random.default_rng(21)
     cases = [
-        operator_for(build_graph([(0, 1)], 2), 0.5),        # fewer nodes than threads
-        operator_for(build_graph([], 1), 0.0),
+        normalize(build_graph([(0, 1)], 2), 0.5),        # fewer nodes than threads
+        normalize(build_graph([], 1), 0.0),
         _operator(np.diag([0.0, 2.0, 0.0, 0.0, 3.0, 0.0])),  # empty rows
         _operator(np.zeros((5, 5))),                          # no entries at all
         _hub_operator(rng, 60),                               # one row holds most nnz
-        operator_for(random_graph(rng, 300, 0.05), 0.5),
+        normalize(random_graph(rng, 300, 0.05), 0.5),
     ]
     for op in cases:
         for d in (1, 7):
             x = rng.standard_normal((op.n, d))
-            want = op.to_scipy() @ x
+            want = to_scipy(op) @ x
             out = np.full((op.n, d), np.nan) if with_out else None
             got = spmm(op, x, out=out)
             assert np.array_equal(got, want)
@@ -292,10 +317,10 @@ def test_spmm_reads_a_strided_or_float32_input_as_float64(monkeypatch):
     monkeypatch.setattr(graph, "_CHUNK_BYTES", 8)
     op = _hub_operator(np.random.default_rng(22), 40)
     x = np.random.default_rng(23).standard_normal((40, 6))
-    want = op.to_scipy() @ x[:, ::2]
+    want = to_scipy(op) @ x[:, ::2]
     assert np.array_equal(spmm(op, x[:, ::2]), want)
     x32 = x.astype(np.float32)
-    assert np.array_equal(spmm(op, x32), op.to_scipy() @ x32.astype(np.float64))
+    assert np.array_equal(spmm(op, x32), to_scipy(op) @ x32.astype(np.float64))
 
 
 @pytest.mark.parametrize("make_out, message", [
@@ -307,7 +332,7 @@ def test_spmm_reads_a_strided_or_float32_input_as_float64(monkeypatch):
     (lambda x: x, "overlap"),
 ])
 def test_spmm_out_contract(make_out, message):
-    op = operator_for(random_graph(np.random.default_rng(24), 10, 0.3), 0.5)
+    op = normalize(random_graph(np.random.default_rng(24), 10, 0.3), 0.5)
     x = np.random.default_rng(25).standard_normal((10, 3))
     with pytest.raises(ValueError, match=message) as exc:
         spmm(op, x, out=make_out(x))
@@ -315,14 +340,14 @@ def test_spmm_out_contract(make_out, message):
 
 
 def test_spmm_out_must_not_overlap_a_view_of_its_input():
-    op = operator_for(random_graph(np.random.default_rng(26), 10, 0.3), 0.5)
+    op = normalize(random_graph(np.random.default_rng(26), 10, 0.3), 0.5)
     buf = np.random.default_rng(27).standard_normal((11, 3))
     with pytest.raises(ValueError, match="overlap"):
         spmm(op, buf[:10], out=buf[1:])
     # disjoint slots of one array are fine
     stack = np.random.default_rng(28).standard_normal((2, 10, 3))
     spmm(op, stack[0], out=stack[1])
-    assert np.array_equal(stack[1], op.to_scipy() @ stack[0])
+    assert np.array_equal(stack[1], to_scipy(op) @ stack[0])
 
 
 def test_spmm_threads_defaults_to_the_usable_cpus(monkeypatch):

@@ -19,7 +19,7 @@ from gamlp.model import (BaselineCombiner, CheckpointFormatError, CheckpointMism
 from gamlp.nn import (Activation, Linear, Mlp, cross_entropy, dropout, dropout_backward,
                       softmax_backward, softmax_rows)
 from gamlp.pipeline import build_stacks
-from gamlp.propagation import FeatureStack, LabelStack, ResidualScheme, apply_last_residual
+from gamlp.propagation import ResidualScheme, Stack, apply_last_residual
 
 from conftest import grad_check
 
@@ -292,12 +292,11 @@ def test_recursive_identical_steps_give_uniform_weights():
 
 def test_recursive_matches_scripted_oracle_path_graph():
     from gamlp.propagation import propagate_features
-    from conftest import operator_for
-    from gamlp.graph import build_graph
+    from gamlp.graph import build_graph, normalize
 
     rng = np.random.default_rng(2)
     g = build_graph([(0, 1), (1, 2)], 3)
-    stack = propagate_features(operator_for(g, 0.5), rng.standard_normal((3, 4)), 2)
+    stack = propagate_features(normalize(g, 0.5), rng.standard_normal((3, 4)), 2)
     comb = RecursiveAttention(rng, 4, Activation("sigmoid"))
     comb.s.value[:] = rng.standard_normal(8) * 0.7
     h, w = comb.forward(stack.mats)
@@ -788,8 +787,8 @@ def test_predict_memory_does_not_grow_with_the_stacks():
     # such as blending every label row, would exceed the bound on its own
     n, dim, steps = 20000, 16, 7
     rng = np.random.default_rng(4)
-    fs = FeatureStack(mats=rng.standard_normal((steps + 1, n, dim)), fingerprint=bytes(32))
-    ls = LabelStack(mats=rng.random((steps + 1, n, dim)), fingerprint=bytes(32))
+    fs = Stack(mats=rng.standard_normal((steps + 1, n, dim)), fingerprint=bytes(32))
+    ls = Stack(mats=rng.random((steps + 1, n, dim)), fingerprint=bytes(32))
     cfg = TrainConfig(dataset_dir="unused", hops=steps, hidden=8, reference="normal_noise",
                       label_mode="smoothed", zero_self_label=True).validate()
     model = GamlpModel(cfg, n, dim, dim, steps, steps, rng)
@@ -826,7 +825,7 @@ def test_zero_self_label_matches_reference_zeroing(label_mode, scheme):
     ds, cfg, fs, ls = _toy_setup(label_mode=label_mode, **SCHEMES[scheme])
     before = ls.mats.copy()
     reference = _zero_seed_rows_reference(
-        LabelStack(mats=ls.mats.copy(), fingerprint=ls.fingerprint),
+        Stack(mats=ls.mats.copy(), fingerprint=ls.fingerprint),
         ds.splits.train)
     feats, got = _stack_inputs(fs, ls, cfg.replace(zero_self_label=True))
     want_feats, want = _stack_inputs(fs, reference, cfg)
@@ -971,7 +970,7 @@ def test_restore_model_ignores_the_directories(tmp_path):
 
 def test_restore_model_refuses_another_label_stack(tmp_path):
     cfg, fs, ls, _, path = _fitted(tmp_path)
-    other = LabelStack(mats=ls.mats, fingerprint=bytes(32))
+    other = Stack(mats=ls.mats, fingerprint=bytes(32))
     with pytest.raises(CheckpointMismatch, match="fingerprint/labels differs"):
         restore_model(path, cfg, fs, other)
 

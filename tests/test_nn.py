@@ -8,7 +8,7 @@ from gamlp.model import load_checkpoint, restore_params, save_checkpoint
 from gamlp.nn import (Activation, Adam, Linear, Mlp, NonFiniteError, ParamTensor,
                       Sgd, cross_entropy, dropout, dropout_backward, glorot_uniform,
                       linear_backward, linear_forward, softmax_backward, softmax_rows)
-from gamlp.propagation import FeatureStack
+from gamlp.propagation import Stack
 
 from conftest import grad_check
 
@@ -347,7 +347,7 @@ def test_glorot_bounds():
 def _save(path, params):
     """Checkpoint bare parameters as if they were a model without labels."""
     model = SimpleNamespace(params=params, config=TrainConfig(use_labels=False))
-    stack = FeatureStack(mats=np.zeros((1, 1, 1)), fingerprint=b"\1" * 32)
+    stack = Stack(mats=np.zeros((1, 1, 1)), fingerprint=b"\1" * 32)
     save_checkpoint(path, model, stack, None)
 
 

@@ -1,34 +1,36 @@
+import hashlib
 import io
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from gamlp.graph import add_self_loops, build_graph, normalize
-from gamlp.propagation import (CacheFormatError, FeatureStack, FingerprintMismatch,
-                               LabelStack, ResidualScheme, apply_last_residual,
-                               build_label_seed, cache_read, cache_write,
-                               propagate_features, propagate_labels, stack_fingerprint)
+from gamlp.propagation import (CacheFormatError, FingerprintMismatch, ResidualScheme, Stack,
+                               apply_last_residual, build_label_seed, cache_read,
+                               cache_write, propagate_features, propagate_labels,
+                               stack_fingerprint)
 
-from conftest import dense_ahat, operator_for, random_graph
+from conftest import dense_ahat, random_graph
 
 
 def test_zero_steps_is_input(path3):
     x = np.random.default_rng(0).standard_normal((3, 2))
-    stack = propagate_features(operator_for(path3, 0.5), x, 0)
+    stack = propagate_features(normalize(path3, 0.5), x, 0)
     assert len(stack.mats) == 1
     assert np.array_equal(stack.mats[0], x)
 
 
 def test_row_stochastic_preserves_ones(path3):
-    stack = propagate_features(operator_for(path3, 0.0), np.ones((3, 1)), 6)
+    stack = propagate_features(normalize(path3, 0.0), np.ones((3, 1)), 6)
     for m in stack.mats:
         assert np.allclose(m, 1.0, atol=1e-12)
 
 
 def test_two_step_matches_dense(path3):
     x = np.random.default_rng(1).standard_normal((3, 2))
-    stack = propagate_features(operator_for(path3, 0.5), x, 2)
+    stack = propagate_features(normalize(path3, 0.5), x, 2)
     a = dense_ahat(path3, 0.5)
     assert np.allclose(stack.mats[2], a @ (a @ x), atol=1e-14)
 
@@ -41,7 +43,7 @@ def test_iterative_equals_matrix_power_oracle():
         r = float(rng.choice([0.0, 0.5, 1.0]))
         g = random_graph(rng, n, 0.2)
         x = rng.standard_normal((n, 3))
-        stack = propagate_features(operator_for(g, r), x, k)
+        stack = propagate_features(normalize(g, r), x, k)
         a = dense_ahat(g, r)
         want = np.linalg.matrix_power(a, k) @ x
         err = np.linalg.norm(stack.mats[k] - want) / max(1.0, np.linalg.norm(want))
@@ -49,7 +51,7 @@ def test_iterative_equals_matrix_power_oracle():
 
 
 def test_step_limits(path3):
-    op = operator_for(path3, 0.5)
+    op = normalize(path3, 0.5)
     with pytest.raises(ValueError):
         propagate_features(op, np.ones((3, 1)), -1)
     with pytest.raises(ValueError):
@@ -87,7 +89,7 @@ def test_label_seed_missing_label():
 
 def test_label_propagation_zero_steps(path3):
     y0 = build_label_seed(np.array([0, -1, -1]), [0], n=3, num_classes=2)
-    stack = propagate_labels(operator_for(path3, 0.0), y0, 0)
+    stack = propagate_labels(normalize(path3, 0.0), y0, 0)
     assert len(stack.mats) == 1
     assert np.array_equal(stack.mats[0], y0)
 
@@ -98,7 +100,7 @@ def test_label_row_sums_stay_probabilistic():
     labels = rng.integers(0, 3, size=20)
     train = rng.choice(20, size=8, replace=False)
     y0 = build_label_seed(labels, train, n=20, num_classes=3)
-    stack = propagate_labels(operator_for(g, 0.0), y0, 5)
+    stack = propagate_labels(normalize(g, 0.0), y0, 5)
     for m in stack.mats:
         sums = m.sum(axis=1)
         assert sums.min() >= -1e-12 and sums.max() <= 1.0 + 1e-12
@@ -107,7 +109,7 @@ def test_label_row_sums_stay_probabilistic():
 def test_two_node_label_step_matches_dense():
     g = build_graph([(0, 1)], 2)
     y0 = build_label_seed(np.array([1, -1]), [0], n=2, num_classes=2)
-    stack = propagate_labels(operator_for(g, 0.5), y0, 1)
+    stack = propagate_labels(normalize(g, 0.5), y0, 1)
     assert np.allclose(stack.mats[1], dense_ahat(g, 0.5) @ y0, atol=1e-14)
 
 
@@ -139,7 +141,7 @@ def _label_stack(rng, n=12, steps=4, r=0.5):
     labels = rng.integers(0, 3, size=n)
     train = rng.choice(n, size=n // 3, replace=False)
     y0 = build_label_seed(labels, train, n=n, num_classes=3)
-    return propagate_labels(operator_for(g, r), y0, steps), train
+    return propagate_labels(normalize(g, r), y0, steps), train
 
 
 def test_last_residual_deepest_is_exact():
@@ -208,7 +210,7 @@ def test_over_smoothing_shrinks_row_spread():
 def _feature_stack(rng, n=10, steps=3):
     g = random_graph(rng, n, 0.3)
     x = rng.standard_normal((n, 4)).astype(np.float32).astype(np.float64)
-    return propagate_features(operator_for(g, 0.5), x, steps)
+    return propagate_features(normalize(g, 0.5), x, steps)
 
 
 def _npy(array) -> bytes:
@@ -229,15 +231,14 @@ def test_cache_round_trip_features(tmp_path):
     # np.load reads the stack record, whole or mapped
     assert np.array_equal(np.load(path), stored)
     assert np.array_equal(np.load(path, mmap_mode="r"), stored)
-    loaded = cache_read(path, "features")
+    loaded = cache_read(path)
     # values survive as their float32 representation; a second trip is exact
     path2 = tmp_path / "f2.npy"
     cache_write(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
-    again = cache_read(path2, "features")
+    again = cache_read(path2)
     for a, b in zip(loaded.mats, again.mats):
         assert np.array_equal(a, b)
-    assert isinstance(loaded, FeatureStack)
     assert loaded.fingerprint == stack.fingerprint
     assert loaded.steps == stack.steps
 
@@ -250,20 +251,34 @@ def test_fingerprint_of_looped_graph_equals_operator_fingerprint():
     looped = add_self_loops(g)
     for r in (0.0, 0.5, 1.0):
         assert (stack_fingerprint(looped, x, 4, r)
-                == stack_fingerprint(normalize(looped, r), x, 4, r))
+                == stack_fingerprint(normalize(g, r), x, 4, r))
+
+
+def test_fingerprint_hashes_the_documented_layout():
+    # SHA-256 over the <QId header, int64 offsets, int64 columns, float32 seed
+    rng = np.random.default_rng(8)
+    op = normalize(random_graph(rng, 25, 0.2), 0.5)
+    x = rng.standard_normal((25, 12))
+    for seed, steps, r in ((x, 0, 0.0), (x, 3, 0.5), (x[:, ::3], 7, 1.0)):
+        h = hashlib.sha256(struct.pack("<QId", 25, steps, r))
+        h.update(op.row_offsets.astype(np.int64).tobytes())
+        h.update(op.col_indices.astype(np.int64).tobytes())
+        h.update(seed.astype(np.float32).tobytes())
+        assert stack_fingerprint(op, seed, steps, r) == h.digest()
+    assert propagate_features(op, x, 3).fingerprint == stack_fingerprint(op, x, 3, 0.5)
 
 
 def test_stacks_are_one_contiguous_array(tmp_path):
     rng = np.random.default_rng(7)
     features = _feature_stack(rng, n=10, steps=3)
     labels, _ = _label_stack(rng, n=12, steps=4)
-    for stack in (features, labels):
+    for stack, is_label in ((features, False), (labels, True)):
         path = tmp_path / "s.npy"
         cache_write(stack, path)
-        loaded = cache_read(path, "labels" if isinstance(stack, LabelStack) else "features")
+        loaded = cache_read(path)
         # propagation computes in float64; a cache read keeps the stored float32
         arrays = [(stack.mats, np.float64), (loaded.mats, np.float32)]
-        if isinstance(stack, LabelStack):
+        if is_label:
             arrays.append((apply_last_residual(loaded.mats, ResidualScheme()), np.float32))
         for a, dtype in arrays:
             assert isinstance(a, np.ndarray) and a.dtype == dtype
@@ -278,8 +293,7 @@ def test_cache_round_trip_labels(tmp_path):
     # the 128-byte npy header and the raw steps only, then the 160-byte
     # fingerprint record: no smoothed copy is stored
     assert path.stat().st_size == 128 + (stack.steps + 1) * stack.n * stack.dim * 4 + 160
-    loaded = cache_read(path, "labels")
-    assert isinstance(loaded, LabelStack)
+    loaded = cache_read(path)
     assert loaded.fingerprint == stack.fingerprint
     for a, b in zip(loaded.mats, stack.mats):
         assert np.allclose(a, b, atol=1e-7)
@@ -291,7 +305,7 @@ def test_cache_round_trip_labels(tmp_path):
 def _refused(path) -> str:
     """The one-line message ``cache_read`` refuses ``path`` with."""
     with pytest.raises(CacheFormatError) as err:
-        cache_read(path, "features")
+        cache_read(path)
     message = str(err.value)
     assert "\n" not in message
     assert message.startswith(f"{path}: ") and message.endswith("rerun gamlp preprocess")
@@ -379,11 +393,11 @@ def test_cache_replaced_while_read_yields_one_write(tmp_path, monkeypatch):
         return array
 
     monkeypatch.setattr(np.lib.format, "read_array", read_then_replace)
-    loaded = cache_read(path, "features")
+    loaded = cache_read(path)
     monkeypatch.undo()
     assert loaded.fingerprint == stack.fingerprint != other.fingerprint
     assert np.array_equal(loaded.mats, stack.mats.astype(np.float32))
-    assert cache_read(path, "features").fingerprint == other.fingerprint
+    assert cache_read(path).fingerprint == other.fingerprint
 
 
 def test_cache_fingerprint_guard(tmp_path):
@@ -391,11 +405,11 @@ def test_cache_fingerprint_guard(tmp_path):
     path = tmp_path / "fp.npy"
     cache_write(stack, path)
     with pytest.raises(FingerprintMismatch):
-        cache_read(path, "features", expect_fingerprint=b"\0" * 32)
+        cache_read(path, expect_fingerprint=b"\0" * 32)
     with pytest.warns(UserWarning, match="fingerprint"):
-        loaded = cache_read(path, "features", expect_fingerprint=b"\0" * 32, force=True)
+        loaded = cache_read(path, expect_fingerprint=b"\0" * 32, force=True)
     assert loaded.steps == stack.steps
-    loaded = cache_read(path, "features", expect_fingerprint=stack.fingerprint)
+    loaded = cache_read(path, expect_fingerprint=stack.fingerprint)
     assert loaded.steps == stack.steps
 
 
@@ -413,10 +427,10 @@ def test_cache_write_failure_keeps_previous_file(tmp_path):
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert sorted(before) == ["f.npy"]
     # the temporary exists when the array fails to convert
-    broken = FeatureStack(mats=[stack.mats[0] + 1.0, _FailingMatrix()],
+    broken = Stack(mats=[stack.mats[0] + 1.0, _FailingMatrix()],
                           fingerprint=b"\1" * 32)
     with pytest.raises(OSError, match="no space"):
         cache_write(broken, path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-    loaded = cache_read(path, "features", expect_fingerprint=stack.fingerprint)
+    loaded = cache_read(path, expect_fingerprint=stack.fingerprint)
     assert loaded.steps == stack.steps
