@@ -1,6 +1,7 @@
 """Command-line pipeline driver.
 
-Subcommands: preprocess, train, eval, sweep, ablate, export-attention.
+Subcommands: preprocess, train, eval, sweep, ablate, export-attention,
+inspect.
 Thread-count control (--threads, or the GAMLP_THREADS environment
 variable) sets the BLAS pools and the propagation (spmm) threads. The BLAS
 pools read it only when the numerics libraries load, so the heavy imports
@@ -78,6 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="attention", help="output path prefix")
     p.add_argument("--buckets", default="1-4,5-8,9-12",
                    help="degree buckets, e.g. 1-4,5-8,9-12")
+
+    p = sub.add_parser("inspect", help="print a propagation cache's shape and fingerprint")
+    p.add_argument("cache", help="a features_*.npy or labels_*.npy cache file")
+    p.set_defaults(threads=None)
     return parser
 
 
@@ -229,6 +234,16 @@ def _cmd_export_attention(args) -> int:
     return 0
 
 
+def _cmd_inspect(args) -> int:
+    from .propagation import cache_info
+
+    header = cache_info(args.cache)
+    print(f"stack        {header.shape} float32, {header.nbytes} bytes")
+    print(f"fingerprint  {header.fingerprint.hex()}")
+    print(f"file         {header.file_size} bytes")
+    return 0
+
+
 _HANDLERS = {
     "preprocess": _cmd_preprocess,
     "train": _cmd_train,
@@ -236,6 +251,7 @@ _HANDLERS = {
     "sweep": _cmd_sweep,
     "ablate": _cmd_ablate,
     "export-attention": _cmd_export_attention,
+    "inspect": _cmd_inspect,
 }
 
 

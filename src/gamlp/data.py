@@ -88,21 +88,24 @@ class Dataset:
 def _read_table(path: Path, columns: int) -> np.ndarray | None:
     """Bulk-parse a TAB-separated integer file into a (rows, columns) int64 array.
 
-    Blank lines are skipped. Returns None when numpy's parser rejects the
-    file or finds another column count; the caller then falls back to
-    ``_read_lines``, which reports the error or accepts what numpy does not.
+    Blank lines are skipped, so an empty or blank file gives no rows. Returns
+    None when numpy's parser rejects the file or finds another column count;
+    the caller then falls back to ``_read_lines``, which reports the error or
+    accepts what numpy does not.
     """
-    if not path.read_bytes().strip():
-        return np.empty((0, columns), dtype=np.int64)
     try:
         with warnings.catch_warnings():
             # numpy < 2 parsed float text such as "1.5" into integer columns
             # with only a DeprecationWarning; the loop must reject it instead
             warnings.simplefilter("error", DeprecationWarning)
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
             table = np.loadtxt(path, dtype=np.int64, delimiter="\t", comments=None,
                                ndmin=2, encoding="utf-8")
     except (ValueError, DeprecationWarning):
         return None
+    if not table.size:
+        return np.empty((0, columns), dtype=np.int64)
     return table if table.shape[1] == columns else None
 
 

@@ -14,7 +14,8 @@ blend of another scheme.
 A stack is one C-contiguous array of shape (S+1, n, d), step-major:
 ``mats[k]`` is the n x d matrix of step k, and one gather along axis 1
 takes the rows of a node set from every step. Step-major is also the
-cache file order, so the whole stack is written and read as one block.
+cache file order, so the whole stack is written as one block, and read
+back as one read-only map of the file.
 
 All propagation arithmetic runs in double precision; the caller picks the
 dtype the stack stores. Stacks built in memory for experiments and tests
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import mmap
 import os
 import struct
 import uuid
@@ -84,7 +86,8 @@ class Stack:
     (S+1, n, d) array; ``mats`` has the dtype its builder asked for.
 
     That is float64 by default, float32 in ``preprocess``, and float32 when
-    the stack is read from a cache. A label stack keeps only the raw
+    the stack is read from a cache, where ``mats`` is a read-only map of
+    the file. A label stack keeps only the raw
     propagation; the smoothed inputs are derived from ``mats`` by
     :func:`apply_last_residual`.
     """
@@ -226,39 +229,90 @@ def cache_write(stack: Stack, path) -> None:
     then its 32-byte fingerprint as uint8, through one :func:`atomic_write`.
     ``np.load(path)`` reads the stack."""
     with atomic_write(path) as f:
-        np.save(f, np.asarray(stack.mats, dtype="<f4"))
+        np.save(f, np.ascontiguousarray(stack.mats, dtype="<f4"))
         np.save(f, np.frombuffer(stack.fingerprint, dtype=np.uint8))
+
+
+@dataclass(frozen=True)
+class CacheHeader:
+    """What the two record headers and the fingerprint bytes of a cache say."""
+
+    shape: tuple           # the (S+1, n, d) stack's, stored as C-order <f4
+    offset: int            # where the stack's data starts
+    file_size: int
+    fingerprint: bytes
+
+    @property
+    def nbytes(self) -> int:
+        return 4 * math.prod(self.shape)
+
+
+def _read_header(f) -> CacheHeader:
+    """Check the open cache ``f`` without reading the stack's data: its header,
+    that the file holds all of its data, and the fingerprint record after it.
+    Raises ValueError naming the first malformed part."""
+    size = os.fstat(f.fileno()).st_size
+    version = np.lib.format.read_magic(f)
+    if version not in ((1, 0), (2, 0)):
+        raise ValueError(f"unsupported .npy format version {version[0]}.{version[1]}")
+    read = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+            else np.lib.format.read_array_header_2_0)
+    shape, fortran_order, dtype = read(f)
+    if len(shape) != 3 or dtype != np.dtype("<f4"):
+        raise ValueError(f"expected a 3-d float32 array, found {dtype} of shape {shape}")
+    if fortran_order:
+        raise ValueError("expected a C-order stack, found Fortran order")
+    offset, count = f.tell(), math.prod(shape)
+    end = offset + 4 * count
+    if end > size:  # numpy's words, as np.load reports the same cut
+        raise ValueError(f"Failed to read all data for array. Expected {shape} = {count} "
+                         f"elements, could only read {(size - offset) // 4} elements. "
+                         "(file seems not fully written?)")
+    if end == size:
+        raise ValueError("no fingerprint record after the stack")
+    f.seek(end)
+    fingerprint = np.lib.format.read_array(f, allow_pickle=False)
+    if fingerprint.dtype != np.uint8 or fingerprint.shape != (32,):
+        raise ValueError(f"expected a 32-byte uint8 fingerprint, found "
+                         f"{fingerprint.dtype} of shape {fingerprint.shape}")
+    # read_array stops after the element count its header gives
+    if f.tell() != size:
+        raise ValueError(f"{size - f.tell()} bytes after the array data")
+    return CacheHeader(shape, offset, size, fingerprint.tobytes())
+
+
+@contextmanager
+def _open_cache(path):
+    """The open cache file and its checked :class:`CacheHeader`; a ValueError
+    or OSError in the check or the body is a one-line :class:`CacheFormatError`."""
+    try:
+        with open(path, "rb") as f:
+            yield f, _read_header(f)
+    except (ValueError, OSError) as e:
+        raise CacheFormatError(f"{path}: {e}; rerun gamlp preprocess") from None
+
+
+def cache_info(path) -> CacheHeader:
+    """The checked header of the cache at ``path``; reads no stack data."""
+    with _open_cache(path) as (_, header):
+        return header
 
 
 def cache_read(path, expect_fingerprint: bytes | None = None,
                force: bool = False) -> Stack:
-    """Read a stack back; refuses a fingerprint mismatch unless forced, and
-    any malformed part with a one-line :class:`CacheFormatError`. Both
-    records come from one open file, so a cache replaced meanwhile still
+    """The cached stack as a read-only map of the file. Any malformed part is
+    refused with a one-line :class:`CacheFormatError`, and a fingerprint
+    mismatch unless forced, before anything is mapped. The map comes from
+    the descriptor that was checked, so a cache replaced meanwhile still
     yields one write's stack and fingerprint."""
-    try:
-        with open(path, "rb") as f:
-            size = os.fstat(f.fileno()).st_size
-            mats = np.lib.format.read_array(f, allow_pickle=False)
-            if mats.ndim != 3 or mats.dtype != np.dtype("<f4"):
-                raise ValueError(f"expected a 3-d float32 array, found {mats.dtype} "
-                                 f"of shape {mats.shape}")
-            if f.tell() == size:
-                raise ValueError("no fingerprint record after the stack")
-            fingerprint = np.lib.format.read_array(f, allow_pickle=False)
-            if fingerprint.dtype != np.uint8 or fingerprint.shape != (32,):
-                raise ValueError(f"expected a 32-byte uint8 fingerprint, found "
-                                 f"{fingerprint.dtype} of shape {fingerprint.shape}")
-            # read_array stops after the element count its header gives
-            if f.tell() != size:
-                raise ValueError(f"{size - f.tell()} bytes after the array data")
-    except (ValueError, OSError) as e:
-        raise CacheFormatError(f"{path}: {e}; rerun gamlp preprocess") from None
-    fingerprint = fingerprint.tobytes()
-    if expect_fingerprint is not None and fingerprint != expect_fingerprint:
-        if not force:
-            raise FingerprintMismatch(
-                f"{path}: cache fingerprint does not match the current graph/input; "
-                "rerun preprocess or pass force=True to use it anyway")
-        warnings.warn(f"{path}: using cache despite a fingerprint mismatch")
-    return Stack(mats=mats, fingerprint=fingerprint)
+    with _open_cache(path) as (f, header):
+        if expect_fingerprint is not None and header.fingerprint != expect_fingerprint:
+            if not force:
+                raise FingerprintMismatch(
+                    f"{path}: cache fingerprint does not match the current graph/input; "
+                    "rerun preprocess or pass force=True to use it anyway")
+            warnings.warn(f"{path}: using cache despite a fingerprint mismatch")
+        data = mmap.mmap(f.fileno(), header.offset + header.nbytes, access=mmap.ACCESS_READ)
+    mats = np.frombuffer(data, dtype="<f4", count=math.prod(header.shape),
+                         offset=header.offset).reshape(header.shape)
+    return Stack(mats=mats, fingerprint=header.fingerprint)

@@ -139,6 +139,26 @@ def test_pipeline_smoke(workdir, capsys):
     assert f"test accuracy {trained_test_acc}" in out
 
 
+def test_inspect_prints_the_cache_headers(workdir, capsys):
+    tmp_path, conf, cache_dir = workdir
+    assert main(["preprocess", "--config", str(conf)]) == 0
+    capsys.readouterr()
+    path = cache_dir / "features_K3_r0.5.npy"
+    assert main(["inspect", str(path)]) == 0
+    fingerprint = path.read_bytes()[-32:].hex()  # the last record's data
+    nbytes = 4 * 4 * 40 * 5  # (K+1, n, f) float32
+    assert capsys.readouterr().out.splitlines() == [
+        f"stack        (4, 40, 5) float32, {nbytes} bytes",
+        f"fingerprint  {fingerprint}",
+        f"file         {path.stat().st_size} bytes"]
+    # a malformed cache fails with cache_read's one-line error
+    path.write_bytes(path.read_bytes()[:200])
+    assert main(["inspect", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"gamlp: error: {path}: ")
+    assert "Failed to read all data" in err and err.rstrip().endswith("rerun gamlp preprocess")
+
+
 def test_train_without_caches_mentions_preprocess(workdir, capsys):
     _, conf, _ = workdir
     assert main(["train", "--config", str(conf)]) != 0

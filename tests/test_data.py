@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +183,7 @@ PARSE_CASES = {
     "empty and blank splits": dict(val="", test="\n\n"),
     "no edges": dict(edges=""),
     "no labels": dict(labels="", train="", val="", test=""),
+    "blank labels": dict(labels="\n\r\n\n", train="", val="", test=""),
 }
 
 
@@ -198,6 +200,19 @@ def test_bulk_parse_matches_line_loop(tmp_path, monkeypatch, case):
     for part in ("train", "val", "test"):
         assert np.array_equal(getattr(bulk.splits, part), getattr(loop.splits, part))
         assert getattr(bulk.splits, part).dtype == np.int64
+
+
+def test_integer_files_are_parsed_without_a_whole_file_read(tmp_path, monkeypatch):
+    # numpy's parser is the one read of a clean file; an empty or blank
+    # labels.tsv loads as all unlabeled
+    def no_read(path, *args, **kwargs):
+        raise AssertionError(f"{path} read whole")
+
+    monkeypatch.setattr(Path, "read_bytes", no_read)
+    monkeypatch.setattr(Path, "read_text", no_read)
+    for name in ("no labels", "blank labels"):
+        ds = load_dataset(write_parity_fixture(tmp_path / name, **PARSE_CASES[name]))
+        assert ds.graph.nnz > 0 and np.all(ds.labels == -1)
 
 
 def test_parsed_values_of_lenient_inputs(tmp_path):

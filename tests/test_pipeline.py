@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gamlp.config import TrainConfig
-from gamlp.data import generate_sbm
+from gamlp.data import Dataset, Splits, generate_sbm
+from gamlp.graph import build_graph
 from gamlp.model import _stack_inputs
 from gamlp.pipeline import (MissingCacheError, build_stacks, cache_paths, load_stacks,
                             preprocess, stack_recipes)
@@ -94,6 +97,40 @@ def test_preprocess_writes_exactly_the_two_npy_caches(sbm, tmp_path):
     feature_stack, label_stack = load_stacks(sbm, config)
     assert (feature_stack.steps, label_stack.steps) == (3, config.effective_label_hops)
     assert feature_stack.mats.dtype == label_stack.mats.dtype == np.float32
+
+
+def test_load_stacks_maps_the_preprocessed_stacks(sbm, tmp_path):
+    # read-only maps of the files, bit-equal to the float32 stacks preprocess wrote
+    config = _config(tmp_path, label_hops=2)
+    preprocess(sbm, config)
+    for got, want in zip(load_stacks(sbm, config), build_stacks(sbm, config, np.float32)):
+        assert not got.mats.flags.writeable
+        assert np.array_equal(got.mats, want.mats) and got.fingerprint == want.fingerprint
+        with pytest.raises(ValueError, match="read-only"):
+            got.mats[0] *= 2.0
+
+
+def test_load_stacks_peak_stays_bounded_for_a_large_stack(tmp_path):
+    # a 21 MiB feature stack: the map allocates nothing; the peak left is the
+    # fingerprint's float32 copy of the seed (1/(K+1) of the stack, 256 KB
+    # here), the label seed and the self-looped graph
+    n, dim, hops = 2000, 32, 84
+    rng = np.random.default_rng(0)
+    ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+    labels = rng.integers(0, 4, n)
+    ids = rng.permutation(n)
+    dataset = Dataset(build_graph(ring, n), rng.standard_normal((n, dim)), labels,
+                      Splits(ids[:200], ids[200:300], ids[300:]), 4).validate()
+    config = TrainConfig(cache_dir=str(tmp_path), hops=hops, label_hops=2).validate()
+    preprocess(dataset, config)
+    tracemalloc.start()
+    try:
+        feature_stack, label_stack = load_stacks(dataset, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert feature_stack.mats.nbytes >= 20 * 2**20
+    assert peak < 2**20, f"load_stacks peak {peak} bytes"
 
 
 def test_load_stacks_refuses_a_feature_cache_at_the_label_cache_path(sbm, tmp_path):

@@ -1,16 +1,19 @@
+import gc
 import hashlib
 import io
 import json
+import mmap
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from gamlp.graph import add_self_loops, build_graph, normalize
 from gamlp.propagation import (CacheFormatError, FingerprintMismatch, ResidualScheme, Stack,
-                               apply_last_residual, build_label_seed, cache_read,
-                               cache_write, propagate_features, propagate_labels,
-                               stack_fingerprint)
+                               apply_last_residual, build_label_seed, cache_info,
+                               cache_read, cache_write, propagate_features,
+                               propagate_labels, stack_fingerprint)
 
 from conftest import dense_ahat, random_graph
 
@@ -303,8 +306,10 @@ def test_cache_round_trip_labels(tmp_path):
 
 
 def _refused(path) -> str:
-    """The one-line message ``cache_read`` refuses ``path`` with."""
-    with pytest.raises(CacheFormatError) as err:
+    """The one-line message ``cache_read`` refuses ``path`` with, before it maps
+    anything: a map past the end of the file would fault, not raise."""
+    with mock.patch.object(mmap, "mmap", side_effect=AssertionError("mapped")), \
+            pytest.raises(CacheFormatError) as err:
         cache_read(path)
     message = str(err.value)
     assert "\n" not in message
@@ -369,6 +374,19 @@ def test_cache_rejects_truncation(tmp_path):
     assert "Failed to read all data" in _refused(path)
 
 
+@pytest.mark.parametrize("cut, problem", [
+    (1, "Failed to read all data"), (4, "Failed to read all data"),
+    (0, "no fingerprint record after the stack")],
+    ids=["one_byte_short", "one_value_short", "at_the_stack_end"])
+def test_cache_cut_at_the_end_of_the_stack_is_refused(tmp_path, cut, problem):
+    stack = _feature_stack(np.random.default_rng(3))
+    path = tmp_path / "t.npy"
+    cache_write(stack, path)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:128 + stack.mats.size * 4 - cut])
+    assert problem in _refused(path)
+
+
 def test_cache_rejects_bytes_after_the_data(tmp_path):
     path = tmp_path / "t.npy"
     cache_write(_feature_stack(np.random.default_rng(3)), path)
@@ -378,8 +396,9 @@ def test_cache_rejects_bytes_after_the_data(tmp_path):
 
 
 def test_cache_replaced_while_read_yields_one_write(tmp_path, monkeypatch):
-    # a preprocess that replaces the cache between the two record reads: the
-    # open file goes on reading the old one, and the next read gets the new one
+    # a preprocess that replaces the cache while its fingerprint record is
+    # read, after the stack's header and before the map: the checked
+    # descriptor maps the old file, and the next read gets the new one
     rng = np.random.default_rng(3)
     stack, other = _feature_stack(rng), _feature_stack(rng)
     path = tmp_path / "t.npy"
@@ -388,8 +407,7 @@ def test_cache_replaced_while_read_yields_one_write(tmp_path, monkeypatch):
 
     def read_then_replace(*args, **kwargs):
         array = read_array(*args, **kwargs)
-        if array.ndim == 3:
-            cache_write(other, path)
+        cache_write(other, path)
         return array
 
     monkeypatch.setattr(np.lib.format, "read_array", read_then_replace)
@@ -400,11 +418,74 @@ def test_cache_replaced_while_read_yields_one_write(tmp_path, monkeypatch):
     assert cache_read(path).fingerprint == other.fingerprint
 
 
+def test_cache_read_maps_a_read_only_stack(tmp_path):
+    stack = _feature_stack(np.random.default_rng(4))
+    path = tmp_path / "m.npy"
+    cache_write(stack, path)
+    mats = cache_read(path).mats
+    assert type(mats) is np.ndarray and mats.dtype == np.float32
+    assert mats.flags.c_contiguous and not mats.flags.writeable
+    assert np.array_equal(mats, stack.mats.astype(np.float32))
+    with pytest.raises(ValueError, match="read-only"):
+        mats[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        mats[1] += 1.0
+    with pytest.raises(ValueError):
+        mats.setflags(write=True)
+    # views and gathers of the map work as on any array
+    assert np.array_equal(np.take(mats, [3, 1], axis=1), stack.mats[:, [3, 1]].astype("<f4"))
+    assert not mats[:, 2:5].flags.writeable
+
+
+def test_mapped_stack_outlives_its_file_and_stack(tmp_path):
+    stack = _feature_stack(np.random.default_rng(5))
+    path = tmp_path / "m.npy"
+    cache_write(stack, path)
+    loaded = cache_read(path)
+    mats = loaded.mats
+    del loaded
+    gc.collect()
+    cache_write(_feature_stack(np.random.default_rng(6)), path)  # renamed over it
+    path.unlink()
+    assert not path.exists()
+    assert np.array_equal(mats, stack.mats.astype(np.float32))
+
+
+def test_cache_info_reads_the_headers(tmp_path):
+    stack = _feature_stack(np.random.default_rng(7))
+    path = tmp_path / "i.npy"
+    cache_write(stack, path)
+    info = cache_info(path)
+    assert info.shape == stack.mats.shape and info.offset == 128
+    assert info.nbytes == stack.mats.size * 4
+    assert info.file_size == path.stat().st_size == 128 + info.nbytes + 160
+    assert info.fingerprint == stack.fingerprint
+    # the same checks refuse the same files
+    path.write_bytes(path.read_bytes()[:200])
+    with pytest.raises(CacheFormatError, match="Failed to read all data"):
+        cache_info(path)
+
+
+def test_cache_of_a_fortran_order_stack_is_written_in_c_order(tmp_path):
+    stack = _feature_stack(np.random.default_rng(8))
+    path = tmp_path / "f.npy"
+    cache_write(stack, path)
+    fortran = tmp_path / "fortran.npy"
+    cache_write(Stack(np.asfortranarray(stack.mats), stack.fingerprint), fortran)
+    assert fortran.read_bytes() == path.read_bytes()
+    # a Fortran-order record that np.save wrote is refused, not mapped wrong
+    with open(fortran, "wb") as f:
+        np.save(f, np.asfortranarray(stack.mats.astype("<f4")))
+        np.save(f, np.frombuffer(stack.fingerprint, np.uint8))
+    assert "C-order" in _refused(fortran)
+
+
 def test_cache_fingerprint_guard(tmp_path):
     stack = _feature_stack(np.random.default_rng(4))
     path = tmp_path / "fp.npy"
     cache_write(stack, path)
-    with pytest.raises(FingerprintMismatch):
+    with mock.patch.object(mmap, "mmap", side_effect=AssertionError("mapped")), \
+            pytest.raises(FingerprintMismatch):
         cache_read(path, expect_fingerprint=b"\0" * 32)
     with pytest.warns(UserWarning, match="fingerprint"):
         loaded = cache_read(path, expect_fingerprint=b"\0" * 32, force=True)
