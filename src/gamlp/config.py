@@ -15,7 +15,6 @@ COMBINER_MODES = ("attention", "sgc", "s2gc", "gbp", "sign")
 REFERENCE_MODES = ("jk", "origin_feature", "normal_noise", "no_reference")
 LABEL_MODES = ("smoothed", "plain", "uniform")
 RESIDUAL_KINDS = ("cosine", "linear", "fixed")
-OPTIMIZERS = ("adam", "sgd")
 ACTIVATION_KINDS = ("leaky_relu", "relu", "sigmoid")
 MAX_HOPS = 128
 
@@ -32,13 +31,11 @@ class TrainConfig:
     hops: int = 5
     label_hops: int = -1          # -1: follow hops
     r_mode: float = 0.5
-    label_r_mode: float = -1.0    # -1: follow r_mode
     residual_scheme: str = "cosine"
     fixed_alpha: float = 0.7
     # combiners
     attention: str = "jk"
     combiner: str = "attention"
-    gbp_beta: float = 0.5
     reference: str = "jk"
     # classifier
     hidden: int = 512
@@ -52,7 +49,6 @@ class TrainConfig:
     dropout: float = 0.5
     # optimization
     lr: float = 0.001
-    optimizer: str = "adam"
     weight_decay: float = 0.0
     batch_size: int = 0           # 0: full batch
     epochs: int = 400
@@ -70,10 +66,6 @@ class TrainConfig:
     def effective_label_hops(self) -> int:
         return self.hops if self.label_hops < 0 else self.label_hops
 
-    @property
-    def effective_label_r_mode(self) -> float:
-        return self.r_mode if self.label_r_mode < 0 else self.label_r_mode
-
     def validate(self) -> "TrainConfig":
         def require(cond: bool, msg: str):
             if not cond:
@@ -83,8 +75,6 @@ class TrainConfig:
         require(self.label_hops == -1 or 0 <= self.label_hops <= MAX_HOPS,
                 f"label_hops must lie in [0, {MAX_HOPS}]")
         require(self.r_mode in (0.0, 0.5, 1.0), "r_mode must be 0, 0.5 or 1")
-        require(self.label_r_mode in (-1.0, 0.0, 0.5, 1.0),
-                "label_r_mode must be 0, 0.5 or 1")
         require(self.residual_scheme in RESIDUAL_KINDS,
                 f"residual_scheme must be one of {RESIDUAL_KINDS}")
         require(0.0 <= self.fixed_alpha <= 1.0, "fixed_alpha must lie in [0, 1]")
@@ -92,7 +82,6 @@ class TrainConfig:
                 f"attention must be one of {ATTENTION_KINDS}")
         require(self.combiner in COMBINER_MODES,
                 f"combiner must be one of {COMBINER_MODES}")
-        require(0.0 < self.gbp_beta < 1.0, "gbp_beta must lie in (0, 1)")
         require(self.reference in REFERENCE_MODES,
                 f"reference must be one of {REFERENCE_MODES}")
         require(self.hidden >= 1, "hidden must be positive")
@@ -105,7 +94,6 @@ class TrainConfig:
         for key in ("input_dropout", "attention_dropout", "dropout"):
             require(0.0 <= getattr(self, key) < 1.0, f"{key} must lie in [0, 1)")
         require(self.lr >= 0.0, "lr must be nonnegative")
-        require(self.optimizer in OPTIMIZERS, f"optimizer must be one of {OPTIMIZERS}")
         require(self.weight_decay >= 0.0, "weight_decay must be nonnegative")
         require(self.batch_size >= 0, "batch_size must be nonnegative")
         require(self.epochs >= 1, "epochs must be >= 1")

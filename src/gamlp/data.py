@@ -9,17 +9,18 @@ On-disk dataset layout (all little-endian, ids 0-based decimal):
     splits/train.txt     one node id per line (same for val.txt, test.txt)
 
 The integer files (edges, labels, splits) are parsed in bulk: one
-``np.loadtxt`` call per file, then vectorised range checks. Whenever that
-parse raises or finds an id out of range, the file is read again by one
-line loop, ``_read_lines``. That loop is the reference reader for every
-integer file: it alone reports errors, as one line naming the file and the
-line number (split ids are range-checked there too), and it also accepts
-the few inputs numpy rejects (whitespace-only lines, a trailing tab,
-``1_0``), so both paths load every file to the same arrays.
+``np.loadtxt`` call per file, then one vectorised range check. When that
+parse raises or the check fails, one line loop, ``_read_lines``, reads the
+file again and gives each row its line number; the same check runs on its
+rows. The loop is the reference reader: it accepts the few inputs numpy
+rejects (whitespace-only lines, a trailing tab, ``1_0``), so both paths load
+every file to the same arrays, and every error is one line naming the file
+and the first faulty line.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ class Splits:
 @dataclass
 class Dataset:
     graph: CsrGraph           # raw symmetric adjacency, pre-normalization
-    features: np.ndarray      # n x f, float64
+    features: np.ndarray      # n x f; float32 from features.bin, else float64
     labels: np.ndarray        # length n, -1 where unlabeled
     splits: Splits
     num_classes: int
@@ -118,11 +119,11 @@ def _read_features(directory: Path) -> np.ndarray:
             if len(header) < 20 or header[:4] != _FEAT_MAGIC:
                 raise DatasetError(f"{bin_path}: not a feature file (bad magic)")
             n, dim = struct.unpack("<QQ", header[4:])
-            payload = f.read()
-        if len(payload) != 4 * n * dim:
-            raise DatasetError(f"{bin_path}: expected {4 * n * dim} bytes of float32 "
-                               f"values after the header, found {len(payload)}")
-        return np.frombuffer(payload, dtype="<f4").reshape(n, dim).astype(np.float64)
+            found = os.fstat(f.fileno()).st_size - 20
+            if found != 4 * n * dim:
+                raise DatasetError(f"{bin_path}: expected {4 * n * dim} bytes of float32 "
+                                   f"values after the header, found {found}")
+            return np.fromfile(f, dtype="<f4", count=n * dim).reshape(n, dim)
     if csv_path.exists():
         try:
             x = np.loadtxt(csv_path, delimiter=",", dtype=np.float64, ndmin=2)
@@ -132,12 +133,11 @@ def _read_features(directory: Path) -> np.ndarray:
     raise DatasetError(f"{directory}: missing features.bin / features.csv")
 
 
-def _read_lines(path: Path, columns: int, form: str, not_int: str, check) -> np.ndarray:
-    """The reference reader: the file's non-blank lines as a (rows, columns)
-    int64 array. A wrong column count raises ``form`` and a non-integer field
-    ``not_int``, each followed by the line's text; ``check(*ints)`` returns
-    the line's range problem, or None."""
-    rows = []
+def _read_lines(path: Path, columns: int, form: str, not_int: str):
+    """The reference reader: (rows, line numbers, error) of the file's non-blank
+    lines. It stops at the first line with a wrong column count or a non-integer
+    field, and returns its DatasetError: ``form`` or ``not_int``, then the text."""
+    rows, line_nos, error = [], [], None
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             text = line.strip()
@@ -145,45 +145,53 @@ def _read_lines(path: Path, columns: int, form: str, not_int: str, check) -> np.
                 continue
             parts = text.split("\t")
             if len(parts) != columns:
-                raise DatasetError(f"{path}:{line_no}: {form}{text!r}")
+                error = DatasetError(f"{path}:{line_no}: {form}{text!r}")
+                break
             try:
-                ints = tuple(map(int, parts))
+                rows.append(tuple(map(int, parts)))
             except ValueError:
-                raise DatasetError(f"{path}:{line_no}: {not_int}{text!r}") from None
-            problem = check(*ints)
-            if problem:
-                raise DatasetError(f"{path}:{line_no}: {problem}")
-            rows.append(ints)
-    return np.asarray(rows, dtype=np.int64).reshape(-1, columns)
+                error = DatasetError(f"{path}:{line_no}: {not_int}{text!r}")
+                break
+            line_nos.append(line_no)
+    return np.asarray(rows, dtype=np.int64).reshape(-1, columns), line_nos, error
 
 
-def _read_ints(path: Path, columns: int, form: str, not_int: str, check,
-               table_ok) -> np.ndarray:
-    """``_read_table``'s bulk parse when numpy takes the file and ``table_ok``
-    accepts the (non-empty) table; otherwise ``_read_lines`` reads it."""
+def _read_ints(path: Path, columns: int, n: int, form: str, not_int: str, problem,
+               node_columns: int | None = None) -> np.ndarray:
+    """The file's rows as a (rows, columns) int64 array: ``_read_table``'s when numpy
+    takes the file and no row is out of range (holds a negative value, or a node id
+    >= ``n`` in its first ``node_columns`` fields, all for None), else ``_read_lines``'s.
+    The first faulty line raises, an out-of-range row as ``problem(*row)``."""
+    def first_out_of_range(table: np.ndarray) -> int | None:
+        bad = table < 0
+        bad[:, :node_columns] |= table[:, :node_columns] >= n
+        return int(np.argmax(bad)) // columns if bad.any() else None
+
     if not path.is_file():
         raise DatasetError(f"{path}: missing")
     table = _read_table(path, columns)
-    if table is not None and (not table.size or table_ok(table)):
+    if table is not None and first_out_of_range(table) is None:
         return table
-    return _read_lines(path, columns, form, not_int, check)
+    table, line_nos, error = _read_lines(path, columns, form, not_int)
+    bad = first_out_of_range(table)
+    if bad is not None:
+        raise DatasetError(f"{path}:{line_nos[bad]}: {problem(*table[bad])}")
+    if error is not None:
+        raise error
+    return table
 
 
 def _read_edges(path: Path, n: int) -> np.ndarray:
     """(m, 2) array of the edge lines' endpoints, in file order."""
-    return _read_ints(path, 2, "expected 'src<TAB>dst', got ", "non-integer id in ",
-                      lambda u, v: None if 0 <= u < n and 0 <= v < n
-                      else f"node id outside [0, {n})",
-                      lambda table: table.min() >= 0 and table.max() < n)
+    return _read_ints(path, 2, n, "expected 'src<TAB>dst', got ", "non-integer id in ",
+                      lambda u, v: f"node id outside [0, {n})")
 
 
 def _read_labels(path: Path, n: int) -> np.ndarray:
     """Length-n class vector, -1 for nodes without a line; a later line wins."""
-    table = _read_ints(path, 2, "expected 'node<TAB>class', got ", "non-integer value in ",
+    table = _read_ints(path, 2, n, "expected 'node<TAB>class', got ", "non-integer value in ",
                        lambda node, cls: f"node id {node} outside [0, {n})"
-                       if not 0 <= node < n else f"negative class {cls}" if cls < 0 else None,
-                       lambda table: (table[:, 0].min() >= 0 and table[:, 0].max() < n
-                                      and table[:, 1].min() >= 0))
+                       if not 0 <= node < n else f"negative class {cls}", node_columns=1)
     labels = np.full(n, -1, dtype=np.int64)
     order = np.argsort(table[:, 0], kind="stable")
     nodes, classes = table[order, 0], table[order, 1]
@@ -195,9 +203,8 @@ def _read_labels(path: Path, n: int) -> np.ndarray:
 
 def _read_split(path: Path, n: int) -> np.ndarray:
     """Node ids of one split file, in file order."""
-    return _read_ints(path, 1, "not a node id: ", "not a node id: ",
-                      lambda i: None if 0 <= i < n else f"node id {i} outside [0, {n})",
-                      lambda table: table.min() >= 0 and table.max() < n)[:, 0]
+    return _read_ints(path, 1, n, "not a node id: ", "not a node id: ",
+                      lambda i: f"node id {i} outside [0, {n})")[:, 0]
 
 
 def load_dataset(directory) -> Dataset:

@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import TrainConfig
-from .nn import (Activation, Adam, Linear, Mlp, NonFiniteError, ParamTensor, Sgd,
-                 cross_entropy, dropout, dropout_backward, softmax_backward, softmax_rows)
+from .nn import (Activation, Adam, Linear, Mlp, NonFiniteError, ParamTensor, cross_entropy,
+                 dropout, dropout_backward, softmax_backward, softmax_rows)
 from .propagation import ResidualScheme, Stack, apply_last_residual, atomic_write
 
 
@@ -41,6 +41,7 @@ class TrainingDiverged(Exception):
 
 
 ROW_BLOCK = 2048  # rows per eval-mode forward of predict, fit's validation and export
+GBP_BETA = 0.5    # the gbp baseline's step weights are beta (1 - beta)^l
 
 
 def slice_mats(mats: np.ndarray | None, rows) -> np.ndarray | None:
@@ -290,20 +291,17 @@ class BaselineCombiner:
 
     has_weights = False
 
-    def __init__(self, mode: str, gbp_beta: float = 0.5):
+    def __init__(self, mode: str):
         if mode not in ("sgc", "s2gc", "gbp", "sign"):
             raise ValueError(f"unknown baseline combiner {mode!r}")
-        if mode == "gbp" and not 0.0 < gbp_beta < 1.0:
-            raise ValueError("gbp decay must lie in (0, 1)")
         self.mode = mode
-        self.gbp_beta = gbp_beta
 
     @property
     def params(self) -> list[ParamTensor]:
         return []
 
     def forward(self, mats, rows=None, training=False, rng=None):
-        return baseline_combine(mats, self.mode, self.gbp_beta), None
+        return baseline_combine(mats, self.mode), None
 
     def backward(self, d_h: np.ndarray) -> None:
         pass
@@ -312,21 +310,19 @@ class BaselineCombiner:
         return (steps + 1) * dim if self.mode == "sign" else dim
 
 
-def baseline_combine(mats: np.ndarray, mode: str, gbp_beta: float = 0.5) -> np.ndarray:
+def baseline_combine(mats: np.ndarray, mode: str) -> np.ndarray:
     """Combine a stack with one of the fixed layer-wise schemes.
 
     sgc: last step only. s2gc: uniform average. gbp: geometric decay
-    beta (1 - beta)^l. sign: column-wise concatenation (per-step linear
-    transforms live in the downstream MLP).
+    GBP_BETA (1 - GBP_BETA)^l. sign: column-wise concatenation (per-step
+    linear transforms live in the downstream MLP).
     """
     if mode == "sgc":
         return mats[-1]
     if mode == "s2gc":
         return np.mean(mats, axis=0)
     if mode == "gbp":
-        if not 0.0 < gbp_beta < 1.0:
-            raise ValueError("gbp decay must lie in (0, 1)")
-        w = gbp_beta * (1.0 - gbp_beta) ** np.arange(len(mats))
+        w = GBP_BETA * (1.0 - GBP_BETA) ** np.arange(len(mats))
         return np.tensordot(w.astype(mats[0].dtype, copy=False), mats, axes=1)
     if mode == "sign":
         return np.concatenate(mats, axis=1)
@@ -354,7 +350,7 @@ class GamlpModel:
             """(combiner, MLP) of one branch; the combiner draws first."""
             out = dim
             if config.combiner != "attention":
-                combiner = BaselineCombiner(config.combiner, config.gbp_beta)
+                combiner = BaselineCombiner(config.combiner)
                 out = combiner.output_dim(steps, dim)
             elif config.attention == "recursive":
                 combiner = RecursiveAttention(rng, dim, act, config.attention_dropout, name)
@@ -510,8 +506,7 @@ def fit(feature_stack: Stack, label_stack: Stack | None,
         raise ValueError(f"batch_size {config.batch_size} exceeds node count {n}")
 
     model, rng = _new_model(config, feature_stack, label_stack, num_classes)
-    opt_cls = Adam if config.optimizer == "adam" else Sgd
-    optimizer = opt_cls(model.params, lr=config.lr, weight_decay=config.weight_decay)
+    adam = Adam(model.params, lr=config.lr, weight_decay=config.weight_decay)
 
     onehot = np.zeros((train_ids.size, num_classes), dtype=model.dtype)
     onehot[np.arange(train_ids.size), labels[train_ids]] = 1.0
@@ -546,7 +541,7 @@ def fit(feature_stack: Stack, label_stack: Stack | None,
                 if not np.isfinite(loss):
                     raise diverged("non-finite loss")
                 model.backward(d_logits)
-                optimizer.step()
+                adam.step()
                 total_loss += loss * batch.size
                 total_rows += batch.size
             train_loss = total_loss / total_rows
@@ -684,6 +679,9 @@ def restore_model(path, config: TrainConfig, feature_stack: Stack,
             raise CheckpointMismatch(
                 f"{path}: written before the config key {key!r} existed; "
                 "run 'gamlp train' again")
+        if key not in now:
+            raise CheckpointMismatch(f"{path}: written with the removed config key {key!r}; "
+                                     "run 'gamlp train' again")
         raise CheckpointMismatch(
             f"{path}: trained with {key} = {stored[key]!r}, but the config "
             f"gives {now.get(key)!r}; evaluate with the training config and seed")

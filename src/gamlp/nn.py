@@ -205,25 +205,6 @@ class Adam:
             p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-class Sgd:
-    """Plain gradient descent, kept for optimizer-parity experiments."""
-
-    def __init__(self, params: list[ParamTensor], lr: float = 0.001,
-                 weight_decay: float = 0.0):
-        self.params = params
-        self.lr = lr
-        self.weight_decay = weight_decay
-        self.t = 0
-
-    def step(self) -> None:
-        self.t += 1
-        for p in self.params:
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.value
-            p.value -= self.lr * g
-
-
 class Linear:
     """Linear layer owning its weight/bias parameters."""
 

@@ -27,10 +27,10 @@ class MissingCacheError(Exception):
 
 def stack_recipes(config: TrainConfig) -> tuple:
     """``(kind, steps, r)`` of each stack ``config`` uses: the features', then,
-    with ``use_labels`` on, the labels' (whose -1 hops and r follow the features)."""
+    with ``use_labels`` on, the labels' (r is r_mode; -1 hops follow the features')."""
     recipes = (("features", config.hops, config.r_mode),)
     if config.use_labels:
-        recipes += (("labels", config.effective_label_hops, config.effective_label_r_mode),)
+        recipes += (("labels", config.effective_label_hops, config.r_mode),)
     return recipes
 
 

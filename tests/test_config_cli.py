@@ -50,6 +50,16 @@ def test_config_rejects_unknown_key(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("line", ["optimizer = sgd", "label_r_mode = 0", "gbp_beta = 0.3"])
+def test_config_rejects_a_removed_key(tmp_path, line):
+    path = tmp_path / "c.conf"
+    path.write_text(f"dataset_dir = d\nhops = 2\n{line}\n")
+    key = line.split(" ")[0]
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value) == f"line 3: unknown key {key!r}"
+
+
 def test_config_rejects_type_error(tmp_path):
     path = tmp_path / "c.conf"
     path.write_text("dataset_dir = d\nhops = five\n")
@@ -376,14 +386,6 @@ def test_export_attention_rejects_malformed_buckets(workdir, capsys, spec, bad):
     assert len(err) == 1
     assert repr(bad) in err[0] and "lo-hi" in err[0] and "lo <= hi" in err[0]
     assert not (tmp_path / "att_buckets.csv").exists()
-
-
-def test_train_with_sgd_optimizer(workdir, tmp_path):
-    _, conf, _ = workdir
-    sgd_conf = tmp_path / "sgd.conf"
-    sgd_conf.write_text(conf.read_text() + "optimizer = sgd\n")
-    assert main(["preprocess", "--config", str(sgd_conf)]) == 0
-    assert main(["train", "--config", str(sgd_conf)]) == 0
 
 
 def test_seed_override(workdir, capsys):

@@ -246,6 +246,13 @@ PARSE_ERRORS = {
                               "node id 99 outside [0, 12)"),
     "label three columns": (dict(labels="0\t1\t2\n"), "labels.tsv", 1,
                             "expected 'node<TAB>class', got '0\\t1\\t2'"),
+    # the first faulty line wins, whichever check finds it
+    "out-of-range id before a float id": (dict(edges="0\t1\n2\t12\n3\t4\n1.5\t2\n"),
+                                          "edges.tsv", 2, "node id outside [0, 12)"),
+    "float id before an out-of-range id": (dict(edges="0\t1\n1.5\t2\n3\t4\n2\t12\n"),
+                                           "edges.tsv", 2, "non-integer id in '1.5\\t2'"),
+    "negative class before a third column": (dict(labels="0\t-2\n1\t1\n2\t1\t0\n"),
+                                             "labels.tsv", 1, "negative class -2"),
 }
 
 

@@ -458,11 +458,11 @@ def test_baseline_sgc_is_last_step():
 
 def test_baseline_gbp_weights():
     mats = [np.full((1, 1), 1.0), np.full((1, 1), 1.0), np.full((1, 1), 1.0)]
-    # analytic geometric weights for decay 0.5: (0.5, 0.25, 0.125)
-    out = baseline_combine(mats, "gbp", 0.5)
+    # analytic geometric weights for GBP_BETA = 0.5: (0.5, 0.25, 0.125)
+    out = baseline_combine(mats, "gbp")
     assert out[0, 0] == pytest.approx(0.875)
     ones = [np.eye(2) for _ in range(3)]
-    assert np.allclose(baseline_combine(ones, "gbp", 0.5), 0.875 * np.eye(2))
+    assert np.allclose(baseline_combine(ones, "gbp"), 0.875 * np.eye(2))
 
 
 def test_baseline_s2gc_average():
@@ -481,8 +481,6 @@ def test_baseline_sign_concatenates():
 
 def test_baseline_rejects_bad_args():
     mats = [np.ones((2, 2))]
-    with pytest.raises(ValueError):
-        baseline_combine(mats, "gbp", 1.5)
     with pytest.raises(ValueError):
         baseline_combine(mats, "magic")
     with pytest.raises(ValueError):
@@ -884,7 +882,7 @@ def test_checkpoint_holds_params_config_and_fingerprints(tmp_path):
 
 
 def test_checkpoint_without_labels_or_adam(tmp_path):
-    cfg, fs, _, _, path = _fitted(tmp_path, use_labels=False, optimizer="sgd")
+    cfg, fs, _, _, path = _fitted(tmp_path, use_labels=False)
     with np.load(path, allow_pickle=False) as npz:
         assert not [n for n in npz.files if n.startswith("adam/") or "labels" in n]
     model = restore_model(path, cfg, fs, None)
@@ -961,6 +959,21 @@ def test_restore_model_names_a_key_the_checkpoint_predates(tmp_path):
         restore_model(path, cfg, fs, ls)
     assert str(err.value) == (f"{path}: written before the config key 'zero_self_label' "
                               "existed; run 'gamlp train' again")
+
+
+def test_restore_model_names_a_key_that_no_longer_exists(tmp_path):
+    cfg, fs, ls, _, path = _fitted(tmp_path)
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    stored = json.loads(str(arrays["config"]))
+    stored["optimizer"] = "adam"
+    arrays["config"] = np.array(json.dumps(stored))
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+    with pytest.raises(CheckpointMismatch) as err:
+        restore_model(path, cfg, fs, ls)
+    assert str(err.value) == (f"{path}: written with the removed config key 'optimizer'; "
+                              "run 'gamlp train' again")
 
 
 def test_restore_model_ignores_the_directories(tmp_path):

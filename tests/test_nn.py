@@ -6,7 +6,7 @@ import pytest
 from gamlp.config import TrainConfig
 from gamlp.model import load_checkpoint, restore_params, save_checkpoint
 from gamlp.nn import (Activation, Adam, Linear, Mlp, NonFiniteError, ParamTensor,
-                      Sgd, cross_entropy, dropout, dropout_backward, glorot_uniform,
+                      cross_entropy, dropout, dropout_backward, glorot_uniform,
                       linear_backward, linear_forward, softmax_backward, softmax_rows)
 from gamlp.propagation import Stack
 
@@ -273,13 +273,6 @@ def test_adam_leaves_gradients_untouched():
     p.grad[:] = 2.0
     Adam([p]).step()
     assert p.grad[0] == 2.0
-
-
-def test_sgd_step():
-    p = ParamTensor("p", np.array([1.0]))
-    p.grad[:] = 2.0
-    Sgd([p], lr=0.1).step()
-    assert p.value[0] == pytest.approx(0.8)
 
 
 def _linear_ce_setup(seed=0):

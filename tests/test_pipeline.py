@@ -1,10 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from gamlp.config import TrainConfig
-from gamlp.data import Dataset, Splits, generate_sbm
+from gamlp.data import Dataset, Splits, generate_sbm, load_dataset, save_dataset
 from gamlp.graph import build_graph
 from gamlp.model import _stack_inputs
 from gamlp.pipeline import (MissingCacheError, build_stacks, cache_paths, load_stacks,
@@ -50,27 +51,43 @@ def test_one_preprocess_serves_every_residual_scheme(sbm, fixed_07_cache, scheme
 
 
 def test_load_stacks_validates_a_label_cache_of_another_r_mode(sbm, tmp_path):
-    # both digests hash the one self-looped graph, each with its own r
-    config = _config(tmp_path, r_mode=0.5, label_r_mode=0.0)
+    # both digests hash the one self-looped graph with the config's r
+    config = _config(tmp_path, r_mode=0.0)
     preprocess(sbm, config)
     feature_stack, label_stack = load_stacks(sbm, config)
     built_features, built_labels = build_stacks(sbm, config)
     assert feature_stack.fingerprint == built_features.fingerprint
     assert label_stack.fingerprint == built_labels.fingerprint
     assert label_stack.fingerprint != build_stacks(
-        sbm, config.replace(label_r_mode=0.5))[1].fingerprint
+        sbm, config.replace(r_mode=0.5))[1].fingerprint
 
 
 def test_cache_names_follow_the_stack_recipes(sbm, tmp_path):
-    config = _config(tmp_path, label_hops=2, r_mode=0.5, label_r_mode=0.0)
-    assert stack_recipes(config) == (("features", 3, 0.5), ("labels", 2, 0.0))
-    assert [p.name for p in cache_paths(config)] == ["features_K3_r0.5.npy",
+    config = _config(tmp_path, label_hops=2, r_mode=0.0)
+    assert stack_recipes(config) == (("features", 3, 0.0), ("labels", 2, 0.0))
+    assert [p.name for p in cache_paths(config)] == ["features_K3_r0.npy",
                                                      "labels_L2_r0.npy"]
-    assert [p.name for p in preprocess(sbm, config)] == ["features_K3_r0.5.npy",
+    assert [p.name for p in preprocess(sbm, config)] == ["features_K3_r0.npy",
                                                          "labels_L2_r0.npy"]
-    # -1 label hops and r follow the feature stack's
+    # -1 label hops follow the feature stack's; r is always r_mode
     assert [p.name for p in cache_paths(_config(tmp_path, r_mode=1.0))] == [
         "features_K3_r1.npy", "labels_L3_r1.npy"]
+
+
+def test_feature_file_loads_as_float32_and_propagates_like_float64(sbm, tmp_path):
+    # no float64 copy of features.bin: each hop widens into float64 buffers,
+    # so the stacks equal those of the widened features bit for bit
+    save_dataset(sbm, tmp_path / "ds")
+    ds = load_dataset(tmp_path / "ds")
+    raw = (tmp_path / "ds" / "features.bin").read_bytes()[20:]
+    assert ds.features.dtype == np.float32
+    assert ds.features.tobytes() == raw
+    wide = dataclasses.replace(ds, features=ds.features.astype(np.float64))
+    config = _config(tmp_path / "cache")
+    for got, want in zip(build_stacks(ds, config), build_stacks(wide, config)):
+        assert got.mats.dtype == np.float64
+        assert got.mats.tobytes() == want.mats.tobytes()
+        assert got.fingerprint == want.fingerprint
 
 
 def test_without_labels_only_the_feature_cache_is_used(sbm, tmp_path):
@@ -143,7 +160,7 @@ def test_load_stacks_refuses_a_feature_cache_at_the_label_cache_path(sbm, tmp_pa
         load_stacks(sbm, config)
 
 
-@pytest.mark.parametrize("overrides", [{}, {"label_hops": 0, "label_r_mode": 1.0}])
+@pytest.mark.parametrize("overrides", [{}, {"label_hops": 0, "r_mode": 1.0}])
 def test_preprocess_writes_the_float64_stacks_rounded_once(sbm, tmp_path, overrides):
     # preprocess builds float32 stacks, but every hop runs in float64: its
     # files equal cache_write of the float64 in-memory stacks byte for byte
