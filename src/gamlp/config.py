@@ -57,9 +57,6 @@ class TrainConfig:
     beta: float = 1.0
     use_labels: bool = True
     label_mode: str = "smoothed"
-    # zeroes label step 0; a no-op under smoothed or uniform with the cosine or
-    # linear scheme, whose a_0 = 1 makes the blend overwrite step 0
-    zero_self_label: bool = False
     seed: int = 0
 
     @property

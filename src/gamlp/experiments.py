@@ -45,7 +45,7 @@ def _run(cases, n_runs: int, base_seed: int) -> dict:
     summaries, the resolved configs by name and the seeds.
 
     Stacks are built once per dataset and stack recipe; the residual scheme
-    and ``zero_self_label`` shape only the train-time label inputs. They are
+    and label mode shape only the train-time label inputs. They are
     dropped when a case on another dataset starts, and that dataset is held
     while they are kept, so memory stays bounded by one dataset's stacks.
     """

@@ -186,7 +186,8 @@ def row_blocks(row_offsets: np.ndarray, parts: int) -> np.ndarray:
 
 
 def spmm(op: PropagationOperator, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sparse operator times dense matrix, exact in double precision.
+    """Sparse operator times dense matrix, computed in the dtype of the
+    operator's values (float32 or float64); ``x`` is read in that dtype.
 
     The rows are cut into one block per thread (:func:`spmm_threads`), by
     equal nnz rather than equal row count, but into no more blocks than
@@ -196,23 +197,24 @@ def spmm(op: PropagationOperator, x: np.ndarray, out: np.ndarray | None = None) 
     chunk of rows at a time. Every row sums the same terms in the same
     order as one scipy product of the whole operator, so the result is
     bit-identical to it at any thread count. ``out``, if given, must be a
-    C-contiguous float64 (n, d) array that does not overlap ``x``; it is
-    filled and returned.
+    C-contiguous (n, d) array of the operator's dtype that does not overlap
+    ``x``; it is filled and returned.
     """
     if x.ndim != 2 or x.shape[0] != op.n:
         raise ValueError(f"matrix has {x.shape} rows/cols, operator expects {op.n} rows")
+    indptr, indices, values = op.row_offsets, op.col_indices, op.values
     shape = (op.n, x.shape[1])
     if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-        raise ValueError(f"spmm out must be a C-contiguous float64 array of shape {shape}, "
-                         f"got a {'' if out.flags.c_contiguous else 'non-contiguous '}"
+        out = np.empty(shape, values.dtype)
+    elif out.shape != shape or out.dtype != values.dtype or not out.flags.c_contiguous:
+        raise ValueError(f"spmm out must be a C-contiguous {values.dtype} array (the "
+                         f"operator's dtype) of shape {shape}, got a "
+                         f"{'' if out.flags.c_contiguous else 'non-contiguous '}"
                          f"{out.dtype} array of shape {out.shape}")
     elif np.shares_memory(out, x):
         raise ValueError("spmm out must not overlap its input matrix")
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    indptr, indices, values = op.row_offsets, op.col_indices, op.values
-    rows = max(1, _CHUNK_BYTES // (8 * max(1, x.shape[1])))
+    x = np.ascontiguousarray(x, dtype=values.dtype)
+    rows = max(1, _CHUNK_BYTES // (out.itemsize * max(1, x.shape[1])))
 
     def product(lo: int, hi: int) -> None:
         for a in range(lo, hi, rows):

@@ -428,21 +428,16 @@ class FitResult:
 def _stack_inputs(feature_stack: Stack, label_stack: Stack | None,
                   config: TrainConfig, rows=None, dtype=None):
     """Model inputs of ``rows`` (see :func:`slice_mats`) in ``dtype`` (default:
-    the feature stack's); the row-wise label zeroing and blend of ``config``
-    run on the raw rows once they are taken and cast (a view stays a view
-    when the dtypes match)."""
+    the feature stack's); the row-wise label blend of ``config`` runs on the
+    raw rows once they are taken and cast (a view stays a view when the
+    dtypes match)."""
     dtype = feature_stack.mats.dtype if dtype is None else np.dtype(dtype)
     label_mats = None
     if config.use_labels:
         if label_stack is None:
             raise ValueError("config.use_labels is on but no label stack was given")
-        # the cache holds the raw propagation; the zeroing and the smoothing
-        # follow this config
+        # the cache holds the raw propagation; the smoothing follows this config
         label_mats = slice_mats(label_stack.mats, rows).astype(dtype, copy=False)
-        if config.zero_self_label:
-            # hide each training node's own label; the seed step is nonzero
-            # only on training rows, so this zeroes exactly those (in a copy)
-            label_mats = np.concatenate([np.zeros_like(label_mats[:1]), label_mats[1:]])
         scheme = ResidualScheme(config.residual_scheme, config.fixed_alpha)
         if config.label_mode == "uniform":
             # blend each raw step with the uniform class distribution instead

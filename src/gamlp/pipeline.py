@@ -48,7 +48,7 @@ def _pair(stacks: list):
 
 
 def build_stacks(dataset: Dataset, config: TrainConfig, dtype=np.float64):
-    """Propagate each stack in float64, storing it as ``dtype``."""
+    """Propagate each stack in ``dtype``, the dtype it stores."""
     stacks = []
     for kind, steps, r in stack_recipes(config):
         op = normalize(dataset.graph, r)
@@ -68,8 +68,8 @@ def cache_paths(config: TrainConfig, cache_dir=None) -> list[Path]:
 def preprocess(dataset: Dataset, config: TrainConfig, cache_dir=None):
     """Build the stacks once and persist them; returns the ``.npy`` paths written.
 
-    The stacks are built straight in float32, the dtype the caches store;
-    the files equal those written from float64 stacks byte for byte.
+    The stacks are built straight in float32, the dtype the caches store:
+    each seed is rounded once and every hop runs in float32.
     """
     paths = cache_paths(config, cache_dir)
     for stack, path in zip(build_stacks(dataset, config, np.float32), paths):
@@ -79,7 +79,8 @@ def preprocess(dataset: Dataset, config: TrainConfig, cache_dir=None):
 
 def load_stacks(dataset: Dataset, config: TrainConfig, cache_dir=None,
                 force: bool = False):
-    """Read cached stacks, validating their fingerprints against ``dataset``."""
+    """Read cached stacks, validating their fingerprints against ``dataset``
+    and float32 hops."""
     paths = cache_paths(config, cache_dir)
     for path in paths:
         if not path.exists():
@@ -89,7 +90,7 @@ def load_stacks(dataset: Dataset, config: TrainConfig, cache_dir=None,
     looped = add_self_loops(dataset.graph)
     stacks = []
     for path, (kind, steps, r) in zip(paths, stack_recipes(config)):
-        expect = stack_fingerprint(looped, _seed(dataset, kind), steps, r)
+        expect = stack_fingerprint(looped, _seed(dataset, kind), steps, r, np.float32)
         stacks.append(cache_read(path, expect_fingerprint=expect, force=force))
     return _pair(stacks)
 

@@ -17,13 +17,15 @@ takes the rows of a node set from every step. Step-major is also the
 cache file order, so the whole stack is written as one block, and read
 back as one read-only map of the file.
 
-All propagation arithmetic runs in double precision; the caller picks the
-dtype the stack stores. Stacks built in memory for experiments and tests
-are float64 by default, while ``pipeline.preprocess`` builds float32
-stacks, the dtype of the cache files, rounding each hop once as it is
-stored. Cache files store the stack as little-endian float32, and a stack
-read from a cache keeps it as float32 (a second round trip is the
-identity); a model computes in the dtype of the stacks it is fitted on.
+Each hop is computed in the dtype the stack stores, which the caller
+picks. Stacks built in memory for experiments and tests are float64 by
+default, while ``pipeline.preprocess`` builds float32 stacks, the dtype
+of the cache files: the seed is rounded once and every hop runs in
+float32. The fingerprint hashes that dtype, so a stack of
+float64 hops rounded to float32 never validates as a float32-hop cache.
+Cache files store the stack as little-endian float32, and a stack read
+from a cache keeps it as float32 (a second round trip is the identity); a
+model computes in the dtype of the stacks it is fitted on.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import struct
 import uuid
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +52,7 @@ class CacheFormatError(Exception):
 
 
 class FingerprintMismatch(Exception):
-    """Cache was built from a different graph/input/step count."""
+    """Cache was built from a different graph, seed, step count, r or hop dtype."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ class Stack:
     """
 
     mats: np.ndarray
-    fingerprint: bytes
+    fingerprint: bytes  # hashes the dtype the hops ran in, too
 
     @property
     def steps(self) -> int:
@@ -108,17 +110,20 @@ class Stack:
         return self.mats[0].shape[1]
 
 
-def stack_fingerprint(graph_or_op, x0: np.ndarray, steps: int, r: float) -> bytes:
-    """32-byte digest of (graph structure, seed matrix, step count, r mode).
+def stack_fingerprint(graph_or_op, x0: np.ndarray, steps: int, r: float, dtype) -> bytes:
+    """32-byte digest of (graph structure, seed matrix, step count, r mode,
+    hop dtype).
 
-    SHA-256 over the ``<QId`` header (n, steps, r), the row offsets and
-    column indices as int64 and the seed matrix as float32, each passed as
-    a C-contiguous array without a copy. The float32 seed lets a cache
-    written to disk validate against the features it was built from after
-    they round-trip through the float32 feature file format.
+    SHA-256 over the ``<QIdc`` header (n, steps, r, the numpy type char of
+    ``dtype``: ``f`` or ``d``), the row offsets and column indices as int64
+    and the seed matrix as float32, each passed as a C-contiguous array
+    without a copy. The float32 seed lets a cache written to disk validate
+    against the features it was built from after they round-trip through
+    the float32 feature file format.
     """
     h = hashlib.sha256()
-    h.update(struct.pack("<QId", graph_or_op.n, steps, float(r)))
+    h.update(struct.pack("<QIdc", graph_or_op.n, steps, float(r),
+                         np.dtype(dtype).char.encode()))
     h.update(np.ascontiguousarray(graph_or_op.row_offsets, dtype=np.int64))
     h.update(np.ascontiguousarray(graph_or_op.col_indices, dtype=np.int64))
     h.update(np.ascontiguousarray(x0, dtype=np.float32))
@@ -126,11 +131,11 @@ def stack_fingerprint(graph_or_op, x0: np.ndarray, steps: int, r: float) -> byte
 
 
 def _propagate(op: PropagationOperator, x0: np.ndarray, steps: int, dtype) -> np.ndarray:
-    """The (steps+1, n, d) stack of ``dtype``; every hop is computed in float64.
+    """The (steps+1, n, d) stack of ``dtype``; every hop is computed in ``dtype``.
 
-    The chain runs through two reused float64 hop buffers, and each hop is
-    stored into its slot, rounded once, so a float32 stack equals the
-    float64 one cast to float32.
+    The seed is cast into slot 0, rounded once, and the operator's values
+    once per stack; each hop k is then one :func:`spmm` from slot k-1
+    straight into slot k, with no buffer or copy between them.
     """
     if steps < 0:
         raise ValueError("step count must be nonnegative")
@@ -139,12 +144,10 @@ def _propagate(op: PropagationOperator, x0: np.ndarray, steps: int, dtype) -> np
     if x0.ndim != 2 or x0.shape[0] != op.n:
         raise ValueError(f"seed matrix shape {x0.shape} does not match n={op.n}")
     mats = np.empty((steps + 1, *x0.shape), dtype=dtype)
-    buf = np.empty((2, *x0.shape))
-    buf[0] = x0
-    mats[0] = buf[0]
+    mats[0] = x0
+    op = replace(op, values=op.values.astype(dtype, copy=False))
     for k in range(1, steps + 1):
-        spmm(op, buf[(k - 1) % 2], out=buf[k % 2])
-        mats[k] = buf[k % 2]
+        spmm(op, mats[k - 1], out=mats[k])
     return mats
 
 
@@ -152,10 +155,10 @@ def propagate_features(op: PropagationOperator, x0: np.ndarray, steps: int,
                        dtype=np.float64) -> Stack:
     """Iteratively apply the operator: X^(k) = A_hat X^(k-1), k = 1..K.
 
-    Each hop runs in float64; ``dtype`` is the dtype the stack stores.
+    ``dtype`` is the dtype the stack stores and each hop runs in.
     """
     mats = _propagate(op, x0, steps, dtype)
-    return Stack(mats=mats, fingerprint=stack_fingerprint(op, x0, steps, op.mode))
+    return Stack(mats=mats, fingerprint=stack_fingerprint(op, x0, steps, op.mode, dtype))
 
 
 def build_label_seed(labels, train_ids, n: int, num_classes: int) -> np.ndarray:
@@ -179,10 +182,10 @@ def propagate_labels(op: PropagationOperator, y0: np.ndarray, steps: int,
                      dtype=np.float64) -> Stack:
     """Iteratively apply the operator to the label seed (smoothing not applied).
 
-    Each hop runs in float64; ``dtype`` is the dtype the stack stores.
+    ``dtype`` is the dtype the stack stores and each hop runs in.
     """
     mats = _propagate(op, y0, steps, dtype)
-    return Stack(mats=mats, fingerprint=stack_fingerprint(op, y0, steps, op.mode))
+    return Stack(mats=mats, fingerprint=stack_fingerprint(op, y0, steps, op.mode, dtype))
 
 
 def apply_last_residual(mats: np.ndarray, scheme: ResidualScheme) -> np.ndarray:
@@ -309,8 +312,8 @@ def cache_read(path, expect_fingerprint: bytes | None = None,
         if expect_fingerprint is not None and header.fingerprint != expect_fingerprint:
             if not force:
                 raise FingerprintMismatch(
-                    f"{path}: cache fingerprint does not match the current graph/input; "
-                    "rerun preprocess or pass force=True to use it anyway")
+                    f"{path}: cache fingerprint does not match the current graph, "
+                    "seed, steps, r or hop dtype; rerun gamlp preprocess")
             warnings.warn(f"{path}: using cache despite a fingerprint mismatch")
         data = mmap.mmap(f.fileno(), header.offset + header.nbytes, access=mmap.ACCESS_READ)
     mats = np.frombuffer(data, dtype="<f4", count=math.prod(header.shape),

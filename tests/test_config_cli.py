@@ -8,7 +8,9 @@ import pytest
 from gamlp import graph
 from gamlp.cli import main
 from gamlp.config import ConfigError, TrainConfig, parse_config
-from gamlp.data import generate_sbm, save_dataset
+from gamlp.data import generate_sbm, load_dataset, save_dataset
+from gamlp.pipeline import build_stacks, cache_paths
+from gamlp.propagation import cache_write
 
 
 def test_minimal_config_fills_defaults(tmp_path):
@@ -83,9 +85,9 @@ def test_config_requires_dataset_dir(tmp_path):
 
 def test_config_bool_parsing(tmp_path):
     path = tmp_path / "c.conf"
-    path.write_text("dataset_dir = d\nuse_labels = false\nzero_self_label = yes\n")
-    cfg = parse_config(path)
-    assert cfg.use_labels is False and cfg.zero_self_label is True
+    for raw, value in (("false", False), ("yes", True), ("Off", False), ("1", True)):
+        path.write_text(f"dataset_dir = d\nuse_labels = {raw}\n")
+        assert parse_config(path).use_labels is value
 
 
 def test_config_validate_catches_bad_enum():
@@ -242,6 +244,21 @@ def test_eval_refuses_a_checkpoint_in_the_old_jk_encoder_layout(workdir, capsys)
     assert main(["eval", "--config", str(conf), "--checkpoint", str(ckpt)]) != 0
     assert capsys.readouterr().err == (f"gamlp: error: {ckpt}: checkpoint missing parameter "
                                        "'feat.enc.1.w'; run 'gamlp train' again\n")
+
+
+def test_eval_refuses_a_cache_of_float64_hops_in_one_line(workdir, capsys):
+    # the stacks of float64 hops rounded once, as preprocess wrote them before
+    # it ran its hops in float32, are stale: eval says to preprocess again
+    tmp_path, conf, cache_dir = workdir
+    _train(conf, capsys)
+    config = parse_config(conf)
+    path = cache_paths(config)[0]
+    cache_write(build_stacks(load_dataset(config.dataset_dir), config)[0], path)
+    ckpt = str(cache_dir / "checkpoint.gmck")
+    assert main(["eval", "--config", str(conf), "--checkpoint", ckpt]) == 1
+    assert capsys.readouterr().err == (
+        f"gamlp: error: {path}: cache fingerprint does not match the current graph, "
+        "seed, steps, r or hop dtype; rerun gamlp preprocess\n")
 
 
 def test_eval_refuses_a_dataset_replaced_after_training(workdir, capsys):

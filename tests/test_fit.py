@@ -214,15 +214,6 @@ def test_label_modes_run(sbm60):
     assert result.model.label_combiner is None
 
 
-def test_zero_self_label_flag_changes_inputs(sbm60):
-    cfg = _config(zero_self_label=True, epochs=5, patience=5)
-    fs, ls = build_stacks(sbm60, cfg)
-    _, label_mats = _stack_inputs(fs, ls, cfg.replace(label_mode="plain"))
-    assert not label_mats[0][sbm60.splits.train].any()
-    result = train_on_dataset(sbm60, cfg)
-    assert len(result.log) == 5
-
-
 # ---------------------------------------------------------------------------
 # compute dtype
 # ---------------------------------------------------------------------------
@@ -325,11 +316,12 @@ def test_float64_model_over_cached_stacks_equals_rounded_in_memory_stacks(sbm60,
     preprocess(sbm60, cfg)
     cached = load_stacks(sbm60, cfg)
     assert [s.mats.dtype for s in cached] == [np.float32, np.float32]
-    rounded = _cast(_cast(build_stacks(sbm60, cfg), np.float32), np.float64)
+    # the caches hold the float32-hop stacks of build_stacks, bit for bit
+    rounded = _cast(build_stacks(sbm60, cfg, np.float32), np.float64)
     for c, r in zip(cached, rounded):
         assert np.array_equal(c.mats, r.mats)
     # a float64 model, such as one restored from an older checkpoint, casts
-    # the float32 rows it takes before the label zeroing and blend
+    # the float32 rows it takes before the label blend
     model = fit(*rounded, sbm60.labels, sbm60.splits, cfg,
                 num_classes=sbm60.num_classes).model
     assert np.array_equal(predict(model, *cached), predict(model, *rounded))

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import os
 
 import numpy as np
@@ -283,6 +285,11 @@ def test_row_blocks_cut_by_nnz():
     assert row_blocks(hub, 1).tolist() == [0, 6]
 
 
+def _as_dtype(op, dtype):
+    """``op`` with its values cast to ``dtype``, the dtype spmm computes in."""
+    return dataclasses.replace(op, values=op.values.astype(dtype))
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3, 8])
 @pytest.mark.parametrize("with_out", [False, True])
 @pytest.mark.parametrize("chunk_bytes", [None, 8])
@@ -301,13 +308,16 @@ def test_parallel_spmm_is_bit_identical_to_scipy(monkeypatch, threads, with_out,
         _hub_operator(rng, 60),                               # one row holds most nnz
         normalize(random_graph(rng, 300, 0.05), 0.5),
     ]
-    for op in cases:
+    # a float32 operator computes in float32, like scipy's float32 product
+    for op, dtype in itertools.product(cases, (np.float64, np.float32)):
+        op = _as_dtype(op, dtype)
         for d in (1, 7):
-            x = rng.standard_normal((op.n, d))
+            x = rng.standard_normal((op.n, d)).astype(dtype)
             want = to_scipy(op) @ x
-            out = np.full((op.n, d), np.nan) if with_out else None
+            assert want.dtype == dtype
+            out = np.full((op.n, d), np.nan, dtype) if with_out else None
             got = spmm(op, x, out=out)
-            assert np.array_equal(got, want)
+            assert got.dtype == dtype and np.array_equal(got, want)
             if with_out:
                 assert got is out
 
@@ -321,6 +331,16 @@ def test_spmm_reads_a_strided_or_float32_input_as_float64(monkeypatch):
     assert np.array_equal(spmm(op, x[:, ::2]), want)
     x32 = x.astype(np.float32)
     assert np.array_equal(spmm(op, x32), to_scipy(op) @ x32.astype(np.float64))
+
+
+def test_spmm_of_a_float32_operator_reads_a_float64_input_as_float32(monkeypatch):
+    monkeypatch.setenv("GAMLP_THREADS", "3")
+    monkeypatch.setattr(graph, "_CHUNK_BYTES", 8)
+    op = _as_dtype(_hub_operator(np.random.default_rng(22), 40), np.float32)
+    x = np.random.default_rng(23).standard_normal((40, 6))[:, ::2]
+    got = spmm(op, x)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, to_scipy(op) @ x.astype(np.float32))
 
 
 @pytest.mark.parametrize("make_out, message", [
@@ -337,6 +357,17 @@ def test_spmm_out_contract(make_out, message):
     with pytest.raises(ValueError, match=message) as exc:
         spmm(op, x, out=make_out(x))
     assert "\n" not in str(exc.value)
+
+
+def test_spmm_out_of_another_dtype_is_refused_naming_the_operator_dtype():
+    op = normalize(random_graph(np.random.default_rng(24), 10, 0.3), 0.5)
+    x = np.random.default_rng(25).standard_normal((10, 3))
+    for op_dtype, out_dtype in ((np.float32, np.float64), (np.float64, np.float32)):
+        with pytest.raises(ValueError) as exc:
+            spmm(_as_dtype(op, op_dtype), x, out=np.empty(x.shape, out_dtype))
+        assert str(exc.value).startswith(
+            f"spmm out must be a C-contiguous {np.dtype(op_dtype)} array (the operator's dtype)")
+        assert f"got a {np.dtype(out_dtype)} array" in str(exc.value)
 
 
 def test_spmm_out_must_not_overlap_a_view_of_its_input():

@@ -788,7 +788,7 @@ def test_predict_memory_does_not_grow_with_the_stacks():
     fs = Stack(mats=rng.standard_normal((steps + 1, n, dim)), fingerprint=bytes(32))
     ls = Stack(mats=rng.random((steps + 1, n, dim)), fingerprint=bytes(32))
     cfg = TrainConfig(dataset_dir="unused", hops=steps, hidden=8, reference="normal_noise",
-                      label_mode="smoothed", zero_self_label=True).validate()
+                      label_mode="smoothed").validate()
     model = GamlpModel(cfg, n, dim, dim, steps, steps, rng)
     tracemalloc.start()
     try:
@@ -801,15 +801,8 @@ def test_predict_memory_does_not_grow_with_the_stacks():
 
 
 # ---------------------------------------------------------------------------
-# train-time label zeroing
+# train-time label inputs
 # ---------------------------------------------------------------------------
-
-
-def _zero_seed_rows_reference(stack, train_ids):
-    """The zeroing that preprocess once applied to the cached label stack:
-    the training rows of step 0, and nothing else."""
-    stack.mats[0, np.asarray(train_ids, dtype=np.int64)] = 0.0
-    return stack
 
 
 SCHEMES = {"cosine": dict(residual_scheme="cosine"),
@@ -817,31 +810,13 @@ SCHEMES = {"cosine": dict(residual_scheme="cosine"),
            "fixed0.7": dict(residual_scheme="fixed", fixed_alpha=0.7)}
 
 
+@pytest.mark.parametrize("float32", [False, True])  # True: the dtype a cache read gives
 @pytest.mark.parametrize("scheme", list(SCHEMES))
 @pytest.mark.parametrize("label_mode", ["plain", "smoothed", "uniform"])
-def test_zero_self_label_matches_reference_zeroing(label_mode, scheme):
+def test_stack_inputs_of_rows_equal_the_sliced_inputs(label_mode, scheme, float32):
     ds, cfg, fs, ls = _toy_setup(label_mode=label_mode, **SCHEMES[scheme])
-    before = ls.mats.copy()
-    reference = _zero_seed_rows_reference(
-        Stack(mats=ls.mats.copy(), fingerprint=ls.fingerprint),
-        ds.splits.train)
-    feats, got = _stack_inputs(fs, ls, cfg.replace(zero_self_label=True))
-    want_feats, want = _stack_inputs(fs, reference, cfg)
-    assert np.array_equal(got, want)
-    assert np.array_equal(feats, want_feats)
-    assert np.array_equal(ls.mats, before)
-    # cosine and linear give a_0 = 1: smoothed and uniform overwrite step 0,
-    # so the switch changes nothing there
-    _, kept = _stack_inputs(fs, ls, cfg)
-    assert np.array_equal(got, kept) == (label_mode != "plain" and scheme != "fixed0.7")
-
-
-@pytest.mark.parametrize("zero_self_label", [False, True])
-@pytest.mark.parametrize("scheme", list(SCHEMES))
-@pytest.mark.parametrize("label_mode", ["plain", "smoothed", "uniform"])
-def test_stack_inputs_of_rows_equal_the_sliced_inputs(label_mode, scheme, zero_self_label):
-    ds, cfg, fs, ls = _toy_setup(label_mode=label_mode, zero_self_label=zero_self_label,
-                                 **SCHEMES[scheme])
+    if float32:
+        fs, ls = _cast((fs, ls), np.float32)
     feats_before, labels_before = fs.mats.copy(), ls.mats.copy()
     whole = _stack_inputs(fs, ls, cfg)
     rows = np.array([17, 3, 3, 29, 0, 11])
@@ -951,13 +926,13 @@ def test_restore_model_names_a_key_the_checkpoint_predates(tmp_path):
     with np.load(path, allow_pickle=False) as npz:
         arrays = {name: npz[name] for name in npz.files}
     stored = json.loads(str(arrays["config"]))
-    del stored["zero_self_label"]
+    del stored["label_mode"]
     arrays["config"] = np.array(json.dumps(stored))
     with open(path, "wb") as f:
         np.savez(f, **arrays)
     with pytest.raises(CheckpointMismatch) as err:
         restore_model(path, cfg, fs, ls)
-    assert str(err.value) == (f"{path}: written before the config key 'zero_self_label' "
+    assert str(err.value) == (f"{path}: written before the config key 'label_mode' "
                               "existed; run 'gamlp train' again")
 
 
@@ -974,6 +949,14 @@ def test_restore_model_names_a_key_that_no_longer_exists(tmp_path):
         restore_model(path, cfg, fs, ls)
     assert str(err.value) == (f"{path}: written with the removed config key 'optimizer'; "
                               "run 'gamlp train' again")
+    # as is one that holds the zero_self_label key, removed since
+    stored.pop("optimizer")
+    stored["zero_self_label"] = False
+    arrays["config"] = np.array(json.dumps(stored))
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+    with pytest.raises(CheckpointMismatch, match="removed config key 'zero_self_label'"):
+        restore_model(path, cfg, fs, ls)
 
 
 def test_restore_model_ignores_the_directories(tmp_path):

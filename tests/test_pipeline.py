@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from gamlp.config import TrainConfig
 from gamlp.data import Dataset, Splits, generate_sbm, load_dataset, save_dataset
-from gamlp.graph import build_graph
+from gamlp.graph import add_self_loops, build_graph
 from gamlp.model import _stack_inputs
 from gamlp.pipeline import (MissingCacheError, build_stacks, cache_paths, load_stacks,
                             preprocess, stack_recipes)
@@ -55,11 +57,11 @@ def test_load_stacks_validates_a_label_cache_of_another_r_mode(sbm, tmp_path):
     config = _config(tmp_path, r_mode=0.0)
     preprocess(sbm, config)
     feature_stack, label_stack = load_stacks(sbm, config)
-    built_features, built_labels = build_stacks(sbm, config)
+    built_features, built_labels = build_stacks(sbm, config, np.float32)
     assert feature_stack.fingerprint == built_features.fingerprint
     assert label_stack.fingerprint == built_labels.fingerprint
     assert label_stack.fingerprint != build_stacks(
-        sbm, config.replace(r_mode=0.5))[1].fingerprint
+        sbm, config.replace(r_mode=0.5), np.float32)[1].fingerprint
 
 
 def test_cache_names_follow_the_stack_recipes(sbm, tmp_path):
@@ -75,8 +77,8 @@ def test_cache_names_follow_the_stack_recipes(sbm, tmp_path):
 
 
 def test_feature_file_loads_as_float32_and_propagates_like_float64(sbm, tmp_path):
-    # no float64 copy of features.bin: each hop widens into float64 buffers,
-    # so the stacks equal those of the widened features bit for bit
+    # no float64 copy of features.bin: the float64 stack widens the seed into
+    # its first slot, so it equals the stack of the widened features bit for bit
     save_dataset(sbm, tmp_path / "ds")
     ds = load_dataset(tmp_path / "ds")
     raw = (tmp_path / "ds" / "features.bin").read_bytes()[20:]
@@ -162,18 +164,53 @@ def test_load_stacks_refuses_a_feature_cache_at_the_label_cache_path(sbm, tmp_pa
 
 @pytest.mark.parametrize("overrides", [{}, {"label_hops": 0, "r_mode": 1.0}])
 def test_preprocess_writes_the_float64_stacks_rounded_once(sbm, tmp_path, overrides):
-    # preprocess builds float32 stacks, but every hop runs in float64: its
-    # files equal cache_write of the float64 in-memory stacks byte for byte
+    # named for its former contract: preprocess now runs every hop in float32,
+    # and its files equal cache_write of the float32 in-memory stacks byte for byte
     config = _config(tmp_path / "pre", **overrides)
     written = preprocess(sbm, config)
-    feature_stack, label_stack = build_stacks(sbm, config)
-    expected = cache_paths(config, tmp_path / "f64")
-    expected[0].parent.mkdir()
-    cache_write(feature_stack, expected[0])
-    cache_write(label_stack, expected[1])
-    assert [p.read_bytes() for p in written] == [p.read_bytes() for p in expected]
     f32 = build_stacks(sbm, config, np.float32)
-    for got, want in zip(f32, (feature_stack, label_stack)):
-        assert got.mats.dtype == np.float32
-        assert np.array_equal(got.mats, want.mats.astype(np.float32))
-        assert got.fingerprint == want.fingerprint
+    expected = cache_paths(config, tmp_path / "f32")
+    for stack, path in zip(f32, expected):
+        cache_write(stack, path)
+    assert [p.read_bytes() for p in written] == [p.read_bytes() for p in expected]
+    # the float64 stacks hash another hop dtype, so their caches are refused
+    for got, want in zip(f32, build_stacks(sbm, config)):
+        assert got.mats.dtype == np.float32 and want.mats.dtype == np.float64
+        assert np.allclose(got.mats, want.mats, rtol=1e-5, atol=1e-6)
+        assert got.fingerprint != want.fingerprint
+
+
+def test_features_csv_and_bin_give_byte_identical_caches(sbm, tmp_path):
+    # features.csv loads as float64 and features.bin as float32; the seed is
+    # rounded to float32 once, before the first hop, so the caches agree
+    save_dataset(sbm, tmp_path / "bin")
+    save_dataset(sbm, tmp_path / "csv")
+    (tmp_path / "csv" / "features.bin").unlink()
+    np.savetxt(tmp_path / "csv" / "features.csv", sbm.features, fmt="%.17g", delimiter=",")
+    caches = []
+    for name in ("bin", "csv"):
+        ds = load_dataset(tmp_path / name)
+        config = _config(tmp_path / f"cache_{name}")
+        caches.append([p.read_bytes() for p in preprocess(ds, config)])
+    assert load_dataset(tmp_path / "csv").features.dtype == np.float64
+    assert caches[0] == caches[1]
+
+
+def test_a_cache_of_the_old_fingerprint_layout_is_refused_in_one_line(sbm, tmp_path):
+    # a cache written before the hop dtype was hashed: float64 hops rounded
+    # once, under a digest whose <QId header has no dtype byte
+    config = _config(tmp_path)
+    features_path = cache_paths(config)[0]
+    stack = build_stacks(sbm, config)[0]
+    h = hashlib.sha256(struct.pack("<QId", sbm.n, config.hops, config.r_mode))
+    looped = add_self_loops(sbm.graph)
+    for a in (looped.row_offsets, looped.col_indices):
+        h.update(a.astype(np.int64).tobytes())
+    h.update(sbm.features.astype(np.float32).tobytes())
+    preprocess(sbm, config)
+    cache_write(dataclasses.replace(stack, fingerprint=h.digest()), features_path)
+    with pytest.raises(FingerprintMismatch) as exc:
+        load_stacks(sbm, config)
+    message = str(exc.value)
+    assert "\n" not in message and str(features_path) in message
+    assert message.endswith("rerun gamlp preprocess")

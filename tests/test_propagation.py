@@ -15,7 +15,7 @@ from gamlp.propagation import (CacheFormatError, FingerprintMismatch, ResidualSc
                                cache_read, cache_write, propagate_features,
                                propagate_labels, stack_fingerprint)
 
-from conftest import dense_ahat, random_graph
+from conftest import dense_ahat, random_graph, to_scipy
 
 
 def test_zero_steps_is_input(path3):
@@ -210,6 +210,39 @@ def test_over_smoothing_shrinks_row_spread():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_each_hop_is_one_scipy_product_in_the_stack_dtype(r, dtype):
+    # slot 0 is the seed rounded once; slot k is the operator, its values in
+    # the stack dtype, times slot k-1, bit for bit
+    rng = np.random.default_rng(11)
+    op = normalize(random_graph(rng, 60, 0.1), r)
+    x = rng.standard_normal((60, 5))
+    mats = propagate_features(op, x, 6, dtype).mats
+    assert mats.dtype == dtype and np.array_equal(mats[0], x.astype(dtype))
+    a = to_scipy(op).astype(dtype)
+    for k in range(1, 7):
+        assert np.array_equal(mats[k], a @ mats[k - 1])
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+def test_float32_hops_stay_within_a_rounding_bound_of_float64_hops(r):
+    # every hop of the float32 stack is within (k+1) * 2^-22 of the float64
+    # one in relative Frobenius norm: one rounding of the seed plus one per hop
+    rng = np.random.default_rng(10)
+    g = random_graph(rng, 500, 0.02)
+    labels = rng.integers(0, 5, size=500)
+    seeds = (rng.standard_normal((500, 8)),
+             build_label_seed(labels, rng.choice(500, 100, replace=False), 500, 5))
+    op = normalize(g, r)
+    for propagate, seed in zip((propagate_features, propagate_labels), seeds):
+        f32, f64 = (propagate(op, seed, 16, dtype).mats for dtype in (np.float32, np.float64))
+        assert f32.dtype == np.float32 and f64.dtype == np.float64
+        for k in range(17):
+            err = np.linalg.norm(f32[k] - f64[k]) / np.linalg.norm(f64[k])
+            assert err <= (k + 1) * 2.0**-22, (k, err)
+
+
 def _feature_stack(rng, n=10, steps=3):
     g = random_graph(rng, n, 0.3)
     x = rng.standard_normal((n, 4)).astype(np.float32).astype(np.float64)
@@ -253,22 +286,31 @@ def test_fingerprint_of_looped_graph_equals_operator_fingerprint():
     x = rng.standard_normal((15, 3))
     looped = add_self_loops(g)
     for r in (0.0, 0.5, 1.0):
-        assert (stack_fingerprint(looped, x, 4, r)
-                == stack_fingerprint(normalize(g, r), x, 4, r))
+        for dtype in (np.float32, np.float64):
+            assert (stack_fingerprint(looped, x, 4, r, dtype)
+                    == stack_fingerprint(normalize(g, r), x, 4, r, dtype))
+        # the hop dtype is part of the digest
+        assert (stack_fingerprint(looped, x, 4, r, np.float32)
+                != stack_fingerprint(looped, x, 4, r, np.float64))
 
 
 def test_fingerprint_hashes_the_documented_layout():
-    # SHA-256 over the <QId header, int64 offsets, int64 columns, float32 seed
+    # SHA-256 over the <QIdc header (n, steps, r, hop dtype char), int64
+    # offsets, int64 columns, float32 seed
     rng = np.random.default_rng(8)
     op = normalize(random_graph(rng, 25, 0.2), 0.5)
     x = rng.standard_normal((25, 12))
-    for seed, steps, r in ((x, 0, 0.0), (x, 3, 0.5), (x[:, ::3], 7, 1.0)):
-        h = hashlib.sha256(struct.pack("<QId", 25, steps, r))
+    for seed, steps, r, dtype, char in ((x, 0, 0.0, np.float64, b"d"),
+                                        (x, 3, 0.5, np.float32, b"f"),
+                                        (x[:, ::3], 7, 1.0, np.float64, b"d")):
+        h = hashlib.sha256(struct.pack("<QIdc", 25, steps, r, char))
         h.update(op.row_offsets.astype(np.int64).tobytes())
         h.update(op.col_indices.astype(np.int64).tobytes())
         h.update(seed.astype(np.float32).tobytes())
-        assert stack_fingerprint(op, seed, steps, r) == h.digest()
-    assert propagate_features(op, x, 3).fingerprint == stack_fingerprint(op, x, 3, 0.5)
+        assert stack_fingerprint(op, seed, steps, r, dtype) == h.digest()
+    for dtype in (np.float64, np.float32):
+        assert (propagate_features(op, x, 3, dtype).fingerprint
+                == stack_fingerprint(op, x, 3, 0.5, dtype))
 
 
 def test_stacks_are_one_contiguous_array(tmp_path):
@@ -279,7 +321,7 @@ def test_stacks_are_one_contiguous_array(tmp_path):
         path = tmp_path / "s.npy"
         cache_write(stack, path)
         loaded = cache_read(path)
-        # propagation computes in float64; a cache read keeps the stored float32
+        # these stacks are float64; a cache read keeps the stored float32
         arrays = [(stack.mats, np.float64), (loaded.mats, np.float32)]
         if is_label:
             arrays.append((apply_last_residual(loaded.mats, ResidualScheme()), np.float32))
