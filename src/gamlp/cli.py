@@ -14,6 +14,8 @@ import argparse
 import os
 import sys
 
+from .config import parse_config, thread_count
+
 
 def _set_threads(threads) -> None:
     """Export ``threads`` (the parsed --threads; None: GAMLP_THREADS) to the
@@ -21,9 +23,7 @@ def _set_threads(threads) -> None:
     Raises ValueError unless it is a positive integer."""
     threads = os.environ.get("GAMLP_THREADS") if threads is None else str(threads)
     if threads:
-        if not threads.strip().isdigit() or int(threads) < 1:  # as graph.spmm_threads
-            raise ValueError("--threads and GAMLP_THREADS must be a positive integer, "
-                             f"got {threads!r}")
+        thread_count(threads)
         for var in ("GAMLP_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
             os.environ[var] = threads
@@ -87,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args):
-    from .config import parse_config
     from .data import load_dataset
 
     config = parse_config(args.config)

@@ -23,6 +23,13 @@ class ConfigError(Exception):
     pass
 
 
+def thread_count(value: str) -> int:
+    """--threads or GAMLP_THREADS as an int; ValueError unless a positive integer."""
+    if not value.strip().isdigit() or int(value) < 1:
+        raise ValueError(f"--threads and GAMLP_THREADS must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class TrainConfig:
     dataset_dir: str = ""
@@ -43,7 +50,6 @@ class TrainConfig:
     label_num_layers: int = 2
     jk_layers: int = 2
     activation: str = "leaky_relu"
-    leaky_slope: float = 0.2
     input_dropout: float = 0.0
     attention_dropout: float = 0.5
     dropout: float = 0.5
@@ -54,7 +60,6 @@ class TrainConfig:
     epochs: int = 400
     patience: int = 100
     # label branch
-    beta: float = 1.0
     use_labels: bool = True
     label_mode: str = "smoothed"
     seed: int = 0
@@ -87,7 +92,6 @@ class TrainConfig:
         require(self.jk_layers >= 1, "jk_layers must be >= 1")
         require(self.activation in ACTIVATION_KINDS,
                 f"activation must be one of {ACTIVATION_KINDS}")
-        require(0.0 <= self.leaky_slope <= 1.0, "leaky_slope must lie in [0, 1]")
         for key in ("input_dropout", "attention_dropout", "dropout"):
             require(0.0 <= getattr(self, key) < 1.0, f"{key} must lie in [0, 1)")
         require(self.lr >= 0.0, "lr must be nonnegative")
@@ -96,7 +100,6 @@ class TrainConfig:
         require(self.epochs >= 1, "epochs must be >= 1")
         require(1 <= self.patience <= self.epochs,
                 "patience must lie in [1, epochs]")
-        require(self.beta >= 0.0, "beta must be nonnegative")
         require(self.label_mode in LABEL_MODES,
                 f"label_mode must be one of {LABEL_MODES}")
         return self

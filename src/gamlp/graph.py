@@ -32,6 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .config import thread_count
+
 VALID_MODES = (0.0, 0.5, 1.0)
 
 
@@ -155,9 +157,7 @@ def spmm_threads() -> int:
         if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
-    if not value.strip().isdigit() or int(value) < 1:
-        raise ValueError(f"GAMLP_THREADS must be a positive integer, got {value!r}")
-    return int(value)
+    return thread_count(value)
 
 
 # Output bytes of one spmm chunk: the largest temporary a pool thread

@@ -10,11 +10,10 @@ by weighting each node's steps individually:
   embedding produced by an MLP over the concatenated propagated features
   X^(1) .. X^(S) (empty concatenation at S = 0 gives a zero reference).
 
-The combined feature and label representations pass through separate
-MLPs whose outputs are summed (the label branch scaled by beta) to give
-the logits. Everything downstream of the precomputed stacks is row-wise,
-so training slices node rows freely (full batch or mini-batch), and
-inference runs over fixed blocks of ROW_BLOCK rows.
+The combined feature and label representations pass through separate MLPs
+whose outputs are summed to give the logits. Everything downstream of the
+stacks is row-wise, so training slices node rows freely (full batch or
+mini-batch), and inference runs over fixed blocks of ROW_BLOCK rows.
 
 A checkpoint stores the fitted parameters together with the resolved
 config and the fingerprints of the stacks they were fitted on, and
@@ -342,9 +341,7 @@ class GamlpModel:
                  num_classes: int, feat_steps: int, label_steps: int,
                  rng: np.random.Generator, dtype=np.float64):
         self.config = config
-        self.num_classes = num_classes
-        act = Activation(config.activation, config.leaky_slope)
-        self.activation = act
+        act = Activation(config.activation)
 
         def branch(steps: int, dim: int, name: str, depth: int):
             """(combiner, MLP) of one branch; the combiner draws first."""
@@ -367,7 +364,6 @@ class GamlpModel:
         if config.use_labels:
             self.label_combiner, self.label_mlp = branch(label_steps, num_classes, "label",
                                                          config.label_num_layers)
-        self.beta = config.beta
         # every initial value is drawn in float64 and then cast, so both
         # dtypes start from the same draws
         self.dtype = np.dtype(dtype)
@@ -401,15 +397,13 @@ class GamlpModel:
                 raise ValueError("model was built with a label branch but got no label stack")
             y_in, _ = dropout(np.asarray(label_mats), cfg.input_dropout, rng, training)
             h_y, _ = self.label_combiner.forward(y_in, rows, training, rng)
-            logits = logits + self.beta * self.label_mlp.forward(h_y, training, rng)
+            logits = logits + self.label_mlp.forward(h_y, training, rng)
         return logits
 
     def backward(self, d_logits: np.ndarray) -> None:
-        d_hx = self.feature_mlp.backward(d_logits)
-        self.feature_combiner.backward(d_hx)
+        self.feature_combiner.backward(self.feature_mlp.backward(d_logits))
         if self.label_combiner is not None:
-            d_hy = self.label_mlp.backward(self.beta * d_logits)
-            self.label_combiner.backward(d_hy)
+            self.label_combiner.backward(self.label_mlp.backward(d_logits))
 
 
 # ---------------------------------------------------------------------------
@@ -426,27 +420,24 @@ class FitResult:
 
 
 def _stack_inputs(feature_stack: Stack, label_stack: Stack | None,
-                  config: TrainConfig, rows=None, dtype=None):
-    """Model inputs of ``rows`` (see :func:`slice_mats`) in ``dtype`` (default:
-    the feature stack's); the row-wise label blend of ``config`` runs on the
-    raw rows once they are taken and cast (a view stays a view when the
-    dtypes match)."""
-    dtype = feature_stack.mats.dtype if dtype is None else np.dtype(dtype)
+                  config: TrainConfig, rows=None):
+    """Model inputs of ``rows`` (see :func:`slice_mats`) in the stacks' dtype; the
+    row-wise label blend of ``config`` runs on the raw rows once they are taken."""
     label_mats = None
     if config.use_labels:
         if label_stack is None:
             raise ValueError("config.use_labels is on but no label stack was given")
         # the cache holds the raw propagation; the smoothing follows this config
-        label_mats = slice_mats(label_stack.mats, rows).astype(dtype, copy=False)
+        label_mats = slice_mats(label_stack.mats, rows)
         scheme = ResidualScheme(config.residual_scheme, config.fixed_alpha)
         if config.label_mode == "uniform":
             # blend each raw step with the uniform class distribution instead
             # of the deepest step
-            a = scheme.alphas(label_stack.steps).astype(dtype)[:, None, None]
+            a = scheme.alphas(label_stack.steps).astype(label_mats.dtype)[:, None, None]
             label_mats = (1.0 - a) * label_mats + a / label_stack.dim
         elif config.label_mode == "smoothed":
             label_mats = apply_last_residual(label_mats, scheme)
-    return slice_mats(feature_stack.mats, rows).astype(dtype, copy=False), label_mats
+    return slice_mats(feature_stack.mats, rows), label_mats
 
 
 def _stack_blocks(model: GamlpModel, feature_stack: Stack,
@@ -456,25 +447,28 @@ def _stack_blocks(model: GamlpModel, feature_stack: Stack,
     n_rows = feature_stack.n if rows is None else len(rows)
     for lo in range(0, max(n_rows, 1), ROW_BLOCK):  # no rows: one empty block
         ids = slice(lo, lo + ROW_BLOCK) if rows is None else rows[lo:lo + ROW_BLOCK]
-        feats, label_mats = _stack_inputs(feature_stack, label_stack, model.config, ids,
-                                          model.dtype)
+        feats, label_mats = _stack_inputs(feature_stack, label_stack, model.config, ids)
         yield model.forward(feats, label_mats, rows=ids, training=False), model.feature_weights
 
 
 def _new_model(config: TrainConfig, feature_stack: Stack,
-               label_stack: Stack | None, num_classes: int, dtype=None):
+               label_stack: Stack | None, num_classes: int):
     """The model ``fit`` starts from, and the generator it goes on drawing from.
 
-    The model computes in ``dtype``, by default the feature stack's: float32
-    over stacks read from a cache, float64 over stacks propagated in memory.
+    The model computes in the stacks' dtype: float32 over stacks read from a
+    cache, float64 over stacks propagated in memory. Raises ValueError when
+    the label stack has another dtype than the feature stack.
     :func:`restore_model` rebuilds a model through the same seeded draws, so
     a ``normal_noise`` reference buffer comes back exactly without being stored.
     """
+    dtype = feature_stack.mats.dtype
+    if label_stack is not None and label_stack.mats.dtype != dtype:
+        raise ValueError(f"the feature stack is {dtype} but the label stack is "
+                         f"{label_stack.mats.dtype}; build both stacks in one dtype")
     rng = np.random.default_rng(config.seed)
-    model = GamlpModel(config, feature_stack.n, feature_stack.dim, num_classes,
-                       feature_stack.steps, 0 if label_stack is None else label_stack.steps,
-                       rng, feature_stack.mats.dtype if dtype is None else dtype)
-    return model, rng
+    return GamlpModel(config, feature_stack.n, feature_stack.dim, num_classes,
+                      feature_stack.steps, 0 if label_stack is None else label_stack.steps,
+                      rng, dtype), rng
 
 
 def fit(feature_stack: Stack, label_stack: Stack | None,
@@ -485,7 +479,7 @@ def fit(feature_stack: Stack, label_stack: Stack | None,
     ``splits`` needs .train/.val attributes, such as a :class:`~gamlp.data.Splits`.
     Each training batch takes its rows' inputs through :func:`_stack_inputs`,
     and each epoch validates through :func:`predict` over the labeled val rows.
-    The model computes in the feature stack's dtype. Returns the parameters
+    The model computes in the stacks' dtype. Returns the parameters
     of the best validation epoch. Raises TrainingDiverged on a non-finite
     loss or layer output, in training or in the validation pass.
     """
@@ -653,6 +647,9 @@ def restore_params(params: list[ParamTensor], arrays: dict[str, np.ndarray]) -> 
             raise CheckpointFormatError(
                 f"checkpoint parameter {p.name!r} has shape {value.shape}, "
                 f"model expects {p.value.shape}")
+        if value.dtype != p.value.dtype:
+            raise CheckpointFormatError(f"checkpoint parameter {p.name!r} has dtype "
+                                        f"{value.dtype}, model expects {p.value.dtype}")
         p.value[...] = value
 
 
@@ -662,8 +659,8 @@ def restore_model(path, config: TrainConfig, feature_stack: Stack,
 
     Refuses a ``config`` that differs from the stored one on any key but
     the dataset and cache directories, and stacks whose fingerprints differ
-    from the ones the model was fitted on. The model computes in the dtype
-    its parameters were stored in, whatever the stacks' dtype.
+    from the ones the model was fitted on. The model computes in the stacks'
+    dtype, and parameters stored in another dtype are refused.
     """
     stored, arrays = load_checkpoint(path)
     now = config.to_dict()
@@ -688,7 +685,7 @@ def restore_model(path, config: TrainConfig, feature_stack: Stack,
     out_bias = arrays.get(f"param/feat_mlp.{config.num_layers - 1}.b")  # one per class
     if out_bias is None:
         raise CheckpointFormatError(f"{path}: checkpoint missing its output layer")
-    model, _ = _new_model(config, feature_stack, label_stack, out_bias.size, out_bias.dtype)
+    model, _ = _new_model(config, feature_stack, label_stack, out_bias.size)
     try:
         restore_params(model.params, arrays)
     except CheckpointFormatError as e:  # e.g. written under older parameter names

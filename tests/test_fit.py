@@ -8,8 +8,9 @@ import gamlp.model
 import gamlp.nn
 from gamlp.config import REFERENCE_MODES, TrainConfig
 from gamlp.data import Splits, generate_sbm
-from gamlp.model import (GamlpModel, TrainingDiverged, _stack_blocks, _stack_inputs,
-                         evaluate_accuracy, fit, predict)
+from gamlp.model import (CheckpointFormatError, GamlpModel, TrainingDiverged, _stack_blocks,
+                         _stack_inputs, evaluate_accuracy, fit, predict, restore_model,
+                         save_checkpoint)
 from gamlp.nn import Activation, Mlp
 from gamlp.pipeline import build_stacks, load_stacks, preprocess, train_on_dataset
 
@@ -153,9 +154,9 @@ def test_fit_reads_each_training_batch_through_stack_inputs(monkeypatch, sbm60):
     inputs, forwards = [], []
     stack_inputs, forward = gamlp.model._stack_inputs, GamlpModel.forward
 
-    def inputs_spy(feature_stack, label_stack, config, rows=None, dtype=None):
+    def inputs_spy(feature_stack, label_stack, config, rows=None):
         inputs.append(np.array(rows))
-        return stack_inputs(feature_stack, label_stack, config, rows, dtype)
+        return stack_inputs(feature_stack, label_stack, config, rows)
 
     def forward_spy(self, feats, label_mats, rows=None, training=False, rng=None):
         if training:
@@ -320,11 +321,25 @@ def test_float64_model_over_cached_stacks_equals_rounded_in_memory_stacks(sbm60,
     rounded = _cast(build_stacks(sbm60, cfg, np.float32), np.float64)
     for c, r in zip(cached, rounded):
         assert np.array_equal(c.mats, r.mats)
-    # a float64 model, such as one restored from an older checkpoint, casts
-    # the float32 rows it takes before the label blend
+    # a float64 model is not evaluated over the float32 caches: its
+    # checkpoint is refused in one line that names the file
     model = fit(*rounded, sbm60.labels, sbm60.splits, cfg,
                 num_classes=sbm60.num_classes).model
-    assert np.array_equal(predict(model, *cached), predict(model, *rounded))
-    for (la, _), (lb, _) in zip(_stack_blocks(model, *cached, None),
-                                _stack_blocks(model, *rounded, None)):
-        assert la.dtype == np.float64 and np.array_equal(la, lb)
+    path = tmp_path / "checkpoint.gmck"
+    save_checkpoint(path, model, *rounded)
+    with pytest.raises(CheckpointFormatError) as err:
+        restore_model(path, cfg, *cached)
+    assert str(err.value) == (f"{path}: checkpoint parameter 'feat.s' has dtype float64, "
+                              "model expects float32; run 'gamlp train' again")
+
+
+@pytest.mark.parametrize("feature, label", [("float32", "float64"), ("float64", "float32")])
+def test_fit_refuses_stacks_of_two_dtypes_in_one_line(sbm60, feature, label):
+    cfg = _config(epochs=1, patience=1)
+    fs, ls = build_stacks(sbm60, cfg)
+    fs = dataclasses.replace(fs, mats=fs.mats.astype(feature))
+    ls = dataclasses.replace(ls, mats=ls.mats.astype(label))
+    with pytest.raises(ValueError) as err:
+        fit(fs, ls, sbm60.labels, sbm60.splits, cfg)
+    assert str(err.value) == (f"the feature stack is {feature} but the label stack is "
+                              f"{label}; build both stacks in one dtype")

@@ -514,16 +514,6 @@ def _smoothed(cfg, ls):
     return apply_last_residual(ls.mats, ResidualScheme(cfg.residual_scheme, cfg.fixed_alpha))
 
 
-def test_model_beta_zero_matches_feature_branch():
-    ds, cfg, fs, ls = _toy_setup(beta=0.0)
-    rng = np.random.default_rng(1)
-    model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps, rng)
-    logits = model.forward(fs.mats, _smoothed(cfg, ls))
-    h_x, _ = model.feature_combiner.forward(fs.mats)
-    manual = model.feature_mlp.forward(h_x)
-    assert np.allclose(logits, manual, atol=1e-14)
-
-
 def test_branches_keep_the_checkpoint_layout_of_sign():
     ds, cfg, fs, ls = _toy_setup(combiner="sign", label_hops=2)
     model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps,
@@ -548,7 +538,7 @@ def test_branches_keep_the_checkpoint_layout_and_draws(attention):
     assert [p.name for p in model.params] == (_branch_names("feat", feat, cfg.num_layers)
                                               + _branch_names("label", label, 3))
     # the draws: feature combiner, feature MLP, label combiner, label MLP
-    rng, act = np.random.default_rng(0), Activation(cfg.activation, cfg.leaky_slope)
+    rng, act = np.random.default_rng(0), Activation(cfg.activation)
     parts = []
     for steps, dim, name, depth in ((fs.steps, fs.dim, "feat", cfg.num_layers),
                                     (ls.steps, ds.num_classes, "label", 3)):
@@ -892,7 +882,7 @@ def test_restore_model_reproduces_normal_noise_logits(tmp_path):
 
 
 @pytest.mark.parametrize("key,value", [("seed", 5), ("label_mode", "smoothed"),
-                                       ("beta", 0.5), ("residual_scheme", "linear")])
+                                       ("residual_scheme", "linear")])
 def test_restore_model_refuses_another_config(tmp_path, key, value):
     cfg, fs, ls, _, path = _fitted(tmp_path, reference="normal_noise",
                                    label_mode="plain")
@@ -902,16 +892,24 @@ def test_restore_model_refuses_another_config(tmp_path, key, value):
 
 
 @pytest.mark.parametrize("trained, given", [(np.float32, np.float32),
+                                            (np.float64, np.float64),
                                             (np.float64, np.float32),
                                             (np.float32, np.float64)])
 def test_restore_model_computes_in_the_checkpoint_dtype(tmp_path, trained, given):
-    # a checkpoint written before float32 compute holds float64 parameters, so
-    # over float32 caches it still evaluates exactly as it was trained
+    # a model restores only over stacks of its parameters' dtype, and then
+    # evaluates exactly as it was trained
     cfg, fs, ls, result, path = _fitted(tmp_path, trained, reference="normal_noise")
     with np.load(path, allow_pickle=False) as npz:
         assert {npz[n].dtype for n in npz.files if n.startswith("param/")} \
             == {np.dtype(trained)}
     other = _cast((fs, ls), given)
+    if trained != given:
+        with pytest.raises(CheckpointFormatError) as err:
+            restore_model(path, cfg, *other)
+        assert str(err.value) == (
+            f"{path}: checkpoint parameter 'feat.s' has dtype {np.dtype(trained)}, model "
+            f"expects {np.dtype(given)}; run 'gamlp train' again")
+        return
     model = restore_model(path, cfg, *other)
     assert model.dtype == trained and model.label_combiner.noise.dtype == trained
     for p, q in zip(model.params, result.model.params):
@@ -957,6 +955,16 @@ def test_restore_model_names_a_key_that_no_longer_exists(tmp_path):
         np.savez(f, **arrays)
     with pytest.raises(CheckpointMismatch, match="removed config key 'zero_self_label'"):
         restore_model(path, cfg, fs, ls)
+    # and so is every checkpoint written before beta and leaky_slope were removed
+    stored.pop("zero_self_label")
+    for key, value in (("beta", 1.0), ("leaky_slope", 0.2)):
+        arrays["config"] = np.array(json.dumps({**stored, key: value}))
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+        with pytest.raises(CheckpointMismatch) as err:
+            restore_model(path, cfg, fs, ls)
+        assert str(err.value) == (f"{path}: written with the removed config key "
+                                  f"{key!r}; run 'gamlp train' again")
 
 
 def test_restore_model_ignores_the_directories(tmp_path):

@@ -21,7 +21,8 @@ def test_console_entry_point_help():
     result = subprocess.run([sys.executable, "-m", "gamlp.cli", "--help"],
                             capture_output=True, text=True)
     assert result.returncode == 0
-    for sub in ("preprocess", "train", "eval", "sweep", "ablate", "export-attention"):
+    for sub in ("preprocess", "train", "eval", "sweep", "ablate", "export-attention",
+                "inspect"):
         assert sub in result.stdout
 
 
