@@ -3,9 +3,9 @@
 A combiner turns the propagated stack [X^(0) ... X^(S)] into one matrix H
 by weighting each node's steps individually:
 
-* recursive attention scores every step against the running weighted
-  combination of the steps before it, refreshing all weights at each
-  round and reading out with a softmax over the full range at the end;
+* recursive attention scores each step once, against the softmax-weighted
+  history of the steps before it, and reads out with a softmax over the
+  scores of all steps;
 * jumping-knowledge attention scores every step against a reference
   embedding produced by an MLP over the concatenated propagated features
   X^(1) .. X^(S) (empty concatenation at S = 0 gives a zero reference).
@@ -63,17 +63,17 @@ def _scores(xd: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _combine(w: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """sum_k w[:, k, None] * mats[k] over the first w.shape[1] steps.
+    """sum_k w[:, k, None] * mats[k] over every step.
 
     One matmul batched over rows; it reads the step-major stack in place
     (einsum "rk,krf->rf" gives the same sums but ran slower).
     """
-    return (w[:, None, :] @ mats[:w.shape[1]].transpose(1, 0, 2))[:, 0]
+    return (w[:, None, :] @ mats.transpose(1, 0, 2))[:, 0]
 
 
-def _weight_grad(d: np.ndarray, mats: np.ndarray, steps: int) -> np.ndarray:
-    """d_w[r, k] = d[r] . mats[k, r] for k < steps: _combine's gradient wrt w."""
-    return (mats[:steps].transpose(1, 0, 2) @ d[:, :, None])[:, :, 0]
+def _weight_grad(d: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """d_w[r, k] = d[r] . mats[k, r]: _combine's gradient wrt w."""
+    return (mats.transpose(1, 0, 2) @ d[:, :, None])[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -82,20 +82,28 @@ def _weight_grad(d: np.ndarray, mats: np.ndarray, steps: int) -> np.ndarray:
 
 
 class RecursiveAttention:
-    """Per-node step weights scored against the running combination.
+    """Per-node step weights, each step scored once against the weighted
+    history of the steps before it.
 
-    The running combination starts at X^(0) with weight 1. At round
-    l = 1..S the scores of steps 0..l-1 are refreshed against the
-    previous combination and re-softmaxed, and the combination is
-    recomputed. The returned H uses a final softmax over all S+1 steps.
-    Only the scoring vector is trainable; the stack itself is data.
+    With the stack X^(0) .. X^(S), the scoring vector s = [s_a, s_b] and
+    the activation δ:
 
-    When no dropout mask is drawn on the running combination (eval mode,
-    or ``attention_dropout`` 0), its score is r . s_b = sum_k w_k (X^(k) . s_b),
-    so every round is scored from the per-step projections X^(k) . s_b and
-    only the final combination is built: O(S*n*d + S^2*n) per forward
-    instead of O(S^2*n*d). Training with dropout draws a mask on each
-    round's combination and builds all S+1 of them.
+        h_0 = X^(0)
+        h_l = Σ_{i<l} softmax(e_0..e_{l−1})_i · X^(i)        (l ≥ 1)
+        e_l = δ(drop(X^(l))·s_a + drop(h_l)·s_b)
+        H   = Σ_l softmax(e_0..e_S)_l · X^(l)
+
+    and forward returns H with the weights softmax(e_0..e_S). Only s is
+    trainable; the stack itself is data.
+
+    The history is a running numerator and denominator under a running
+    max (the online softmax of Milakov & Gimelshein, 2018), so each step
+    costs O(n·d) and a forward O(K·n·d). A training forward with
+    ``attention_dropout`` draws one mask on the stack, then one per step
+    on h_l. When no mask is drawn (eval mode, or rate 0), h_l·s_b is the
+    running weighted sum of the projections X^(i)·s_b, so the steps run
+    on per-row scalars and only H is built. Backward runs the recursion
+    in reverse at the same cost (see :meth:`backward`).
     """
 
     has_weights = True
@@ -106,7 +114,7 @@ class RecursiveAttention:
         self.activation = activation
         self.attention_dropout = attention_dropout
         # zero init: uniform attention at epoch 0
-        self.s = ParamTensor(f"{name}.s", np.zeros(2 * dim))
+        self.s = ParamTensor(f"{name}.rec.s", np.zeros(2 * dim))
         self._cache = None
 
     @property
@@ -119,47 +127,95 @@ class RecursiveAttention:
         if mats.shape[2] != self.dim:
             raise ValueError(f"stack dim {mats.shape[2]} != scoring dim {self.dim}")
         sa, sb = self.s.value[:self.dim], self.s.value[self.dim:]
-        xd, _ = dropout(mats, self.attention_dropout, rng, training)
-        xa = _scores(xd, sa)
-        masked = training and self.attention_dropout > 0.0
-        xb = None if masked else _scores(mats, sb)
-        rounds = []
-        r = mats[0]
-        for l in range(1, len(mats) + 1):
+        rate = self.attention_dropout
+        masked = training and rate > 0.0
+        xd, _ = dropout(mats, rate, rng, training)
+        xa = xd @ sa                      # (S+1, rows), step-major like everything below
+        xb = None if masked else mats @ sb
+        pre = np.empty_like(xa)           # δ's input at each step
+        hb = np.empty_like(xa)            # drop(h_l)·s_b
+        e = np.empty_like(xa)
+        top = np.empty_like(xa)           # top[l] = max(e_0..e_l)
+        den = np.empty_like(xa)           # den[l] = Σ_{i≤l} exp(e_i − top[l])
+        # h_l = num / den[l − 1] (h_0 = X^(0)); without a mask num holds its
+        # projection on s_b only, and with one the mask is drawn on num
+        num = np.array(mats[0]) if masked else xb[0].copy()
+        hd, masks = ([], []) if masked else (None, None)
+        for l in range(len(mats)):
             if masked:
-                rd, r_mask = dropout(r, self.attention_dropout, rng, training)
-                rb = rd @ sb
-            else:  # backward rebuilds rd from the previous round's weights
-                rd, r_mask = None, None
-                rb = xb[:, 0] if l == 1 else (w * xb[:, :l - 1]).sum(axis=1)
-            pre = xa[:, :l] + rb[:, None]
-            w = softmax_rows(self.activation.forward(pre))
-            rounds.append((pre, w, rd, r_mask))
-            if masked or l == len(mats):
-                r = _combine(w, mats)
-        self._cache = (mats, xd, rounds)
-        return r, w
+                h, mask = dropout(num, rate, rng, training)  # den[l − 1] · drop(h_l)
+                hd.append(h)
+                masks.append(mask)
+                hb[l] = h @ sb
+            else:
+                hb[l] = num
+            if l > 0:
+                hb[l] /= den[l - 1]
+            np.add(xa[l], hb[l], out=pre[l])
+            e[l] = self.activation.forward(pre[l])
+            if l == 0:
+                top[0], den[0] = e[0], 1.0
+                continue
+            np.maximum(top[l - 1], e[l], out=top[l])
+            shrink, p = np.exp(top[l - 1] - top[l]), np.exp(e[l] - top[l])
+            den[l] = shrink * den[l - 1] + p
+            if masked:
+                num *= shrink[:, None]
+                num += p[:, None] * mats[l]
+            else:
+                num *= shrink
+                num += p * xb[l]
+        w = np.exp(e - top[-1]) / den[-1]  # (S+1, rows)
+        h = num / den[-1][:, None] if masked else _combine(w.T, mats)
+        self._cache = (mats, xd, xb, pre, hb, e, top, den, w, hd, masks) if training else None
+        return h, w.T
 
     def backward(self, d_h: np.ndarray) -> None:
-        mats, xd, rounds = self._cache
-        dim = self.dim
+        """The forward's recursion in reverse, O(n·d) per step.
+
+        e_i reaches the output directly and through every later history
+        h_l = Σ_{i<l} exp(e_i) X^(i) / D_l, with ∂h_l/∂e_i equal to
+        exp(e_i) (X^(i) − h_l) / D_l. With G_l the gradient on h_l, that
+        part is exp(e_i) (A·X^(i) − B), where A = Σ_{l>i} G_l / D_l and
+        B = Σ_{l>i} (G_l·h_l) / D_l. A and B are accumulated from the last
+        step down, rescaled by the forward's running maxima so that no
+        exponential overflows; G_l·h_l is ∂pre_l · drop(h_l)·s_b. Without
+        a mask G_l is ∂pre_l · s_b, so A is a per-row scalar times s_b,
+        and s_b's gradient Σ_l ∂pre_l h_l is gathered as one coefficient
+        per row and step X^(i).
+        """
+        mats, xd, xb, pre, hb, e, top, den, w, hd, masks = self._cache
+        dim, rate = self.dim, self.attention_dropout
         sb = self.s.value[dim:]
-        # the scores of every round share xd, so their gradients wrt sa are
-        # summed per (row, step) and contracted with xd once
-        d_pre_sum = np.zeros((xd.shape[1], len(mats)), dtype=xd.dtype)
-        d_r = d_h
-        for i in range(len(rounds) - 1, -1, -1):
-            pre, w, rd, r_mask = rounds[i]
-            if rd is None:
-                rd = mats[0] if i == 0 else _combine(rounds[i - 1][1], mats)
-            d_act = softmax_backward(_weight_grad(d_r, mats, w.shape[1]), w)
-            d_pre = self.activation.backward(d_act, pre)  # rows x steps of this round
-            d_pre_sum[:, :d_pre.shape[1]] += d_pre
-            row_sum = d_pre.sum(axis=1)
-            self.s.grad[dim:] += rd.T @ row_sum
-            d_r = dropout_backward(row_sum[:, None] * sb, r_mask, self.attention_dropout)
-        self.s.grad[:dim] += np.tensordot(d_pre_sum.T, xd, axes=2)
-        # the round-0 combination is X^(0); nothing trainable upstream
+        masked = hd is not None
+        d_e = softmax_backward(_weight_grad(d_h, mats), w.T).T
+        d_pre = np.empty_like(pre)
+        coef = None if masked else np.empty_like(pre)  # of each X^(i) in Σ_l ∂pre_l h_l
+        acc = np.zeros_like(mats[0]) if masked else np.zeros_like(pre[0])  # A, or A / s_b
+        b = np.zeros_like(pre[0])                                           # B
+        for i in range(len(mats) - 1, -1, -1):
+            scale = np.exp(e[i] - top[i])
+            back = np.einsum("rd,rd->r", acc, mats[i]) if masked else acc * xb[i]
+            d_pre[i] = self.activation.backward(d_e[i] + scale * (back - b), pre[i])
+            if not masked:
+                coef[i] = scale * acc
+            if i == 0:
+                break
+            shrink, inv = np.exp(top[i - 1] - top[i]), 1.0 / den[i - 1]
+            if masked:
+                acc *= shrink[:, None]
+                acc += dropout_backward((d_pre[i] * inv)[:, None] * sb, masks[i], rate)
+            else:
+                acc = shrink * acc + d_pre[i] * inv
+            b = shrink * b + d_pre[i] * hb[i] * inv
+        self.s.grad[:dim] += np.tensordot(d_pre, xd, axes=2)
+        if masked:  # hd[l] is den[l − 1] · drop(h_l)
+            self.s.grad[dim:] += hd[0].T @ d_pre[0]
+            for l in range(1, len(hd)):
+                self.s.grad[dim:] += hd[l].T @ (d_pre[l] / den[l - 1])
+        else:
+            coef[0] += d_pre[0]  # h_0 is X^(0) itself
+            self.s.grad[dim:] += np.tensordot(coef, mats, axes=2)
 
 
 class _StackLinear(Linear):
@@ -176,8 +232,8 @@ class _StackLinear(Linear):
         self.w, self.b = layer.w, layer.b
         self._x = None
 
-    def forward(self, xs: np.ndarray) -> np.ndarray:
-        self._x = xs
+    def forward(self, xs: np.ndarray, training: bool = False) -> np.ndarray:
+        self._x = xs if training else None
         w = self.w.value.reshape(len(xs), -1, self.w.value.shape[1])
         z = xs[0] @ w[0]
         for k in range(1, len(xs)):
@@ -267,13 +323,13 @@ class JkAttention:
             pre += (rd @ sb)[:, None]
         w = softmax_rows(self.activation.forward(pre))
         h = _combine(w, mats)
-        self._cache = (mats, xd, pre, w, rd, r_mask)
+        self._cache = (mats, xd, pre, w, rd, r_mask) if training else None
         return h, w
 
     def backward(self, d_h: np.ndarray) -> None:
         mats, xd, pre, w, rd, r_mask = self._cache
         dim = self.dim
-        d_act = softmax_backward(_weight_grad(d_h, mats, len(mats)), w)
+        d_act = softmax_backward(_weight_grad(d_h, mats), w)
         d_pre = self.activation.backward(d_act, pre)
         self.s.grad[:dim] += np.tensordot(d_pre.T, xd, axes=2)
         if rd is not None:
@@ -443,7 +499,12 @@ def _stack_inputs(feature_stack: Stack, label_stack: Stack | None,
 def _stack_blocks(model: GamlpModel, feature_stack: Stack,
                   label_stack: Stack | None, rows: np.ndarray | None):
     """Yield the eval-mode logits and feature weights of ``rows`` of the stacks
-    (None: every node, as views), ROW_BLOCK rows at a time."""
+    (None: every node, as views), ROW_BLOCK rows at a time. Raises ValueError
+    when a stack has another dtype than the model."""
+    for stack in (feature_stack, label_stack if model.config.use_labels else None):
+        if stack is not None and stack.mats.dtype != model.dtype:
+            raise ValueError(f"the model computes in {model.dtype} but a stack is "
+                             f"{stack.mats.dtype}; give it stacks of its own dtype")
     n_rows = feature_stack.n if rows is None else len(rows)
     for lo in range(0, max(n_rows, 1), ROW_BLOCK):  # no rows: one empty block
         ids = slice(lo, lo + ROW_BLOCK) if rows is None else rows[lo:lo + ROW_BLOCK]

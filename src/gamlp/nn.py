@@ -81,7 +81,7 @@ class Activation:
         if self.kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {self.kind!r}")
         if not 0.0 <= self.slope <= 1.0:
-            raise ValueError(f"leaky_slope must lie in [0, 1], got {self.slope}")
+            raise ValueError(f"slope must lie in [0, 1], got {self.slope}")
 
     def _leaky_times(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """v times the leaky factor of x, in v's dtype."""
@@ -206,7 +206,8 @@ class Adam:
 
 
 class Linear:
-    """Linear layer owning its weight/bias parameters."""
+    """Linear layer owning its weight/bias parameters; only a training
+    forward keeps its input for backward."""
 
     def __init__(self, rng: np.random.Generator, in_dim: int, out_dim: int, name: str):
         self.w = ParamTensor(f"{name}.w", glorot_uniform(rng, in_dim, out_dim))
@@ -217,8 +218,8 @@ class Linear:
     def params(self) -> list[ParamTensor]:
         return [self.w, self.b]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+        self._x = x if training else None
         return linear_forward(x, self.w.value, self.b.value)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
@@ -232,7 +233,8 @@ class Mlp:
     """Stack of linear layers with activation + dropout between them.
 
     ``depth`` = 1 is a single linear map (no nonlinearity), matching the
-    linear-model baselines.
+    linear-model baselines. Only a training forward keeps what backward
+    needs, in the MLP and in its layers.
     """
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int,
@@ -256,13 +258,13 @@ class Mlp:
         cache = []
         h = x
         for i, layer in enumerate(self.layers):
-            h = layer.forward(h)
+            h = layer.forward(h, training)
             if i < len(self.layers) - 1:
                 pre = h
                 h = self.activation.forward(pre)
                 h, mask = dropout(h, self.dropout_rate, rng, training)
                 cache.append((pre, mask))
-        self._cache = cache
+        self._cache = cache if training else None
         return h
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:

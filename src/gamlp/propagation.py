@@ -230,7 +230,12 @@ def atomic_write(path, mode: str = "xb", **open_kwargs):
 def cache_write(stack: Stack, path) -> None:
     """Write the stack to ``path`` as two ``.npy`` records, the float32 stack and
     then its 32-byte fingerprint as uint8, through one :func:`atomic_write`.
-    ``np.load(path)`` reads the stack."""
+    ``np.load(path)`` reads the stack. Raises ValueError for a stack that is
+    not float32: its fingerprint names the dtype of its hops, so a cache of
+    rounded float64 hops would be refused by every load."""
+    if stack.mats.dtype != np.float32:
+        raise ValueError(f"a cache stores float32 stacks, not {stack.mats.dtype}; "
+                         "propagate in float32")
     with atomic_write(path) as f:
         np.save(f, np.ascontiguousarray(stack.mats, dtype="<f4"))
         np.save(f, np.frombuffer(stack.fingerprint, dtype=np.uint8))

@@ -30,7 +30,7 @@ from gamlp.propagation import (ResidualScheme, apply_last_residual, build_label_
                                propagate_labels)
 
 from conftest import dense_ahat, grad_check, random_graph
-from test_model import _leaky, _sigmoid, jk_oracle, recursive_oracle
+from test_model import _leaky, _sigmoid, jk_oracle, recursive_reference
 
 REPO = Path(__file__).resolve().parent.parent
 DATA_DIR = Path(os.environ.get("GAMLP_DATA_DIR", str(REPO / "data")))
@@ -134,7 +134,7 @@ def test_criterion_6():
     def linear_loss():
         return cross_entropy(layer.forward(x), onehot, mask)[0]
 
-    _, d = cross_entropy(layer.forward(x), onehot, mask)
+    _, d = cross_entropy(layer.forward(x, training=True), onehot, mask)
     for p in layer.params:
         p.zero_grad()
     layer.backward(d)
@@ -148,11 +148,29 @@ def test_criterion_6():
         def mlp_loss():
             return cross_entropy(mlp.forward(xm), onehot[:6], np.arange(6))[0]
 
-        _, d = cross_entropy(mlp.forward(xm), onehot[:6], np.arange(6))
+        _, d = cross_entropy(mlp.forward(xm, training=True), onehot[:6], np.arange(6))
         for p in mlp.params:
             p.zero_grad()
         mlp.backward(d)
         assert grad_check(mlp_loss, mlp.params, h=1e-5) <= 1e-6, kind
+
+    # kernel level: recursive attention, with dropout masks (a fixed
+    # generator per forward) and without
+    mats_r = rng.standard_normal((8, 7, 3))
+    d_h = rng.standard_normal((7, 3))
+    for kind in ("leaky_relu", "sigmoid"):
+        for rate in (0.5, 0.0):
+            comb = RecursiveAttention(rng, 3, Activation(kind, 0.2), rate)
+            comb.s.value[:] = rng.standard_normal(6) * 0.5
+
+            def recursive_loss():
+                h, _ = comb.forward(mats_r, training=True, rng=np.random.default_rng(6))
+                return float((h * d_h).sum())
+
+            recursive_loss()
+            comb.s.zero_grad()
+            comb.backward(d_h)
+            assert grad_check(recursive_loss, comb.params, h=1e-5) <= 1e-6, (kind, rate)
 
     # full model on 10-node toys, both attention kinds
     ds = generate_sbm([5, 5], 0.5, 0.1, 4, 1.5, seed=1)
@@ -172,7 +190,8 @@ def test_criterion_6():
         def model_loss():
             return cross_entropy(model.forward(fs.mats, smoothed), onehot10, mask10)[0]
 
-        _, d = cross_entropy(model.forward(fs.mats, smoothed), onehot10, mask10)
+        _, d = cross_entropy(model.forward(fs.mats, smoothed, training=True), onehot10,
+                             mask10)
         model.zero_grad()
         model.backward(d)
         assert grad_check(model_loss, model.params, h=1e-4, max_coords=40) <= 1e-4, kind
@@ -210,7 +229,7 @@ def test_criterion_7():
         comb = RecursiveAttention(rng, d, Activation("sigmoid"))
         comb.s.value[:] = rng.standard_normal(2 * d)
         h, w = comb.forward(mats)
-        want_h, want_w = recursive_oracle(mats, comb.s.value, _sigmoid)
+        want_h, want_w, _ = recursive_reference(mats, comb.s.value, _sigmoid)
         assert np.allclose(h, want_h, atol=1e-10)
         assert np.allclose(w, want_w, atol=1e-10)
     for i in range(10):
@@ -223,6 +242,20 @@ def test_criterion_7():
         want_h, want_w = jk_oracle(mats, comb)
         assert np.allclose(h, want_h, atol=1e-10)
         assert np.allclose(w, want_w, atol=1e-10)
+    # recursive attention at depths 0 to 16, in training with dropout masks
+    # (both sides drawing from equal generators) and in eval mode
+    deep = np.random.default_rng(70)
+    for steps in (0, 1, 7, 16):
+        for kind, fn in (("sigmoid", _sigmoid), ("leaky_relu", _leaky)):
+            mats = deep.standard_normal((steps + 1, 12, 4))
+            comb = RecursiveAttention(deep, 4, Activation(kind, 0.2), 0.5)
+            comb.s.value[:] = deep.standard_normal(8)
+            for rate, training in ((0.5, True), (0.0, False)):
+                h, w = comb.forward(mats, training=training, rng=np.random.default_rng(steps))
+                want_h, want_w, _ = recursive_reference(mats, comb.s.value, fn, rate,
+                                                        np.random.default_rng(steps))
+                assert np.abs(h - want_h).max() <= 1e-10, (steps, kind, rate)
+                assert np.abs(w - want_w).max() <= 1e-10, (steps, kind, rate)
 
     assert time.monotonic() - started < 60
 
@@ -289,7 +322,7 @@ def test_criterion_8(tmp_path):
         path = tmp_path / f"c{case}.npy"
         if case % 2:
             x = rng.standard_normal((n, 3))
-            stack = propagate_features(normalize(g, 0.5), x, steps)
+            stack = propagate_features(normalize(g, 0.5), x, steps, np.float32)
             cache_write(stack, path)
             loaded = cache_read(path, expect_fingerprint=stack.fingerprint)
             mats, loaded_mats = stack.mats, loaded.mats
@@ -297,7 +330,7 @@ def test_criterion_8(tmp_path):
             c = int(rng.integers(2, 4))
             labels = rng.integers(0, c, size=n)
             y0 = build_label_seed(labels, np.arange(n), n=n, num_classes=c)
-            stack = propagate_labels(normalize(g, 0.0), y0, steps)
+            stack = propagate_labels(normalize(g, 0.0), y0, steps, np.float32)
             scheme = ResidualScheme("fixed", float(rng.uniform(0, 1)))
             cache_write(stack, path)
             loaded = cache_read(path, expect_fingerprint=stack.fingerprint)

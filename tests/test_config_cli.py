@@ -11,7 +11,6 @@ from gamlp.cli import main
 from gamlp.config import ConfigError, TrainConfig, parse_config
 from gamlp.data import generate_sbm, load_dataset, save_dataset
 from gamlp.pipeline import build_stacks, cache_paths
-from gamlp.propagation import cache_write
 
 
 def test_minimal_config_fills_defaults(tmp_path):
@@ -254,7 +253,10 @@ def test_eval_refuses_a_cache_of_float64_hops_in_one_line(workdir, capsys):
     _train(conf, capsys)
     config = parse_config(conf)
     path = cache_paths(config)[0]
-    cache_write(build_stacks(load_dataset(config.dataset_dir), config)[0], path)
+    stack = build_stacks(load_dataset(config.dataset_dir), config)[0]
+    with open(path, "wb") as f:  # the two records cache_write wrote then
+        np.save(f, stack.mats.astype("<f4"))
+        np.save(f, np.frombuffer(stack.fingerprint, dtype=np.uint8))
     ckpt = str(cache_dir / "checkpoint.gmck")
     assert main(["eval", "--config", str(conf), "--checkpoint", ckpt]) == 1
     assert capsys.readouterr().err == (

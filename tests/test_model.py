@@ -38,23 +38,37 @@ def _softmax(scores):
     return [v / total for v in e]
 
 
-def recursive_oracle(mats, s, act):
-    """Per-node scalar walk through the recursive protocol."""
-    n, d = mats[0].shape
-    h = np.zeros((n, d))
-    w_out = np.zeros((n, len(mats)))
-    for i in range(n):
-        xs = [m[i] for m in mats]
-        run = xs[0].copy()
-        for l in range(1, len(xs)):
-            scores = [act(float(np.concatenate([xs[k], run]) @ s)) for k in range(l)]
-            w = _softmax(scores)
-            run = sum(w[k] * xs[k] for k in range(l))
-        scores = [act(float(np.concatenate([xs[k], run]) @ s)) for k in range(len(xs))]
-        w = _softmax(scores)
-        h[i] = sum(w[k] * xs[k] for k in range(len(xs)))
-        w_out[i] = w
-    return h, w_out
+def recursive_reference(mats, s, act, rate=0.0, rng=None):
+    """The recursive attention formula in float64, one step at a time:
+
+        h_0 = X^(0),  h_l = sum_{i<l} softmax(e_0..e_{l-1})_i X^(i),
+        e_l = act(drop(X^(l)) . s_a + drop(h_l) . s_b),
+        H = sum_l softmax(e_0..e_S)_l X^(l).
+
+    Every h_l is summed afresh from its own softmax. A ``rate`` above 0
+    draws the combiner's masks in its order: one on the stack, then one per
+    step on h_l. Returns (H, the weights, the scores e), weights and scores
+    as rows x (S+1).
+    """
+    mats = np.asarray(mats, dtype=np.float64)
+    d = mats.shape[2]
+    act = np.vectorize(act)
+    xd = dropout(mats, rate, rng, rate > 0.0)[0]
+    scores = []
+    for l in range(len(mats)):
+        h = mats[0] if l == 0 else _weighted(np.stack(scores, axis=1), mats[:l])
+        hd = dropout(h, rate, rng, rate > 0.0)[0]
+        scores.append(act(xd[l] @ s[:d] + hd @ s[d:]))
+    e = np.stack(scores, axis=1)
+    z = np.exp(e - e.max(axis=1, keepdims=True))
+    return _weighted(e, mats), z / z.sum(axis=1, keepdims=True), e
+
+
+def _weighted(e, mats):
+    """sum_i softmax(e)_i X^(i) per row, one step at a time."""
+    z = np.exp(e - e.max(axis=1, keepdims=True))
+    w = z / z.sum(axis=1, keepdims=True)
+    return sum(w[:, i:i + 1] * mats[i] for i in range(len(mats)))
 
 
 def jk_oracle(mats, comb):
@@ -85,52 +99,12 @@ def _random_mats(rng, n, d, steps):
 
 # ---------------------------------------------------------------------------
 # reference combiners: the per-step list implementations the stack-array
-# combiners replaced, one dropout draw and one product per step
+# JK combiner replaced, one dropout draw and one product per step
 # ---------------------------------------------------------------------------
 
 
-class ListRecursiveAttention(RecursiveAttention):
-    def forward(self, mats, rows=None, training=False, rng=None):
-        sa, sb = self.s.value[:self.dim], self.s.value[self.dim:]
-        xd = [dropout(m, self.attention_dropout, rng, training)[0] for m in mats]
-        xa = [d @ sa for d in xd]
-        levels = []
-        r = mats[0]
-        for l in range(1, len(mats)):
-            rd, r_mask = dropout(r, self.attention_dropout, rng, training)
-            rb = rd @ sb
-            pre = np.stack([xa[k] + rb for k in range(l)], axis=1)
-            w = softmax_rows(self.activation.forward(pre))
-            levels.append((pre, w, rd, r_mask))
-            r = sum(w[:, k:k + 1] * mats[k] for k in range(l))
-        rd, r_mask = dropout(r, self.attention_dropout, rng, training)
-        rb = rd @ sb
-        pre = np.stack([xa[k] + rb for k in range(len(mats))], axis=1)
-        w = softmax_rows(self.activation.forward(pre))
-        h = sum(w[:, k:k + 1] * mats[k] for k in range(len(mats)))
-        self._cache = (mats, xd, levels, (pre, w, rd, r_mask))
-        return h, w
-
-    def _score_backward(self, d_w, pre, w, rd, r_mask, xd, sb):
-        d_pre = self.activation.backward(softmax_backward(d_w, w), pre)
-        for k in range(d_pre.shape[1]):
-            self.s.grad[:self.dim] += xd[k].T @ d_pre[:, k]
-        row_sum = d_pre.sum(axis=1, keepdims=True)
-        self.s.grad[self.dim:] += rd.T @ row_sum[:, 0]
-        return dropout_backward(row_sum * sb, r_mask, self.attention_dropout)
-
-    def backward(self, d_h):
-        mats, xd, levels, final = self._cache
-        sb = self.s.value[self.dim:]
-        d_w = np.stack([(d_h * m).sum(axis=1) for m in mats], axis=1)
-        d_r = self._score_backward(d_w, *final, xd, sb)
-        for l in range(len(levels), 0, -1):
-            d_w = np.stack([(d_r * mats[k]).sum(axis=1) for k in range(l)], axis=1)
-            d_r = self._score_backward(d_w, *levels[l - 1], xd, sb)
-
-
 class ListStackLinear(_StackLinear):
-    def forward(self, xs):
+    def forward(self, xs, training=False):
         self._x = xs
         dim = xs[0].shape[1]
         return self.b.value + sum(xs[k] @ self.w.value[k * dim:(k + 1) * dim]
@@ -207,43 +181,107 @@ def _assert_matches_list_reference(cls, ref_cls, n, d, hops, rate=0.5, training=
         assert np.abs(p.grad - q.grad).max() <= 1e-12, p.name
 
 
+ACTIVATIONS = {"sigmoid": _sigmoid, "leaky_relu": _leaky}
+
+
+def _recursive_case(kind, steps, rate, n=23, d=5):
+    """A recursive combiner with a random scoring vector, a random stack of
+    ``steps`` + 1 steps and a random output gradient."""
+    data_rng = np.random.default_rng(100 + steps)
+    mats = data_rng.standard_normal((steps + 1, n, d))
+    comb = RecursiveAttention(np.random.default_rng(1), d, Activation(kind, 0.2), rate)
+    comb.s.value[:] = data_rng.standard_normal(2 * d) * 0.5
+    return comb, mats, data_rng.standard_normal((n, d))
+
+
 @pytest.mark.parametrize("kind", ["sigmoid", "leaky_relu"])
-@pytest.mark.parametrize("steps", [0, 1, 7])
+@pytest.mark.parametrize("steps", [0, 1, 7, 16])
 def test_recursive_matches_list_reference(kind, steps):
-    _assert_matches_list_reference(RecursiveAttention, ListRecursiveAttention, 23, 5, steps,
-                                   dim=5, activation=Activation(kind, 0.2))
+    # training with dropout: the combiner and the reference draw the same masks
+    comb, mats, _ = _recursive_case(kind, steps, 0.5)
+    rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+    h, w = comb.forward(mats, training=True, rng=rng)
+    want_h, want_w, _ = recursive_reference(mats, comb.s.value, ACTIVATIONS[kind], 0.5, ref_rng)
+    assert np.abs(h - want_h).max() <= 1e-10
+    assert np.abs(w - want_w).max() <= 1e-10
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("steps", [0, 1, 4, 16])
 def test_mask_free_recursive_matches_list_reference(steps, training):
-    # no dropout on the running combination: rounds are scored from the
-    # per-step projections, and backward rebuilds the combinations
-    _assert_matches_list_reference(RecursiveAttention, ListRecursiveAttention, 23, 5, steps,
-                                   rate=0.0, training=training, dim=5,
-                                   activation=Activation("leaky_relu", 0.2))
+    # no mask: in eval mode whatever the rate, or in training at rate 0
+    comb, mats, _ = _recursive_case("leaky_relu", steps, 0.0 if training else 0.5)
+    h, w = comb.forward(mats, training=training, rng=None)
+    want_h, want_w, _ = recursive_reference(mats, comb.s.value, _leaky)
+    assert np.abs(h - want_h).max() <= 1e-10
+    assert np.abs(w - want_w).max() <= 1e-10
+
+
+@pytest.mark.parametrize("steps", [0, 1, 16])
+def test_recursive_eval_forward_equals_a_rate_0_training_forward(steps):
+    comb, mats, _ = _recursive_case("leaky_relu", steps, 0.5)
+    h, w = comb.forward(mats, training=False)
+    comb.attention_dropout = 0.0
+    h0, w0 = comb.forward(mats, training=True)
+    assert np.array_equal(h, h0) and np.array_equal(w, w0)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("steps", [0, 3, 16])
+def test_recursive_masked_forward_draws_the_stack_then_one_mask_per_step(steps, dtype):
+    comb, mats, _ = _recursive_case("sigmoid", steps, 0.5, n=9, d=4)
+    comb.s.value = comb.s.value.astype(dtype)
+    rng, direct = np.random.default_rng(3), np.random.default_rng(3)
+    comb.forward(mats.astype(dtype), training=True, rng=rng)
+    direct.random((steps + 1, 9, 4), dtype=dtype)
+    for _ in range(steps + 1):
+        direct.random((9, 4), dtype=dtype)
+    assert rng.bit_generator.state == direct.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["sigmoid", "leaky_relu"])
+@pytest.mark.parametrize("rate", [0.5, 0.0])  # masked, mask-free
+@pytest.mark.parametrize("steps", [1, 7])
+def test_recursive_kernel_gradient_check(kind, rate, steps):
+    comb, mats, d_h = _recursive_case(kind, steps, rate, n=11, d=4)
+
+    def forward():  # each call draws the same masks from a fresh generator
+        return comb.forward(mats, training=True, rng=np.random.default_rng(5))[0]
+
+    def loss_fn():
+        return float((forward() * d_h).sum())
+
+    forward()
+    comb.s.zero_grad()
+    comb.backward(d_h)
+    assert grad_check(loss_fn, comb.params, h=1e-5) <= 1e-6
 
 
 @pytest.mark.parametrize("steps", [0, 1, 4, 16])
 def test_recursive_builds_one_combination_without_a_mask(monkeypatch, steps):
-    combined = []
+    # no code path combines all earlier steps per step: at most one _combine
+    # per forward (none with a mask, where H is the running numerator) and
+    # one _weight_grad per backward, both over all S + 1 steps
+    calls = []
 
-    def spy(w, mats):
-        combined.append(w.shape[1])
-        return _combine(w, mats)
+    def spy(fn):
+        def wrapped(w_or_d, mats):
+            calls.append((fn.__name__, len(mats)))
+            return fn(w_or_d, mats)
+        return wrapped
 
-    monkeypatch.setattr(gamlp.model, "_combine", spy)
-    mats = np.stack(_random_mats(np.random.default_rng(15), 9, 4, steps))
-    act = Activation("leaky_relu", 0.2)
-    for rate, training in [(0.5, False), (0.0, True)]:
-        combined.clear()
-        RecursiveAttention(np.random.default_rng(0), 4, act, rate).forward(
-            mats, training=training, rng=np.random.default_rng(1))
-        assert combined == [steps + 1]
-    combined.clear()
-    RecursiveAttention(np.random.default_rng(0), 4, act, 0.5).forward(
-        mats, training=True, rng=np.random.default_rng(1))
-    assert combined == list(range(1, steps + 2))
+    monkeypatch.setattr(gamlp.model, "_combine", spy(_combine))
+    monkeypatch.setattr(gamlp.model, "_weight_grad", spy(gamlp.model._weight_grad))
+    comb, mats, d_h = _recursive_case("leaky_relu", steps, 0.5, n=9, d=4)
+    comb.forward(mats, training=False)
+    assert calls == [("_combine", steps + 1)]
+    for rate, combined in ((0.0, [("_combine", steps + 1)]), (0.5, [])):
+        calls.clear()
+        comb.attention_dropout = rate
+        comb.forward(mats, training=True, rng=np.random.default_rng(1))
+        comb.backward(d_h)
+        assert calls == combined + [("_weight_grad", steps + 1)]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -300,7 +338,7 @@ def test_recursive_matches_scripted_oracle_path_graph():
     comb = RecursiveAttention(rng, 4, Activation("sigmoid"))
     comb.s.value[:] = rng.standard_normal(8) * 0.7
     h, w = comb.forward(stack.mats)
-    want_h, want_w = recursive_oracle(stack.mats, comb.s.value, _sigmoid)
+    want_h, want_w, _ = recursive_reference(stack.mats, comb.s.value, _sigmoid)
     assert np.allclose(h, want_h, atol=1e-12)
     assert np.allclose(w, want_w, atol=1e-12)
 
@@ -314,9 +352,21 @@ def test_recursive_matches_oracle_random(kind, fn):
         comb = RecursiveAttention(rng, d, Activation(kind, 0.2))
         comb.s.value[:] = rng.standard_normal(2 * d)
         h, w = comb.forward(mats)
-        want_h, want_w = recursive_oracle(mats, comb.s.value, fn)
+        want_h, want_w, _ = recursive_reference(mats, comb.s.value, fn)
         assert np.allclose(h, want_h, atol=1e-10)
         assert np.allclose(w, want_w, atol=1e-10)
+
+
+def test_recursive_scores_cannot_overflow():
+    # scores far beyond exp's range: the running max keeps every exponent <= 0
+    mats = np.random.default_rng(4).standard_normal((9, 6, 3)) * 400.0
+    comb = RecursiveAttention(None, 3, Activation("leaky_relu", 0.2), 0.5)
+    comb.s.value[:] = [3.0, -2.0, 1.0, 2.0, 1.0, -3.0]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        h, w = comb.forward(mats, training=True, rng=np.random.default_rng(5))
+        comb.backward(np.ones_like(h))
+    assert np.isfinite(comb.s.grad).all()
+    assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12) and w.max() == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +415,7 @@ def test_stack_linear_matches_linear_over_the_concatenation(steps):
     layer = _StackLinear(first)
     assert layer.w is first.w and layer.b is first.b
     layer.b.value[:] = dense.b.value
-    assert np.abs(layer.forward(xs) - dense.forward(np.hstack(xs))).max() <= 1e-12
+    assert np.abs(layer.forward(xs, True) - dense.forward(np.hstack(xs), True)).max() <= 1e-12
     assert layer.backward(d_out) is None  # the stack is data
     dense.backward(d_out)
     for p, q in zip(layer.params, dense.params):
@@ -428,8 +478,7 @@ def test_attention_score_shift_invariance():
     comb = RecursiveAttention(rng, 3, Activation("sigmoid"))
     comb.s.value[:] = rng.standard_normal(6)
     _, w = comb.forward(mats)
-    pre, w_cached, _, _ = comb._cache[2][-1]
-    scores = comb.activation.forward(pre)
+    _, _, scores = recursive_reference(mats, comb.s.value, _sigmoid)
     assert np.allclose(softmax_rows(scores + 123.0), w, atol=1e-12)
 
 
@@ -533,8 +582,11 @@ def test_branches_keep_the_checkpoint_layout_and_draws(attention):
     model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps,
                        np.random.default_rng(0))
     enc = [f"enc.{i}.{p}" for i in range(cfg.jk_layers) for p in "wb"]
-    feat = ["feat.s"] + ([f"feat.{e}" for e in enc] if attention == "jk" else [])
-    label = ["label.s"] + ([f"label.{e}" for e in enc] if attention == "jk" else [])
+    if attention == "jk":
+        feat, label = (["feat.s"] + [f"feat.{e}" for e in enc],
+                       ["label.s"] + [f"label.{e}" for e in enc])
+    else:
+        feat, label = ["feat.rec.s"], ["label.rec.s"]
     assert [p.name for p in model.params] == (_branch_names("feat", feat, cfg.num_layers)
                                               + _branch_names("label", label, 3))
     # the draws: feature combiner, feature MLP, label combiner, label MLP
@@ -582,7 +634,7 @@ def test_full_model_gradient_check(kind):
     def loss_fn():
         return cross_entropy(model.forward(fm, lm, rows=rows), onehot, mask)[0]
 
-    _, d = cross_entropy(model.forward(fm, lm, rows=rows), onehot, mask)
+    _, d = cross_entropy(model.forward(fm, lm, rows=rows, training=True), onehot, mask)
     model.zero_grad()
     model.backward(d)
     assert grad_check(loss_fn, model.params, h=1e-4, max_coords=30) <= 1e-4
@@ -768,6 +820,45 @@ def test_every_row_block_passes_its_global_row_ids(monkeypatch):
     seen.clear()
     export_attention(model, fs, ls, ds.graph.degrees(), [(0, 100)])
     assert np.array_equal(np.concatenate(seen), np.arange(ds.n))
+
+
+def _caches(model):
+    """(class name, backward cache) of each combiner, MLP and layer of the model."""
+    parts = [model.feature_combiner, model.feature_mlp, model.label_combiner, model.label_mlp]
+    parts += [c.encoder for c in parts[::2] if getattr(c, "encoder", None) is not None]
+    parts += [layer for mlp in parts if isinstance(mlp, Mlp) for layer in mlp.layers]
+    return [(type(p).__name__, getattr(p, "_cache", getattr(p, "_x", None))) for p in parts]
+
+
+@pytest.mark.parametrize("attention", ["jk", "recursive"])
+def test_eval_forwards_keep_no_backward_state(attention):
+    ds, cfg, fs, ls = _toy_setup(epochs=2, patience=2, attention=attention)
+    model = fit(fs, ls, ds.labels, ds.splits, cfg, num_classes=ds.num_classes).model
+    model.forward(*_stack_inputs(fs, ls, cfg, np.arange(5)), training=True)
+    kinds = {"jk": {"JkAttention", "Mlp", "_StackLinear", "Linear"},
+             "recursive": {"RecursiveAttention", "Mlp", "Linear"}}[attention]
+    assert {name for name, _ in _caches(model)} == kinds
+    assert all(cache is not None for _, cache in _caches(model))
+    predict(model, fs, ls)
+    assert all(cache is None for _, cache in _caches(model))
+
+
+@pytest.mark.parametrize("call", ["predict", "export_attention"])
+@pytest.mark.parametrize("model_dtype, stack_dtype", [(np.float64, np.float32),
+                                                      (np.float32, np.float64)])
+def test_a_model_refuses_stacks_of_another_dtype(call, model_dtype, stack_dtype):
+    ds, cfg, *stacks = _toy_setup(epochs=2, patience=2)
+    fs, ls = _cast(stacks, model_dtype)
+    model = fit(fs, ls, ds.labels, ds.splits, cfg, num_classes=ds.num_classes).model
+    for other in (_cast((fs, ls), stack_dtype), (fs, _cast((ls,), stack_dtype)[0])):
+        with pytest.raises(ValueError) as err:
+            if call == "predict":
+                predict(model, *other)
+            else:
+                export_attention(model, *other, ds.graph.degrees(), [(0, 100)])
+        assert str(err.value) == (f"the model computes in {np.dtype(model_dtype)} but a "
+                                  f"stack is {np.dtype(stack_dtype)}; give it stacks of "
+                                  "its own dtype")
 
 
 def test_predict_memory_does_not_grow_with_the_stacks():
@@ -1025,6 +1116,22 @@ def test_restore_model_names_the_file_of_parameters_that_do_not_fit(tmp_path, ed
     with pytest.raises(CheckpointFormatError) as err:
         restore_model(path, cfg, fs, ls)
     assert str(err.value) == f"{path}: {problem}; run 'gamlp train' again"
+
+
+def test_restore_model_refuses_a_recursive_checkpoint_of_the_former_combiner(tmp_path):
+    # the scoring vector of the round-protocol combiner had the same shape
+    # under the name <branch>.s; the current one would misread it
+    cfg, fs, ls, _, path = _fitted(tmp_path, attention="recursive")
+
+    def former(arrays):
+        for branch in ("feat", "label"):
+            arrays[f"param/{branch}.s"] = arrays.pop(f"param/{branch}.rec.s")
+
+    _rewrite(path, former)
+    with pytest.raises(CheckpointFormatError) as err:
+        restore_model(path, cfg, fs, ls)
+    assert str(err.value) == (f"{path}: checkpoint missing parameter 'feat.rec.s'; "
+                              "run 'gamlp train' again")
 
 
 class _FailingMatrix:

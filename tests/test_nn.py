@@ -69,7 +69,7 @@ def test_activation_backward_matches_central_differences(kind, slope):
 
 @pytest.mark.parametrize("slope", [-0.2, 1.01, float("nan")])
 def test_activation_refuses_a_slope_outside_0_1(slope):
-    with pytest.raises(ValueError, match=r"^leaky_slope must lie in \[0, 1\], got"):
+    with pytest.raises(ValueError, match=r"^slope must lie in \[0, 1\], got"):
         Activation("leaky_relu", slope)
 
 
@@ -285,7 +285,7 @@ def _linear_ce_setup(seed=0):
     def loss_fn():
         return cross_entropy(layer.forward(x), onehot, mask)[0]
 
-    loss, d = cross_entropy(layer.forward(x), onehot, mask)
+    loss, d = cross_entropy(layer.forward(x, training=True), onehot, mask)
     for p in layer.params:
         p.zero_grad()
     layer.backward(d)
@@ -313,7 +313,7 @@ def test_mlp_backward_matches_finite_differences():
     def loss_fn():
         return cross_entropy(mlp.forward(x), onehot, mask)[0]
 
-    _, d = cross_entropy(mlp.forward(x), onehot, mask)
+    _, d = cross_entropy(mlp.forward(x, training=True), onehot, mask)
     for p in mlp.params:
         p.zero_grad()
     mlp.backward(d)

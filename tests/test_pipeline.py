@@ -208,7 +208,9 @@ def test_a_cache_of_the_old_fingerprint_layout_is_refused_in_one_line(sbm, tmp_p
         h.update(a.astype(np.int64).tobytes())
     h.update(sbm.features.astype(np.float32).tobytes())
     preprocess(sbm, config)
-    cache_write(dataclasses.replace(stack, fingerprint=h.digest()), features_path)
+    with open(features_path, "wb") as f:  # the two records cache_write wrote then
+        np.save(f, stack.mats.astype("<f4"))
+        np.save(f, np.frombuffer(h.digest(), dtype=np.uint8))
     with pytest.raises(FingerprintMismatch) as exc:
         load_stacks(sbm, config)
     message = str(exc.value)

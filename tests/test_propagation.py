@@ -139,12 +139,12 @@ def test_linear_and_fixed_alphas():
         ResidualScheme("geometric")
 
 
-def _label_stack(rng, n=12, steps=4, r=0.5):
+def _label_stack(rng, n=12, steps=4, r=0.5, dtype=np.float64):
     g = random_graph(rng, n, 0.3)
     labels = rng.integers(0, 3, size=n)
     train = rng.choice(n, size=n // 3, replace=False)
     y0 = build_label_seed(labels, train, n=n, num_classes=3)
-    return propagate_labels(normalize(g, r), y0, steps), train
+    return propagate_labels(normalize(g, r), y0, steps, dtype), train
 
 
 def test_last_residual_deepest_is_exact():
@@ -244,9 +244,10 @@ def test_float32_hops_stay_within_a_rounding_bound_of_float64_hops(r):
 
 
 def _feature_stack(rng, n=10, steps=3):
+    """A float32 stack, the only dtype a cache stores."""
     g = random_graph(rng, n, 0.3)
-    x = rng.standard_normal((n, 4)).astype(np.float32).astype(np.float64)
-    return propagate_features(normalize(g, 0.5), x, steps)
+    x = rng.standard_normal((n, 4)).astype(np.float32)
+    return propagate_features(normalize(g, 0.5), x, steps, np.float32)
 
 
 def _npy(array) -> bytes:
@@ -316,13 +317,12 @@ def test_fingerprint_hashes_the_documented_layout():
 def test_stacks_are_one_contiguous_array(tmp_path):
     rng = np.random.default_rng(7)
     features = _feature_stack(rng, n=10, steps=3)
-    labels, _ = _label_stack(rng, n=12, steps=4)
+    labels, _ = _label_stack(rng, n=12, steps=4, dtype=np.float32)
     for stack, is_label in ((features, False), (labels, True)):
         path = tmp_path / "s.npy"
         cache_write(stack, path)
         loaded = cache_read(path)
-        # these stacks are float64; a cache read keeps the stored float32
-        arrays = [(stack.mats, np.float64), (loaded.mats, np.float32)]
+        arrays = [(stack.mats, np.float32), (loaded.mats, np.float32)]
         if is_label:
             arrays.append((apply_last_residual(loaded.mats, ResidualScheme()), np.float32))
         for a, dtype in arrays:
@@ -332,7 +332,7 @@ def test_stacks_are_one_contiguous_array(tmp_path):
 
 
 def test_cache_round_trip_labels(tmp_path):
-    stack, _ = _label_stack(np.random.default_rng(1))
+    stack, _ = _label_stack(np.random.default_rng(1), dtype=np.float32)
     path = tmp_path / "l.npy"
     cache_write(stack, path)
     # the 128-byte npy header and the raw steps only, then the 160-byte
@@ -537,7 +537,9 @@ def test_cache_fingerprint_guard(tmp_path):
 
 
 class _FailingMatrix:
-    """Stands in for a stack matrix; converting it to an array raises."""
+    """Stands in for a float32 stack; converting it to an array raises."""
+
+    dtype = np.dtype(np.float32)
 
     def __array__(self, dtype=None, copy=None):
         raise OSError("no space left on device")
@@ -550,10 +552,21 @@ def test_cache_write_failure_keeps_previous_file(tmp_path):
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     assert sorted(before) == ["f.npy"]
     # the temporary exists when the array fails to convert
-    broken = Stack(mats=[stack.mats[0] + 1.0, _FailingMatrix()],
-                          fingerprint=b"\1" * 32)
+    broken = Stack(mats=_FailingMatrix(), fingerprint=b"\1" * 32)
     with pytest.raises(OSError, match="no space"):
         cache_write(broken, path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
     loaded = cache_read(path, expect_fingerprint=stack.fingerprint)
     assert loaded.steps == stack.steps
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float16])
+def test_cache_write_refuses_a_stack_that_is_not_float32(tmp_path, dtype):
+    # its fingerprint would name hops of another dtype, so no load could accept it
+    stack = _feature_stack(np.random.default_rng(6))
+    other = Stack(stack.mats.astype(dtype), stack.fingerprint)
+    with pytest.raises(ValueError) as err:
+        cache_write(other, tmp_path / "cache" / "f.npy")
+    assert str(err.value) == (f"a cache stores float32 stacks, not {np.dtype(dtype)}; "
+                              "propagate in float32")
+    assert not (tmp_path / "cache").exists()
