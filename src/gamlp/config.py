@@ -10,8 +10,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 
-ATTENTION_KINDS = ("jk", "recursive")
-COMBINER_MODES = ("attention", "sgc", "s2gc", "gbp", "sign")
+ATTENTION_KINDS = ("jk", "recursive", "sgc", "s2gc", "gbp", "sign")  # the last 4: baselines
 REFERENCE_MODES = ("jk", "origin_feature", "normal_noise", "no_reference")
 LABEL_MODES = ("smoothed", "plain", "uniform")
 RESIDUAL_KINDS = ("cosine", "linear", "fixed")
@@ -42,7 +41,6 @@ class TrainConfig:
     fixed_alpha: float = 0.7
     # combiners
     attention: str = "jk"
-    combiner: str = "attention"
     reference: str = "jk"
     # classifier
     hidden: int = 512
@@ -82,8 +80,6 @@ class TrainConfig:
         require(0.0 <= self.fixed_alpha <= 1.0, "fixed_alpha must lie in [0, 1]")
         require(self.attention in ATTENTION_KINDS,
                 f"attention must be one of {ATTENTION_KINDS}")
-        require(self.combiner in COMBINER_MODES,
-                f"combiner must be one of {COMBINER_MODES}")
         require(self.reference in REFERENCE_MODES,
                 f"reference must be one of {REFERENCE_MODES}")
         require(self.hidden >= 1, "hidden must be positive")
@@ -102,6 +98,7 @@ class TrainConfig:
                 "patience must lie in [1, epochs]")
         require(self.label_mode in LABEL_MODES,
                 f"label_mode must be one of {LABEL_MODES}")
+        require(self.seed >= 0, "seed must be nonnegative")
         return self
 
     def replace(self, **kwargs) -> "TrainConfig":

@@ -111,26 +111,37 @@ def _read_table(path: Path, columns: int) -> np.ndarray | None:
 
 
 def _read_features(directory: Path) -> np.ndarray:
-    bin_path = directory / "features.bin"
-    csv_path = directory / "features.csv"
-    if bin_path.exists():
-        with open(bin_path, "rb") as f:
+    """The n x f features of features.bin, else of features.csv; a malformed or
+    empty file, or a NaN or infinity (named by node), raises a DatasetError."""
+    path = directory / "features.bin"
+    if path.exists():
+        with open(path, "rb") as f:
             header = f.read(20)
             if len(header) < 20 or header[:4] != _FEAT_MAGIC:
-                raise DatasetError(f"{bin_path}: not a feature file (bad magic)")
+                raise DatasetError(f"{path}: not a feature file (bad magic)")
             n, dim = struct.unpack("<QQ", header[4:])
             found = os.fstat(f.fileno()).st_size - 20
             if found != 4 * n * dim:
-                raise DatasetError(f"{bin_path}: expected {4 * n * dim} bytes of float32 "
+                raise DatasetError(f"{path}: expected {4 * n * dim} bytes of float32 "
                                    f"values after the header, found {found}")
-            return np.fromfile(f, dtype="<f4", count=n * dim).reshape(n, dim)
-    if csv_path.exists():
+            x = np.fromfile(f, dtype="<f4", count=n * dim).reshape(n, dim)
+    else:
+        path = directory / "features.csv"
+        if not path.exists():
+            raise DatasetError(f"{directory}: missing features.bin / features.csv")
         try:
-            x = np.loadtxt(csv_path, delimiter=",", dtype=np.float64, ndmin=2)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                        UserWarning)
+                x = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
         except ValueError as e:
-            raise DatasetError(f"{csv_path}: {e}") from None
-        return x
-    raise DatasetError(f"{directory}: missing features.bin / features.csv")
+            raise DatasetError(f"{path}: {e}") from None
+    if x.size == 0:
+        raise DatasetError(f"{path}: holds no feature values")
+    if not np.isfinite(x).all():
+        node = int(np.argmin(np.isfinite(x).all(axis=1)))
+        raise DatasetError(f"{path}: non-finite feature value at node {node}")
+    return x
 
 
 def _read_lines(path: Path, columns: int, form: str, not_int: str):

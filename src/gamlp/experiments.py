@@ -24,12 +24,12 @@ from .pipeline import build_stacks, stack_recipes, train_on_dataset
 from .propagation import atomic_write
 
 METHOD_OVERRIDES = {
-    "gamlp_jk": dict(combiner="attention", attention="jk"),
-    "gamlp_r": dict(combiner="attention", attention="recursive"),
-    "sgc": dict(combiner="sgc", num_layers=1, use_labels=False),
-    "s2gc": dict(combiner="s2gc", num_layers=1, use_labels=False),
-    "gbp": dict(combiner="gbp", use_labels=False),
-    "sign": dict(combiner="sign", use_labels=False),
+    "gamlp_jk": dict(attention="jk"),
+    "gamlp_r": dict(attention="recursive"),
+    "sgc": dict(attention="sgc", num_layers=1, use_labels=False),
+    "s2gc": dict(attention="s2gc", num_layers=1, use_labels=False),
+    "gbp": dict(attention="gbp", use_labels=False),
+    "sign": dict(attention="sign", use_labels=False),
 }
 
 

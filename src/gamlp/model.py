@@ -43,12 +43,12 @@ ROW_BLOCK = 2048  # rows per eval-mode forward of predict, fit's validation and 
 GBP_BETA = 0.5    # the gbp baseline's step weights are beta (1 - beta)^l
 
 
-def slice_mats(mats: np.ndarray | None, rows) -> np.ndarray | None:
+def slice_mats(mats: np.ndarray, rows) -> np.ndarray:
     """Rows of every step of an (S+1, n, d) stack: all (``rows`` None), a view
     (a slice) or one step-major gather (an index array). ``np.take`` keeps a
     gather C-contiguous; ``mats[:, rows]`` would lay it out node-major.
     """
-    if mats is None or rows is None:
+    if rows is None:
         return mats
     return mats[:, rows] if isinstance(rows, slice) else np.take(mats, rows, axis=1)
 
@@ -105,8 +105,6 @@ class RecursiveAttention:
     on per-row scalars and only H is built. Backward runs the recursion
     in reverse at the same cost (see :meth:`backward`).
     """
-
-    has_weights = True
 
     def __init__(self, rng: np.random.Generator, dim: int, activation: Activation,
                  attention_dropout: float = 0.0, name: str = "att"):
@@ -254,8 +252,6 @@ class JkAttention:
     buffer, or nothing at all.
     """
 
-    has_weights = True
-
     def __init__(self, rng: np.random.Generator, steps: int, dim: int, hidden: int,
                  depth: int, activation: Activation, attention_dropout: float = 0.0,
                  reference: str = "jk", n_nodes: int | None = None, name: str = "jk",
@@ -344,8 +340,6 @@ class JkAttention:
 class BaselineCombiner:
     """Layer-wise baselines: fixed (non-learned) combination weights."""
 
-    has_weights = False
-
     def __init__(self, mode: str):
         if mode not in ("sgc", "s2gc", "gbp", "sign"):
             raise ValueError(f"unknown baseline combiner {mode!r}")
@@ -402,15 +396,15 @@ class GamlpModel:
         def branch(steps: int, dim: int, name: str, depth: int):
             """(combiner, MLP) of one branch; the combiner draws first."""
             out = dim
-            if config.combiner != "attention":
-                combiner = BaselineCombiner(config.combiner)
-                out = combiner.output_dim(steps, dim)
-            elif config.attention == "recursive":
+            if config.attention == "recursive":
                 combiner = RecursiveAttention(rng, dim, act, config.attention_dropout, name)
-            else:
+            elif config.attention == "jk":
                 combiner = JkAttention(rng, steps, dim, config.hidden, config.jk_layers, act,
                                        config.attention_dropout, config.reference, n_nodes,
                                        name, mlp_dropout=config.dropout)
+            else:
+                combiner = BaselineCombiner(config.attention)
+                out = combiner.output_dim(steps, dim)
             return combiner, Mlp(rng, out, config.hidden, num_classes, depth, act,
                                  config.dropout, name=f"{name}_mlp")
 
@@ -534,7 +528,7 @@ def _new_model(config: TrainConfig, feature_stack: Stack,
 
 def fit(feature_stack: Stack, label_stack: Stack | None,
         labels: np.ndarray, splits, config: TrainConfig,
-        num_classes: int | None = None, log_path=None) -> FitResult:
+        num_classes: int, log_path=None) -> FitResult:
     """Train with early stopping on validation accuracy.
 
     ``splits`` needs .train/.val attributes, such as a :class:`~gamlp.data.Splits`.
@@ -549,8 +543,6 @@ def fit(feature_stack: Stack, label_stack: Stack | None,
         raise ValueError("training split is empty")
     labels = np.asarray(labels, dtype=np.int64)
     val_ids = labeled_ids(splits.val, labels)
-    if num_classes is None:
-        num_classes = int(labels.max()) + 1
     n = feature_stack.n
     if config.batch_size > n:
         raise ValueError(f"batch_size {config.batch_size} exceeds node count {n}")
@@ -585,7 +577,7 @@ def fit(feature_stack: Stack, label_stack: Stack | None,
                 feats, label_mats = _stack_inputs(feature_stack, label_stack, config, ids)
                 try:
                     logits = model.forward(feats, label_mats, rows=ids, training=True, rng=rng)
-                    loss, d_logits = cross_entropy(logits, onehot[batch], np.arange(batch.size))
+                    loss, d_logits = cross_entropy(logits, onehot[batch])
                 except NonFiniteError as e:
                     raise diverged(str(e)) from None
                 if not np.isfinite(loss):
@@ -725,7 +717,8 @@ def restore_model(path, config: TrainConfig, feature_stack: Stack,
     """
     stored, arrays = load_checkpoint(path)
     now = config.to_dict()
-    for key in dict.fromkeys([*stored, *now]):
+    # removed keys first: they may explain a key that differs (combiner = sgc)
+    for key in sorted(dict.fromkeys([*stored, *now]), key=lambda k: k in now):
         if key in ("dataset_dir", "cache_dir") or stored.get(key) == now.get(key):
             continue
         if key not in stored:
@@ -769,7 +762,7 @@ def export_attention(model: GamlpModel, feature_stack: Stack,
     ["lo-hi", count, relative weights] where each bucket's averaged
     weight vector is scaled by its own maximum.
     """
-    if not model.feature_combiner.has_weights:
+    if isinstance(model.feature_combiner, BaselineCombiner):
         raise ValueError("baseline combiner has no attention weights to export")
     weights = np.concatenate([w for _, w in _stack_blocks(model, feature_stack, label_stack,
                                                            None)])

@@ -17,6 +17,9 @@ from scipy.special import expit
 
 from .config import ACTIVATION_KINDS
 
+LEAKY_SLOPE = 0.2  # leaky_relu's factor below 0; Activation's factor form needs [0, 1]
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and epsilon
+
 
 class NonFiniteError(FloatingPointError):
     """NaN or Inf detected at a layer boundary."""
@@ -67,28 +70,25 @@ def linear_backward(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
 class Activation:
     """Elementwise nonlinearity with its derivative.
 
-    Leaky ReLU multiplies by a factor k (1 where x >= 0, the slope
+    Leaky ReLU multiplies by a factor k (1 where x >= 0, LEAKY_SLOPE
     elsewhere) built without a per-element branch, which a random-signed
-    input would mispredict. For 0 <= slope <= 1 it equals
-    ``np.where(x >= 0, x, slope * x)`` bit for bit, -0.0, infinities and
-    NaN included, in float32 and float64.
+    input would mispredict. It equals
+    ``np.where(x >= 0, x, LEAKY_SLOPE * x)`` bit for bit, -0.0, infinities
+    and NaN included, in float32 and float64.
     """
 
     kind: str = "leaky_relu"
-    slope: float = 0.2  # leaky_relu only
 
     def __post_init__(self):
         if self.kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {self.kind!r}")
-        if not 0.0 <= self.slope <= 1.0:
-            raise ValueError(f"slope must lie in [0, 1], got {self.slope}")
 
     def _leaky_times(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """v times the leaky factor of x, in v's dtype."""
         # in x's memory order: the attention scores are column-major, and
         # softmax_rows reduces their short rows fast only in that order
         k = np.greater_equal(x, 0.0, out=np.empty_like(x, dtype=v.dtype))
-        np.maximum(k, self.slope, out=k)
+        np.maximum(k, LEAKY_SLOPE, out=k)
         k *= v
         return k
 
@@ -96,7 +96,6 @@ class Activation:
         if self.kind == "relu":
             return np.maximum(x, 0.0)
         if self.kind == "leaky_relu":
-            # not max(x, slope * x): at slope 0 that turns +inf into 0 * inf = NaN
             return self._leaky_times(x, x)
         return expit(x)
 
@@ -123,22 +122,20 @@ def softmax_backward(d_out: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return probs * (d_out - dot)
 
 
-def cross_entropy(logits: np.ndarray, onehot: np.ndarray, mask: np.ndarray):
-    """Mean negative log-likelihood over the masked rows.
+def cross_entropy(logits: np.ndarray, onehot: np.ndarray):
+    """Mean negative log-likelihood over the rows.
 
-    Returns (loss, gradient); the gradient is (softmax - onehot) / |mask|
-    on masked rows and zero elsewhere.
+    Returns (loss, gradient); the gradient is (softmax - onehot) / rows.
+    Raises ValueError for zero rows.
     """
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise ValueError("cross_entropy needs a nonempty mask")
-    z = logits[mask]
-    z = z - z.max(axis=1, keepdims=True)
+    rows = len(logits)
+    if rows == 0:
+        raise ValueError("cross_entropy needs at least one row")
+    z = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
     log_probs = z - log_norm
-    loss = -(onehot[mask] * log_probs).sum() / mask.size
-    grad = np.zeros_like(logits)
-    grad[mask] = (np.exp(log_probs) - onehot[mask]) / mask.size
+    loss = -(onehot * log_probs).sum() / rows
+    grad = (np.exp(log_probs) - onehot) / rows
     return float(loss), grad
 
 
@@ -180,10 +177,9 @@ class Adam:
     """Bias-corrected Adam with optional L2 weight decay folded into grads."""
 
     def __init__(self, params: list[ParamTensor], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
                  weight_decay: float = 0.0):
         self.params = params
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.lr = lr
         self.weight_decay = weight_decay
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in params]
@@ -191,7 +187,7 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if self.weight_decay:
@@ -202,7 +198,7 @@ class Adam:
             v += (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1 ** self.t)
             v_hat = v / (1.0 - b2 ** self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class Linear:

@@ -57,31 +57,30 @@ def build_stacks(dataset: Dataset, config: TrainConfig, dtype=np.float64):
     return _pair(stacks)
 
 
-def cache_paths(config: TrainConfig, cache_dir=None) -> list[Path]:
+def cache_paths(config: TrainConfig) -> list[Path]:
     """The ``.npy`` cache of each stack ``config`` uses, in stack order."""
-    base = Path(cache_dir if cache_dir is not None else config.cache_dir)
+    base = Path(config.cache_dir)
     letter = {"features": "K", "labels": "L"}
     return [base / f"{kind}_{letter[kind]}{steps}_r{r:g}.npy"
             for kind, steps, r in stack_recipes(config)]
 
 
-def preprocess(dataset: Dataset, config: TrainConfig, cache_dir=None):
+def preprocess(dataset: Dataset, config: TrainConfig):
     """Build the stacks once and persist them; returns the ``.npy`` paths written.
 
     The stacks are built straight in float32, the dtype the caches store:
     each seed is rounded once and every hop runs in float32.
     """
-    paths = cache_paths(config, cache_dir)
+    paths = cache_paths(config)
     for stack, path in zip(build_stacks(dataset, config, np.float32), paths):
         cache_write(stack, path)
     return paths
 
 
-def load_stacks(dataset: Dataset, config: TrainConfig, cache_dir=None,
-                force: bool = False):
+def load_stacks(dataset: Dataset, config: TrainConfig, force: bool = False):
     """Read cached stacks, validating their fingerprints against ``dataset``
     and float32 hops."""
-    paths = cache_paths(config, cache_dir)
+    paths = cache_paths(config)
     for path in paths:
         if not path.exists():
             raise MissingCacheError(

@@ -306,15 +306,14 @@ def cache_info(path) -> CacheHeader:
         return header
 
 
-def cache_read(path, expect_fingerprint: bytes | None = None,
-               force: bool = False) -> Stack:
+def cache_read(path, expect_fingerprint: bytes, force: bool = False) -> Stack:
     """The cached stack as a read-only map of the file. Any malformed part is
     refused with a one-line :class:`CacheFormatError`, and a fingerprint
-    mismatch unless forced, before anything is mapped. The map comes from
-    the descriptor that was checked, so a cache replaced meanwhile still
-    yields one write's stack and fingerprint."""
+    other than ``expect_fingerprint`` unless forced, before anything is
+    mapped. The map comes from the descriptor that was checked, so a cache
+    replaced meanwhile still yields one write's stack and fingerprint."""
     with _open_cache(path) as (f, header):
-        if expect_fingerprint is not None and header.fingerprint != expect_fingerprint:
+        if header.fingerprint != expect_fingerprint:
             if not force:
                 raise FingerprintMismatch(
                     f"{path}: cache fingerprint does not match the current graph, "

@@ -129,12 +129,11 @@ def test_criterion_6():
     x = rng.standard_normal((8, 5))
     onehot = np.eye(3)[rng.integers(0, 3, size=8)]
     layer = Linear(rng, 5, 3, "l")
-    mask = np.arange(8)
 
     def linear_loss():
-        return cross_entropy(layer.forward(x), onehot, mask)[0]
+        return cross_entropy(layer.forward(x), onehot)[0]
 
-    _, d = cross_entropy(layer.forward(x, training=True), onehot, mask)
+    _, d = cross_entropy(layer.forward(x, training=True), onehot)
     for p in layer.params:
         p.zero_grad()
     layer.backward(d)
@@ -142,13 +141,13 @@ def test_criterion_6():
 
     # kernel level: 3-layer MLP with each activation
     for kind in ("leaky_relu", "relu", "sigmoid"):
-        mlp = Mlp(rng, 5, 7, 3, depth=3, activation=Activation(kind, 0.2))
+        mlp = Mlp(rng, 5, 7, 3, depth=3, activation=Activation(kind))
         xm = rng.standard_normal((6, 5)) + 0.1
 
         def mlp_loss():
-            return cross_entropy(mlp.forward(xm), onehot[:6], np.arange(6))[0]
+            return cross_entropy(mlp.forward(xm), onehot[:6])[0]
 
-        _, d = cross_entropy(mlp.forward(xm, training=True), onehot[:6], np.arange(6))
+        _, d = cross_entropy(mlp.forward(xm, training=True), onehot[:6])
         for p in mlp.params:
             p.zero_grad()
         mlp.backward(d)
@@ -160,7 +159,7 @@ def test_criterion_6():
     d_h = rng.standard_normal((7, 3))
     for kind in ("leaky_relu", "sigmoid"):
         for rate in (0.5, 0.0):
-            comb = RecursiveAttention(rng, 3, Activation(kind, 0.2), rate)
+            comb = RecursiveAttention(rng, 3, Activation(kind), rate)
             comb.s.value[:] = rng.standard_normal(6) * 0.5
 
             def recursive_loss():
@@ -183,15 +182,13 @@ def test_criterion_6():
             if p.name.endswith(".s"):
                 p.value[:] = np.random.default_rng(3).standard_normal(p.value.size) * 0.4
         onehot10 = np.eye(ds.num_classes)[ds.labels]
-        mask10 = np.arange(ds.n)
         smoothed = apply_last_residual(
             ls.mats, ResidualScheme(cfg.residual_scheme, cfg.fixed_alpha))
 
         def model_loss():
-            return cross_entropy(model.forward(fs.mats, smoothed), onehot10, mask10)[0]
+            return cross_entropy(model.forward(fs.mats, smoothed), onehot10)[0]
 
-        _, d = cross_entropy(model.forward(fs.mats, smoothed, training=True), onehot10,
-                             mask10)
+        _, d = cross_entropy(model.forward(fs.mats, smoothed, training=True), onehot10)
         model.zero_grad()
         model.backward(d)
         assert grad_check(model_loss, model.params, h=1e-4, max_coords=40) <= 1e-4, kind
@@ -236,7 +233,7 @@ def test_criterion_7():
         n, d, steps = 9, 4, int(rng.integers(1, 5))
         mats = [rng.standard_normal((n, d)) for _ in range(steps + 1)]
         comb = JkAttention(rng, steps, d, hidden=5, depth=2,
-                           activation=Activation("leaky_relu", 0.2))
+                           activation=Activation("leaky_relu"))
         comb.s.value[:] = rng.standard_normal(comb.s.value.size)
         h, w = comb.forward(mats)
         want_h, want_w = jk_oracle(mats, comb)
@@ -248,7 +245,7 @@ def test_criterion_7():
     for steps in (0, 1, 7, 16):
         for kind, fn in (("sigmoid", _sigmoid), ("leaky_relu", _leaky)):
             mats = deep.standard_normal((steps + 1, 12, 4))
-            comb = RecursiveAttention(deep, 4, Activation(kind, 0.2), 0.5)
+            comb = RecursiveAttention(deep, 4, Activation(kind), 0.5)
             comb.s.value[:] = deep.standard_normal(8)
             for rate, training in ((0.5, True), (0.0, False)):
                 h, w = comb.forward(mats, training=training, rng=np.random.default_rng(steps))
@@ -277,7 +274,7 @@ def test_criterion_8(tmp_path):
         if i % 2:
             comb = RecursiveAttention(rng, d, Activation("sigmoid"))
         else:
-            comb = JkAttention(rng, steps, d, 4, 2, Activation("leaky_relu", 0.2))
+            comb = JkAttention(rng, steps, d, 4, 2, Activation("leaky_relu"))
         for p in comb.params:
             p.value[:] = rng.standard_normal(p.value.shape)
         _, w = comb.forward(mats)
@@ -374,7 +371,7 @@ def test_criterion_8(tmp_path):
 def test_criterion_9():
     """Baseline-sgc + 1-layer MLP reproduces the linear pipeline exactly."""
     ds = generate_sbm([20, 20], 0.3, 0.05, 6, 1.5, seed=9)
-    cfg = _toy_config(combiner="sgc", num_layers=1, use_labels=False, hops=4)
+    cfg = _toy_config(attention="sgc", num_layers=1, use_labels=False, hops=4)
     fs, _ = build_stacks(ds, cfg)
     model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, 0,
                        np.random.default_rng(4))

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,7 +55,7 @@ def test_config_rejects_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("line", ["optimizer = sgd", "label_r_mode = 0", "gbp_beta = 0.3",
-                                  "beta = 1.0", "leaky_slope = 0.2"])
+                                  "beta = 1.0", "leaky_slope = 0.2", "combiner = sgc"])
 def test_config_rejects_a_removed_key(tmp_path, line):
     path = tmp_path / "c.conf"
     path.write_text(f"dataset_dir = d\nhops = 2\n{line}\n")
@@ -68,6 +70,22 @@ def test_every_shipped_config_parses():
     assert [path.stem for path in confs] == ["citeseer", "cora", "pubmed"]
     for path in confs:
         assert parse_config(path).dataset_dir == f"data/{path.stem}"
+
+
+def test_config_rejects_a_negative_seed(tmp_path):
+    path = tmp_path / "c.conf"
+    path.write_text("dataset_dir = d\nseed = -1\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value) == "seed must be nonnegative"
+
+
+def test_readme_configuration_table_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n| key | meaning |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    listed = [key for row in table.splitlines()
+              for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert sorted(listed) == sorted(f.name for f in dataclasses.fields(TrainConfig))
 
 
 def test_config_rejects_type_error(tmp_path):
@@ -100,7 +118,7 @@ def test_config_bool_parsing(tmp_path):
 
 def test_config_validate_catches_bad_enum():
     with pytest.raises(ConfigError):
-        TrainConfig(dataset_dir="d", combiner="gcn").validate()
+        TrainConfig(dataset_dir="d", attention="gcn").validate()
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +435,14 @@ def test_seed_override(workdir, capsys):
     assert main(["train", "--config", str(conf), "--seed", "5"]) == 0
     second = capsys.readouterr().out
     assert first.splitlines()[0] == second.splitlines()[0]
+
+
+def test_a_negative_seed_override_fails_before_any_work(workdir, capsys):
+    _, conf, cache_dir = workdir
+    for command in ("preprocess", "train"):
+        assert main([command, "--config", str(conf), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "gamlp: error: seed must be nonnegative\n"
+    assert not cache_dir.exists()
 
 
 def test_threads_env_plumbing(thread_env):

@@ -1,3 +1,4 @@
+import struct
 import warnings
 from pathlib import Path
 
@@ -19,7 +20,6 @@ def write_fixture(root, features_kind="csv"):
     if features_kind == "csv":
         (root / "features.csv").write_text("1.0,0.0\n0.5,0.5\n0.0,1.0\n")
     else:
-        import struct
         x = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], dtype="<f4")
         (root / "features.bin").write_bytes(b"GMFX" + struct.pack("<QQ", 3, 2) + x.tobytes())
     (root / "labels.tsv").write_text("0\t0\n1\t1\n2\t1\n")
@@ -40,6 +40,39 @@ def test_load_rejects_a_truncated_feature_file(tmp_path, cut):
     with pytest.raises(DatasetError) as err:
         load_dataset(tmp_path)
     assert str(err.value).startswith(f"{path}: expected 120 bytes")
+
+
+def _write_features(root, kind, x):
+    """Replace the fixture's features with ``x`` in features.bin or features.csv."""
+    (root / "features.csv").unlink(missing_ok=True)
+    (root / "features.bin").unlink(missing_ok=True)
+    if kind == "bin":
+        x = np.asarray(x, dtype="<f4")
+        (root / "features.bin").write_bytes(b"GMFX" + struct.pack("<QQ", *x.shape)
+                                            + x.tobytes())
+    else:
+        (root / "features.csv").write_text("".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in x))
+    return root / f"features.{kind}"
+
+
+@pytest.mark.parametrize("kind", ["bin", "csv"])
+def test_load_refuses_a_feature_file_without_rows(tmp_path, kind):
+    root = write_fixture(tmp_path / "toy")
+    path = _write_features(root, kind, np.zeros((0, 2)))
+    with pytest.raises(DatasetError) as err:
+        load_dataset(root)
+    assert str(err.value) == f"{path}: holds no feature values"
+
+
+@pytest.mark.parametrize("kind, value", [("bin", np.nan), ("csv", np.inf), ("csv", np.nan),
+                                         ("bin", -np.inf)])
+def test_load_refuses_non_finite_features_naming_the_first_node(tmp_path, kind, value):
+    root = write_fixture(tmp_path / "toy")
+    path = _write_features(root, kind, [[1.0, 0.0], [0.5, value], [value, 1.0]])
+    with pytest.raises(DatasetError) as err:
+        load_dataset(root)
+    assert str(err.value) == f"{path}: non-finite feature value at node 1"
 
 
 def test_load_fixture_csv(tmp_path):

@@ -32,7 +32,7 @@ def _methods(cfg, names):
 def test_method_config_overrides():
     cfg = _base_config()
     sgc = method_config(cfg, "sgc")
-    assert sgc.combiner == "sgc" and sgc.num_layers == 1 and not sgc.use_labels
+    assert sgc.attention == "sgc" and sgc.num_layers == 1 and not sgc.use_labels
     assert method_config(cfg, "gamlp_r").attention == "recursive"
     with pytest.raises(ValueError):
         method_config(cfg, "gat")

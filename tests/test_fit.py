@@ -104,7 +104,7 @@ def test_empty_train_split_rejected(sbm60):
     fs, ls = build_stacks(sbm60, _config())
     empty = Splits(train=np.array([], dtype=np.int64), val=np.array([0]), test=np.array([1]))
     with pytest.raises(ValueError, match="training split is empty"):
-        fit(fs, ls, sbm60.labels, empty, _config())
+        fit(fs, ls, sbm60.labels, empty, _config(), num_classes=sbm60.num_classes)
 
 
 def test_log_file_written(sbm60, tmp_path):
@@ -136,7 +136,7 @@ def test_fit_validates_through_the_predict_path(monkeypatch, sbm60):
         return stack_blocks(model, feature_stack, label_stack, rows)
 
     monkeypatch.setattr(gamlp.model, "_stack_blocks", spy)
-    result = fit(fs, ls, sbm60.labels, sbm60.splits, cfg)
+    result = fit(fs, ls, sbm60.labels, sbm60.splits, cfg, num_classes=sbm60.num_classes)
     # one validation pass per epoch, over the val rows
     assert len(calls) == len(result.log) == 4
     for rows in calls:
@@ -165,7 +165,7 @@ def test_fit_reads_each_training_batch_through_stack_inputs(monkeypatch, sbm60):
 
     monkeypatch.setattr(gamlp.model, "_stack_inputs", inputs_spy)
     monkeypatch.setattr(GamlpModel, "forward", forward_spy)
-    fit(fs, ls, sbm60.labels, sbm60.splits, cfg)
+    fit(fs, ls, sbm60.labels, sbm60.splits, cfg, num_classes=sbm60.num_classes)
     # the validation pass reads the val rows; every other call is one training batch
     batches = [rows for rows in inputs if np.isin(rows, train).all()]
     assert len(batches) == len(forwards) == 4
@@ -200,7 +200,7 @@ def test_attention_never_catastrophically_below_sgc(sbm60):
     for seed in range(10):
         jk = train_on_dataset(sbm60, _config(seed=seed, epochs=100, patience=100))
         sgc = train_on_dataset(sbm60, _config(seed=seed, epochs=100, patience=100,
-                                              combiner="sgc", num_layers=1,
+                                              attention="sgc", num_layers=1,
                                               use_labels=False))
         jk_accs.append(jk.best_val_acc)
         sgc_accs.append(sgc.best_val_acc)
@@ -223,7 +223,7 @@ def test_label_modes_run(sbm60):
 DTYPE_CASES = {"recursive": dict(attention="recursive"),
                **{f"jk-{ref}": dict(reference=ref) for ref in REFERENCE_MODES},
                "jk-no-steps": dict(hops=0),  # the encoder-less zero reference
-               "gbp": dict(combiner="gbp"),
+               "gbp": dict(attention="gbp"),
                **{f"labels-{mode}": dict(label_mode=mode)
                   for mode in ("plain", "smoothed", "uniform")}}
 
@@ -340,6 +340,6 @@ def test_fit_refuses_stacks_of_two_dtypes_in_one_line(sbm60, feature, label):
     fs = dataclasses.replace(fs, mats=fs.mats.astype(feature))
     ls = dataclasses.replace(ls, mats=ls.mats.astype(label))
     with pytest.raises(ValueError) as err:
-        fit(fs, ls, sbm60.labels, sbm60.splits, cfg)
+        fit(fs, ls, sbm60.labels, sbm60.splits, cfg, num_classes=sbm60.num_classes)
     assert str(err.value) == (f"the feature stack is {feature} but the label stack is "
                               f"{label}; build both stacks in one dtype")

@@ -189,7 +189,7 @@ def _recursive_case(kind, steps, rate, n=23, d=5):
     ``steps`` + 1 steps and a random output gradient."""
     data_rng = np.random.default_rng(100 + steps)
     mats = data_rng.standard_normal((steps + 1, n, d))
-    comb = RecursiveAttention(np.random.default_rng(1), d, Activation(kind, 0.2), rate)
+    comb = RecursiveAttention(np.random.default_rng(1), d, Activation(kind), rate)
     comb.s.value[:] = data_rng.standard_normal(2 * d) * 0.5
     return comb, mats, data_rng.standard_normal((n, d))
 
@@ -299,7 +299,7 @@ def test_scores_of_a_row_block_view_equal_those_of_its_copy(dtype):
 def test_jk_matches_list_reference(reference, steps, depth):
     _assert_matches_list_reference(JkAttention, ListJkAttention, 23, 5, steps, steps=steps,
                                    dim=5, hidden=7, depth=depth,
-                                   activation=Activation("leaky_relu", 0.2),
+                                   activation=Activation("leaky_relu"),
                                    reference=reference, mlp_dropout=0.5)
 
 
@@ -349,7 +349,7 @@ def test_recursive_matches_oracle_random(kind, fn):
     for _ in range(5):
         n, d, steps = 8, 3, int(rng.integers(1, 5))
         mats = _random_mats(rng, n, d, steps)
-        comb = RecursiveAttention(rng, d, Activation(kind, 0.2))
+        comb = RecursiveAttention(rng, d, Activation(kind))
         comb.s.value[:] = rng.standard_normal(2 * d)
         h, w = comb.forward(mats)
         want_h, want_w, _ = recursive_reference(mats, comb.s.value, fn)
@@ -360,7 +360,7 @@ def test_recursive_matches_oracle_random(kind, fn):
 def test_recursive_scores_cannot_overflow():
     # scores far beyond exp's range: the running max keeps every exponent <= 0
     mats = np.random.default_rng(4).standard_normal((9, 6, 3)) * 400.0
-    comb = RecursiveAttention(None, 3, Activation("leaky_relu", 0.2), 0.5)
+    comb = RecursiveAttention(None, 3, Activation("leaky_relu"), 0.5)
     comb.s.value[:] = [3.0, -2.0, 1.0, 2.0, 1.0, -3.0]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         h, w = comb.forward(mats, training=True, rng=np.random.default_rng(5))
@@ -396,7 +396,7 @@ def test_jk_zero_steps():
 def test_jk_matches_dense_oracle():
     rng = np.random.default_rng(6)
     mats = _random_mats(rng, 10, 4, 3)
-    comb = JkAttention(rng, 3, 4, hidden=6, depth=3, activation=Activation("leaky_relu", 0.2))
+    comb = JkAttention(rng, 3, 4, hidden=6, depth=3, activation=Activation("leaky_relu"))
     comb.s.value[:] = rng.standard_normal(comb.s.value.size) * 0.5
     h, w = comb.forward(mats)
     want_h, want_w = jk_oracle(mats, comb)
@@ -426,7 +426,7 @@ def test_stack_linear_matches_linear_over_the_concatenation(steps):
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_jk_encoder_is_an_mlp_over_the_concatenated_steps(depth):
     steps, d, hidden = 4, 3, 5
-    act = Activation("leaky_relu", 0.2)
+    act = Activation("leaky_relu")
     comb = JkAttention(np.random.default_rng(1), steps, d, hidden, depth, act,
                        mlp_dropout=0.5)
     assert [p.name for p in comb.params] == ["jk.s"] + [f"jk.enc.{i}.{p}" for i in range(depth)
@@ -464,7 +464,7 @@ def test_attention_weight_simplex_property():
         steps = int(rng.integers(0, 5))
         mats = _random_mats(rng, n, d, steps)
         for comb in (RecursiveAttention(rng, d, Activation("sigmoid")),
-                     JkAttention(rng, steps, d, 4, 2, Activation("leaky_relu", 0.2))):
+                     JkAttention(rng, steps, d, 4, 2, Activation("leaky_relu"))):
             for p in comb.params:
                 p.value[:] = rng.standard_normal(p.value.shape)
             _, w = comb.forward(mats)
@@ -491,7 +491,6 @@ def test_slice_mats_gathers_rows_of_every_step():
     assert slice_mats(stack, None) is stack
     view = slice_mats(stack, slice(2, 6))
     assert view.base is stack and np.array_equal(view, stack[:, 2:6])
-    assert slice_mats(None, rows) is None
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +563,7 @@ def _smoothed(cfg, ls):
 
 
 def test_branches_keep_the_checkpoint_layout_of_sign():
-    ds, cfg, fs, ls = _toy_setup(combiner="sign", label_hops=2)
+    ds, cfg, fs, ls = _toy_setup(attention="sign", label_hops=2)
     model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps,
                        np.random.default_rng(0))
     shapes = {p.name: p.value.shape for p in model.params}
@@ -629,12 +628,11 @@ def test_full_model_gradient_check(kind):
     fm = [m[rows] for m in fs.mats]
     lm = [m[rows] for m in _smoothed(cfg, ls)]
     onehot = np.eye(ds.num_classes)[ds.labels[rows]]
-    mask = np.arange(10)
 
     def loss_fn():
-        return cross_entropy(model.forward(fm, lm, rows=rows), onehot, mask)[0]
+        return cross_entropy(model.forward(fm, lm, rows=rows), onehot)[0]
 
-    _, d = cross_entropy(model.forward(fm, lm, rows=rows, training=True), onehot, mask)
+    _, d = cross_entropy(model.forward(fm, lm, rows=rows, training=True), onehot)
     model.zero_grad()
     model.backward(d)
     assert grad_check(loss_fn, model.params, h=1e-4, max_coords=30) <= 1e-4
@@ -719,7 +717,7 @@ def test_export_attention_uniform_for_zero_scores():
 
 
 def test_export_attention_rejects_baseline():
-    ds, cfg, fs, ls = _toy_setup(combiner="sgc", use_labels=False)
+    ds, cfg, fs, ls = _toy_setup(attention="sgc", use_labels=False)
     model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, 0,
                        np.random.default_rng(10))
     with pytest.raises(ValueError):
@@ -736,7 +734,7 @@ BLOCK_CASES = {"recursive": dict(attention="recursive"),
                "origin_feature": dict(reference="origin_feature"),
                "normal_noise": dict(reference="normal_noise"),
                "no_reference": dict(reference="no_reference"),
-               "sign": dict(combiner="sign")}
+               "sign": dict(attention="sign")}
 
 
 def _block_outputs(monkeypatch, block, ds, cfg, fs, ls, model, rows):
@@ -747,7 +745,7 @@ def _block_outputs(monkeypatch, block, ds, cfg, fs, ls, model, rows):
            "pred": predict(model, fs, ls), "pred_rows": predict(model, fs, ls, rows),
            "logits": np.concatenate([l for l, _ in _stack_blocks(model, fs, ls, None)]),
            "logits_rows": np.concatenate([l for l, _ in _stack_blocks(model, fs, ls, rows)])}
-    if model.feature_combiner.has_weights:
+    if not isinstance(model.feature_combiner, BaselineCombiner):
         out["attention"] = export_attention(model, fs, ls, ds.graph.degrees(),
                                             [(0, 3), (4, 6), (7, 100)])
     return out
@@ -1056,6 +1054,16 @@ def test_restore_model_names_a_key_that_no_longer_exists(tmp_path):
             restore_model(path, cfg, fs, ls)
         assert str(err.value) == (f"{path}: written with the removed config key "
                                   f"{key!r}; run 'gamlp train' again")
+    # and one written before combiner was folded into attention, whichever
+    # attention the config now gives: the removed key is named first
+    arrays["config"] = np.array(json.dumps({**stored, "combiner": "sgc"}))
+    with open(path, "wb") as f:
+        np.savez(f, **arrays)
+    for now in (cfg, cfg.replace(attention="sgc")):
+        with pytest.raises(CheckpointMismatch) as err:
+            restore_model(path, now, fs, ls)
+        assert str(err.value) == (f"{path}: written with the removed config key "
+                                  "'combiner'; run 'gamlp train' again")
 
 
 def test_restore_model_ignores_the_directories(tmp_path):

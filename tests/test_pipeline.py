@@ -9,7 +9,7 @@ import pytest
 from gamlp.config import TrainConfig
 from gamlp.data import Dataset, Splits, generate_sbm, load_dataset, save_dataset
 from gamlp.graph import add_self_loops, build_graph
-from gamlp.model import _stack_inputs
+from gamlp.model import _stack_inputs, evaluate_accuracy, fit, predict
 from gamlp.pipeline import (MissingCacheError, build_stacks, cache_paths, load_stacks,
                             preprocess, stack_recipes)
 from gamlp.propagation import FingerprintMismatch, ResidualScheme, cache_write
@@ -50,6 +50,26 @@ def test_one_preprocess_serves_every_residual_scheme(sbm, fixed_07_cache, scheme
     for got, want in zip(cached, built):
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("attention, batch_size", [("jk", 0), ("recursive", 4)])
+def test_the_benchmark_call_forms_run(sbm, tmp_path, attention, batch_size):
+    # benchmarks/run.py makes exactly these calls, with these argument forms;
+    # a signature change that breaks one fails here too
+    save_dataset(sbm, tmp_path / "data")
+    ds = load_dataset(tmp_path / "data")
+    config = TrainConfig(dataset_dir=str(tmp_path / "data"), cache_dir=str(tmp_path / "cache"),
+                         patience=2, seed=7, hops=3, hidden=8, attention=attention,
+                         batch_size=batch_size, epochs=2, lr=0.01).validate()
+    paths = preprocess(ds, config)
+    assert len(paths) == 2 and all(p.is_file() for p in paths)
+    stacks = load_stacks(ds, config, force=False)
+    assert [s.steps for s in stacks] == [3, 3]
+    fitted = fit(*stacks, ds.labels, ds.splits, config, num_classes=ds.num_classes)
+    assert len(fitted.log) == config.epochs
+    pred = predict(fitted.model, *stacks)
+    assert pred.shape == (ds.n,)
+    assert 0.0 <= evaluate_accuracy(pred, ds.labels, ds.splits.test) <= 1.0
 
 
 def test_load_stacks_validates_a_label_cache_of_another_r_mode(sbm, tmp_path):
@@ -169,7 +189,7 @@ def test_preprocess_writes_the_float64_stacks_rounded_once(sbm, tmp_path, overri
     config = _config(tmp_path / "pre", **overrides)
     written = preprocess(sbm, config)
     f32 = build_stacks(sbm, config, np.float32)
-    expected = cache_paths(config, tmp_path / "f32")
+    expected = cache_paths(config.replace(cache_dir=str(tmp_path / "f32")))
     for stack, path in zip(f32, expected):
         cache_write(stack, path)
     assert [p.read_bytes() for p in written] == [p.read_bytes() for p in expected]

@@ -268,12 +268,12 @@ def test_cache_round_trip_features(tmp_path):
     # np.load reads the stack record, whole or mapped
     assert np.array_equal(np.load(path), stored)
     assert np.array_equal(np.load(path, mmap_mode="r"), stored)
-    loaded = cache_read(path)
+    loaded = cache_read(path, stack.fingerprint)
     # values survive as their float32 representation; a second trip is exact
     path2 = tmp_path / "f2.npy"
     cache_write(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
-    again = cache_read(path2)
+    again = cache_read(path2, stack.fingerprint)
     for a, b in zip(loaded.mats, again.mats):
         assert np.array_equal(a, b)
     assert loaded.fingerprint == stack.fingerprint
@@ -321,7 +321,7 @@ def test_stacks_are_one_contiguous_array(tmp_path):
     for stack, is_label in ((features, False), (labels, True)):
         path = tmp_path / "s.npy"
         cache_write(stack, path)
-        loaded = cache_read(path)
+        loaded = cache_read(path, stack.fingerprint)
         arrays = [(stack.mats, np.float32), (loaded.mats, np.float32)]
         if is_label:
             arrays.append((apply_last_residual(loaded.mats, ResidualScheme()), np.float32))
@@ -338,7 +338,7 @@ def test_cache_round_trip_labels(tmp_path):
     # the 128-byte npy header and the raw steps only, then the 160-byte
     # fingerprint record: no smoothed copy is stored
     assert path.stat().st_size == 128 + (stack.steps + 1) * stack.n * stack.dim * 4 + 160
-    loaded = cache_read(path)
+    loaded = cache_read(path, stack.fingerprint)
     assert loaded.fingerprint == stack.fingerprint
     for a, b in zip(loaded.mats, stack.mats):
         assert np.allclose(a, b, atol=1e-7)
@@ -349,10 +349,11 @@ def test_cache_round_trip_labels(tmp_path):
 
 def _refused(path) -> str:
     """The one-line message ``cache_read`` refuses ``path`` with, before it maps
-    anything: a map past the end of the file would fault, not raise."""
+    anything: a map past the end of the file would fault, not raise. The file
+    is checked before its fingerprint is compared, so any expected one will do."""
     with mock.patch.object(mmap, "mmap", side_effect=AssertionError("mapped")), \
             pytest.raises(CacheFormatError) as err:
-        cache_read(path)
+        cache_read(path, bytes(32))
     message = str(err.value)
     assert "\n" not in message
     assert message.startswith(f"{path}: ") and message.endswith("rerun gamlp preprocess")
@@ -453,18 +454,18 @@ def test_cache_replaced_while_read_yields_one_write(tmp_path, monkeypatch):
         return array
 
     monkeypatch.setattr(np.lib.format, "read_array", read_then_replace)
-    loaded = cache_read(path)
+    loaded = cache_read(path, stack.fingerprint)
     monkeypatch.undo()
     assert loaded.fingerprint == stack.fingerprint != other.fingerprint
     assert np.array_equal(loaded.mats, stack.mats.astype(np.float32))
-    assert cache_read(path).fingerprint == other.fingerprint
+    assert cache_read(path, other.fingerprint).fingerprint == other.fingerprint
 
 
 def test_cache_read_maps_a_read_only_stack(tmp_path):
     stack = _feature_stack(np.random.default_rng(4))
     path = tmp_path / "m.npy"
     cache_write(stack, path)
-    mats = cache_read(path).mats
+    mats = cache_read(path, stack.fingerprint).mats
     assert type(mats) is np.ndarray and mats.dtype == np.float32
     assert mats.flags.c_contiguous and not mats.flags.writeable
     assert np.array_equal(mats, stack.mats.astype(np.float32))
@@ -483,7 +484,7 @@ def test_mapped_stack_outlives_its_file_and_stack(tmp_path):
     stack = _feature_stack(np.random.default_rng(5))
     path = tmp_path / "m.npy"
     cache_write(stack, path)
-    loaded = cache_read(path)
+    loaded = cache_read(path, stack.fingerprint)
     mats = loaded.mats
     del loaded
     gc.collect()
