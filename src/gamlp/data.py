@@ -254,8 +254,8 @@ def save_dataset(dataset: Dataset, directory) -> None:
 
 
 def generate_sbm(block_sizes, p_in: float, p_out: float, feature_dim: int,
-                 feature_sep: float, seed: int,
-                 split_fracs=(0.3, 0.2, 0.5), name: str = "sbm") -> Dataset:
+                 feature_sep: float, seed: int, name: str,
+                 split_fracs=(0.3, 0.2, 0.5)) -> Dataset:
     """Stochastic block model with Gaussian block-mean features.
 
     Block id doubles as the class label. Block means sit ``feature_sep``

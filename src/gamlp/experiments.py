@@ -75,14 +75,14 @@ def _run(cases, n_runs: int, base_seed: int) -> dict:
 
 
 def run_baseline_table(dataset: Dataset, configs: dict[str, TrainConfig],
-                       n_runs: int, base_seed: int = 0) -> dict:
+                       n_runs: int, base_seed: int) -> dict:
     """Mean/std test accuracy per method over n_runs seeds."""
     return _run([(method, "base", method, dataset, config)
                  for method, config in configs.items()], n_runs, base_seed)
 
 
 def run_depth_sweep(dataset: Dataset, depths, configs: dict[str, TrainConfig],
-                    n_runs: int = 1, base_seed: int = 0) -> dict:
+                    n_runs: int, base_seed: int) -> dict:
     """Test accuracy per propagation depth; depth sets K (and L)."""
     return _run([(f"{method}@depth{depth}", f"depth{depth}", method, dataset,
                   config.replace(hops=depth, label_hops=depth if config.use_labels else -1))
@@ -92,7 +92,7 @@ def run_depth_sweep(dataset: Dataset, depths, configs: dict[str, TrainConfig],
 
 def run_sparsity_sweep(dataset: Dataset, kind: str, levels,
                        configs: dict[str, TrainConfig], n_runs: int,
-                       base_seed: int = 0, perturb_seed: int = 7) -> dict:
+                       base_seed: int, perturb_seed: int = 7) -> dict:
     """Accuracy curves under edge removal or per-class label budgets.
 
     kind "edge": levels are removal fractions in [0, 1).
@@ -142,7 +142,7 @@ ABLATIONS = {
 
 
 def run_ablation(dataset: Dataset, which: str, base_config: TrainConfig,
-                 n_runs: int, base_seed: int = 0) -> dict:
+                 n_runs: int, base_seed: int) -> dict:
     """Per-variant accuracy table for one ablation family."""
     if which not in ABLATIONS:
         raise ValueError(f"unknown ablation {which!r}; choose from {sorted(ABLATIONS)}")

@@ -185,7 +185,7 @@ def row_blocks(row_offsets: np.ndarray, parts: int) -> np.ndarray:
     return unique_sorted(np.concatenate(([0], np.minimum(cuts, n), [n])))
 
 
-def spmm(op: PropagationOperator, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def spmm(op: PropagationOperator, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Sparse operator times dense matrix, computed in the dtype of the
     operator's values (float32 or float64); ``x`` is read in that dtype.
 
@@ -196,17 +196,15 @@ def spmm(op: PropagationOperator, x: np.ndarray, out: np.ndarray | None = None) 
     (scipy releases the GIL); each writes its own rows of ``out``, one
     chunk of rows at a time. Every row sums the same terms in the same
     order as one scipy product of the whole operator, so the result is
-    bit-identical to it at any thread count. ``out``, if given, must be a
-    C-contiguous (n, d) array of the operator's dtype that does not overlap
-    ``x``; it is filled and returned.
+    bit-identical to it at any thread count. ``out`` must be a C-contiguous
+    (n, d) array of the operator's dtype that does not overlap ``x``; it is
+    filled and returned.
     """
     if x.ndim != 2 or x.shape[0] != op.n:
         raise ValueError(f"matrix has {x.shape} rows/cols, operator expects {op.n} rows")
     indptr, indices, values = op.row_offsets, op.col_indices, op.values
     shape = (op.n, x.shape[1])
-    if out is None:
-        out = np.empty(shape, values.dtype)
-    elif out.shape != shape or out.dtype != values.dtype or not out.flags.c_contiguous:
+    if out.shape != shape or out.dtype != values.dtype or not out.flags.c_contiguous:
         raise ValueError(f"spmm out must be a C-contiguous {values.dtype} array (the "
                          f"operator's dtype) of shape {shape}, got a "
                          f"{'' if out.flags.c_contiguous else 'non-contiguous '}"

@@ -44,12 +44,10 @@ GBP_BETA = 0.5    # the gbp baseline's step weights are beta (1 - beta)^l
 
 
 def slice_mats(mats: np.ndarray, rows) -> np.ndarray:
-    """Rows of every step of an (S+1, n, d) stack: all (``rows`` None), a view
-    (a slice) or one step-major gather (an index array). ``np.take`` keeps a
-    gather C-contiguous; ``mats[:, rows]`` would lay it out node-major.
+    """Rows of every step of an (S+1, n, d) stack: a view (``rows`` a slice) or
+    one step-major gather (an index array). ``np.take`` keeps a gather
+    C-contiguous; ``mats[:, rows]`` would lay it out node-major.
     """
-    if rows is None:
-        return mats
     return mats[:, rows] if isinstance(rows, slice) else np.take(mats, rows, axis=1)
 
 
@@ -107,7 +105,7 @@ class RecursiveAttention:
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, activation: Activation,
-                 attention_dropout: float = 0.0, name: str = "att"):
+                 attention_dropout: float, name: str):
         self.dim = dim
         self.activation = activation
         self.attention_dropout = attention_dropout
@@ -119,8 +117,8 @@ class RecursiveAttention:
     def params(self) -> list[ParamTensor]:
         return [self.s]
 
-    def forward(self, mats: np.ndarray, rows=None, training: bool = False,
-                rng: np.random.Generator | None = None):
+    def forward(self, mats: np.ndarray, rows, training: bool,
+                rng: np.random.Generator | None):
         mats = np.asarray(mats)
         if mats.shape[2] != self.dim:
             raise ValueError(f"stack dim {mats.shape[2]} != scoring dim {self.dim}")
@@ -230,7 +228,7 @@ class _StackLinear(Linear):
         self.w, self.b = layer.w, layer.b
         self._x = None
 
-    def forward(self, xs: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, xs: np.ndarray, training: bool) -> np.ndarray:
         self._x = xs if training else None
         w = self.w.value.reshape(len(xs), -1, self.w.value.shape[1])
         z = xs[0] @ w[0]
@@ -248,14 +246,13 @@ class JkAttention:
     """Per-node step weights scored against a reference embedding.
 
     ``reference`` selects what each step is compared with: the encoder
-    output (default), the raw step-0 features, a fixed per-node Gaussian
-    buffer, or nothing at all.
+    output (``jk``), the raw step-0 features, a fixed per-node Gaussian
+    buffer of ``n_nodes`` rows, or nothing at all.
     """
 
     def __init__(self, rng: np.random.Generator, steps: int, dim: int, hidden: int,
-                 depth: int, activation: Activation, attention_dropout: float = 0.0,
-                 reference: str = "jk", n_nodes: int | None = None, name: str = "jk",
-                 mlp_dropout: float = 0.0):
+                 depth: int, activation: Activation, attention_dropout: float,
+                 reference: str, n_nodes: int, name: str, mlp_dropout: float):
         self.steps, self.dim, self.hidden = steps, dim, hidden
         self.activation = activation
         self.attention_dropout = attention_dropout
@@ -272,8 +269,6 @@ class JkAttention:
             ref_dim = dim
         elif reference == "normal_noise":
             ref_dim = hidden
-            if n_nodes is None:
-                raise ValueError("normal_noise reference needs the node count")
             self.noise = rng.standard_normal((n_nodes, hidden))
         elif reference == "no_reference":
             ref_dim = 0
@@ -290,20 +285,18 @@ class JkAttention:
         return out
 
     def _reference(self, mats, rows, training, rng):
-        n_rows = mats[0].shape[0]
         if self.reference == "jk":
             if self.encoder is None:
-                return np.zeros((n_rows, self.hidden), dtype=mats[0].dtype)
+                return np.zeros((mats[0].shape[0], self.hidden), dtype=mats[0].dtype)
             return self.encoder.forward(mats[1:], training, rng)
         if self.reference == "origin_feature":
             return mats[0]
         if self.reference == "normal_noise":
-            idx = np.arange(n_rows) if rows is None else rows
-            return self.noise[idx]
+            return self.noise[rows]
         return None
 
-    def forward(self, mats: np.ndarray, rows=None, training: bool = False,
-                rng: np.random.Generator | None = None):
+    def forward(self, mats: np.ndarray, rows, training: bool,
+                rng: np.random.Generator | None):
         mats = np.asarray(mats)
         if mats.shape[2] != self.dim:
             raise ValueError(f"stack dim {mats.shape[2]} != scoring dim {self.dim}")
@@ -349,7 +342,7 @@ class BaselineCombiner:
     def params(self) -> list[ParamTensor]:
         return []
 
-    def forward(self, mats, rows=None, training=False, rng=None):
+    def forward(self, mats, rows, training, rng):
         return baseline_combine(mats, self.mode), None
 
     def backward(self, d_h: np.ndarray) -> None:
@@ -389,7 +382,7 @@ class GamlpModel:
 
     def __init__(self, config: TrainConfig, n_nodes: int, feat_dim: int,
                  num_classes: int, feat_steps: int, label_steps: int,
-                 rng: np.random.Generator, dtype=np.float64):
+                 rng: np.random.Generator, dtype):
         self.config = config
         act = Activation(config.activation)
 
@@ -436,8 +429,7 @@ class GamlpModel:
             p.zero_grad()
 
     def forward(self, feat_mats: np.ndarray, label_mats: np.ndarray | None,
-                rows=None, training: bool = False,
-                rng: np.random.Generator | None = None) -> np.ndarray:
+                rows, training: bool, rng: np.random.Generator | None = None) -> np.ndarray:
         cfg = self.config
         x_in, _ = dropout(np.asarray(feat_mats), cfg.input_dropout, rng, training)
         h_x, self.feature_weights = self.feature_combiner.forward(x_in, rows, training, rng)
@@ -470,7 +462,7 @@ class FitResult:
 
 
 def _stack_inputs(feature_stack: Stack, label_stack: Stack | None,
-                  config: TrainConfig, rows=None):
+                  config: TrainConfig, rows):
     """Model inputs of ``rows`` (see :func:`slice_mats`) in the stacks' dtype; the
     row-wise label blend of ``config`` runs on the raw rows once they are taken."""
     label_mats = None

@@ -77,7 +77,7 @@ class Activation:
     and NaN included, in float32 and float64.
     """
 
-    kind: str = "leaky_relu"
+    kind: str
 
     def __post_init__(self):
         if self.kind not in ACTIVATION_KINDS:
@@ -176,8 +176,7 @@ def dropout_backward(d: np.ndarray, mask: np.ndarray | None, rate: float) -> np.
 class Adam:
     """Bias-corrected Adam with optional L2 weight decay folded into grads."""
 
-    def __init__(self, params: list[ParamTensor], lr: float = 0.001,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: list[ParamTensor], lr: float, weight_decay: float):
         self.params = params
         self.lr = lr
         self.weight_decay = weight_decay
@@ -214,7 +213,7 @@ class Linear:
     def params(self) -> list[ParamTensor]:
         return [self.w, self.b]
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool) -> np.ndarray:
         self._x = x if training else None
         return linear_forward(x, self.w.value, self.b.value)
 
@@ -235,7 +234,7 @@ class Mlp:
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int,
                  out_dim: int, depth: int, activation: Activation,
-                 dropout_rate: float = 0.0, name: str = "mlp"):
+                 dropout_rate: float, name: str):
         if depth < 1:
             raise ValueError("mlp depth must be >= 1")
         dims = [in_dim] + [hidden] * (depth - 1) + [out_dim]
@@ -249,8 +248,8 @@ class Mlp:
     def params(self) -> list[ParamTensor]:
         return [p for layer in self.layers for p in layer.params]
 
-    def forward(self, x: np.ndarray, training: bool = False,
-                rng: np.random.Generator | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, training: bool,
+                rng: np.random.Generator | None) -> np.ndarray:
         cache = []
         h = x
         for i, layer in enumerate(self.layers):

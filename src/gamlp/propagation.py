@@ -18,11 +18,12 @@ cache file order, so the whole stack is written as one block, and read
 back as one read-only map of the file.
 
 Each hop is computed in the dtype the stack stores, which the caller
-picks. Stacks built in memory for experiments and tests are float64 by
-default, while ``pipeline.preprocess`` builds float32 stacks, the dtype
-of the cache files: the seed is rounded once and every hop runs in
-float32. The fingerprint hashes that dtype, so a stack of
-float64 hops rounded to float32 never validates as a float32-hop cache.
+picks. Stacks built in memory for experiments and tests are float64 (the
+default of ``pipeline.build_stacks``), while ``pipeline.preprocess``
+builds float32 stacks, the dtype of the cache files: the seed is rounded
+once and every hop runs in float32. The fingerprint hashes that dtype, so
+a stack of float64 hops rounded to float32 never validates as a
+float32-hop cache.
 Cache files store the stack as little-endian float32, and a stack read
 from a cache keeps it as float32 (a second round trip is the identity); a
 model computes in the dtype of the stacks it is fitted on.
@@ -59,8 +60,8 @@ class FingerprintMismatch(Exception):
 class ResidualScheme:
     """Weight schedule alpha_l blending each Y^(l) with the deepest Y^(L)."""
 
-    kind: str = "cosine"
-    fixed_alpha: float = 0.0
+    kind: str
+    fixed_alpha: float  # read by the fixed kind only
 
     def __post_init__(self):
         if self.kind not in RESIDUAL_KINDS:
@@ -87,7 +88,7 @@ class Stack:
     """One propagated stack, [X^(0) ... X^(K)] or [Y^(0) ... Y^(L)], as one
     (S+1, n, d) array; ``mats`` has the dtype its builder asked for.
 
-    That is float64 by default, float32 in ``preprocess``, and float32 when
+    That is float64 in memory, float32 in ``preprocess``, and float32 when
     the stack is read from a cache, where ``mats`` is a read-only map of
     the file. A label stack keeps only the raw
     propagation; the smoothed inputs are derived from ``mats`` by
@@ -152,7 +153,7 @@ def _propagate(op: PropagationOperator, x0: np.ndarray, steps: int, dtype) -> np
 
 
 def propagate_features(op: PropagationOperator, x0: np.ndarray, steps: int,
-                       dtype=np.float64) -> Stack:
+                       dtype) -> Stack:
     """Iteratively apply the operator: X^(k) = A_hat X^(k-1), k = 1..K.
 
     ``dtype`` is the dtype the stack stores and each hop runs in.
@@ -179,7 +180,7 @@ def build_label_seed(labels, train_ids, n: int, num_classes: int) -> np.ndarray:
 
 
 def propagate_labels(op: PropagationOperator, y0: np.ndarray, steps: int,
-                     dtype=np.float64) -> Stack:
+                     dtype) -> Stack:
     """Iteratively apply the operator to the label seed (smoothing not applied).
 
     ``dtype`` is the dtype the stack stores and each hop runs in.
@@ -306,7 +307,7 @@ def cache_info(path) -> CacheHeader:
         return header
 
 
-def cache_read(path, expect_fingerprint: bytes, force: bool = False) -> Stack:
+def cache_read(path, expect_fingerprint: bytes, force: bool) -> Stack:
     """The cached stack as a read-only map of the file. Any malformed part is
     refused with a one-line :class:`CacheFormatError`, and a fingerprint
     other than ``expect_fingerprint`` unless forced, before anything is

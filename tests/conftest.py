@@ -7,6 +7,8 @@ import scipy.sparse as sp
 from gamlp.graph import build_graph
 from gamlp.nn import ParamTensor
 
+ALL = slice(None)  # the rows argument that takes every row of a stack
+
 
 def random_graph(rng, n, p=0.2):
     """Erdos-Renyi graph as a CsrGraph (no self loops)."""

@@ -29,7 +29,7 @@ from gamlp.propagation import (ResidualScheme, apply_last_residual, build_label_
                                cache_read, cache_write, propagate_features,
                                propagate_labels)
 
-from conftest import dense_ahat, grad_check, random_graph
+from conftest import ALL, dense_ahat, grad_check, random_graph
 from test_model import _leaky, _sigmoid, jk_oracle, recursive_reference
 
 REPO = Path(__file__).resolve().parent.parent
@@ -64,7 +64,7 @@ def test_criterion_1():
     dataset, config = _citation_setup("cora")
     methods = {"gamlp_jk": method_config(config, "gamlp_jk"),
                "sgc": method_config(config, "sgc")}
-    report = run_baseline_table(dataset, methods, n_runs=10)
+    report = run_baseline_table(dataset, methods, n_runs=10, base_seed=0)
     means = {s["method"]: 100.0 * s["mean"] for s in report["summary"]}
     assert means["gamlp_jk"] >= 82.5, means
     assert means["gamlp_jk"] > means["sgc"], means
@@ -75,7 +75,7 @@ def test_criterion_2():
     dataset, config = _citation_setup("citeseer")
     methods = {"gamlp_jk": method_config(config, "gamlp_jk"),
                "s2gc": method_config(config, "s2gc")}
-    report = run_baseline_table(dataset, methods, n_runs=10)
+    report = run_baseline_table(dataset, methods, n_runs=10, base_seed=0)
     means = {s["method"]: 100.0 * s["mean"] for s in report["summary"]}
     assert means["gamlp_jk"] >= 72.5, means
     assert means["gamlp_jk"] >= means["s2gc"] - 1.0, means
@@ -85,7 +85,7 @@ def test_criterion_3():
     """PubMed, GAMLP(R), 10 seeds: mean >= 79.0."""
     dataset, config = _citation_setup("pubmed")
     methods = {"gamlp_r": method_config(config, "gamlp_r")}
-    report = run_baseline_table(dataset, methods, n_runs=10)
+    report = run_baseline_table(dataset, methods, n_runs=10, base_seed=0)
     mean = 100.0 * report["summary"][0]["mean"]
     assert mean >= 79.0, mean
 
@@ -96,7 +96,7 @@ def test_criterion_4():
     methods = {"gamlp_jk": method_config(config, "gamlp_jk"),
                "sgc": method_config(config, "sgc")}
     started = time.monotonic()
-    report = run_depth_sweep(dataset, [10, 100], methods, n_runs=3)
+    report = run_depth_sweep(dataset, [10, 100], methods, n_runs=3, base_seed=0)
     elapsed = time.monotonic() - started
     means = {}
     for s in report["summary"]:
@@ -111,7 +111,7 @@ def test_criterion_5():
     dataset, config = _citation_setup("pubmed")
     base = method_config(config, "gamlp_r")
     methods = {"full": base, "plain_label": base.replace(label_mode="plain")}
-    report = run_baseline_table(dataset, methods, n_runs=10)
+    report = run_baseline_table(dataset, methods, n_runs=10, base_seed=0)
     means = {s["method"]: s["mean"] for s in report["summary"]}
     assert means["full"] >= means["plain_label"], means
 
@@ -131,7 +131,7 @@ def test_criterion_6():
     layer = Linear(rng, 5, 3, "l")
 
     def linear_loss():
-        return cross_entropy(layer.forward(x), onehot)[0]
+        return cross_entropy(layer.forward(x, False), onehot)[0]
 
     _, d = cross_entropy(layer.forward(x, training=True), onehot)
     for p in layer.params:
@@ -141,13 +141,14 @@ def test_criterion_6():
 
     # kernel level: 3-layer MLP with each activation
     for kind in ("leaky_relu", "relu", "sigmoid"):
-        mlp = Mlp(rng, 5, 7, 3, depth=3, activation=Activation(kind))
+        mlp = Mlp(rng, 5, 7, 3, depth=3, activation=Activation(kind), dropout_rate=0.0,
+                  name="mlp")
         xm = rng.standard_normal((6, 5)) + 0.1
 
         def mlp_loss():
-            return cross_entropy(mlp.forward(xm), onehot[:6])[0]
+            return cross_entropy(mlp.forward(xm, False, None), onehot[:6])[0]
 
-        _, d = cross_entropy(mlp.forward(xm, training=True), onehot[:6])
+        _, d = cross_entropy(mlp.forward(xm, training=True, rng=None), onehot[:6])
         for p in mlp.params:
             p.zero_grad()
         mlp.backward(d)
@@ -159,11 +160,11 @@ def test_criterion_6():
     d_h = rng.standard_normal((7, 3))
     for kind in ("leaky_relu", "sigmoid"):
         for rate in (0.5, 0.0):
-            comb = RecursiveAttention(rng, 3, Activation(kind), rate)
+            comb = RecursiveAttention(rng, 3, Activation(kind), rate, "att")
             comb.s.value[:] = rng.standard_normal(6) * 0.5
 
             def recursive_loss():
-                h, _ = comb.forward(mats_r, training=True, rng=np.random.default_rng(6))
+                h, _ = comb.forward(mats_r, ALL, training=True, rng=np.random.default_rng(6))
                 return float((h * d_h).sum())
 
             recursive_loss()
@@ -172,12 +173,12 @@ def test_criterion_6():
             assert grad_check(recursive_loss, comb.params, h=1e-5) <= 1e-6, (kind, rate)
 
     # full model on 10-node toys, both attention kinds
-    ds = generate_sbm([5, 5], 0.5, 0.1, 4, 1.5, seed=1)
+    ds = generate_sbm([5, 5], 0.5, 0.1, 4, 1.5, seed=1, name="sbm")
     for kind in ("jk", "recursive"):
         cfg = _toy_config(attention=kind, hops=3, hidden=6)
         fs, ls = build_stacks(ds, cfg)
         model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps,
-                           np.random.default_rng(2))
+                           np.random.default_rng(2), np.float64)
         for p in model.params:
             if p.name.endswith(".s"):
                 p.value[:] = np.random.default_rng(3).standard_normal(p.value.size) * 0.4
@@ -186,9 +187,9 @@ def test_criterion_6():
             ls.mats, ResidualScheme(cfg.residual_scheme, cfg.fixed_alpha))
 
         def model_loss():
-            return cross_entropy(model.forward(fs.mats, smoothed), onehot10)[0]
+            return cross_entropy(model.forward(fs.mats, smoothed, ALL, False), onehot10)[0]
 
-        _, d = cross_entropy(model.forward(fs.mats, smoothed, training=True), onehot10)
+        _, d = cross_entropy(model.forward(fs.mats, smoothed, ALL, training=True), onehot10)
         model.zero_grad()
         model.backward(d)
         assert grad_check(model_loss, model.params, h=1e-4, max_coords=40) <= 1e-4, kind
@@ -212,7 +213,7 @@ def test_criterion_7():
         r = float(rng.choice([0.0, 0.5, 1.0]))
         g = random_graph(rng, n, float(rng.uniform(0.05, 0.4)))
         x = rng.standard_normal((n, 3))
-        stack = propagate_features(normalize(g, r), x, steps)
+        stack = propagate_features(normalize(g, r), x, steps, np.float64)
         dense = dense_ahat(g, r)
         for k in (0, steps):
             want = np.linalg.matrix_power(dense, k) @ x
@@ -223,9 +224,9 @@ def test_criterion_7():
     for i in range(10):
         n, d, steps = 8, 3, int(rng.integers(1, 5))
         mats = [rng.standard_normal((n, d)) for _ in range(steps + 1)]
-        comb = RecursiveAttention(rng, d, Activation("sigmoid"))
+        comb = RecursiveAttention(rng, d, Activation("sigmoid"), 0.0, "att")
         comb.s.value[:] = rng.standard_normal(2 * d)
-        h, w = comb.forward(mats)
+        h, w = comb.forward(mats, ALL, False, None)
         want_h, want_w, _ = recursive_reference(mats, comb.s.value, _sigmoid)
         assert np.allclose(h, want_h, atol=1e-10)
         assert np.allclose(w, want_w, atol=1e-10)
@@ -233,9 +234,10 @@ def test_criterion_7():
         n, d, steps = 9, 4, int(rng.integers(1, 5))
         mats = [rng.standard_normal((n, d)) for _ in range(steps + 1)]
         comb = JkAttention(rng, steps, d, hidden=5, depth=2,
-                           activation=Activation("leaky_relu"))
+                           activation=Activation("leaky_relu"), attention_dropout=0.0,
+                           reference="jk", n_nodes=n, name="jk", mlp_dropout=0.0)
         comb.s.value[:] = rng.standard_normal(comb.s.value.size)
-        h, w = comb.forward(mats)
+        h, w = comb.forward(mats, ALL, False, None)
         want_h, want_w = jk_oracle(mats, comb)
         assert np.allclose(h, want_h, atol=1e-10)
         assert np.allclose(w, want_w, atol=1e-10)
@@ -245,10 +247,11 @@ def test_criterion_7():
     for steps in (0, 1, 7, 16):
         for kind, fn in (("sigmoid", _sigmoid), ("leaky_relu", _leaky)):
             mats = deep.standard_normal((steps + 1, 12, 4))
-            comb = RecursiveAttention(deep, 4, Activation(kind), 0.5)
+            comb = RecursiveAttention(deep, 4, Activation(kind), 0.5, "att")
             comb.s.value[:] = deep.standard_normal(8)
             for rate, training in ((0.5, True), (0.0, False)):
-                h, w = comb.forward(mats, training=training, rng=np.random.default_rng(steps))
+                h, w = comb.forward(mats, ALL, training=training,
+                                    rng=np.random.default_rng(steps))
                 want_h, want_w, _ = recursive_reference(mats, comb.s.value, fn, rate,
                                                         np.random.default_rng(steps))
                 assert np.abs(h - want_h).max() <= 1e-10, (steps, kind, rate)
@@ -272,12 +275,14 @@ def test_criterion_8(tmp_path):
         steps = int(rng.integers(0, 4))
         mats = [rng.standard_normal((n, d)) for _ in range(steps + 1)]
         if i % 2:
-            comb = RecursiveAttention(rng, d, Activation("sigmoid"))
+            comb = RecursiveAttention(rng, d, Activation("sigmoid"), 0.0, "att")
         else:
-            comb = JkAttention(rng, steps, d, 4, 2, Activation("leaky_relu"))
+            comb = JkAttention(rng, steps, d, 4, 2, Activation("leaky_relu"),
+                               attention_dropout=0.0, reference="jk", n_nodes=n, name="jk",
+                               mlp_dropout=0.0)
         for p in comb.params:
             p.value[:] = rng.standard_normal(p.value.shape)
-        _, w = comb.forward(mats)
+        _, w = comb.forward(mats, ALL, False, None)
         assert w.min() >= 0 and np.abs(w.sum(axis=1) - 1.0).max() <= 1e-10
 
     # softmax shift invariance
@@ -291,7 +296,7 @@ def test_criterion_8(tmp_path):
         n = int(rng.integers(2, 30))
         op = normalize(random_graph(rng, n, 0.3), 0.0)
         ones = np.ones((n, 1))
-        assert np.abs(spmm(op, ones) - 1.0).max() <= 1e-12
+        assert np.abs(spmm(op, ones, out=np.empty_like(ones)) - 1.0).max() <= 1e-12
 
     # label row sums stay in [0, 1] under the row-stochastic operator
     for _ in range(100):
@@ -301,14 +306,14 @@ def test_criterion_8(tmp_path):
         labels = rng.integers(0, c, size=n)
         train = rng.choice(n, size=max(1, n // 3), replace=False)
         y0 = build_label_seed(labels, train, n=n, num_classes=c)
-        stack = propagate_labels(normalize(g, 0.0), y0, int(rng.integers(0, 5)))
+        stack = propagate_labels(normalize(g, 0.0), y0, int(rng.integers(0, 5)), np.float64)
         for m in stack.mats:
             sums = m.sum(axis=1)
             assert sums.min() >= -1e-12 and sums.max() <= 1.0 + 1e-12
 
     # cosine-alpha endpoint identities
     for steps in range(1, 101):
-        a = ResidualScheme("cosine").alphas(steps)
+        a = ResidualScheme("cosine", 0.0).alphas(steps)
         assert a[0] == 1.0 and a[-1] == 0.0 and np.all(np.diff(a) < 0)
 
     # cache round trip is the identity on the stored representation
@@ -321,7 +326,7 @@ def test_criterion_8(tmp_path):
             x = rng.standard_normal((n, 3))
             stack = propagate_features(normalize(g, 0.5), x, steps, np.float32)
             cache_write(stack, path)
-            loaded = cache_read(path, expect_fingerprint=stack.fingerprint)
+            loaded = cache_read(path, expect_fingerprint=stack.fingerprint, force=False)
             mats, loaded_mats = stack.mats, loaded.mats
         else:
             c = int(rng.integers(2, 4))
@@ -330,7 +335,7 @@ def test_criterion_8(tmp_path):
             stack = propagate_labels(normalize(g, 0.0), y0, steps, np.float32)
             scheme = ResidualScheme("fixed", float(rng.uniform(0, 1)))
             cache_write(stack, path)
-            loaded = cache_read(path, expect_fingerprint=stack.fingerprint)
+            loaded = cache_read(path, expect_fingerprint=stack.fingerprint, force=False)
             mats, loaded_mats = stack.mats, loaded.mats
             # the smoothing is not stored; derived on load, it is the smoothing
             # of the stored representation
@@ -344,7 +349,7 @@ def test_criterion_8(tmp_path):
 
     # seed determinism of full training runs
     for case in range(100):
-        ds = generate_sbm([6, 6], 0.5, 0.1, 3, 2.0, seed=case)
+        ds = generate_sbm([6, 6], 0.5, 0.1, 3, 2.0, seed=case, name="sbm")
         cfg = _toy_config(hops=int(rng.integers(0, 3)), hidden=6, epochs=5, patience=5,
                           seed=int(rng.integers(0, 1000)),
                           attention=("jk" if case % 2 else "recursive"),
@@ -370,12 +375,12 @@ def test_criterion_8(tmp_path):
 
 def test_criterion_9():
     """Baseline-sgc + 1-layer MLP reproduces the linear pipeline exactly."""
-    ds = generate_sbm([20, 20], 0.3, 0.05, 6, 1.5, seed=9)
+    ds = generate_sbm([20, 20], 0.3, 0.05, 6, 1.5, seed=9, name="sbm")
     cfg = _toy_config(attention="sgc", num_layers=1, use_labels=False, hops=4)
     fs, _ = build_stacks(ds, cfg)
     model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, 0,
-                       np.random.default_rng(4))
-    logits = model.forward(fs.mats, None)
+                       np.random.default_rng(4), np.float64)
+    logits = model.forward(fs.mats, None, ALL, False)
 
     # direct pipeline: dense K-step propagation then the shared linear map
     dense = dense_ahat(ds.graph, 0.5)

@@ -128,7 +128,7 @@ def test_config_validate_catches_bad_enum():
 
 @pytest.fixture
 def workdir(tmp_path):
-    ds = generate_sbm([20, 20], 0.3, 0.03, 5, 2.0, seed=6)
+    ds = generate_sbm([20, 20], 0.3, 0.03, 5, 2.0, seed=6, name="sbm")
     data_dir = tmp_path / "data"
     save_dataset(ds, data_dir)
     cache_dir = tmp_path / "cache"
@@ -285,7 +285,7 @@ def test_eval_refuses_a_cache_of_float64_hops_in_one_line(workdir, capsys):
 def test_eval_refuses_a_dataset_replaced_after_training(workdir, capsys):
     tmp_path, conf, cache_dir = workdir
     _train(conf, capsys)
-    other = generate_sbm([20, 20], 0.3, 0.03, 5, 2.0, seed=99)
+    other = generate_sbm([20, 20], 0.3, 0.03, 5, 2.0, seed=99, name="sbm")
     save_dataset(other, tmp_path / "data")
     assert main(["preprocess", "--config", str(conf)]) == 0
     ckpt = str(cache_dir / "checkpoint.gmck")
@@ -337,7 +337,7 @@ def test_cache_invalidated_by_fingerprint(workdir, tmp_path, capsys):
     _, conf, cache_dir = workdir
     assert main(["preprocess", "--config", str(conf)]) == 0
     # different dataset under the same path -> train must refuse the stale cache
-    other = generate_sbm([20, 20], 0.3, 0.03, 5, 2.0, seed=99)
+    other = generate_sbm([20, 20], 0.3, 0.03, 5, 2.0, seed=99, name="sbm")
     save_dataset(other, tmp_path / "data")
     assert main(["train", "--config", str(conf)]) != 0
     assert "fingerprint" in capsys.readouterr().err

@@ -34,7 +34,7 @@ def write_fixture(root, features_kind="csv"):
 @pytest.mark.parametrize("cut", [3, 4])
 def test_load_rejects_a_truncated_feature_file(tmp_path, cut):
     # cut mid-value or at a value boundary: either way the file is named
-    save_dataset(generate_sbm([5, 5], 0.5, 0.1, 3, 2.0, seed=0), tmp_path)
+    save_dataset(generate_sbm([5, 5], 0.5, 0.1, 3, 2.0, seed=0, name="sbm"), tmp_path)
     path = tmp_path / "features.bin"
     path.write_bytes(path.read_bytes()[:-cut])
     with pytest.raises(DatasetError) as err:
@@ -159,7 +159,7 @@ def test_save_writes_one_tab_separated_line_per_row(tmp_path):
 
 
 def test_round_trip_identity(tmp_path):
-    ds = generate_sbm([8, 7], 0.4, 0.1, 3, 1.0, seed=5)
+    ds = generate_sbm([8, 7], 0.4, 0.1, 3, 1.0, seed=5, name="sbm")
     save_dataset(ds, tmp_path / "a")
     loaded = load_dataset(tmp_path / "a")
     save_dataset(loaded, tmp_path / "b")
@@ -352,7 +352,7 @@ def test_bulk_parse_matches_line_loop_on_random_files(tmp_path, monkeypatch):
 
 
 def test_sbm_extreme_probabilities():
-    ds = generate_sbm([3, 3], 1.0, 0.0, 2, 1.0, seed=0)
+    ds = generate_sbm([3, 3], 1.0, 0.0, 2, 1.0, seed=0, name="sbm")
     # two 3-cliques: 3 intra edges per block
     assert ds.undirected_edges().shape[0] == 6
     blocks = ds.labels
@@ -361,12 +361,12 @@ def test_sbm_extreme_probabilities():
 
 
 def test_sbm_edgeless():
-    ds = generate_sbm([4, 4], 0.0, 0.0, 2, 1.0, seed=0)
+    ds = generate_sbm([4, 4], 0.0, 0.0, 2, 1.0, seed=0, name="sbm")
     assert ds.graph.nnz == 0
 
 
 def test_sbm_intra_edge_count_within_three_sigma():
-    ds = generate_sbm([100, 100], 0.3, 0.02, 4, 1.0, seed=123)
+    ds = generate_sbm([100, 100], 0.3, 0.02, 4, 1.0, seed=123, name="sbm")
     blocks = ds.labels
     pairs = ds.undirected_edges()
     intra = int(np.sum(blocks[pairs[:, 0]] == blocks[pairs[:, 1]]))
@@ -377,8 +377,8 @@ def test_sbm_intra_edge_count_within_three_sigma():
 
 
 def test_sbm_deterministic_and_feature_separation():
-    a = generate_sbm([20, 20], 0.3, 0.05, 4, 3.0, seed=9)
-    b = generate_sbm([20, 20], 0.3, 0.05, 4, 3.0, seed=9)
+    a = generate_sbm([20, 20], 0.3, 0.05, 4, 3.0, seed=9, name="sbm")
+    b = generate_sbm([20, 20], 0.3, 0.05, 4, 3.0, seed=9, name="sbm")
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.graph.col_indices, b.graph.col_indices)
     mean0 = a.features[a.labels == 0].mean(axis=0)
@@ -388,7 +388,7 @@ def test_sbm_deterministic_and_feature_separation():
 
 def test_sbm_rejects_bad_probability():
     with pytest.raises(ValueError):
-        generate_sbm([3, 3], 1.2, 0.0, 2, 1.0, seed=0)
+        generate_sbm([3, 3], 1.2, 0.0, 2, 1.0, seed=0, name="sbm")
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +398,7 @@ def test_sbm_rejects_bad_probability():
 
 @pytest.fixture(scope="module")
 def sbm_for_drop():
-    return generate_sbm([25, 25], 0.35, 0.1, 3, 1.0, seed=2)
+    return generate_sbm([25, 25], 0.35, 0.1, 3, 1.0, seed=2, name="sbm")
 
 
 def test_drop_edges_zero_is_identity(sbm_for_drop):
@@ -446,7 +446,7 @@ def test_sample_labels_deterministic(sbm_for_drop):
 
 
 def test_dataset_validation_catches_bad_split():
-    ds = generate_sbm([5, 5], 0.5, 0.1, 2, 1.0, seed=0)
+    ds = generate_sbm([5, 5], 0.5, 0.1, 2, 1.0, seed=0, name="sbm")
     bad = Dataset(graph=ds.graph, features=ds.features, labels=ds.labels,
                   splits=Splits(np.array([0]), np.array([99]), np.array([], dtype=int)),
                   num_classes=2)

@@ -22,7 +22,7 @@ def _base_config(**overrides):
 
 @pytest.fixture(scope="module")
 def sbm():
-    return generate_sbm([25, 25], 0.3, 0.03, 5, 2.0, seed=4)
+    return generate_sbm([25, 25], 0.3, 0.03, 5, 2.0, seed=4, name="sbm")
 
 
 def _methods(cfg, names):
@@ -39,7 +39,7 @@ def test_method_config_overrides():
 
 
 def test_single_run_has_zero_std(sbm):
-    report = run_baseline_table(sbm, _methods(_base_config(), ["sgc"]), n_runs=1)
+    report = run_baseline_table(sbm, _methods(_base_config(), ["sgc"]), n_runs=1, base_seed=0)
     assert len(report["rows"]) == 1
     assert report["summary"][0]["std"] == 0.0
     assert report["summary"][0]["n_runs"] == 1
@@ -47,14 +47,14 @@ def test_single_run_has_zero_std(sbm):
 
 def test_reports_are_deterministic(sbm):
     cfgs = _methods(_base_config(), ["gamlp_jk", "sgc"])
-    a = run_baseline_table(sbm, cfgs, n_runs=2)
-    b = run_baseline_table(sbm, cfgs, n_runs=2)
+    a = run_baseline_table(sbm, cfgs, n_runs=2, base_seed=0)
+    b = run_baseline_table(sbm, cfgs, n_runs=2, base_seed=0)
     assert a["rows"] == b["rows"]
     assert a["summary"] == b["summary"]
 
 
 def test_report_embeds_resolved_configs(sbm):
-    report = run_baseline_table(sbm, _methods(_base_config(), ["gamlp_jk"]), n_runs=1)
+    report = run_baseline_table(sbm, _methods(_base_config(), ["gamlp_jk"]), n_runs=1, base_seed=0)
     cfg = report["configs"]["gamlp_jk"]
     assert cfg["hops"] == 3 and cfg["attention"] == "jk"
     assert report["seeds"] == [0]
@@ -63,14 +63,14 @@ def test_report_embeds_resolved_configs(sbm):
 def test_depth_zero_reduces_to_feature_only_mlp(sbm):
     # with no propagation the linear baselines are byte-identical pipelines
     report = run_depth_sweep(sbm, [0], _methods(_base_config(), ["sgc", "s2gc"]),
-                             n_runs=1)
+                             n_runs=1, base_seed=0)
     accs = {r["method"]: r["test_acc"] for r in report["rows"]}
     assert accs["sgc"] == accs["s2gc"]
 
 
 def test_depth_sweep_sets_label_hops(sbm):
     report = run_depth_sweep(sbm, [0, 2], _methods(_base_config(), ["gamlp_jk"]),
-                             n_runs=1)
+                             n_runs=1, base_seed=0)
     assert report["configs"]["gamlp_jk@depth2"]["hops"] == 2
     assert report["configs"]["gamlp_jk@depth2"]["label_hops"] == 2
     settings = {r["setting"] for r in report["rows"]}
@@ -79,21 +79,22 @@ def test_depth_sweep_sets_label_hops(sbm):
 
 def test_edge_sparsity_zero_matches_baseline_table(sbm):
     cfgs = _methods(_base_config(), ["sgc"])
-    table = run_baseline_table(sbm, cfgs, n_runs=1)
-    sweep = run_sparsity_sweep(sbm, "edge", [0.0], cfgs, n_runs=1)
+    table = run_baseline_table(sbm, cfgs, n_runs=1, base_seed=0)
+    sweep = run_sparsity_sweep(sbm, "edge", [0.0], cfgs, n_runs=1, base_seed=0)
     assert sweep["rows"][0]["test_acc"] == table["rows"][0]["test_acc"]
 
 
 def test_edge_sparsity_levels_run(sbm):
     report = run_sparsity_sweep(sbm, "edge", [0.0, 0.5], _methods(_base_config(), ["sgc"]),
-                                n_runs=1)
+                                n_runs=1, base_seed=0)
     assert {r["setting"] for r in report["rows"]} == {"edge0", "edge0.5"}
     assert report["perturb_seed"] == 7
 
 
 def test_label_sparsity_uses_exact_counts(sbm):
     report = run_sparsity_sweep(sbm, "label", [1, 3],
-                                _methods(_base_config(), ["gamlp_jk", "sgc"]), n_runs=1)
+                                _methods(_base_config(), ["gamlp_jk", "sgc"]), n_runs=1,
+                                base_seed=0)
     assert {r["setting"] for r in report["rows"]} == {"label1", "label3"}
     # both methods saw identical perturbations: rows repeat per method
     by_setting = {}
@@ -104,12 +105,12 @@ def test_label_sparsity_uses_exact_counts(sbm):
 
 def test_sparsity_rejects_unknown_kind(sbm):
     with pytest.raises(ValueError):
-        run_sparsity_sweep(sbm, "feature", [0.1], _methods(_base_config(), ["sgc"]), 1)
+        run_sparsity_sweep(sbm, "feature", [0.1], _methods(_base_config(), ["sgc"]), 1, 0)
 
 
 def test_ablation_label_use_wiring(sbm):
     report = run_ablation(sbm, "label_use", _base_config(epochs=10, patience=10),
-                          n_runs=1)
+                          n_runs=1, base_seed=0)
     cfgs = report["configs"]
     assert cfgs["no_label"]["use_labels"] is False
     assert cfgs["plain_label"]["label_mode"] == "plain"
@@ -120,7 +121,7 @@ def test_ablation_label_use_wiring(sbm):
 
 def test_ablation_reference_wiring(sbm):
     report = run_ablation(sbm, "reference_vector", _base_config(epochs=10, patience=10),
-                          n_runs=1)
+                          n_runs=1, base_seed=0)
     assert report["configs"]["normal_noise"]["reference"] == "normal_noise"
     assert report["configs"]["no_reference"]["reference"] == "no_reference"
 
@@ -134,7 +135,8 @@ def test_alpha_scheme_ablation_builds_the_stacks_once(sbm, monkeypatch):
         return build_stacks(dataset, config)
 
     monkeypatch.setattr(experiments, "build_stacks", counting_build_stacks)
-    report = run_ablation(sbm, "alpha_scheme", _base_config(epochs=5, patience=5), n_runs=1)
+    report = run_ablation(sbm, "alpha_scheme", _base_config(epochs=5, patience=5), n_runs=1,
+                          base_seed=0)
     assert {r["method"] for r in report["rows"]} == set(ABLATIONS["alpha_scheme"])
     assert len(calls) == 1
 
@@ -150,25 +152,25 @@ def test_sparsity_sweep_builds_the_stacks_once_per_level(sbm, monkeypatch):
     monkeypatch.setattr(experiments, "build_stacks", counting_build_stacks)
     report = run_sparsity_sweep(sbm, "edge", [0.0, 0.5],
                                 _methods(_base_config(epochs=5, patience=5),
-                                         ["gamlp_jk", "gamlp_r"]), n_runs=1)
+                                         ["gamlp_jk", "gamlp_r"]), n_runs=1, base_seed=0)
     assert len(report["rows"]) == 4
     assert len(calls) == 2 and calls[0] is sbm and calls[1] is not sbm
 
 
 def test_ablation_rejects_unknown_family(sbm):
     with pytest.raises(ValueError):
-        run_ablation(sbm, "magic", _base_config(), 1)
+        run_ablation(sbm, "magic", _base_config(), 1, 0)
 
 
 def test_deep_propagation_attention_survives_where_sgc_collapses():
     """Depth-60 analogue of the deep-propagation study: the node-adaptive
     combiner can fall back on shallow steps, the fixed-depth baseline
     over-smooths toward chance."""
-    ds = generate_sbm([60, 60], 0.15, 0.02, 6, 1.5, seed=3)
+    ds = generate_sbm([60, 60], 0.15, 0.02, 6, 1.5, seed=3, name="sbm")
     base = _base_config(epochs=120, patience=40, dropout=0.1)
     methods = {"gamlp_jk": method_config(base, "gamlp_jk"),
                "sgc": method_config(base, "sgc")}
-    report = run_depth_sweep(ds, [3, 60], methods, n_runs=5)
+    report = run_depth_sweep(ds, [3, 60], methods, n_runs=5, base_seed=0)
     means = {(s["method"], s["setting"]): s["mean"] for s in report["summary"]}
     assert means[("gamlp_jk", "depth60")] >= means[("gamlp_jk", "depth3")] - 0.05
     assert means[("sgc", "depth60")] <= means[("sgc", "depth3")] - 0.2
@@ -183,15 +185,15 @@ def test_alpha_scheme_ordering_on_label_informative_sbm():
     base = _base_config(hops=5, label_hops=5, epochs=150, patience=40, dropout=0.1)
     means = {"cosine": [], "linear": [], "fixed": []}
     for instance_seed in range(10, 16):
-        ds = generate_sbm([45, 45], 0.25, 0.01, 4, 0.3, seed=instance_seed)
-        report = run_ablation(ds, "alpha_scheme", base, n_runs=10)
+        ds = generate_sbm([45, 45], 0.25, 0.01, 4, 0.3, seed=instance_seed, name="sbm")
+        report = run_ablation(ds, "alpha_scheme", base, n_runs=10, base_seed=0)
         for s in report["summary"]:
             means[s["method"]].append(s["mean"])
     assert np.mean(means["cosine"]) >= np.mean(means["fixed"])
 
 
 def test_write_report_files(sbm, tmp_path):
-    report = run_baseline_table(sbm, _methods(_base_config(), ["sgc"]), n_runs=2)
+    report = run_baseline_table(sbm, _methods(_base_config(), ["sgc"]), n_runs=2, base_seed=0)
     csv_path, json_path = write_report(report, tmp_path / "out" / "table")
     with open(csv_path) as f:
         rows = list(csv.DictReader(f))

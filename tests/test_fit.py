@@ -14,6 +14,8 @@ from gamlp.model import (CheckpointFormatError, GamlpModel, TrainingDiverged, _s
 from gamlp.nn import Activation, Mlp
 from gamlp.pipeline import build_stacks, load_stacks, preprocess, train_on_dataset
 
+from conftest import ALL
+
 
 def _config(**overrides):
     base = dict(dataset_dir="unused", hops=3, hidden=16, num_layers=2,
@@ -31,7 +33,7 @@ def _cast(stacks, dtype):
 
 @pytest.fixture(scope="module")
 def sbm60():
-    return generate_sbm([30, 30], 0.3, 0.02, 6, 2.5, seed=1)
+    return generate_sbm([30, 30], 0.3, 0.02, 6, 2.5, seed=1, name="sbm")
 
 
 def test_fit_reaches_full_train_accuracy(sbm60):
@@ -283,9 +285,9 @@ def test_fit_computes_in_the_stack_dtype_only(monkeypatch, sbm60, case, dtype):
     (optimizer,) = optimizers
     arrays.update({f"adam m {i}": m for i, m in enumerate(optimizer.m)})
     arrays.update({f"adam v {i}": v for i, v in enumerate(optimizer.v)})
-    for rows in (None, sbm60.splits.train):
+    for rows in (ALL, sbm60.splits.train):
         feats, labels = _stack_inputs(fs, ls, cfg, rows)
-        arrays.update({f"features {rows is None}": feats, f"labels {rows is None}": labels})
+        arrays.update({f"features {rows is ALL}": feats, f"labels {rows is ALL}": labels})
     arrays.update({f"logits {i}": logits
                    for i, (logits, _) in enumerate(_stack_blocks(result.model, fs, ls, None))})
     assert {name for name, a in arrays.items() if a.dtype != dtype} == set()

@@ -12,6 +12,11 @@ from gamlp.graph import (PropagationOperator, add_self_loops, build_graph, norma
 from conftest import dense_adjacency, dense_ahat, neighbors, random_graph, to_scipy
 
 
+def _spmm(op, x):
+    """spmm into a new (n, d) array of the operator's dtype."""
+    return spmm(op, x, out=np.empty((op.n, x.shape[1]), op.values.dtype))
+
+
 def test_single_edge_symmetry():
     g = build_graph([(0, 1)], 2)
     assert list(neighbors(g, 0)) == [1]
@@ -101,25 +106,25 @@ def test_spmm_row_stochastic_fixed_point():
     g = random_graph(rng, 12, 0.3)
     op = normalize(g, 0.0)
     ones = np.ones((12, 2))
-    assert np.allclose(spmm(op, ones), ones, atol=1e-12)
+    assert np.allclose(_spmm(op, ones), ones, atol=1e-12)
 
 
 def test_spmm_identity_on_edgeless():
     op = normalize(build_graph([], 4), 0.5)
     x = np.random.default_rng(1).standard_normal((4, 3))
-    assert np.array_equal(spmm(op, x), x)
+    assert np.array_equal(_spmm(op, x), x)
 
 
 def test_spmm_one_hot_matches_dense(path3):
     op = normalize(path3, 0.5)
     e0 = np.zeros((3, 1))
     e0[0, 0] = 1.0
-    assert np.allclose(spmm(op, e0), dense_ahat(path3, 0.5) @ e0, atol=1e-14)
+    assert np.allclose(_spmm(op, e0), dense_ahat(path3, 0.5) @ e0, atol=1e-14)
 
 
 def test_spmm_shape_mismatch(path3):
     with pytest.raises(ValueError):
-        spmm(normalize(path3, 0.5), np.ones((4, 2)))
+        _spmm(normalize(path3, 0.5), np.ones((4, 2)))
 
 
 @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
@@ -131,14 +136,14 @@ def test_spmm_matches_dense_product_random(r):
         op = normalize(g, r)
         x = rng.standard_normal((n, 4))
         want = dense_ahat(g, r) @ x
-        got = spmm(op, x)
+        got = _spmm(op, x)
         assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
     # a raw self loop and an added one are the same diagonal entry of 1
     for _ in range(10):
         g = _partly_looped(rng, int(rng.integers(4, 30)), 0.25)
         x = rng.standard_normal((g.n, 4))
         want = dense_ahat(g, r) @ x
-        got = spmm(normalize(g, r), x)
+        got = _spmm(normalize(g, r), x)
         assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
 
 
@@ -291,9 +296,9 @@ def _as_dtype(op, dtype):
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3, 8])
-@pytest.mark.parametrize("with_out", [False, True])
+@pytest.mark.parametrize("into_stack", [False, True])
 @pytest.mark.parametrize("chunk_bytes", [None, 8])
-def test_parallel_spmm_is_bit_identical_to_scipy(monkeypatch, threads, with_out,
+def test_parallel_spmm_is_bit_identical_to_scipy(monkeypatch, threads, into_stack,
                                                   chunk_bytes):
     monkeypatch.setenv("GAMLP_THREADS", str(threads))
     if chunk_bytes is not None:  # one row per chunk: these small outputs use the pool
@@ -315,11 +320,14 @@ def test_parallel_spmm_is_bit_identical_to_scipy(monkeypatch, threads, with_out,
             x = rng.standard_normal((op.n, d)).astype(dtype)
             want = to_scipy(op) @ x
             assert want.dtype == dtype
-            out = np.full((op.n, d), np.nan, dtype) if with_out else None
+            if into_stack:  # propagation's call form: x and out are adjacent slots
+                stack = np.full((2, op.n, d), np.nan, dtype)
+                stack[0] = x
+                x, out = stack
+            else:
+                out = np.full((op.n, d), np.nan, dtype)
             got = spmm(op, x, out=out)
-            assert got.dtype == dtype and np.array_equal(got, want)
-            if with_out:
-                assert got is out
+            assert got is out and got.dtype == dtype and np.array_equal(got, want)
 
 
 def test_spmm_reads_a_strided_or_float32_input_as_float64(monkeypatch):
@@ -328,9 +336,9 @@ def test_spmm_reads_a_strided_or_float32_input_as_float64(monkeypatch):
     op = _hub_operator(np.random.default_rng(22), 40)
     x = np.random.default_rng(23).standard_normal((40, 6))
     want = to_scipy(op) @ x[:, ::2]
-    assert np.array_equal(spmm(op, x[:, ::2]), want)
+    assert np.array_equal(_spmm(op, x[:, ::2]), want)
     x32 = x.astype(np.float32)
-    assert np.array_equal(spmm(op, x32), to_scipy(op) @ x32.astype(np.float64))
+    assert np.array_equal(_spmm(op, x32), to_scipy(op) @ x32.astype(np.float64))
 
 
 def test_spmm_of_a_float32_operator_reads_a_float64_input_as_float32(monkeypatch):
@@ -338,7 +346,7 @@ def test_spmm_of_a_float32_operator_reads_a_float64_input_as_float32(monkeypatch
     monkeypatch.setattr(graph, "_CHUNK_BYTES", 8)
     op = _as_dtype(_hub_operator(np.random.default_rng(22), 40), np.float32)
     x = np.random.default_rng(23).standard_normal((40, 6))[:, ::2]
-    got = spmm(op, x)
+    got = _spmm(op, x)
     assert got.dtype == np.float32
     assert np.array_equal(got, to_scipy(op) @ x.astype(np.float32))
 

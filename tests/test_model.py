@@ -21,7 +21,7 @@ from gamlp.nn import (Activation, Linear, Mlp, cross_entropy, dropout, dropout_b
 from gamlp.pipeline import build_stacks
 from gamlp.propagation import ResidualScheme, Stack, apply_last_residual
 
-from conftest import grad_check
+from conftest import ALL, grad_check
 
 
 def _sigmoid(x):
@@ -189,7 +189,7 @@ def _recursive_case(kind, steps, rate, n=23, d=5):
     ``steps`` + 1 steps and a random output gradient."""
     data_rng = np.random.default_rng(100 + steps)
     mats = data_rng.standard_normal((steps + 1, n, d))
-    comb = RecursiveAttention(np.random.default_rng(1), d, Activation(kind), rate)
+    comb = RecursiveAttention(np.random.default_rng(1), d, Activation(kind), rate, "att")
     comb.s.value[:] = data_rng.standard_normal(2 * d) * 0.5
     return comb, mats, data_rng.standard_normal((n, d))
 
@@ -200,7 +200,7 @@ def test_recursive_matches_list_reference(kind, steps):
     # training with dropout: the combiner and the reference draw the same masks
     comb, mats, _ = _recursive_case(kind, steps, 0.5)
     rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
-    h, w = comb.forward(mats, training=True, rng=rng)
+    h, w = comb.forward(mats, ALL, training=True, rng=rng)
     want_h, want_w, _ = recursive_reference(mats, comb.s.value, ACTIVATIONS[kind], 0.5, ref_rng)
     assert np.abs(h - want_h).max() <= 1e-10
     assert np.abs(w - want_w).max() <= 1e-10
@@ -212,7 +212,7 @@ def test_recursive_matches_list_reference(kind, steps):
 def test_mask_free_recursive_matches_list_reference(steps, training):
     # no mask: in eval mode whatever the rate, or in training at rate 0
     comb, mats, _ = _recursive_case("leaky_relu", steps, 0.0 if training else 0.5)
-    h, w = comb.forward(mats, training=training, rng=None)
+    h, w = comb.forward(mats, ALL, training=training, rng=None)
     want_h, want_w, _ = recursive_reference(mats, comb.s.value, _leaky)
     assert np.abs(h - want_h).max() <= 1e-10
     assert np.abs(w - want_w).max() <= 1e-10
@@ -221,9 +221,9 @@ def test_mask_free_recursive_matches_list_reference(steps, training):
 @pytest.mark.parametrize("steps", [0, 1, 16])
 def test_recursive_eval_forward_equals_a_rate_0_training_forward(steps):
     comb, mats, _ = _recursive_case("leaky_relu", steps, 0.5)
-    h, w = comb.forward(mats, training=False)
+    h, w = comb.forward(mats, ALL, training=False, rng=None)
     comb.attention_dropout = 0.0
-    h0, w0 = comb.forward(mats, training=True)
+    h0, w0 = comb.forward(mats, ALL, training=True, rng=None)
     assert np.array_equal(h, h0) and np.array_equal(w, w0)
 
 
@@ -233,7 +233,7 @@ def test_recursive_masked_forward_draws_the_stack_then_one_mask_per_step(steps, 
     comb, mats, _ = _recursive_case("sigmoid", steps, 0.5, n=9, d=4)
     comb.s.value = comb.s.value.astype(dtype)
     rng, direct = np.random.default_rng(3), np.random.default_rng(3)
-    comb.forward(mats.astype(dtype), training=True, rng=rng)
+    comb.forward(mats.astype(dtype), ALL, training=True, rng=rng)
     direct.random((steps + 1, 9, 4), dtype=dtype)
     for _ in range(steps + 1):
         direct.random((9, 4), dtype=dtype)
@@ -247,7 +247,7 @@ def test_recursive_kernel_gradient_check(kind, rate, steps):
     comb, mats, d_h = _recursive_case(kind, steps, rate, n=11, d=4)
 
     def forward():  # each call draws the same masks from a fresh generator
-        return comb.forward(mats, training=True, rng=np.random.default_rng(5))[0]
+        return comb.forward(mats, ALL, training=True, rng=np.random.default_rng(5))[0]
 
     def loss_fn():
         return float((forward() * d_h).sum())
@@ -274,12 +274,12 @@ def test_recursive_builds_one_combination_without_a_mask(monkeypatch, steps):
     monkeypatch.setattr(gamlp.model, "_combine", spy(_combine))
     monkeypatch.setattr(gamlp.model, "_weight_grad", spy(gamlp.model._weight_grad))
     comb, mats, d_h = _recursive_case("leaky_relu", steps, 0.5, n=9, d=4)
-    comb.forward(mats, training=False)
+    comb.forward(mats, ALL, training=False, rng=None)
     assert calls == [("_combine", steps + 1)]
     for rate, combined in ((0.0, [("_combine", steps + 1)]), (0.5, [])):
         calls.clear()
         comb.attention_dropout = rate
-        comb.forward(mats, training=True, rng=np.random.default_rng(1))
+        comb.forward(mats, ALL, training=True, rng=np.random.default_rng(1))
         comb.backward(d_h)
         assert calls == combined + [("_weight_grad", steps + 1)]
 
@@ -300,7 +300,7 @@ def test_jk_matches_list_reference(reference, steps, depth):
     _assert_matches_list_reference(JkAttention, ListJkAttention, 23, 5, steps, steps=steps,
                                    dim=5, hidden=7, depth=depth,
                                    activation=Activation("leaky_relu"),
-                                   reference=reference, mlp_dropout=0.5)
+                                   reference=reference, n_nodes=23, name="jk", mlp_dropout=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +311,8 @@ def test_jk_matches_list_reference(reference, steps, depth):
 def test_recursive_zero_steps():
     rng = np.random.default_rng(0)
     mats = _random_mats(rng, 5, 3, 0)
-    comb = RecursiveAttention(rng, 3, Activation("sigmoid"))
-    h, w = comb.forward(mats)
+    comb = RecursiveAttention(rng, 3, Activation("sigmoid"), 0.0, "att")
+    h, w = comb.forward(mats, ALL, False, None)
     assert np.array_equal(h, mats[0])
     assert np.array_equal(w, np.ones((5, 1)))
 
@@ -321,9 +321,9 @@ def test_recursive_identical_steps_give_uniform_weights():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((6, 4))
     mats = [x.copy() for _ in range(4)]
-    comb = RecursiveAttention(rng, 4, Activation("sigmoid"))
+    comb = RecursiveAttention(rng, 4, Activation("sigmoid"), 0.0, "att")
     comb.s.value[:] = rng.standard_normal(8)
-    h, w = comb.forward(mats)
+    h, w = comb.forward(mats, ALL, False, None)
     assert np.allclose(w, 0.25, atol=1e-12)
     assert np.allclose(h, x, atol=1e-12)
 
@@ -334,10 +334,11 @@ def test_recursive_matches_scripted_oracle_path_graph():
 
     rng = np.random.default_rng(2)
     g = build_graph([(0, 1), (1, 2)], 3)
-    stack = propagate_features(normalize(g, 0.5), rng.standard_normal((3, 4)), 2)
-    comb = RecursiveAttention(rng, 4, Activation("sigmoid"))
+    stack = propagate_features(normalize(g, 0.5), rng.standard_normal((3, 4)), 2,
+                               np.float64)
+    comb = RecursiveAttention(rng, 4, Activation("sigmoid"), 0.0, "att")
     comb.s.value[:] = rng.standard_normal(8) * 0.7
-    h, w = comb.forward(stack.mats)
+    h, w = comb.forward(stack.mats, ALL, False, None)
     want_h, want_w, _ = recursive_reference(stack.mats, comb.s.value, _sigmoid)
     assert np.allclose(h, want_h, atol=1e-12)
     assert np.allclose(w, want_w, atol=1e-12)
@@ -349,9 +350,9 @@ def test_recursive_matches_oracle_random(kind, fn):
     for _ in range(5):
         n, d, steps = 8, 3, int(rng.integers(1, 5))
         mats = _random_mats(rng, n, d, steps)
-        comb = RecursiveAttention(rng, d, Activation(kind))
+        comb = RecursiveAttention(rng, d, Activation(kind), 0.0, "att")
         comb.s.value[:] = rng.standard_normal(2 * d)
-        h, w = comb.forward(mats)
+        h, w = comb.forward(mats, ALL, False, None)
         want_h, want_w, _ = recursive_reference(mats, comb.s.value, fn)
         assert np.allclose(h, want_h, atol=1e-10)
         assert np.allclose(w, want_w, atol=1e-10)
@@ -360,10 +361,10 @@ def test_recursive_matches_oracle_random(kind, fn):
 def test_recursive_scores_cannot_overflow():
     # scores far beyond exp's range: the running max keeps every exponent <= 0
     mats = np.random.default_rng(4).standard_normal((9, 6, 3)) * 400.0
-    comb = RecursiveAttention(None, 3, Activation("leaky_relu"), 0.5)
+    comb = RecursiveAttention(None, 3, Activation("leaky_relu"), 0.5, "att")
     comb.s.value[:] = [3.0, -2.0, 1.0, 2.0, 1.0, -3.0]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        h, w = comb.forward(mats, training=True, rng=np.random.default_rng(5))
+        h, w = comb.forward(mats, ALL, training=True, rng=np.random.default_rng(5))
         comb.backward(np.ones_like(h))
     assert np.isfinite(comb.s.grad).all()
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12) and w.max() == 1.0
@@ -377,17 +378,21 @@ def test_recursive_scores_cannot_overflow():
 def test_jk_zero_scores_give_uniform_weights():
     rng = np.random.default_rng(4)
     mats = _random_mats(rng, 7, 3, 3)
-    comb = JkAttention(rng, 3, 3, hidden=5, depth=2, activation=Activation("sigmoid"))
+    comb = JkAttention(rng, 3, 3, hidden=5, depth=2, activation=Activation("sigmoid"),
+                       attention_dropout=0.0, reference="jk", n_nodes=7, name="jk",
+                       mlp_dropout=0.0)
     # zero scoring vector: uniform regardless of the encoder output
-    h, w = comb.forward(mats)
+    h, w = comb.forward(mats, ALL, False, None)
     assert np.allclose(w, 0.25, atol=1e-12)
 
 
 def test_jk_zero_steps():
     rng = np.random.default_rng(5)
     mats = _random_mats(rng, 4, 3, 0)
-    comb = JkAttention(rng, 0, 3, hidden=5, depth=2, activation=Activation("sigmoid"))
-    h, w = comb.forward(mats)
+    comb = JkAttention(rng, 0, 3, hidden=5, depth=2, activation=Activation("sigmoid"),
+                       attention_dropout=0.0, reference="jk", n_nodes=4, name="jk",
+                       mlp_dropout=0.0)
+    h, w = comb.forward(mats, ALL, False, None)
     assert np.array_equal(h, mats[0])
     assert np.array_equal(w, np.ones((4, 1)))
     assert comb.encoder is None  # empty concatenation -> zero reference
@@ -396,9 +401,11 @@ def test_jk_zero_steps():
 def test_jk_matches_dense_oracle():
     rng = np.random.default_rng(6)
     mats = _random_mats(rng, 10, 4, 3)
-    comb = JkAttention(rng, 3, 4, hidden=6, depth=3, activation=Activation("leaky_relu"))
+    comb = JkAttention(rng, 3, 4, hidden=6, depth=3, activation=Activation("leaky_relu"),
+                       attention_dropout=0.0, reference="jk", n_nodes=10, name="jk",
+                       mlp_dropout=0.0)
     comb.s.value[:] = rng.standard_normal(comb.s.value.size) * 0.5
-    h, w = comb.forward(mats)
+    h, w = comb.forward(mats, ALL, False, None)
     want_h, want_w = jk_oracle(mats, comb)
     assert np.allclose(h, want_h, atol=1e-10)
     assert np.allclose(w, want_w, atol=1e-10)
@@ -428,6 +435,7 @@ def test_jk_encoder_is_an_mlp_over_the_concatenated_steps(depth):
     steps, d, hidden = 4, 3, 5
     act = Activation("leaky_relu")
     comb = JkAttention(np.random.default_rng(1), steps, d, hidden, depth, act,
+                       attention_dropout=0.0, reference="jk", n_nodes=9, name="jk",
                        mlp_dropout=0.5)
     assert [p.name for p in comb.params] == ["jk.s"] + [f"jk.enc.{i}.{p}" for i in range(depth)
                                                         for p in "wb"]
@@ -447,13 +455,14 @@ def test_jk_reference_modes():
     mats = _random_mats(rng, 6, 3, 2)
     for ref, s_len in [("origin_feature", 6), ("normal_noise", 3 + 5), ("no_reference", 3)]:
         comb = JkAttention(rng, 2, 3, hidden=5, depth=2, activation=Activation("sigmoid"),
-                           reference=ref, n_nodes=6)
+                           attention_dropout=0.0, reference=ref, n_nodes=6, name="jk",
+                           mlp_dropout=0.0)
         assert comb.s.value.size == s_len
         comb.s.value[:] = rng.standard_normal(s_len)
-        h, w = comb.forward(mats, rows=np.arange(6))
+        h, w = comb.forward(mats, rows=np.arange(6), training=False, rng=None)
         assert np.allclose(w.sum(axis=1), 1.0, atol=1e-10)
         # deterministic across calls (noise buffer is fixed at construction)
-        h2, w2 = comb.forward(mats, rows=np.arange(6))
+        h2, w2 = comb.forward(mats, rows=np.arange(6), training=False, rng=None)
         assert np.array_equal(w, w2)
 
 
@@ -463,11 +472,13 @@ def test_attention_weight_simplex_property():
         n, d = int(rng.integers(2, 15)), int(rng.integers(1, 5))
         steps = int(rng.integers(0, 5))
         mats = _random_mats(rng, n, d, steps)
-        for comb in (RecursiveAttention(rng, d, Activation("sigmoid")),
-                     JkAttention(rng, steps, d, 4, 2, Activation("leaky_relu"))):
+        for comb in (RecursiveAttention(rng, d, Activation("sigmoid"), 0.0, "att"),
+                     JkAttention(rng, steps, d, 4, 2, Activation("leaky_relu"),
+                                 attention_dropout=0.0, reference="jk", n_nodes=n, name="jk",
+                                 mlp_dropout=0.0)):
             for p in comb.params:
                 p.value[:] = rng.standard_normal(p.value.shape)
-            _, w = comb.forward(mats)
+            _, w = comb.forward(mats, ALL, False, None)
             assert w.min() >= 0
             assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-10
 
@@ -475,9 +486,9 @@ def test_attention_weight_simplex_property():
 def test_attention_score_shift_invariance():
     rng = np.random.default_rng(9)
     mats = _random_mats(rng, 6, 3, 3)
-    comb = RecursiveAttention(rng, 3, Activation("sigmoid"))
+    comb = RecursiveAttention(rng, 3, Activation("sigmoid"), 0.0, "att")
     comb.s.value[:] = rng.standard_normal(6)
-    _, w = comb.forward(mats)
+    _, w = comb.forward(mats, ALL, False, None)
     _, _, scores = recursive_reference(mats, comb.s.value, _sigmoid)
     assert np.allclose(softmax_rows(scores + 123.0), w, atol=1e-12)
 
@@ -488,7 +499,6 @@ def test_slice_mats_gathers_rows_of_every_step():
     got = slice_mats(stack, rows)
     assert np.array_equal(got, np.stack([m[rows] for m in stack]))
     assert got.flags.c_contiguous  # still step-major
-    assert slice_mats(stack, None) is stack
     view = slice_mats(stack, slice(2, 6))
     assert view.base is stack and np.array_equal(view, stack[:, 2:6])
 
@@ -541,7 +551,7 @@ def test_baseline_rejects_bad_args():
 
 
 def _toy_setup(seed=0, **overrides):
-    ds = generate_sbm([15, 15], 0.35, 0.03, 5, 2.0, seed=seed)
+    ds = generate_sbm([15, 15], 0.35, 0.03, 5, 2.0, seed=seed, name="sbm")
     base = dict(dataset_dir="unused", hops=3, hidden=8, num_layers=2,
                 label_num_layers=2, jk_layers=2, epochs=50, patience=50,
                 lr=0.01, input_dropout=0.0, attention_dropout=0.0, dropout=0.0,
@@ -565,7 +575,7 @@ def _smoothed(cfg, ls):
 def test_branches_keep_the_checkpoint_layout_of_sign():
     ds, cfg, fs, ls = _toy_setup(attention="sign", label_hops=2)
     model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps,
-                       np.random.default_rng(0))
+                       np.random.default_rng(0), np.float64)
     shapes = {p.name: p.value.shape for p in model.params}
     assert shapes["feat_mlp.0.w"] == ((fs.steps + 1) * fs.dim, cfg.hidden)
     assert shapes["label_mlp.0.w"] == ((ls.steps + 1) * ds.num_classes, cfg.hidden)
@@ -579,7 +589,7 @@ def _branch_names(branch, combiner_names, depth):
 def test_branches_keep_the_checkpoint_layout_and_draws(attention):
     ds, cfg, fs, ls = _toy_setup(attention=attention, label_hops=2, label_num_layers=3)
     model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps,
-                       np.random.default_rng(0))
+                       np.random.default_rng(0), np.float64)
     enc = [f"enc.{i}.{p}" for i in range(cfg.jk_layers) for p in "wb"]
     if attention == "jk":
         feat, label = (["feat.s"] + [f"feat.{e}" for e in enc],
@@ -595,10 +605,12 @@ def test_branches_keep_the_checkpoint_layout_and_draws(attention):
                                     (ls.steps, ds.num_classes, "label", 3)):
         if attention == "jk":
             parts.append(JkAttention(rng, steps, dim, cfg.hidden, cfg.jk_layers, act,
-                                     name=name))
+                                     cfg.attention_dropout, cfg.reference, ds.n, name,
+                                     cfg.dropout))
         else:
-            parts.append(RecursiveAttention(rng, dim, act, name=name))
-        parts.append(Mlp(rng, dim, cfg.hidden, ds.num_classes, depth, act, name=f"{name}_mlp"))
+            parts.append(RecursiveAttention(rng, dim, act, cfg.attention_dropout, name))
+        parts.append(Mlp(rng, dim, cfg.hidden, ds.num_classes, depth, act, cfg.dropout,
+                         name=f"{name}_mlp"))
     want = [p for part in parts for p in part.params]
     assert [p.name for p in want] == [p.name for p in model.params]
     for got, ref in zip(model.params, want):
@@ -608,10 +620,10 @@ def test_branches_keep_the_checkpoint_layout_and_draws(attention):
 def test_model_zero_params_give_uniform_softmax():
     ds, cfg, fs, ls = _toy_setup()
     rng = np.random.default_rng(2)
-    model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps, rng)
+    model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps, rng, np.float64)
     for p in model.params:
         p.value[...] = 0.0
-    logits = model.forward(fs.mats, _smoothed(cfg, ls))
+    logits = model.forward(fs.mats, _smoothed(cfg, ls), ALL, False)
     assert not logits.any()
     assert np.allclose(softmax_rows(logits), 1.0 / ds.num_classes)
 
@@ -620,7 +632,7 @@ def test_model_zero_params_give_uniform_softmax():
 def test_full_model_gradient_check(kind):
     ds, cfg, fs, ls = _toy_setup(attention=kind, hidden=6)
     rng = np.random.default_rng(3)
-    model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps, rng)
+    model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps, rng, np.float64)
     for p in model.params:
         if p.value.ndim == 1 and p.name.endswith(".s"):
             p.value[:] = np.random.default_rng(4).standard_normal(p.value.size) * 0.4
@@ -630,7 +642,7 @@ def test_full_model_gradient_check(kind):
     onehot = np.eye(ds.num_classes)[ds.labels[rows]]
 
     def loss_fn():
-        return cross_entropy(model.forward(fm, lm, rows=rows), onehot)[0]
+        return cross_entropy(model.forward(fm, lm, rows=rows, training=False), onehot)[0]
 
     _, d = cross_entropy(model.forward(fm, lm, rows=rows, training=True), onehot)
     model.zero_grad()
@@ -641,15 +653,15 @@ def test_full_model_gradient_check(kind):
 def test_model_requires_label_stack_when_label_branch_on():
     ds, cfg, fs, ls = _toy_setup()
     model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps,
-                       np.random.default_rng(0))
+                       np.random.default_rng(0), np.float64)
     with pytest.raises(ValueError):
-        model.forward(fs.mats, None)
+        model.forward(fs.mats, None, ALL, False)
 
 
 def test_predict_breaks_ties_toward_lowest_class():
     ds, cfg, fs, ls = _toy_setup()
     model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps,
-                       np.random.default_rng(5))
+                       np.random.default_rng(5), np.float64)
     for p in model.params:
         p.value[...] = 0.0
     pred = predict(model, fs, ls)
@@ -690,7 +702,7 @@ def test_evaluate_accuracy_matches_manual_tally():
 def test_export_attention_rows_and_buckets():
     ds, cfg, fs, ls = _toy_setup()
     model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps,
-                       np.random.default_rng(7))
+                       np.random.default_rng(7), np.float64)
     model.feature_combiner.s.value[:] = np.random.default_rng(8).standard_normal(
         model.feature_combiner.s.value.size)
     degrees = ds.graph.degrees()
@@ -709,7 +721,7 @@ def test_export_attention_rows_and_buckets():
 def test_export_attention_uniform_for_zero_scores():
     ds, cfg, fs, ls = _toy_setup()
     model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps,
-                       np.random.default_rng(9))
+                       np.random.default_rng(9), np.float64)
     # zero scoring vector: every step equally weighted, relative weights all 1
     per_node, per_bucket = export_attention(model, fs, ls, ds.graph.degrees(),
                                             [(0, 100)])
@@ -719,7 +731,7 @@ def test_export_attention_uniform_for_zero_scores():
 def test_export_attention_rejects_baseline():
     ds, cfg, fs, ls = _toy_setup(attention="sgc", use_labels=False)
     model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, 0,
-                       np.random.default_rng(10))
+                       np.random.default_rng(10), np.float64)
     with pytest.raises(ValueError):
         export_attention(model, fs, None, ds.graph.degrees(), [(1, 4)])
 
@@ -832,7 +844,8 @@ def _caches(model):
 def test_eval_forwards_keep_no_backward_state(attention):
     ds, cfg, fs, ls = _toy_setup(epochs=2, patience=2, attention=attention)
     model = fit(fs, ls, ds.labels, ds.splits, cfg, num_classes=ds.num_classes).model
-    model.forward(*_stack_inputs(fs, ls, cfg, np.arange(5)), training=True)
+    rows = np.arange(5)
+    model.forward(*_stack_inputs(fs, ls, cfg, rows), rows=rows, training=True)
     kinds = {"jk": {"JkAttention", "Mlp", "_StackLinear", "Linear"},
              "recursive": {"RecursiveAttention", "Mlp", "Linear"}}[attention]
     assert {name for name, _ in _caches(model)} == kinds
@@ -868,7 +881,7 @@ def test_predict_memory_does_not_grow_with_the_stacks():
     ls = Stack(mats=rng.random((steps + 1, n, dim)), fingerprint=bytes(32))
     cfg = TrainConfig(dataset_dir="unused", hops=steps, hidden=8, reference="normal_noise",
                       label_mode="smoothed").validate()
-    model = GamlpModel(cfg, n, dim, dim, steps, steps, rng)
+    model = GamlpModel(cfg, n, dim, dim, steps, steps, rng, np.float64)
     tracemalloc.start()
     try:
         pred = predict(model, fs, ls)
@@ -897,7 +910,7 @@ def test_stack_inputs_of_rows_equal_the_sliced_inputs(label_mode, scheme, float3
     if float32:
         fs, ls = _cast((fs, ls), np.float32)
     feats_before, labels_before = fs.mats.copy(), ls.mats.copy()
-    whole = _stack_inputs(fs, ls, cfg)
+    whole = _stack_inputs(fs, ls, cfg, ALL)
     rows = np.array([17, 3, 3, 29, 0, 11])
     for sel in (rows, slice(5, 23)):
         got = _stack_inputs(fs, ls, cfg, sel)
@@ -958,16 +971,18 @@ def test_checkpoint_with_adam_state_still_restores(tmp_path):
     model = restore_model(path, cfg, fs, ls)
     for p, q in zip(model.params, result.model.params):
         assert np.array_equal(p.value, q.value)
-    inputs = _stack_inputs(fs, ls, cfg)
-    assert np.array_equal(model.forward(*inputs), result.model.forward(*inputs))
+    inputs = _stack_inputs(fs, ls, cfg, ALL)
+    assert np.array_equal(model.forward(*inputs, ALL, False),
+                          result.model.forward(*inputs, ALL, False))
 
 
 def test_restore_model_reproduces_normal_noise_logits(tmp_path):
     cfg, fs, ls, result, path = _fitted(tmp_path, reference="normal_noise",
                                         label_mode="plain")
     model = restore_model(path, cfg, fs, ls)
-    inputs = _stack_inputs(fs, ls, cfg)
-    assert np.array_equal(model.forward(*inputs), result.model.forward(*inputs))
+    inputs = _stack_inputs(fs, ls, cfg, ALL)
+    assert np.array_equal(model.forward(*inputs, ALL, False),
+                          result.model.forward(*inputs, ALL, False))
 
 
 @pytest.mark.parametrize("key,value", [("seed", 5), ("label_mode", "smoothed"),

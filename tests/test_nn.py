@@ -235,7 +235,7 @@ def test_dropout_backward_zeroes_exactly_the_dropped_entries():
 
 def test_adam_zero_gradient_is_noop():
     p = ParamTensor("p", np.array([1.0, -2.0]))
-    opt = Adam([p], lr=0.1)
+    opt = Adam([p], lr=0.1, weight_decay=0.0)
     opt.step()
     assert np.array_equal(p.value, [1.0, -2.0])
 
@@ -243,7 +243,7 @@ def test_adam_zero_gradient_is_noop():
 def test_adam_first_step_magnitude_is_lr():
     p = ParamTensor("p", np.array([0.0]))
     p.grad[:] = 3.7
-    Adam([p], lr=0.01).step()
+    Adam([p], lr=0.01, weight_decay=0.0).step()
     assert abs(p.value[0]) == pytest.approx(0.01, rel=1e-6)
     assert p.value[0] < 0
 
@@ -259,7 +259,7 @@ def test_adam_matches_scalar_recurrence_oracle():
         v = b2 * v + (1 - b2) * g * g
         theta -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
     p = ParamTensor("p", np.array([0.3]))
-    opt = Adam([p], lr=lr)
+    opt = Adam([p], lr=lr, weight_decay=0.0)
     for g in grads:
         p.grad[:] = g
         opt.step()
@@ -269,7 +269,7 @@ def test_adam_matches_scalar_recurrence_oracle():
 def test_adam_leaves_gradients_untouched():
     p = ParamTensor("p", np.array([1.0]))
     p.grad[:] = 2.0
-    Adam([p]).step()
+    Adam([p], lr=0.001, weight_decay=0.0).step()
     assert p.grad[0] == 2.0
 
 
@@ -280,7 +280,7 @@ def _linear_ce_setup(seed=0):
     layer = Linear(rng, 4, 3, "l")
 
     def loss_fn():
-        return cross_entropy(layer.forward(x), onehot)[0]
+        return cross_entropy(layer.forward(x, False), onehot)[0]
 
     loss, d = cross_entropy(layer.forward(x, training=True), onehot)
     for p in layer.params:
@@ -302,14 +302,15 @@ def test_grad_check_detects_corrupted_backward():
 
 def test_mlp_backward_matches_finite_differences():
     rng = np.random.default_rng(9)
-    mlp = Mlp(rng, 5, 8, 3, depth=3, activation=Activation("sigmoid"))
+    mlp = Mlp(rng, 5, 8, 3, depth=3, activation=Activation("sigmoid"), dropout_rate=0.0,
+              name="mlp")
     x = rng.standard_normal((7, 5))
     onehot = np.eye(3)[rng.integers(0, 3, size=7)]
 
     def loss_fn():
-        return cross_entropy(mlp.forward(x), onehot)[0]
+        return cross_entropy(mlp.forward(x, False, None), onehot)[0]
 
-    _, d = cross_entropy(mlp.forward(x, training=True), onehot)
+    _, d = cross_entropy(mlp.forward(x, training=True, rng=None), onehot)
     for p in mlp.params:
         p.zero_grad()
     mlp.backward(d)
@@ -318,12 +319,14 @@ def test_mlp_backward_matches_finite_differences():
 
 def test_mlp_depth_one_is_linear():
     rng = np.random.default_rng(10)
-    mlp = Mlp(rng, 4, 99, 2, depth=1, activation=Activation("relu"))
+    mlp = Mlp(rng, 4, 99, 2, depth=1, activation=Activation("relu"), dropout_rate=0.0,
+              name="mlp")
     x = rng.standard_normal((3, 4))
     want = x @ mlp.layers[0].w.value + mlp.layers[0].b.value
-    assert np.allclose(mlp.forward(x), want)
+    assert np.allclose(mlp.forward(x, False, None), want)
     with pytest.raises(ValueError):
-        Mlp(rng, 4, 8, 2, depth=0, activation=Activation("relu"))
+        Mlp(rng, 4, 8, 2, depth=0, activation=Activation("relu"), dropout_rate=0.0,
+            name="mlp")
 
 
 def test_glorot_bounds():

@@ -14,10 +14,12 @@ from gamlp.pipeline import (MissingCacheError, build_stacks, cache_paths, load_s
                             preprocess, stack_recipes)
 from gamlp.propagation import FingerprintMismatch, ResidualScheme, cache_write
 
+from conftest import ALL
+
 
 @pytest.fixture(scope="module")
 def sbm():
-    return generate_sbm([15, 15], 0.3, 0.05, 4, 2.0, seed=3)
+    return generate_sbm([15, 15], 0.3, 0.05, 4, 2.0, seed=3, name="sbm")
 
 
 def _config(cache_dir, **overrides):
@@ -46,7 +48,7 @@ def test_one_preprocess_serves_every_residual_scheme(sbm, fixed_07_cache, scheme
     label_inputs = {"plain": y, "smoothed": (1.0 - a) * y + a * y[-1],
                     "uniform": (1.0 - a) * y + a / label_stack.dim}[label_mode]
     built = (feature_stack.mats, label_inputs)
-    cached = _stack_inputs(*load_stacks(sbm, config), config)
+    cached = _stack_inputs(*load_stacks(sbm, config), config, ALL)
     for got, want in zip(cached, built):
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=0.0, atol=1e-6)

@@ -20,20 +20,20 @@ from conftest import dense_ahat, random_graph, to_scipy
 
 def test_zero_steps_is_input(path3):
     x = np.random.default_rng(0).standard_normal((3, 2))
-    stack = propagate_features(normalize(path3, 0.5), x, 0)
+    stack = propagate_features(normalize(path3, 0.5), x, 0, np.float64)
     assert len(stack.mats) == 1
     assert np.array_equal(stack.mats[0], x)
 
 
 def test_row_stochastic_preserves_ones(path3):
-    stack = propagate_features(normalize(path3, 0.0), np.ones((3, 1)), 6)
+    stack = propagate_features(normalize(path3, 0.0), np.ones((3, 1)), 6, np.float64)
     for m in stack.mats:
         assert np.allclose(m, 1.0, atol=1e-12)
 
 
 def test_two_step_matches_dense(path3):
     x = np.random.default_rng(1).standard_normal((3, 2))
-    stack = propagate_features(normalize(path3, 0.5), x, 2)
+    stack = propagate_features(normalize(path3, 0.5), x, 2, np.float64)
     a = dense_ahat(path3, 0.5)
     assert np.allclose(stack.mats[2], a @ (a @ x), atol=1e-14)
 
@@ -46,7 +46,7 @@ def test_iterative_equals_matrix_power_oracle():
         r = float(rng.choice([0.0, 0.5, 1.0]))
         g = random_graph(rng, n, 0.2)
         x = rng.standard_normal((n, 3))
-        stack = propagate_features(normalize(g, r), x, k)
+        stack = propagate_features(normalize(g, r), x, k, np.float64)
         a = dense_ahat(g, r)
         want = np.linalg.matrix_power(a, k) @ x
         err = np.linalg.norm(stack.mats[k] - want) / max(1.0, np.linalg.norm(want))
@@ -56,11 +56,11 @@ def test_iterative_equals_matrix_power_oracle():
 def test_step_limits(path3):
     op = normalize(path3, 0.5)
     with pytest.raises(ValueError):
-        propagate_features(op, np.ones((3, 1)), -1)
+        propagate_features(op, np.ones((3, 1)), -1, np.float64)
     with pytest.raises(ValueError):
-        propagate_features(op, np.ones((3, 1)), 129)
+        propagate_features(op, np.ones((3, 1)), 129, np.float64)
     with pytest.raises(ValueError):
-        propagate_features(op, np.ones((4, 1)), 1)
+        propagate_features(op, np.ones((4, 1)), 1, np.float64)
 
 
 def test_label_seed_rows():
@@ -92,7 +92,7 @@ def test_label_seed_missing_label():
 
 def test_label_propagation_zero_steps(path3):
     y0 = build_label_seed(np.array([0, -1, -1]), [0], n=3, num_classes=2)
-    stack = propagate_labels(normalize(path3, 0.0), y0, 0)
+    stack = propagate_labels(normalize(path3, 0.0), y0, 0, np.float64)
     assert len(stack.mats) == 1
     assert np.array_equal(stack.mats[0], y0)
 
@@ -103,7 +103,7 @@ def test_label_row_sums_stay_probabilistic():
     labels = rng.integers(0, 3, size=20)
     train = rng.choice(20, size=8, replace=False)
     y0 = build_label_seed(labels, train, n=20, num_classes=3)
-    stack = propagate_labels(normalize(g, 0.0), y0, 5)
+    stack = propagate_labels(normalize(g, 0.0), y0, 5, np.float64)
     for m in stack.mats:
         sums = m.sum(axis=1)
         assert sums.min() >= -1e-12 and sums.max() <= 1.0 + 1e-12
@@ -112,13 +112,13 @@ def test_label_row_sums_stay_probabilistic():
 def test_two_node_label_step_matches_dense():
     g = build_graph([(0, 1)], 2)
     y0 = build_label_seed(np.array([1, -1]), [0], n=2, num_classes=2)
-    stack = propagate_labels(normalize(g, 0.5), y0, 1)
+    stack = propagate_labels(normalize(g, 0.5), y0, 1, np.float64)
     assert np.allclose(stack.mats[1], dense_ahat(g, 0.5) @ y0, atol=1e-14)
 
 
 def test_cosine_alphas_l4():
     # analytic cos(pi l / 8)
-    a = ResidualScheme("cosine").alphas(4)
+    a = ResidualScheme("cosine", 0.0).alphas(4)
     want = [1.0, 0.9238795325112867, 0.7071067811865476, 0.3826834323650898, 0.0]
     assert np.allclose(a, want, atol=1e-12)
     assert a[0] == 1.0 and a[-1] == 0.0
@@ -126,17 +126,17 @@ def test_cosine_alphas_l4():
 
 def test_cosine_alphas_strictly_decreasing():
     for steps in range(1, 20):
-        a = ResidualScheme("cosine").alphas(steps)
+        a = ResidualScheme("cosine", 0.0).alphas(steps)
         assert np.all(np.diff(a) < 0)
 
 
 def test_linear_and_fixed_alphas():
-    assert np.allclose(ResidualScheme("linear").alphas(4), [1.0, 0.75, 0.5, 0.25, 0.0])
+    assert np.allclose(ResidualScheme("linear", 0.0).alphas(4), [1.0, 0.75, 0.5, 0.25, 0.0])
     assert np.allclose(ResidualScheme("fixed", 0.7).alphas(3), 0.7)
     with pytest.raises(ValueError):
         ResidualScheme("fixed", 1.5)
     with pytest.raises(ValueError):
-        ResidualScheme("geometric")
+        ResidualScheme("geometric", 0.0)
 
 
 def _label_stack(rng, n=12, steps=4, r=0.5, dtype=np.float64):
@@ -149,13 +149,13 @@ def _label_stack(rng, n=12, steps=4, r=0.5, dtype=np.float64):
 
 def test_last_residual_deepest_is_exact():
     stack, _ = _label_stack(np.random.default_rng(2))
-    smoothed = apply_last_residual(stack.mats, ResidualScheme())
+    smoothed = apply_last_residual(stack.mats, ResidualScheme("cosine", 0.0))
     assert np.array_equal(smoothed[-1], stack.mats[-1])
 
 
 def test_last_residual_step0_equals_deepest_under_cosine():
     stack, _ = _label_stack(np.random.default_rng(3))
-    smoothed = apply_last_residual(stack.mats, ResidualScheme())
+    smoothed = apply_last_residual(stack.mats, ResidualScheme("cosine", 0.0))
     assert np.array_equal(smoothed[0], stack.mats[-1])
 
 
@@ -167,7 +167,7 @@ def test_fixed_alpha_blend():
         assert np.allclose(smoothed[l], want, atol=1e-15)
 
 
-@pytest.mark.parametrize("scheme", [ResidualScheme("cosine"), ResidualScheme("linear"),
+@pytest.mark.parametrize("scheme", [ResidualScheme("cosine", 0.0), ResidualScheme("linear", 0.0),
                                     ResidualScheme("fixed", 0.7), ResidualScheme("fixed", 0.2)],
                          ids=["cosine", "linear", "fixed0.7", "fixed0.2"])
 @pytest.mark.parametrize("steps", [0, 1, 5])
@@ -268,12 +268,12 @@ def test_cache_round_trip_features(tmp_path):
     # np.load reads the stack record, whole or mapped
     assert np.array_equal(np.load(path), stored)
     assert np.array_equal(np.load(path, mmap_mode="r"), stored)
-    loaded = cache_read(path, stack.fingerprint)
+    loaded = cache_read(path, stack.fingerprint, force=False)
     # values survive as their float32 representation; a second trip is exact
     path2 = tmp_path / "f2.npy"
     cache_write(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
-    again = cache_read(path2, stack.fingerprint)
+    again = cache_read(path2, stack.fingerprint, force=False)
     for a, b in zip(loaded.mats, again.mats):
         assert np.array_equal(a, b)
     assert loaded.fingerprint == stack.fingerprint
@@ -321,10 +321,11 @@ def test_stacks_are_one_contiguous_array(tmp_path):
     for stack, is_label in ((features, False), (labels, True)):
         path = tmp_path / "s.npy"
         cache_write(stack, path)
-        loaded = cache_read(path, stack.fingerprint)
+        loaded = cache_read(path, stack.fingerprint, force=False)
         arrays = [(stack.mats, np.float32), (loaded.mats, np.float32)]
         if is_label:
-            arrays.append((apply_last_residual(loaded.mats, ResidualScheme()), np.float32))
+            smoothed = apply_last_residual(loaded.mats, ResidualScheme("cosine", 0.0))
+            arrays.append((smoothed, np.float32))
         for a, dtype in arrays:
             assert isinstance(a, np.ndarray) and a.dtype == dtype
             assert a.shape == (stack.steps + 1, stack.n, stack.dim)
@@ -338,7 +339,7 @@ def test_cache_round_trip_labels(tmp_path):
     # the 128-byte npy header and the raw steps only, then the 160-byte
     # fingerprint record: no smoothed copy is stored
     assert path.stat().st_size == 128 + (stack.steps + 1) * stack.n * stack.dim * 4 + 160
-    loaded = cache_read(path, stack.fingerprint)
+    loaded = cache_read(path, stack.fingerprint, force=False)
     assert loaded.fingerprint == stack.fingerprint
     for a, b in zip(loaded.mats, stack.mats):
         assert np.allclose(a, b, atol=1e-7)
@@ -353,7 +354,7 @@ def _refused(path) -> str:
     is checked before its fingerprint is compared, so any expected one will do."""
     with mock.patch.object(mmap, "mmap", side_effect=AssertionError("mapped")), \
             pytest.raises(CacheFormatError) as err:
-        cache_read(path, bytes(32))
+        cache_read(path, bytes(32), force=False)
     message = str(err.value)
     assert "\n" not in message
     assert message.startswith(f"{path}: ") and message.endswith("rerun gamlp preprocess")
@@ -454,18 +455,18 @@ def test_cache_replaced_while_read_yields_one_write(tmp_path, monkeypatch):
         return array
 
     monkeypatch.setattr(np.lib.format, "read_array", read_then_replace)
-    loaded = cache_read(path, stack.fingerprint)
+    loaded = cache_read(path, stack.fingerprint, force=False)
     monkeypatch.undo()
     assert loaded.fingerprint == stack.fingerprint != other.fingerprint
     assert np.array_equal(loaded.mats, stack.mats.astype(np.float32))
-    assert cache_read(path, other.fingerprint).fingerprint == other.fingerprint
+    assert cache_read(path, other.fingerprint, force=False).fingerprint == other.fingerprint
 
 
 def test_cache_read_maps_a_read_only_stack(tmp_path):
     stack = _feature_stack(np.random.default_rng(4))
     path = tmp_path / "m.npy"
     cache_write(stack, path)
-    mats = cache_read(path, stack.fingerprint).mats
+    mats = cache_read(path, stack.fingerprint, force=False).mats
     assert type(mats) is np.ndarray and mats.dtype == np.float32
     assert mats.flags.c_contiguous and not mats.flags.writeable
     assert np.array_equal(mats, stack.mats.astype(np.float32))
@@ -484,7 +485,7 @@ def test_mapped_stack_outlives_its_file_and_stack(tmp_path):
     stack = _feature_stack(np.random.default_rng(5))
     path = tmp_path / "m.npy"
     cache_write(stack, path)
-    loaded = cache_read(path, stack.fingerprint)
+    loaded = cache_read(path, stack.fingerprint, force=False)
     mats = loaded.mats
     del loaded
     gc.collect()
@@ -529,11 +530,11 @@ def test_cache_fingerprint_guard(tmp_path):
     cache_write(stack, path)
     with mock.patch.object(mmap, "mmap", side_effect=AssertionError("mapped")), \
             pytest.raises(FingerprintMismatch):
-        cache_read(path, expect_fingerprint=b"\0" * 32)
+        cache_read(path, expect_fingerprint=b"\0" * 32, force=False)
     with pytest.warns(UserWarning, match="fingerprint"):
         loaded = cache_read(path, expect_fingerprint=b"\0" * 32, force=True)
     assert loaded.steps == stack.steps
-    loaded = cache_read(path, expect_fingerprint=stack.fingerprint)
+    loaded = cache_read(path, expect_fingerprint=stack.fingerprint, force=False)
     assert loaded.steps == stack.steps
 
 
@@ -557,7 +558,7 @@ def test_cache_write_failure_keeps_previous_file(tmp_path):
     with pytest.raises(OSError, match="no space"):
         cache_write(broken, path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
-    loaded = cache_read(path, expect_fingerprint=stack.fingerprint)
+    loaded = cache_read(path, expect_fingerprint=stack.fingerprint, force=False)
     assert loaded.steps == stack.steps
 
 
