@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-from .config import parse_config, thread_count
+from .config import ConfigError, parse_config, thread_count
 
 
 def _set_threads(threads) -> None:
@@ -90,10 +90,12 @@ def _load(args):
     from .data import load_dataset
 
     config = parse_config(args.config)
-    if args.cache_dir is not None:
-        config = config.replace(cache_dir=args.cache_dir)
-    if args.seed is not None:
-        config = config.replace(seed=args.seed)
+    for flag, key in (("--cache-dir", "cache_dir"), ("--seed", "seed")):
+        if getattr(args, key) is not None:
+            try:
+                config = config.replace(**{key: getattr(args, key)})
+            except ConfigError as e:
+                raise ConfigError(f"{flag}: {e}") from None
     dataset = load_dataset(config.dataset_dir)
     return config, dataset
 

@@ -1,8 +1,9 @@
 """Flat key = value training configuration.
 
 One option per line, ``#`` starts a comment, unknown and duplicate keys
-are rejected with the offending line number. Defaults follow the common
-large-graph settings (hidden 512, lr 0.001, dropout 0.5).
+are rejected, and every error names the file and the line at fault.
+Defaults follow the common large-graph settings (hidden 512, lr 0.001,
+dropout 0.5).
 """
 
 from __future__ import annotations
@@ -19,7 +20,11 @@ MAX_HOPS = 128
 
 
 class ConfigError(Exception):
-    pass
+    """A config that cannot be used; ``keys`` are the config keys at fault."""
+
+    def __init__(self, message: str, keys: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.keys = keys
 
 
 def thread_count(value: str) -> int:
@@ -67,38 +72,41 @@ class TrainConfig:
         return self.hops if self.label_hops < 0 else self.label_hops
 
     def validate(self) -> "TrainConfig":
-        def require(cond: bool, msg: str):
+        """Raises a ConfigError whose ``keys`` name the keys at fault, first the
+        one its message begins with."""
+        def require(cond: bool, key: str, msg: str, *also: str):
             if not cond:
-                raise ConfigError(msg)
+                raise ConfigError(f"{key} {msg}", (key, *also))
 
-        require(0 <= self.hops <= MAX_HOPS, f"hops must lie in [0, {MAX_HOPS}]")
+        require(self.cache_dir != "", "cache_dir", "must not be empty")
+        require(0 <= self.hops <= MAX_HOPS, "hops", f"must lie in [0, {MAX_HOPS}]")
         require(self.label_hops == -1 or 0 <= self.label_hops <= MAX_HOPS,
-                f"label_hops must lie in [0, {MAX_HOPS}]")
-        require(self.r_mode in (0.0, 0.5, 1.0), "r_mode must be 0, 0.5 or 1")
+                "label_hops", f"must lie in [0, {MAX_HOPS}]")
+        require(self.r_mode in (0.0, 0.5, 1.0), "r_mode", "must be 0, 0.5 or 1")
         require(self.residual_scheme in RESIDUAL_KINDS,
-                f"residual_scheme must be one of {RESIDUAL_KINDS}")
-        require(0.0 <= self.fixed_alpha <= 1.0, "fixed_alpha must lie in [0, 1]")
+                "residual_scheme", f"must be one of {RESIDUAL_KINDS}")
+        require(0.0 <= self.fixed_alpha <= 1.0, "fixed_alpha", "must lie in [0, 1]")
         require(self.attention in ATTENTION_KINDS,
-                f"attention must be one of {ATTENTION_KINDS}")
+                "attention", f"must be one of {ATTENTION_KINDS}")
         require(self.reference in REFERENCE_MODES,
-                f"reference must be one of {REFERENCE_MODES}")
-        require(self.hidden >= 1, "hidden must be positive")
-        require(self.num_layers >= 1, "num_layers must be >= 1")
-        require(self.label_num_layers >= 1, "label_num_layers must be >= 1")
-        require(self.jk_layers >= 1, "jk_layers must be >= 1")
+                "reference", f"must be one of {REFERENCE_MODES}")
+        require(self.hidden >= 1, "hidden", "must be positive")
+        require(self.num_layers >= 1, "num_layers", "must be >= 1")
+        require(self.label_num_layers >= 1, "label_num_layers", "must be >= 1")
+        require(self.jk_layers >= 1, "jk_layers", "must be >= 1")
         require(self.activation in ACTIVATION_KINDS,
-                f"activation must be one of {ACTIVATION_KINDS}")
+                "activation", f"must be one of {ACTIVATION_KINDS}")
         for key in ("input_dropout", "attention_dropout", "dropout"):
-            require(0.0 <= getattr(self, key) < 1.0, f"{key} must lie in [0, 1)")
-        require(self.lr >= 0.0, "lr must be nonnegative")
-        require(self.weight_decay >= 0.0, "weight_decay must be nonnegative")
-        require(self.batch_size >= 0, "batch_size must be nonnegative")
-        require(self.epochs >= 1, "epochs must be >= 1")
+            require(0.0 <= getattr(self, key) < 1.0, key, "must lie in [0, 1)")
+        require(self.lr >= 0.0, "lr", "must be nonnegative")
+        require(self.weight_decay >= 0.0, "weight_decay", "must be nonnegative")
+        require(self.batch_size >= 0, "batch_size", "must be nonnegative")
+        require(self.epochs >= 1, "epochs", "must be >= 1")
         require(1 <= self.patience <= self.epochs,
-                "patience must lie in [1, epochs]")
+                "patience", "must lie in [1, epochs]", "epochs")
         require(self.label_mode in LABEL_MODES,
-                f"label_mode must be one of {LABEL_MODES}")
-        require(self.seed >= 0, "seed must be nonnegative")
+                "label_mode", f"must be one of {LABEL_MODES}")
+        require(self.seed >= 0, "seed", "must be nonnegative")
         return self
 
     def replace(self, **kwargs) -> "TrainConfig":
@@ -113,7 +121,7 @@ _BOOL_TRUE = {"true", "1", "yes", "on"}
 _BOOL_FALSE = {"false", "0", "no", "off"}
 
 
-def _coerce(key: str, raw: str, line_no: int):
+def _coerce(key: str, raw: str, where: str):
     typ = _FIELDS[key]
     try:
         if typ == "bool":
@@ -129,28 +137,38 @@ def _coerce(key: str, raw: str, line_no: int):
             return float(raw)
         return raw
     except ValueError:
-        raise ConfigError(f"line {line_no}: cannot parse {key} = {raw!r} as {typ}") from None
+        raise ConfigError(f"{where}: cannot parse {key} = {raw!r} as {typ}") from None
 
 
 def parse_config(path) -> TrainConfig:
-    """Parse and validate a config file; unknown keys are errors."""
+    """Parse and validate a config file; unknown keys are errors. Every error
+    begins with ``path`` and the number of the line at fault, or with ``path``
+    alone when the file does not set the key at fault."""
     values: dict[str, object] = {}
     seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigError(f"line {line_no}: expected 'key = value', got {text!r}")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in _FIELDS:
-                raise ConfigError(f"line {line_no}: unknown key {key!r}")
-            if key in seen:
-                raise ConfigError(
-                    f"line {line_no}: duplicate key {key!r} (first set on line {seen[key]})")
-            seen[key] = line_no
-            values[key] = _coerce(key, raw, line_no)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for line_no, line in enumerate(f, start=1):
+                text = line.split("#", 1)[0].strip()
+                if not text:
+                    continue
+                where = f"{path}:{line_no}"
+                if "=" not in text:
+                    raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+                key, raw = (part.strip() for part in text.split("=", 1))
+                if key not in _FIELDS:
+                    raise ConfigError(f"{where}: unknown key {key!r}")
+                if key in seen:
+                    raise ConfigError(
+                        f"{where}: duplicate key {key!r} (first set on line {seen[key]})")
+                seen[key] = line_no
+                values[key] = _coerce(key, raw, where)
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     if "dataset_dir" not in values:
-        raise ConfigError("config must set dataset_dir")
-    return TrainConfig(**values).validate()
+        raise ConfigError(f"{path}: config must set dataset_dir")
+    try:
+        return TrainConfig(**values).validate()
+    except ConfigError as e:
+        line_no = next((seen[key] for key in e.keys if key in seen), None)
+        raise ConfigError(f"{path}:{line_no}: {e}" if line_no else f"{path}: {e}") from None

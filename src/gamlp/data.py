@@ -9,17 +9,19 @@ On-disk dataset layout (all little-endian, ids 0-based decimal):
     splits/train.txt     one node id per line (same for val.txt, test.txt)
 
 The integer files (edges, labels, splits) are parsed in bulk: one
-``np.loadtxt`` call per file, then one vectorised range check. When that
-parse raises or the check fails, one line loop, ``_read_lines``, reads the
-file again and gives each row its line number; the same check runs on its
-rows. The loop is the reference reader: it accepts the few inputs numpy
-rejects (whitespace-only lines, a trailing tab, ``1_0``), so both paths load
-every file to the same arrays, and every error is one line naming the file
-and the first faulty line.
+``np.loadtxt`` call per file, then one vectorised check that every value,
+node id or class, lies in [0, n) for n nodes. When that parse raises or
+the check fails, one line loop, ``_read_lines``, reads the file again and
+checks each line in turn. The loop is the reference reader: it accepts the
+few inputs numpy rejects (whitespace-only lines, a trailing tab, ``1_0``),
+so both paths load every file to the same arrays, and every error is one
+line naming the file and the first faulty line. The split files are then
+checked for repeated ids and unlabeled train nodes, again naming the line.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 import warnings
@@ -144,11 +146,12 @@ def _read_features(directory: Path) -> np.ndarray:
     return x
 
 
-def _read_lines(path: Path, columns: int, form: str, not_int: str):
-    """The reference reader: (rows, line numbers, error) of the file's non-blank
-    lines. It stops at the first line with a wrong column count or a non-integer
-    field, and returns its DatasetError: ``form`` or ``not_int``, then the text."""
-    rows, line_nos, error = [], [], None
+def _read_lines(path: Path, columns: int, n: int, form: str, not_int: str, problem):
+    """The reference reader: (rows, error) of the file's non-blank lines. It stops
+    at the first line with a wrong column count, a non-integer field or a value
+    outside [0, ``n``), and returns its DatasetError: ``form`` or ``not_int``,
+    then the text, or ``problem(*row)``. No row it keeps can overflow int64."""
+    rows, error = [], None
     with open(path, "r", encoding="utf-8") as f:
         for line_no, line in enumerate(f, start=1):
             text = line.strip()
@@ -159,34 +162,28 @@ def _read_lines(path: Path, columns: int, form: str, not_int: str):
                 error = DatasetError(f"{path}:{line_no}: {form}{text!r}")
                 break
             try:
-                rows.append(tuple(map(int, parts)))
+                row = tuple(map(int, parts))
             except ValueError:
                 error = DatasetError(f"{path}:{line_no}: {not_int}{text!r}")
                 break
-            line_nos.append(line_no)
-    return np.asarray(rows, dtype=np.int64).reshape(-1, columns), line_nos, error
+            if not all(0 <= v < n for v in row):
+                error = DatasetError(f"{path}:{line_no}: {problem(*row)}")
+                break
+            rows.append(row)
+    return np.asarray(rows, dtype=np.int64).reshape(-1, columns), error
 
 
-def _read_ints(path: Path, columns: int, n: int, form: str, not_int: str, problem,
-               node_columns: int | None = None) -> np.ndarray:
-    """The file's rows as a (rows, columns) int64 array: ``_read_table``'s when numpy
-    takes the file and no row is out of range (holds a negative value, or a node id
-    >= ``n`` in its first ``node_columns`` fields, all for None), else ``_read_lines``'s.
-    The first faulty line raises, an out-of-range row as ``problem(*row)``."""
-    def first_out_of_range(table: np.ndarray) -> int | None:
-        bad = table < 0
-        bad[:, :node_columns] |= table[:, :node_columns] >= n
-        return int(np.argmax(bad)) // columns if bad.any() else None
-
+def _read_ints(path: Path, columns: int, n: int, form: str, not_int: str,
+               problem) -> np.ndarray:
+    """The file's rows as a (rows, columns) int64 array, every value in [0, ``n``):
+    ``_read_table``'s when numpy takes the file and no value is out of range, else
+    ``_read_lines``'s, which raises the first faulty line."""
     if not path.is_file():
         raise DatasetError(f"{path}: missing")
     table = _read_table(path, columns)
-    if table is not None and first_out_of_range(table) is None:
+    if table is not None and ((table >= 0) & (table < n)).all():
         return table
-    table, line_nos, error = _read_lines(path, columns, form, not_int)
-    bad = first_out_of_range(table)
-    if bad is not None:
-        raise DatasetError(f"{path}:{line_nos[bad]}: {problem(*table[bad])}")
+    table, error = _read_lines(path, columns, n, form, not_int, problem)
     if error is not None:
         raise error
     return table
@@ -199,10 +196,11 @@ def _read_edges(path: Path, n: int) -> np.ndarray:
 
 
 def _read_labels(path: Path, n: int) -> np.ndarray:
-    """Length-n class vector, -1 for nodes without a line; a later line wins."""
+    """Length-n class vector, -1 for nodes without a line; a later line wins.
+    Classes lie in [0, n): a class no node can hold is refused."""
     table = _read_ints(path, 2, n, "expected 'node<TAB>class', got ", "non-integer value in ",
                        lambda node, cls: f"node id {node} outside [0, {n})"
-                       if not 0 <= node < n else f"negative class {cls}", node_columns=1)
+                       if not 0 <= node < n else f"class {cls} outside [0, {n})")
     labels = np.full(n, -1, dtype=np.int64)
     order = np.argsort(table[:, 0], kind="stable")
     nodes, classes = table[order, 0], table[order, 1]
@@ -218,8 +216,45 @@ def _read_split(path: Path, n: int) -> np.ndarray:
                       lambda i: f"node id {i} outside [0, {n})")[:, 0]
 
 
+def _line_of(path: Path, row: int) -> int:
+    """Line number of the ``row``-th (from 0) non-blank line of ``path``."""
+    with open(path, "r", encoding="utf-8") as f:
+        lines = (line_no for line_no, line in enumerate(f, start=1) if line.strip())
+        return next(itertools.islice(lines, row, None))
+
+
+def _check_splits(parts: list[np.ndarray], paths: list[Path], labels: np.ndarray,
+                  labels_path: Path) -> None:
+    """Raise a one-line DatasetError at the split-file line of the first node id
+    that an earlier line of the splits already holds, or else of the first
+    train node without a label in ``labels_path``."""
+    ids = np.concatenate(parts)
+    part = np.repeat(np.arange(len(parts)), [p.size for p in parts])
+    row = np.concatenate([np.arange(p.size) for p in parts])
+
+    def where(pos: int) -> tuple[Path, int]:
+        return paths[part[pos]], _line_of(paths[part[pos]], row[pos])
+
+    if ids.size and (np.diff(np.sort(ids)) == 0).any():
+        order = np.argsort(ids, kind="stable")
+        repeats = np.flatnonzero(ids[order[1:]] == ids[order[:-1]])
+        k = repeats[np.argmin(order[repeats + 1])]  # the earliest repeat, then its first
+        (path, line), (first_path, first_line) = where(order[k + 1]), where(order[k])
+        detail = (f"duplicate node id {ids[order[k]]} (first on line {first_line})"
+                  if path == first_path else
+                  f"node id {ids[order[k]]} is also on {first_path}:{first_line} "
+                  "(splits overlap)")
+        raise DatasetError(f"{path}:{line}: {detail}")
+    unlabeled = np.flatnonzero(labels[parts[0]] < 0)  # train ids lead ``ids``
+    if unlabeled.size:
+        path, line = where(unlabeled[0])
+        raise DatasetError(f"{path}:{line}: train node {ids[unlabeled[0]]} has no label "
+                           f"in {labels_path}")
+
+
 def load_dataset(directory) -> Dataset:
-    """Load and validate a dataset directory."""
+    """Load a dataset directory. Every fault is one DatasetError that names the
+    file, and the line for the integer files."""
     directory = Path(directory)
     if not directory.is_dir():
         raise DatasetError(f"{directory}: not a dataset directory")
@@ -228,11 +263,13 @@ def load_dataset(directory) -> Dataset:
 
     graph = build_graph(_read_edges(directory / "edges.tsv", n), n)
     labels = _read_labels(directory / "labels.tsv", n)
-    splits = Splits(*(_read_split(directory / "splits" / f"{part}.txt", n)
-                      for part in ("train", "val", "test")))
+    split_paths = [directory / "splits" / f"{part}.txt" for part in ("train", "val", "test")]
+    parts = [_read_split(path, n) for path in split_paths]
+    _check_splits(parts, split_paths, labels, directory / "labels.tsv")
     num_classes = int(labels.max()) + 1 if (labels >= 0).any() else 0
-    return Dataset(graph=graph, features=features, labels=labels, splits=splits,
-                   num_classes=num_classes, name=directory.name).validate()
+    # the readers and _check_splits cover every check of Dataset.validate
+    return Dataset(graph=graph, features=features, labels=labels, splits=Splits(*parts),
+                   num_classes=num_classes, name=directory.name)
 
 
 def save_dataset(dataset: Dataset, directory) -> None:

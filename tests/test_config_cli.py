@@ -43,8 +43,9 @@ def test_config_rejects_negative_hops(tmp_path):
 def test_config_rejects_duplicate_key(tmp_path):
     path = tmp_path / "c.conf"
     path.write_text("dataset_dir = d\nhops = 2\nhops = 3\n")
-    with pytest.raises(ConfigError, match="line 3"):
+    with pytest.raises(ConfigError) as err:
         parse_config(path)
+    assert str(err.value) == f"{path}:3: duplicate key 'hops' (first set on line 2)"
 
 
 def test_config_rejects_unknown_key(tmp_path):
@@ -62,7 +63,7 @@ def test_config_rejects_a_removed_key(tmp_path, line):
     key = line.split(" ")[0]
     with pytest.raises(ConfigError) as err:
         parse_config(path)
-    assert str(err.value) == f"line 3: unknown key {key!r}"
+    assert str(err.value) == f"{path}:3: unknown key {key!r}"
 
 
 def test_every_shipped_config_parses():
@@ -77,7 +78,7 @@ def test_config_rejects_a_negative_seed(tmp_path):
     path.write_text("dataset_dir = d\nseed = -1\n")
     with pytest.raises(ConfigError) as err:
         parse_config(path)
-    assert str(err.value) == "seed must be nonnegative"
+    assert str(err.value) == f"{path}:2: seed must be nonnegative"
 
 
 def test_readme_configuration_table_lists_every_key():
@@ -91,8 +92,9 @@ def test_readme_configuration_table_lists_every_key():
 def test_config_rejects_type_error(tmp_path):
     path = tmp_path / "c.conf"
     path.write_text("dataset_dir = d\nhops = five\n")
-    with pytest.raises(ConfigError, match="line 2"):
+    with pytest.raises(ConfigError) as err:
         parse_config(path)
+    assert str(err.value) == f"{path}:2: cannot parse hops = 'five' as int"
 
 
 def test_config_rejects_patience_above_epochs(tmp_path):
@@ -107,6 +109,23 @@ def test_config_requires_dataset_dir(tmp_path):
     path.write_text("hops = 2\n")
     with pytest.raises(ConfigError, match="dataset_dir"):
         parse_config(path)
+
+
+@pytest.mark.parametrize("text, where, message", [
+    ("dataset_dir = d\nhops\n", ":2", "expected 'key = value', got 'hops'"),
+    ("dataset_dir = d\n\nhops = 999\n", ":3", "hops must lie in [0, 128]"),
+    # patience is not set: the line of the other key at fault
+    ("dataset_dir = d\nepochs = 10\n", ":2", "patience must lie in [1, epochs]"),
+    ("dataset_dir = d\ncache_dir =\n", ":2", "cache_dir must not be empty"),
+    ("hops = 2\n", "", "config must set dataset_dir"),
+    ("dataset_dir = d\nlabel_mode = \xff\n", "", "not UTF-8 text"),
+])
+def test_config_errors_name_the_file_and_the_line(tmp_path, text, where, message):
+    path = tmp_path / "c.conf"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value) == f"{path}{where}: {message}"
 
 
 def test_config_bool_parsing(tmp_path):
@@ -441,7 +460,10 @@ def test_a_negative_seed_override_fails_before_any_work(workdir, capsys):
     _, conf, cache_dir = workdir
     for command in ("preprocess", "train"):
         assert main([command, "--config", str(conf), "--seed", "-1"]) == 1
-        assert capsys.readouterr().err == "gamlp: error: seed must be nonnegative\n"
+        assert capsys.readouterr().err == "gamlp: error: --seed: seed must be nonnegative\n"
+        assert main([command, "--config", str(conf), "--cache-dir", ""]) == 1
+        assert (capsys.readouterr().err
+                == "gamlp: error: --cache-dir: cache_dir must not be empty\n")
     assert not cache_dir.exists()
 
 

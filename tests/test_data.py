@@ -267,7 +267,7 @@ PARSE_ERRORS = {
                         "edges.tsv", 3, "node id outside [0, 12)"),
     "negative id": (dict(edges="-1\t1\n"), "edges.tsv", 1, "node id outside [0, 12)"),
     "negative class": (dict(labels=CLEAN_LABELS + "3\t-1\n"),
-                       "labels.tsv", 13, "negative class -1"),
+                       "labels.tsv", 13, "class -1 outside [0, 12)"),
     "label node out of range": (dict(labels="99\t1\n"),
                                 "labels.tsv", 1, "node id 99 outside [0, 12)"),
     "label float class": (dict(labels="0\t0.5\n"),
@@ -285,7 +285,18 @@ PARSE_ERRORS = {
     "float id before an out-of-range id": (dict(edges="0\t1\n1.5\t2\n3\t4\n2\t12\n"),
                                            "edges.tsv", 2, "non-integer id in '1.5\\t2'"),
     "negative class before a third column": (dict(labels="0\t-2\n1\t1\n2\t1\t0\n"),
-                                             "labels.tsv", 1, "negative class -2"),
+                                             "labels.tsv", 1, "class -2 outside [0, 12)"),
+    # every id and class lies in [0, n): one beyond int64 is out of range too
+    "edge id beyond int64": (dict(edges="0\t1\n2\t99999999999999999999\n"),
+                             "edges.tsv", 2, "node id outside [0, 12)"),
+    "label node beyond int64": (dict(labels="99999999999999999999\t0\n"), "labels.tsv", 1,
+                                "node id 99999999999999999999 outside [0, 12)"),
+    "class beyond int64": (dict(labels=CLEAN_LABELS + "3\t99999999999999999999\n"),
+                           "labels.tsv", 13, "class 99999999999999999999 outside [0, 12)"),
+    "class at the node count": (dict(labels=CLEAN_LABELS + "3\t12\n"),
+                                "labels.tsv", 13, "class 12 outside [0, 12)"),
+    "split id beyond int64": (dict(test="6\n-99999999999999999999\n"), "test.txt", 2,
+                              "node id -99999999999999999999 outside [0, 12)"),
 }
 
 
@@ -302,6 +313,20 @@ def test_malformed_input_reports_file_and_line(tmp_path, monkeypatch, case):
     path = next(root.rglob(name))
     assert message == f"{path}:{line}: {detail}"
     assert "\n" not in message
+
+
+@pytest.mark.parametrize("files, message", [
+    (dict(train="0\n1\n\n1\n3\n"), "{train}:4: duplicate node id 1 (first on line 2)"),
+    (dict(val="4\n\n2\n"), "{val}:3: node id 2 is also on {train}:3 (splits overlap)"),
+    (dict(labels="0\t0\n1\t1\n"), "{train}:3: train node 2 has no label in {labels}"),
+], ids=["duplicate in one file", "overlap of two files", "truncated labels"])
+def test_split_errors_name_the_files_and_lines(tmp_path, monkeypatch, files, message):
+    root = write_parity_fixture(tmp_path / "ds", **files)
+    paths = {part: root / "splits" / f"{part}.txt" for part in ("train", "val", "test")}
+    for load in (load_dataset, lambda root: load_by_line(root, monkeypatch)):
+        with pytest.raises(DatasetError) as err:
+            load(root)
+        assert str(err.value) == message.format(labels=root / "labels.tsv", **paths)
 
 
 def test_bulk_parse_warning_falls_back_to_line_loop(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 import gamlp.model
 import gamlp.nn
-from gamlp.config import REFERENCE_MODES, TrainConfig
+from gamlp.config import ACTIVATION_KINDS, REFERENCE_MODES, TrainConfig
 from gamlp.data import Splits, generate_sbm
 from gamlp.model import (CheckpointFormatError, GamlpModel, TrainingDiverged, _stack_blocks,
                          _stack_inputs, evaluate_accuracy, fit, predict, restore_model,
@@ -67,11 +67,14 @@ def test_loss_non_increasing_first_five_epochs(sbm60):
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-def test_divergence_aborts_with_diagnostic(sbm60):
-    cfg = _config(epochs=50, patience=50)
+@pytest.mark.parametrize("activation", ACTIVATION_KINDS)
+def test_divergence_aborts_with_diagnostic(sbm60, activation):
+    cfg = _config(epochs=50, patience=50, activation=activation)
     fs, ls = build_stacks(sbm60, cfg)
     # the training rows hold the largest finite float64, so the first training
-    # forward overflows before any validation pass runs
+    # forward overflows before any validation pass runs. Under sigmoid the
+    # logits can stay finite (expit maps +-inf to 1 or 0), so only the check
+    # on each layer's output catches it
     fs.mats[:, sbm60.splits.train] = np.finfo(np.float64).max
     with pytest.raises(TrainingDiverged, match=r"at epoch 1 \(lr=0\.01\)") as err:
         fit(fs, ls, sbm60.labels, sbm60.splits, cfg, num_classes=sbm60.num_classes)

@@ -9,6 +9,8 @@ def test_lazy_exports():
     g = gamlp.build_graph([(0, 1)], 2)
     assert isinstance(g, gamlp.CsrGraph)
     assert gamlp.__version__
+    for name in gamlp.__all__:  # a stale entry fails only when it is looked up
+        assert getattr(gamlp, name) is not None, name
     try:
         gamlp.not_a_thing
     except AttributeError:
