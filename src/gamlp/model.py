@@ -30,8 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import TrainConfig
-from .nn import (Activation, Adam, Linear, Mlp, NonFiniteError, ParamTensor, cross_entropy,
-                 dropout, dropout_backward, softmax_backward, softmax_rows)
+from .nn import (Activation, Adam, Linear, Mlp, NonFiniteError, ParamTensor, _check_finite,
+                 cross_entropy, dropout, dropout_backward, softmax_backward, softmax_rows)
 from .propagation import ResidualScheme, Stack, apply_last_residual, atomic_write
 
 
@@ -101,7 +101,8 @@ class RecursiveAttention:
     on h_l. When no mask is drawn (eval mode, or rate 0), h_l·s_b is the
     running weighted sum of the projections X^(i)·s_b, so the steps run
     on per-row scalars and only H is built. Backward runs the recursion
-    in reverse at the same cost (see :meth:`backward`).
+    in reverse at the same cost (see :meth:`backward`) and releases the
+    training forward's cache.
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, activation: Activation,
@@ -181,6 +182,7 @@ class RecursiveAttention:
         per row and step X^(i).
         """
         mats, xd, xb, pre, hb, e, top, den, w, hd, masks = self._cache
+        self._cache = None
         dim, rate = self.dim, self.attention_dropout
         sb = self.s.value[dim:]
         masked = hd is not None
@@ -220,8 +222,9 @@ class _StackLinear(Linear):
     The concatenation X^(1) || ... || X^(S) is never materialized: the
     layer computes sum_k X^(k) W_k, accumulated in place, reading each
     step where it lies in the stack. That keeps deep stacks (S up to 128)
-    affordable and copies no (rows, S*f) matrix. The stack is data, so
-    backward returns no input gradient.
+    affordable and copies no (rows, S*f) matrix. The output is checked
+    for non-finite values like every :class:`Linear`'s. The stack is data,
+    so backward returns no input gradient; it releases the stack.
     """
 
     def __init__(self, layer: Linear):
@@ -235,11 +238,12 @@ class _StackLinear(Linear):
         for k in range(1, len(xs)):
             z += xs[k] @ w[k]
         z += self.b.value
-        return z
+        return _check_finite(z, "linear output")
 
     def backward(self, d_out: np.ndarray) -> None:
+        xs, self._x = self._x, None
         self.b.grad += d_out.sum(axis=0)
-        self.w.grad += (self._x.transpose(0, 2, 1) @ d_out).reshape(self.w.value.shape)
+        self.w.grad += (xs.transpose(0, 2, 1) @ d_out).reshape(self.w.value.shape)
 
 
 class JkAttention:
@@ -248,6 +252,11 @@ class JkAttention:
     ``reference`` selects what each step is compared with: the encoder
     output (``jk``), the raw step-0 features, a fixed per-node Gaussian
     buffer of ``n_nodes`` rows, or nothing at all.
+
+    A training forward keeps the stack and the bool mask of its attention
+    dropout, not the dropped stack: backward rebuilds that with the
+    forward's own multiply and scale (:func:`dropout_backward`), so it is
+    bit for bit the forward's, and then releases the cache.
     """
 
     def __init__(self, rng: np.random.Generator, steps: int, dim: int, hidden: int,
@@ -303,24 +312,28 @@ class JkAttention:
         if self.encoder is not None and len(mats) - 1 != self.steps:
             raise ValueError(f"stack has {len(mats) - 1} steps, encoder expects {self.steps}")
         sa, sb = self.s.value[:self.dim], self.s.value[self.dim:]
-        xd, _ = dropout(mats, self.attention_dropout, rng, training)
-        ref = self._reference(mats, rows, training, rng)
+        xd, mask = dropout(mats, self.attention_dropout, rng, training)
         pre = _scores(xd, sa)
+        del xd  # backward rebuilds it from the mask
+        ref = self._reference(mats, rows, training, rng)
         rd, r_mask = None, None
         if ref is not None:
             rd, r_mask = dropout(ref, self.attention_dropout, rng, training)
             pre += (rd @ sb)[:, None]
         w = softmax_rows(self.activation.forward(pre))
         h = _combine(w, mats)
-        self._cache = (mats, xd, pre, w, rd, r_mask) if training else None
+        self._cache = (mats, mask, pre, w, rd, r_mask) if training else None
         return h, w
 
     def backward(self, d_h: np.ndarray) -> None:
-        mats, xd, pre, w, rd, r_mask = self._cache
+        mats, mask, pre, w, rd, r_mask = self._cache
+        self._cache = None
         dim = self.dim
         d_act = softmax_backward(_weight_grad(d_h, mats), w)
         d_pre = self.activation.backward(d_act, pre)
+        xd = dropout_backward(mats, mask, self.attention_dropout)
         self.s.grad[:dim] += np.tensordot(d_pre.T, xd, axes=2)
+        del xd
         if rd is not None:
             row_sum = d_pre.sum(axis=1, keepdims=True)
             self.s.grad[dim:] += rd.T @ row_sum[:, 0]
@@ -443,9 +456,12 @@ class GamlpModel:
         return logits
 
     def backward(self, d_logits: np.ndarray) -> None:
-        self.feature_combiner.backward(self.feature_mlp.backward(d_logits))
+        """Both branches' gradients, the label branch first: the branches share
+        no parameter, and the feature branch's rebuilt dropped stack is then
+        made after the label branch has released its caches."""
         if self.label_combiner is not None:
             self.label_combiner.backward(self.label_mlp.backward(d_logits))
+        self.feature_combiner.backward(self.feature_mlp.backward(d_logits))
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +541,8 @@ def fit(feature_stack: Stack, label_stack: Stack | None,
 
     ``splits`` needs .train/.val attributes, such as a :class:`~gamlp.data.Splits`.
     Each training batch takes its rows' inputs through :func:`_stack_inputs`,
-    and each epoch validates through :func:`predict` over the labeled val rows.
+    and each epoch validates through :func:`predict` over the labeled val rows;
+    a step's inputs and caches are released before that pass.
     The model computes in the stacks' dtype. Returns the parameters
     of the best validation epoch. Raises TrainingDiverged on a non-finite
     loss or layer output, in training or in the validation pass.
@@ -549,6 +566,23 @@ def fit(feature_stack: Stack, label_stack: Stack | None,
         return TrainingDiverged(f"{what} at epoch {epoch} (lr={config.lr}); reduce the "
                                 "learning rate or check the input scaling")
 
+    def step(batch: np.ndarray) -> float:
+        """One optimizer step on ``batch``; returns its loss. Its inputs, logits and
+        gradients end with the call, so none of them outlives the step."""
+        model.zero_grad()
+        ids = train_ids[batch]
+        feats, label_mats = _stack_inputs(feature_stack, label_stack, config, ids)
+        try:
+            logits = model.forward(feats, label_mats, rows=ids, training=True, rng=rng)
+            loss, d_logits = cross_entropy(logits, onehot[batch])
+        except NonFiniteError as e:
+            raise diverged(str(e)) from None
+        if not np.isfinite(loss):
+            raise diverged("non-finite loss")
+        model.backward(d_logits)
+        adam.step()
+        return loss
+
     log: list[dict] = []
     best_val, best_epoch, best_values = -np.inf, 0, None
     if log_path:
@@ -564,19 +598,7 @@ def fit(feature_stack: Stack, label_stack: Stack | None,
                            for i in range(0, train_ids.size, config.batch_size)]
             total_loss, total_rows = 0.0, 0
             for batch in batches:
-                model.zero_grad()
-                ids = train_ids[batch]
-                feats, label_mats = _stack_inputs(feature_stack, label_stack, config, ids)
-                try:
-                    logits = model.forward(feats, label_mats, rows=ids, training=True, rng=rng)
-                    loss, d_logits = cross_entropy(logits, onehot[batch])
-                except NonFiniteError as e:
-                    raise diverged(str(e)) from None
-                if not np.isfinite(loss):
-                    raise diverged("non-finite loss")
-                model.backward(d_logits)
-                adam.step()
-                total_loss += loss * batch.size
+                total_loss += step(batch) * batch.size
                 total_rows += batch.size
             train_loss = total_loss / total_rows
 

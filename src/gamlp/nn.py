@@ -202,7 +202,7 @@ class Adam:
 
 class Linear:
     """Linear layer owning its weight/bias parameters; only a training
-    forward keeps its input for backward."""
+    forward keeps its input, and backward releases it."""
 
     def __init__(self, rng: np.random.Generator, in_dim: int, out_dim: int, name: str):
         self.w = ParamTensor(f"{name}.w", glorot_uniform(rng, in_dim, out_dim))
@@ -218,7 +218,8 @@ class Linear:
         return linear_forward(x, self.w.value, self.b.value)
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
-        d_x, d_w, d_b = linear_backward(self._x, self.w.value, d_out)
+        x, self._x = self._x, None
+        d_x, d_w, d_b = linear_backward(x, self.w.value, d_out)
         self.w.grad += d_w
         self.b.grad += d_b
         return d_x
@@ -229,7 +230,8 @@ class Mlp:
 
     ``depth`` = 1 is a single linear map (no nonlinearity), matching the
     linear-model baselines. Only a training forward keeps what backward
-    needs, in the MLP and in its layers.
+    needs, in the MLP and in its layers, and backward releases each part
+    once it has read it; a second backward needs a new training forward.
     """
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int,
@@ -263,10 +265,11 @@ class Mlp:
         return h
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
+        cache, self._cache = self._cache, None
         d_h = d_out
         for i in range(len(self.layers) - 1, -1, -1):
             if i < len(self.layers) - 1:
-                pre, mask = self._cache[i]
+                pre, mask = cache.pop()  # cache[i]
                 d_h = dropout_backward(d_h, mask, self.dropout_rate)
                 d_h = self.activation.backward(d_h, pre)
             d_h = self.layers[i].backward(d_h)

@@ -3,6 +3,7 @@ import json
 import math
 import struct
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,8 +17,8 @@ from gamlp.model import (BaselineCombiner, CheckpointFormatError, CheckpointMism
                          _stack_blocks, _stack_inputs, _StackLinear, baseline_combine,
                          evaluate_accuracy, export_attention, fit, predict, restore_model,
                          save_checkpoint, slice_mats)
-from gamlp.nn import (Activation, Linear, Mlp, cross_entropy, dropout, dropout_backward,
-                      softmax_backward, softmax_rows)
+from gamlp.nn import (Activation, Linear, Mlp, NonFiniteError, cross_entropy, dropout,
+                      dropout_backward, softmax_backward, softmax_rows)
 from gamlp.pipeline import build_stacks
 from gamlp.propagation import ResidualScheme, Stack, apply_last_residual
 
@@ -428,6 +429,27 @@ def test_stack_linear_matches_linear_over_the_concatenation(steps):
     for p, q in zip(layer.params, dense.params):
         assert p.name == q.name
         assert np.abs(p.grad - q.grad).max() <= 1e-12, p.name
+
+
+def test_stack_linear_checks_its_output_like_every_linear():
+    # under sigmoid an overflow of the first encoder layer would otherwise
+    # vanish: expit(inf) is 1, so the reference came out finite
+    big = np.full((3, 4, 2), np.finfo(np.float64).max)
+    comb = JkAttention(np.random.default_rng(1), 2, 2, hidden=5, depth=2,
+                       activation=Activation("sigmoid"), attention_dropout=0.0,
+                       reference="jk", n_nodes=4, name="jk", mlp_dropout=0.0)
+    first = comb.encoder.layers[0]
+    np.abs(first.w.value, out=first.w.value)  # every sum overflows to +inf
+    for layer, x in ((first, big[1:]), (Linear(np.random.default_rng(1), 4, 5, "l"),
+                                        np.hstack(big[1:]))):
+        if not isinstance(layer, _StackLinear):
+            np.abs(layer.w.value, out=layer.w.value)
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match="^non-finite values in linear output$"):
+            layer.forward(x, False)
+    with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteError, match="^non-finite values in linear output$"):
+        comb.forward(big, ALL, False, None)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
@@ -852,6 +874,65 @@ def test_eval_forwards_keep_no_backward_state(attention):
     assert all(cache is not None for _, cache in _caches(model))
     predict(model, fs, ls)
     assert all(cache is None for _, cache in _caches(model))
+
+
+@pytest.mark.parametrize("attention", ["jk", "recursive"])
+def test_backward_releases_every_training_cache(attention):
+    ds, cfg, fs, ls = _toy_setup(attention=attention, input_dropout=0.2,
+                                 attention_dropout=0.3, dropout=0.5)
+    model = GamlpModel(cfg, ds.n, fs.dim, ds.num_classes, fs.steps, ls.steps,
+                       np.random.default_rng(0), np.float64)
+    rows = np.arange(12)
+    logits = model.forward(*_stack_inputs(fs, ls, cfg, rows), rows=rows, training=True,
+                           rng=np.random.default_rng(1))
+    assert all(cache is not None for _, cache in _caches(model))
+    model.backward(cross_entropy(logits, np.eye(ds.num_classes)[ds.labels[rows]])[1])
+    assert all(cache is None for _, cache in _caches(model))
+
+
+def test_jk_training_cache_keeps_the_mask_not_the_dropped_stack():
+    mats = np.random.default_rng(5).standard_normal((4, 9, 3))
+    comb = JkAttention(np.random.default_rng(1), 3, 3, hidden=5, depth=2,
+                       activation=Activation("leaky_relu"), attention_dropout=0.5,
+                       reference="jk", n_nodes=9, name="jk", mlp_dropout=0.5)
+    comb.forward(mats, ALL, training=True, rng=np.random.default_rng(2))
+    arrays = [a for a in comb._cache if isinstance(a, np.ndarray) and a.shape == mats.shape]
+    assert [a.dtype for a in arrays] == [mats.dtype, np.bool_]
+    assert arrays[0] is mats
+
+
+@pytest.mark.parametrize("attention", ["jk", "recursive"])
+def test_nothing_from_a_training_step_survives_into_validation(monkeypatch, attention):
+    # every training step's inputs, logits and logit gradients are freed,
+    # and every backward cache released, before the epoch's validation pass
+    ds, cfg, fs, ls = _toy_setup(epochs=3, patience=3, attention=attention, batch_size=8,
+                                 input_dropout=0.2, attention_dropout=0.3, dropout=0.5)
+    step_arrays, checked = [], []
+    stack_inputs, cross_entropy_, predict_ = (gamlp.model._stack_inputs,
+                                              gamlp.model.cross_entropy, gamlp.model.predict)
+
+    def keep_refs(fn):
+        def spy(*args):
+            out = fn(*args)
+            step_arrays.extend(weakref.ref(a) for a in out if isinstance(a, np.ndarray))
+            step_arrays.extend(weakref.ref(a) for a in args if isinstance(a, np.ndarray))
+            return out
+        return spy
+
+    def validate(model, *args):
+        checked.append((len(step_arrays), all(r() is None for r in step_arrays),
+                        all(cache is None for _, cache in _caches(model))))
+        step_arrays.clear()
+        with monkeypatch.context() as m:  # its own row blocks are not a training step's
+            m.setattr(gamlp.model, "_stack_inputs", stack_inputs)
+            return predict_(model, *args)
+
+    monkeypatch.setattr(gamlp.model, "_stack_inputs", keep_refs(stack_inputs))
+    monkeypatch.setattr(gamlp.model, "cross_entropy", keep_refs(cross_entropy_))
+    monkeypatch.setattr(gamlp.model, "predict", validate)
+    fit(fs, ls, ds.labels, ds.splits, cfg, num_classes=ds.num_classes)
+    assert [c[1:] for c in checked] == [(True, True)] * 3
+    assert all(count > 0 for count, *_ in checked)
 
 
 @pytest.mark.parametrize("call", ["predict", "export_attention"])
