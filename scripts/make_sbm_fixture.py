@@ -54,9 +54,10 @@ def main(argv=None) -> int:
           f"splits {dataset.splits.train.size}/{dataset.splits.val.size}/"
           f"{dataset.splits.test.size}")
     if args.config_out:
-        cache_dir = Path(args.out).parent / "cache" / Path(args.out).name
+        # absolute, so that the config runs from any working directory
+        dataset_dir = Path(args.out).resolve()
         Path(args.config_out).write_text(CONFIG_TEMPLATE.format(
-            dataset_dir=args.out, cache_dir=cache_dir))
+            dataset_dir=dataset_dir, cache_dir=dataset_dir.parent / "cache" / dataset_dir.name))
         print(f"wrote {args.config_out}")
     return 0
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 
 from .config import ConfigError, parse_config, thread_count
 
@@ -100,6 +101,21 @@ def _load(args):
     return config, dataset
 
 
+@contextmanager
+def _blame_the_caches(config, stacks):
+    """Name the cache entry at fault when a run over the cached ``stacks`` fails
+    on a non-finite value; with finite caches the error stands as raised."""
+    from .model import TrainingDiverged
+    from .nn import NonFiniteError
+    from .pipeline import check_cache_values
+
+    try:
+        yield
+    except (TrainingDiverged, NonFiniteError):
+        check_cache_values(config, stacks)
+        raise
+
+
 def _cmd_preprocess(args) -> int:
     from .pipeline import preprocess
 
@@ -117,10 +133,11 @@ def _cmd_train(args) -> int:
     feature_stack, label_stack = load_stacks(dataset, config, force=args.force)
     ckpt = args.checkpoint or os.path.join(config.cache_dir, "checkpoint.gmck")
     log_path = args.out or ckpt + ".log.jsonl"
-    result = fit(feature_stack, label_stack, dataset.labels, dataset.splits, config,
-                 num_classes=dataset.num_classes, log_path=log_path)
-    save_checkpoint(ckpt, result.model, feature_stack, label_stack)
-    pred = predict(result.model, feature_stack, label_stack)
+    with _blame_the_caches(config, (feature_stack, label_stack)):
+        result = fit(feature_stack, label_stack, dataset.labels, dataset.splits, config,
+                     num_classes=dataset.num_classes, log_path=log_path)
+        save_checkpoint(ckpt, result.model, feature_stack, label_stack)
+        pred = predict(result.model, feature_stack, label_stack)
     labels, splits = dataset.labels, dataset.splits
     val = (f"{result.best_val_acc:.4f} (epoch {result.best_epoch})"
            if labeled_ids(splits.val, labels).size else "n/a (0 nodes)")
@@ -132,7 +149,7 @@ def _cmd_train(args) -> int:
 
 
 def _restore(args):
-    """(dataset, model, feature stack, label stack) of ``args.checkpoint``."""
+    """(config, dataset, model, feature stack, label stack) of ``args.checkpoint``."""
     from .model import restore_model
     from .pipeline import load_stacks
 
@@ -142,14 +159,15 @@ def _restore(args):
     config, dataset = _load(args)
     feature_stack, label_stack = load_stacks(dataset, config)
     model = restore_model(args.checkpoint, config, feature_stack, label_stack)
-    return dataset, model, feature_stack, label_stack
+    return config, dataset, model, feature_stack, label_stack
 
 
 def _cmd_eval(args) -> int:
     from .model import evaluate_accuracy, labeled_ids, predict
 
-    dataset, model, feature_stack, label_stack = _restore(args)
-    pred = predict(model, feature_stack, label_stack)
+    config, dataset, model, feature_stack, label_stack = _restore(args)
+    with _blame_the_caches(config, (feature_stack, label_stack)):
+        pred = predict(model, feature_stack, label_stack)
     for part in ("train", "val", "test"):
         split = labeled_ids(getattr(dataset.splits, part), dataset.labels)
         if split.size == 0:
@@ -223,10 +241,11 @@ def _cmd_export_attention(args) -> int:
     from .model import export_attention, write_attention_csv
 
     buckets = _parse_buckets(args.buckets)
-    dataset, model, feature_stack, label_stack = _restore(args)
+    config, dataset, model, feature_stack, label_stack = _restore(args)
     degrees = dataset.graph.degrees()
-    per_node, per_bucket = export_attention(model, feature_stack, label_stack,
-                                            degrees, buckets)
+    with _blame_the_caches(config, (feature_stack, label_stack)):
+        per_node, per_bucket = export_attention(model, feature_stack, label_stack,
+                                                degrees, buckets)
     node_path = f"{args.out}_nodes.csv"
     bucket_path = f"{args.out}_buckets.csv"
     write_attention_csv(per_node, per_bucket, node_path, bucket_path,

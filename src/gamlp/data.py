@@ -33,6 +33,7 @@ import numpy as np
 from .graph import CsrGraph, build_graph, unique_sorted
 
 _FEAT_MAGIC = b"GMFX"
+SBM_SPLIT_FRACS = (0.3, 0.2)  # generate_sbm's train and val share of each block; the rest is test
 
 
 class DatasetError(Exception):
@@ -291,14 +292,14 @@ def save_dataset(dataset: Dataset, directory) -> None:
 
 
 def generate_sbm(block_sizes, p_in: float, p_out: float, feature_dim: int,
-                 feature_sep: float, seed: int, name: str,
-                 split_fracs=(0.3, 0.2, 0.5)) -> Dataset:
+                 feature_sep: float, seed: int, name: str) -> Dataset:
     """Stochastic block model with Gaussian block-mean features.
 
     Block id doubles as the class label. Block means sit ``feature_sep``
     from the origin along distinct axes, so classes overlap heavily for
     small separations and become linearly separable for large ones.
-    Splits are stratified by class with the given fractions. Everything
+    Splits are stratified by class, with SBM_SPLIT_FRACS of each block for
+    training and validation and the rest for test. Everything
     is a pure function of the arguments and the seed.
     """
     if not (0.0 <= p_in <= 1.0 and 0.0 <= p_out <= 1.0):
@@ -323,8 +324,8 @@ def generate_sbm(block_sizes, p_in: float, p_out: float, feature_dim: int,
     train, val, test = [], [], []
     for b in range(len(block_sizes)):
         members = order[blocks[order] == b]
-        n_train = max(1, int(round(split_fracs[0] * members.size)))
-        n_val = max(1, int(round(split_fracs[1] * members.size)))
+        n_train = max(1, int(round(SBM_SPLIT_FRACS[0] * members.size)))
+        n_val = max(1, int(round(SBM_SPLIT_FRACS[1] * members.size)))
         train.extend(members[:n_train])
         val.extend(members[n_train:n_train + n_val])
         test.extend(members[n_train + n_val:])

@@ -23,6 +23,8 @@ from .model import evaluate_accuracy, predict
 from .pipeline import build_stacks, stack_recipes, train_on_dataset
 from .propagation import atomic_write
 
+PERTURB_SEED = 7  # the sparsity sweep's first level seed; each later level adds 1000
+
 METHOD_OVERRIDES = {
     "gamlp_jk": dict(attention="jk"),
     "gamlp_r": dict(attention="recursive"),
@@ -92,20 +94,21 @@ def run_depth_sweep(dataset: Dataset, depths, configs: dict[str, TrainConfig],
 
 def run_sparsity_sweep(dataset: Dataset, kind: str, levels,
                        configs: dict[str, TrainConfig], n_runs: int,
-                       base_seed: int, perturb_seed: int = 7) -> dict:
+                       base_seed: int) -> dict:
     """Accuracy curves under edge removal or per-class label budgets.
 
     kind "edge": levels are removal fractions in [0, 1).
     kind "label": levels are per-class training-label counts.
-    The perturbation at each level is sampled once and shared by all
-    methods.
+    The perturbation at each level is sampled once, from its seed
+    PERTURB_SEED + 1000 · level index, and shared by all methods; the report
+    records PERTURB_SEED as ``perturb_seed``.
     """
     if kind not in ("edge", "label"):
         raise ValueError("sparsity kind must be 'edge' or 'label'")
 
     def cases():  # one perturbed dataset at a time
         for idx, level in enumerate(levels):
-            level_seed = perturb_seed + 1000 * idx
+            level_seed = PERTURB_SEED + 1000 * idx
             if kind == "edge":
                 perturbed = drop_edges(dataset, float(level), level_seed) if level else dataset
                 setting = f"edge{level:g}"
@@ -116,7 +119,7 @@ def run_sparsity_sweep(dataset: Dataset, kind: str, levels,
                 yield f"{method}@{setting}", setting, method, perturbed, config
 
     report = _run(cases(), n_runs, base_seed)
-    report["perturb_seed"] = perturb_seed
+    report["perturb_seed"] = PERTURB_SEED
     return report
 
 

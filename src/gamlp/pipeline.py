@@ -17,8 +17,8 @@ from .config import TrainConfig
 from .data import Dataset
 from .graph import add_self_loops, normalize
 from .model import FitResult, fit
-from .propagation import (build_label_seed, cache_read, cache_write, propagate_features,
-                          propagate_labels, stack_fingerprint)
+from .propagation import (CacheFormatError, build_label_seed, cache_read, cache_write,
+                          propagate_features, propagate_labels, stack_fingerprint)
 
 
 class MissingCacheError(Exception):
@@ -92,6 +92,21 @@ def load_stacks(dataset: Dataset, config: TrainConfig, force: bool = False):
         expect = stack_fingerprint(looped, _seed(dataset, kind), steps, r, np.float32)
         stacks.append(cache_read(path, expect_fingerprint=expect, force=force))
     return _pair(stacks)
+
+
+def check_cache_values(config: TrainConfig, stacks) -> None:
+    """Raise CacheFormatError naming the first non-finite value of the cached
+    ``stacks`` (feature stack, label stack or None), read from
+    :func:`cache_paths` of ``config``. The fingerprint hashes what shaped a
+    cache, not its values, and loads stay lazy maps; so this scans every
+    value, and only once a run over the stacks has failed on a non-finite one.
+    """
+    for path, stack in zip(cache_paths(config), stacks):
+        for step, mat in enumerate(stack.mats):
+            bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+            if bad.size:
+                raise CacheFormatError(f"{path}: step {step}, node {bad[0]} holds a "
+                                       "non-finite value; rerun gamlp preprocess") from None
 
 
 def train_on_dataset(dataset: Dataset, config: TrainConfig,

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gamlp.model
 from gamlp import graph
 from gamlp.cli import main
 from gamlp.config import ConfigError, TrainConfig, parse_config
@@ -313,6 +314,42 @@ def test_eval_refuses_a_dataset_replaced_after_training(workdir, capsys):
     assert main(["export-attention", "--config", str(conf), "--checkpoint", ckpt,
                  "--out", str(tmp_path / "att")]) != 0
     assert "fingerprint" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stack, value", [(0, np.nan), (1, -np.inf)])
+def test_a_non_finite_cache_value_is_named_by_file_step_and_node(workdir, capsys, stack,
+                                                                 value):
+    # the fingerprint hashes what shaped a cache, not its values: a value
+    # written into it afterwards surfaces only as a non-finite layer output,
+    # which every command over the stacks then traces back to the cache
+    tmp_path, conf, cache_dir = workdir
+    _train(conf, capsys)
+    path = cache_paths(parse_config(conf))[stack]
+    mats = np.load(path, mmap_mode="r+")  # the stack, the cache's first record
+    mats[2, 5, 1] = value
+    mats[3, 1, 0] = value  # a later step: the first entry in step order is named
+    mats.flush()
+    del mats
+    ckpt = str(cache_dir / "checkpoint.gmck")
+    for command in (["eval", "--checkpoint", ckpt],
+                    ["export-attention", "--checkpoint", ckpt, "--out", str(tmp_path / "a")],
+                    ["train"]):
+        assert main([command[0], "--config", str(conf), *command[1:]]) == 1
+        assert capsys.readouterr().err == (
+            f"gamlp: error: {path}: step 2, node 5 holds a non-finite value; "
+            "rerun gamlp preprocess\n"), command[0]
+
+
+def test_a_divergence_over_finite_caches_keeps_its_message(workdir, capsys, monkeypatch):
+    _, conf, _ = workdir
+    assert main(["preprocess", "--config", str(conf)]) == 0
+
+    def diverge(*args, **kwargs):
+        raise gamlp.model.TrainingDiverged("non-finite loss at epoch 3")
+
+    monkeypatch.setattr(gamlp.model, "fit", diverge)
+    assert main(["train", "--config", str(conf)]) == 1
+    assert capsys.readouterr().err == "gamlp: error: non-finite loss at epoch 3\n"
 
 
 def test_preprocess_idempotent_byte_identical(workdir):

@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import gamlp
+from gamlp.cli import main
 
 
 def test_lazy_exports():
@@ -42,3 +44,18 @@ def test_sbm_fixture_script(tmp_path):
 
     assert load_dataset(out).n == 20
     assert parse_config(conf).dataset_dir == str(out)
+
+
+def test_sbm_fixture_config_runs_from_any_directory(tmp_path, monkeypatch, capsys):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_sbm_fixture.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--out", "probe/ds", "--blocks", "10,10",
+         "--config-out", "probe/c.conf"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(gamlp.__file__).resolve().parents[1])})
+    assert result.returncode == 0, result.stderr
+    monkeypatch.chdir(tmp_path / "probe")
+    assert main(["preprocess", "--config", "c.conf"]) == 0
+    cache = tmp_path.resolve() / "probe" / "cache" / "ds"
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {cache / 'features_K3_r0.5.npy'}", f"wrote {cache / 'labels_L3_r0.5.npy'}"]
