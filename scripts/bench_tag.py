@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run the benchmark's workloads and write BENCH_<tag>.json at the repo root.
 
-Example:
+Examples:
     python3 scripts/bench_tag.py --tag pr8 --against BENCH_pr7.json
+    python3 scripts/bench_tag.py --tag pr9 --parent HEAD~1 --pairs 10 --workload fullbatch-jk
 
 Every workload named in BENCHMARK.json runs twice through
 ``benchmarks/run.py``, for the run length BENCHMARK.json sets and with the
@@ -13,24 +14,36 @@ tags compare metric by metric.
 
 ``--against BENCH_<prev>.json`` then prints, per workload, each
 end-to-end metric of the new file over the previous one.
+
+``--parent <rev> --pairs N`` also compares this checkout with a commit.
+The commit is exported with ``git archive`` into ``.bench_work/``. Pair i
+runs both trees untraced with seed SEED + i, the parent first in even
+pairs and this checkout first in odd ones, so that a drift of the machine
+weighs on both sides alike. Per end-to-end metric it prints each side's
+median and quartiles, the change/parent ratio of the medians and the
+pairs in which the change is better, and stores them under ``pairs``.
+``--workload`` limits every run to one workload.
 """
 
 import argparse
+import io
 import json
+import shutil
 import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = 7
 
 
-def run_benchmark(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The full record of one ``benchmarks/run.py`` run."""
+def run_benchmark(workload: str, seed: int, seconds: float, trace: int, root=ROOT) -> dict:
+    """The full record of one ``benchmarks/run.py`` run of the tree at ``root``."""
     subprocess.run([sys.executable, "benchmarks/run.py", "--workload", workload,
                     "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-                   cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
-    path = ROOT / ".bench_work" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
+                   cwd=root, check=True, stdout=subprocess.DEVNULL)
+    path = root / ".bench_work" / "results" / f"{workload}-seed{seed}-trace{trace}.json"
     return json.loads(path.read_text())
 
 
@@ -66,24 +79,123 @@ def compare(record: dict, previous: dict, end_to_end: list[dict]) -> list[str]:
     return lines
 
 
+def export_tree(rev: str) -> Path:
+    """The files of commit ``rev``, exported once with ``git archive`` into
+    ``.bench_work/tree-<sha>``."""
+    sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                         check=True, capture_output=True, text=True).stdout.strip()
+    dest = ROOT / ".bench_work" / f"tree-{sha}"
+    if not dest.is_dir():
+        archive = subprocess.run(["git", "archive", "--format=tar", sha], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        partial = dest.with_name(dest.name + ".partial")
+        shutil.rmtree(partial, ignore_errors=True)
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(partial, filter="data")
+        partial.rename(dest)
+    return dest
+
+
+def quartiles(values: list) -> tuple:
+    """(Q1, median, Q3), interpolated linearly between the sorted values."""
+    s = sorted(values)
+
+    def at(q):
+        pos = q * (len(s) - 1)
+        lo = int(pos)
+        return s[lo] + (s[min(lo + 1, len(s) - 1)] - s[lo]) * (pos - lo)
+
+    return at(0.25), at(0.5), at(0.75)
+
+
+def pair_figures(parent_runs: list, change_runs: list, end_to_end: list[dict]) -> dict:
+    """Per end-to-end metric, over the pairs in which both runs report it:
+    each side's values, median and quartiles, the change/parent ratio of the
+    medians and the pairs in which the change is better."""
+    out = {}
+    for spec in end_to_end:
+        name = spec["name"]
+        pairs = [(a["metrics"][name]["value"], b["metrics"][name]["value"])
+                 for a, b in zip(parent_runs, change_runs)
+                 if name in a["metrics"] and name in b["metrics"]]
+        if not pairs:
+            continue
+        sides = {}
+        for side, values in zip(("parent", "change"), zip(*pairs)):
+            q1, median, q3 = quartiles(values)
+            sides[side] = {"values": list(values), "median": median, "q1": q1, "q3": q3}
+        better = (lambda a, b: b > a) if spec["better"] == "higher" else (lambda a, b: b < a)
+        out[name] = {**sides, "unit": spec["unit"], "better": spec["better"],
+                     "ratio": sides["change"]["median"] / sides["parent"]["median"],
+                     "wins": sum(better(a, b) for a, b in pairs), "pairs": len(pairs)}
+    return out
+
+
+def run_pairs(workloads, parent_root: Path, pairs: int, seconds: float,
+              end_to_end: list[dict], run=run_benchmark) -> dict:
+    """Alternated untraced runs of ``parent_root`` and this checkout, ``pairs``
+    per workload; pair i runs seed SEED + i, the parent first when i is even."""
+    out = {}
+    for workload in workloads:
+        runs = {"parent": [], "change": []}
+        for i in range(pairs):
+            order = [("parent", parent_root), ("change", ROOT)]
+            for side, root in order if i % 2 == 0 else order[::-1]:
+                runs[side].append(run(workload, SEED + i, seconds, 0, root=root))
+        out[workload] = {
+            "seeds": [SEED + i for i in range(pairs)],
+            "ops_failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
+            "metrics": pair_figures(runs["parent"], runs["change"], end_to_end)}
+    return out
+
+
+def pair_table(pairs: dict) -> list[str]:
+    """The figures of :func:`run_pairs` as the lines of a Markdown table."""
+    lines = ["| workload | metric | parent median [Q1, Q3] | change median [Q1, Q3] "
+             "| change / parent | change better |", "| --- | --- | --- | --- | --- | --- |"]
+    for workload, record in pairs.items():
+        for name, m in record["metrics"].items():
+            cells = [f"{m[side]['median']:.4g} [{m[side]['q1']:.4g}, {m[side]['q3']:.4g}]"
+                     for side in ("parent", "change")]
+            lines.append(f"| {workload} | `{name}` | {cells[0]} | {cells[1]} | "
+                         f"{m['ratio']:.3f} | {m['wins']} of {m['pairs']} |")
+    return lines
+
+
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True, help="written to BENCH_<tag>.json")
     parser.add_argument("--against", type=Path,
                         help="a previous BENCH_<tag>.json: print each end-to-end ratio")
+    parser.add_argument("--parent", help="a commit to compare with in alternated pairs")
+    parser.add_argument("--pairs", type=int, help="pairs of runs per workload (with --parent)")
+    parser.add_argument("--workload", choices=[w["name"] for w in bench["workloads"]],
+                        help="run this workload only")
     args = parser.parse_args(argv)
-    # read before the runs, so that a bad path fails at once
+    if (args.parent is None) != (args.pairs is None) or (args.pairs is not None
+                                                         and args.pairs < 1):
+        parser.error("--parent and --pairs go together, with at least one pair")
+    # read and export before the runs, so that a bad path or commit fails at once
     previous = json.loads(args.against.read_text()) if args.against else None
+    parent_root = export_tree(args.parent) if args.parent else None
 
-    record = collect(args.tag, [w["name"] for w in bench["workloads"]], SEED,
-                     bench["run_seconds"])
+    workloads = [args.workload] if args.workload else [w["name"] for w in bench["workloads"]]
+    record = collect(args.tag, workloads, SEED, bench["run_seconds"])
+    if parent_root:
+        record["pairs"] = {"parent": args.parent, "parent_tree": parent_root.name,
+                           "workloads": run_pairs(workloads, parent_root, args.pairs,
+                                                  bench["run_seconds"], bench["end_to_end"])}
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path.relative_to(ROOT)}")
     if previous:
         print("\n".join(compare(record, previous, bench["end_to_end"])))
     failed = sum(w["ops_failed"] for w in record["workloads"].values())
+    if parent_root:
+        print("\n".join(pair_table(record["pairs"]["workloads"])))
+        failed += sum(sum(w["ops_failed"].values())
+                      for w in record["pairs"]["workloads"].values())
     return 1 if failed else 0
 
 

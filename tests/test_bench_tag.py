@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_tag.py"
 spec = importlib.util.spec_from_file_location("bench_tag", SCRIPT)
 bench_tag = importlib.util.module_from_spec(spec)
@@ -58,3 +60,85 @@ def test_against_prints_each_end_to_end_ratio_per_workload(tmp_path, capsys, mon
         "  predict_rows_per_s: 10 -> 16 rows/s  1.600x (higher is better)",
         "  peak_rss_mb: missing in previous file", "b (new / old):",
         "  predict_rows_per_s: missing in new file", "  peak_rss_mb: missing in previous file"]
+
+
+SPECS = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower"},
+         {"name": "train_rows_per_s", "unit": "rows/s", "better": "higher"}]
+
+
+def _fake_pair_run(calls, parent_root):
+    """Runs in which the change's peak is 10 MB below the parent's, except at
+    seed 9, throughput ties, and the parent's run at seed 10 fails."""
+    def run(workload, seed, seconds, trace, root):
+        side = "parent" if root == parent_root else "change"
+        calls.append((workload, seed, side, seconds, trace))
+        if (side, seed) == ("parent", 10):
+            return {"failed": 1, "metrics": {}}
+        peak = 100.0 + seed - (10.0 if side == "change" and seed != 9 else 0.0)
+        return {"failed": 0, "metrics": {"peak_rss_mb": {"value": peak, "unit": "MB"},
+                                         "train_rows_per_s": {"value": 5.0, "unit": "rows/s"}}}
+    return run
+
+
+def test_pairs_alternate_the_trees_over_shared_seeds(tmp_path):
+    calls, parent_root = [], tmp_path / "parent"
+    pairs = bench_tag.run_pairs(["a"], parent_root, 5, 3.0, SPECS,
+                                run=_fake_pair_run(calls, parent_root))
+    assert calls == [("a", seed, side, 3.0, 0) for seed, first, second in
+                     ((7, "parent", "change"), (8, "change", "parent"),
+                      (9, "parent", "change"), (10, "change", "parent"),
+                      (11, "parent", "change")) for side in (first, second)]
+    record = pairs["a"]
+    assert record["seeds"] == [7, 8, 9, 10, 11]
+    assert record["ops_failed"] == {"parent": 1, "change": 0}
+    # the pair with the failed run is left out of every figure
+    peak = record["metrics"]["peak_rss_mb"]
+    assert peak["parent"] == {"values": [107.0, 108.0, 109.0, 111.0], "median": 108.5,
+                              "q1": 107.75, "q3": 109.5}
+    assert peak["change"] == {"values": [97.0, 98.0, 109.0, 101.0], "median": 99.5,
+                              "q1": 97.75, "q3": 103.0}
+    assert (peak["ratio"], peak["wins"], peak["pairs"]) == (99.5 / 108.5, 3, 4)
+    assert (peak["unit"], peak["better"]) == ("MB", "lower")
+    rows = record["metrics"]["train_rows_per_s"]
+    assert (rows["ratio"], rows["wins"], rows["pairs"]) == (1.0, 0, 4)
+    assert bench_tag.pair_table(pairs) == [
+        "| workload | metric | parent median [Q1, Q3] | change median [Q1, Q3] "
+        "| change / parent | change better |", "| --- | --- | --- | --- | --- | --- |",
+        "| a | `peak_rss_mb` | 108.5 [107.8, 109.5] | 99.5 [97.75, 103] | 0.917 | 3 of 4 |",
+        "| a | `train_rows_per_s` | 5 [5, 5] | 5 [5, 5] | 1.000 | 0 of 4 |"]
+
+
+def test_parent_and_pairs_store_the_figures_under_pairs(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(bench_tag, "ROOT", tmp_path)
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "a"}, {"name": "b"}], "run_seconds": 3.0, "end_to_end": SPECS}))
+    collected, exported, calls = [], [], []
+    parent_root = tmp_path / "parent"
+    real_collect, real_pairs = bench_tag.collect, bench_tag.run_pairs
+
+    def collect(tag, workloads, seed, seconds):
+        collected.append(workloads)
+        return real_collect(tag, workloads, seed, seconds, run=_fake_run([]))
+
+    monkeypatch.setattr(bench_tag, "collect", collect)
+    monkeypatch.setattr(bench_tag, "export_tree",
+                        lambda rev: exported.append(rev) or parent_root)
+    monkeypatch.setattr(bench_tag, "run_pairs", lambda *args: real_pairs(
+        *args, run=_fake_pair_run(calls, parent_root)))
+    # the traced fake runs and the parent's run at seed 10 fail one op each
+    assert bench_tag.main(["--tag", "new", "--parent", "HEAD~1", "--pairs", "4",
+                           "--workload", "b"]) == 1
+    assert exported == ["HEAD~1"] and collected == [["b"]]
+    assert {c[0] for c in calls} == {"b"} and len(calls) == 8
+    record = json.loads((tmp_path / "BENCH_new.json").read_text())
+    assert list(record["workloads"]) == ["b"]
+    assert record["pairs"]["parent"] == "HEAD~1"
+    assert record["pairs"]["workloads"]["b"]["metrics"]["peak_rss_mb"]["wins"] == 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "wrote BENCH_new.json"
+    assert out[-2:] == [
+        "| b | `peak_rss_mb` | 108 [107.5, 108.5] | 98 [97.5, 103.5] | 0.907 | 2 of 3 |",
+        "| b | `train_rows_per_s` | 5 [5, 5] | 5 [5, 5] | 1.000 | 0 of 3 |"]
+    for argv in (["--parent", "HEAD~1"], ["--pairs", "3"], ["--parent", "x", "--pairs", "0"]):
+        with pytest.raises(SystemExit):
+            bench_tag.main(["--tag", "t", *argv])
