@@ -149,16 +149,25 @@ def run_pairs(workloads, parent_root: Path, pairs: int, seconds: float,
     return out
 
 
+def _cell(figures: dict, unit: str) -> str:
+    """'median [Q1, Q3]' of one side's figures, seconds in ms and rates in thousands."""
+    def fmt(value):
+        if unit == "s":
+            return f"{value * 1e3:.1f} ms"
+        return f"{value / 1e3:.1f}k" if unit == "rows/s" else f"{value:.1f}"
+
+    return f"{fmt(figures['median'])} [{fmt(figures['q1'])}, {fmt(figures['q3'])}]"
+
+
 def pair_table(pairs: dict) -> list[str]:
     """The figures of :func:`run_pairs` as the lines of a Markdown table."""
     lines = ["| workload | metric | parent median [Q1, Q3] | change median [Q1, Q3] "
              "| change / parent | change better |", "| --- | --- | --- | --- | --- | --- |"]
     for workload, record in pairs.items():
         for name, m in record["metrics"].items():
-            cells = [f"{m[side]['median']:.4g} [{m[side]['q1']:.4g}, {m[side]['q3']:.4g}]"
-                     for side in ("parent", "change")]
-            lines.append(f"| {workload} | `{name}` | {cells[0]} | {cells[1]} | "
-                         f"{m['ratio']:.3f} | {m['wins']} of {m['pairs']} |")
+            lines.append(f"| {workload} | `{name}` | {_cell(m['parent'], m['unit'])} | "
+                         f"{_cell(m['change'], m['unit'])} | {m['ratio']:.3f} | "
+                         f"{m['wins']} of {m['pairs']} |")
     return lines
 
 
@@ -173,9 +182,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=[w["name"] for w in bench["workloads"]],
                         help="run this workload only")
     args = parser.parse_args(argv)
-    if (args.parent is None) != (args.pairs is None) or (args.pairs is not None
-                                                         and args.pairs < 1):
-        parser.error("--parent and --pairs go together, with at least one pair")
+    if (args.parent is None) != (args.pairs is None):
+        parser.error("--parent and --pairs go together")
+    if args.pairs is not None and args.pairs < 1:
+        parser.error("--pairs must be at least 1")
     # read and export before the runs, so that a bad path or commit fails at once
     previous = json.loads(args.against.read_text()) if args.against else None
     parent_root = export_tree(args.parent) if args.parent else None

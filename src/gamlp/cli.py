@@ -136,8 +136,8 @@ def _cmd_train(args) -> int:
     with _blame_the_caches(config, (feature_stack, label_stack)):
         result = fit(feature_stack, label_stack, dataset.labels, dataset.splits, config,
                      num_classes=dataset.num_classes, log_path=log_path)
-        save_checkpoint(ckpt, result.model, feature_stack, label_stack)
         pred = predict(result.model, feature_stack, label_stack)
+    save_checkpoint(ckpt, result.model, feature_stack, label_stack)
     labels, splits = dataset.labels, dataset.splits
     val = (f"{result.best_val_acc:.4f} (epoch {result.best_epoch})"
            if labeled_ids(splits.val, labels).size else "n/a (0 nodes)")

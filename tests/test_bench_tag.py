@@ -76,7 +76,7 @@ def _fake_pair_run(calls, parent_root):
             return {"failed": 1, "metrics": {}}
         peak = 100.0 + seed - (10.0 if side == "change" and seed != 9 else 0.0)
         return {"failed": 0, "metrics": {"peak_rss_mb": {"value": peak, "unit": "MB"},
-                                         "train_rows_per_s": {"value": 5.0, "unit": "rows/s"}}}
+                                         "train_rows_per_s": {"value": 5e3, "unit": "rows/s"}}}
     return run
 
 
@@ -104,8 +104,8 @@ def test_pairs_alternate_the_trees_over_shared_seeds(tmp_path):
     assert bench_tag.pair_table(pairs) == [
         "| workload | metric | parent median [Q1, Q3] | change median [Q1, Q3] "
         "| change / parent | change better |", "| --- | --- | --- | --- | --- | --- |",
-        "| a | `peak_rss_mb` | 108.5 [107.8, 109.5] | 99.5 [97.75, 103] | 0.917 | 3 of 4 |",
-        "| a | `train_rows_per_s` | 5 [5, 5] | 5 [5, 5] | 1.000 | 0 of 4 |"]
+        "| a | `peak_rss_mb` | 108.5 [107.8, 109.5] | 99.5 [97.8, 103.0] | 0.917 | 3 of 4 |",
+        "| a | `train_rows_per_s` | 5.0k [5.0k, 5.0k] | 5.0k [5.0k, 5.0k] | 1.000 | 0 of 4 |"]
 
 
 def test_parent_and_pairs_store_the_figures_under_pairs(tmp_path, capsys, monkeypatch):
@@ -137,8 +137,8 @@ def test_parent_and_pairs_store_the_figures_under_pairs(tmp_path, capsys, monkey
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "wrote BENCH_new.json"
     assert out[-2:] == [
-        "| b | `peak_rss_mb` | 108 [107.5, 108.5] | 98 [97.5, 103.5] | 0.907 | 2 of 3 |",
-        "| b | `train_rows_per_s` | 5 [5, 5] | 5 [5, 5] | 1.000 | 0 of 3 |"]
+        "| b | `peak_rss_mb` | 108.0 [107.5, 108.5] | 98.0 [97.5, 103.5] | 0.907 | 2 of 3 |",
+        "| b | `train_rows_per_s` | 5.0k [5.0k, 5.0k] | 5.0k [5.0k, 5.0k] | 1.000 | 0 of 3 |"]
     for argv in (["--parent", "HEAD~1"], ["--pairs", "3"], ["--parent", "x", "--pairs", "0"]):
         with pytest.raises(SystemExit):
             bench_tag.main(["--tag", "t", *argv])

@@ -334,10 +334,13 @@ def test_a_non_finite_cache_value_is_named_by_file_step_and_node(workdir, capsys
     for command in (["eval", "--checkpoint", ckpt],
                     ["export-attention", "--checkpoint", ckpt, "--out", str(tmp_path / "a")],
                     ["train"]):
+        if command[0] == "train":
+            os.remove(ckpt)
         assert main([command[0], "--config", str(conf), *command[1:]]) == 1
         assert capsys.readouterr().err == (
             f"gamlp: error: {path}: step 2, node 5 holds a non-finite value; "
             "rerun gamlp preprocess\n"), command[0]
+    assert not os.path.exists(ckpt)  # a failed train writes no checkpoint
 
 
 def test_a_divergence_over_finite_caches_keeps_its_message(workdir, capsys, monkeypatch):
