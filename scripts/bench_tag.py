@@ -3,7 +3,7 @@
 
 Examples:
     python3 scripts/bench_tag.py --tag pr8 --against BENCH_pr7.json
-    python3 scripts/bench_tag.py --tag pr9 --parent HEAD~1 --pairs 10 --workload fullbatch-jk
+    python3 scripts/bench_tag.py --tag pr9 --parent HEAD~1 --pairs 10
 
 Every workload named in BENCHMARK.json runs twice through
 ``benchmarks/run.py``, for the run length BENCHMARK.json sets and with the
@@ -15,14 +15,14 @@ tags compare metric by metric.
 ``--against BENCH_<prev>.json`` then prints, per workload, each
 end-to-end metric of the new file over the previous one.
 
-``--parent <rev> --pairs N`` also compares this checkout with a commit.
-The commit is exported with ``git archive`` into ``.bench_work/``. Pair i
-runs both trees untraced with seed SEED + i, the parent first in even
-pairs and this checkout first in odd ones, so that a drift of the machine
-weighs on both sides alike. Per end-to-end metric it prints each side's
-median and quartiles, the change/parent ratio of the medians and the
-pairs in which the change is better, and stores them under ``pairs``.
-``--workload`` limits every run to one workload.
+``--parent <rev> --pairs N`` also compares this checkout with a commit
+on every workload. The commit is exported with ``git archive`` into
+``.bench_work/``. Pair i runs both trees untraced with seed SEED + i, the
+parent first in even pairs and this checkout first in odd ones, so that a
+drift of the machine weighs on both sides alike. Per end-to-end metric it
+prints each side's median and quartiles, the change/parent ratio of the
+medians and the pairs in which the change is better, and stores them
+under ``pairs``.
 """
 
 import argparse
@@ -90,8 +90,10 @@ def export_tree(rev: str) -> Path:
                                  check=True, capture_output=True).stdout
         partial = dest.with_name(dest.name + ".partial")
         shutil.rmtree(partial, ignore_errors=True)
+        # extraction filters came with Python 3.10.12 and 3.11.4
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(partial, filter="data")
+            tar.extractall(partial, **safe)
         partial.rename(dest)
     return dest
 
@@ -179,8 +181,6 @@ def main(argv=None) -> int:
                         help="a previous BENCH_<tag>.json: print each end-to-end ratio")
     parser.add_argument("--parent", help="a commit to compare with in alternated pairs")
     parser.add_argument("--pairs", type=int, help="pairs of runs per workload (with --parent)")
-    parser.add_argument("--workload", choices=[w["name"] for w in bench["workloads"]],
-                        help="run this workload only")
     args = parser.parse_args(argv)
     if (args.parent is None) != (args.pairs is None):
         parser.error("--parent and --pairs go together")
@@ -190,7 +190,7 @@ def main(argv=None) -> int:
     previous = json.loads(args.against.read_text()) if args.against else None
     parent_root = export_tree(args.parent) if args.parent else None
 
-    workloads = [args.workload] if args.workload else [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     record = collect(args.tag, workloads, SEED, bench["run_seconds"])
     if parent_root:
         record["pairs"] = {"parent": args.parent, "parent_tree": parent_root.name,

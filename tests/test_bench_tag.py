@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -126,12 +128,12 @@ def test_parent_and_pairs_store_the_figures_under_pairs(tmp_path, capsys, monkey
     monkeypatch.setattr(bench_tag, "run_pairs", lambda *args: real_pairs(
         *args, run=_fake_pair_run(calls, parent_root)))
     # the traced fake runs and the parent's run at seed 10 fail one op each
-    assert bench_tag.main(["--tag", "new", "--parent", "HEAD~1", "--pairs", "4",
-                           "--workload", "b"]) == 1
-    assert exported == ["HEAD~1"] and collected == [["b"]]
-    assert {c[0] for c in calls} == {"b"} and len(calls) == 8
+    assert bench_tag.main(["--tag", "new", "--parent", "HEAD~1", "--pairs", "4"]) == 1
+    # every workload of BENCHMARK.json, in the seed-7 records and in the pairs
+    assert exported == ["HEAD~1"] and collected == [["a", "b"]]
+    assert [c[0] for c in calls] == ["a"] * 8 + ["b"] * 8
     record = json.loads((tmp_path / "BENCH_new.json").read_text())
-    assert list(record["workloads"]) == ["b"]
+    assert list(record["workloads"]) == list(record["pairs"]["workloads"]) == ["a", "b"]
     assert record["pairs"]["parent"] == "HEAD~1"
     assert record["pairs"]["workloads"]["b"]["metrics"]["peak_rss_mb"]["wins"] == 2
     out = capsys.readouterr().out.splitlines()
@@ -142,3 +144,30 @@ def test_parent_and_pairs_store_the_figures_under_pairs(tmp_path, capsys, monkey
     for argv in (["--parent", "HEAD~1"], ["--pairs", "3"], ["--parent", "x", "--pairs", "0"]):
         with pytest.raises(SystemExit):
             bench_tag.main(["--tag", "t", *argv])
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_export_tree_writes_each_commit_once(tmp_path, monkeypatch):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "run.py").write_text("old\n")
+    git("add", "benchmarks/run.py")
+    git("commit", "-q", "-m", "old")
+    (tmp_path / "benchmarks" / "run.py").write_text("new\n")
+    git("commit", "-q", "-am", "new")
+    monkeypatch.setattr(bench_tag, "ROOT", tmp_path)
+    tree = bench_tag.export_tree("HEAD~1")
+    assert tree.parent == tmp_path / ".bench_work" and tree.name.startswith("tree-")
+    assert (tree / "benchmarks" / "run.py").read_text() == "old\n"
+    assert not tree.with_name(tree.name + ".partial").exists()
+    # a second call reuses the exported tree and writes nothing
+    (tree / "marker").write_text("")
+    assert bench_tag.export_tree("HEAD~1") == tree and (tree / "marker").exists()
+    head = bench_tag.export_tree("HEAD")
+    assert head != tree and (head / "benchmarks" / "run.py").read_text() == "new\n"
+    with pytest.raises(subprocess.CalledProcessError):
+        bench_tag.export_tree("no-such-rev")
