@@ -102,18 +102,25 @@ def _load(args):
 
 
 @contextmanager
-def _blame_the_caches(config, stacks):
+def _blame_the_caches(config, stacks, model=None):
     """Name the cache entry at fault when a run over the cached ``stacks`` fails
-    on a non-finite value; with finite caches the error stands as raised."""
+    on a non-finite value: a non-finite entry, or, given the ``model`` of an
+    eval-mode run, the node whose row overflows it (see
+    :func:`~gamlp.pipeline.check_cache_values`). Otherwise the error stands as
+    raised. Every layer checks its output, so numpy's floating-point warnings
+    are silenced here: they would only add lines that name no file."""
+    import numpy as np
+
     from .model import TrainingDiverged
     from .nn import NonFiniteError
     from .pipeline import check_cache_values
 
-    try:
-        yield
-    except (TrainingDiverged, NonFiniteError):
-        check_cache_values(config, stacks)
-        raise
+    with np.errstate(all="ignore"):
+        try:
+            yield
+        except (TrainingDiverged, NonFiniteError):
+            check_cache_values(config, stacks, model)
+            raise
 
 
 def _cmd_preprocess(args) -> int:
@@ -133,9 +140,11 @@ def _cmd_train(args) -> int:
     feature_stack, label_stack = load_stacks(dataset, config, force=args.force)
     ckpt = args.checkpoint or os.path.join(config.cache_dir, "checkpoint.gmck")
     log_path = args.out or ckpt + ".log.jsonl"
-    with _blame_the_caches(config, (feature_stack, label_stack)):
+    stacks = (feature_stack, label_stack)
+    with _blame_the_caches(config, stacks):
         result = fit(feature_stack, label_stack, dataset.labels, dataset.splits, config,
                      num_classes=dataset.num_classes, log_path=log_path)
+    with _blame_the_caches(config, stacks, result.model):
         pred = predict(result.model, feature_stack, label_stack)
     save_checkpoint(ckpt, result.model, feature_stack, label_stack)
     labels, splits = dataset.labels, dataset.splits
@@ -166,7 +175,7 @@ def _cmd_eval(args) -> int:
     from .model import evaluate_accuracy, labeled_ids, predict
 
     config, dataset, model, feature_stack, label_stack = _restore(args)
-    with _blame_the_caches(config, (feature_stack, label_stack)):
+    with _blame_the_caches(config, (feature_stack, label_stack), model):
         pred = predict(model, feature_stack, label_stack)
     for part in ("train", "val", "test"):
         split = labeled_ids(getattr(dataset.splits, part), dataset.labels)
@@ -243,7 +252,7 @@ def _cmd_export_attention(args) -> int:
     buckets = _parse_buckets(args.buckets)
     config, dataset, model, feature_stack, label_stack = _restore(args)
     degrees = dataset.graph.degrees()
-    with _blame_the_caches(config, (feature_stack, label_stack)):
+    with _blame_the_caches(config, (feature_stack, label_stack), model):
         per_node, per_bucket = export_attention(model, feature_stack, label_stack,
                                                 degrees, buckets)
     node_path = f"{args.out}_nodes.csv"

@@ -30,7 +30,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .config import thread_count
 
@@ -200,6 +199,8 @@ def spmm(op: PropagationOperator, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     (n, d) array of the operator's dtype that does not overlap ``x``; it is
     filled and returned.
     """
+    import scipy.sparse as sp  # on first use: only propagation loads scipy
+
     if x.ndim != 2 or x.shape[0] != op.n:
         raise ValueError(f"matrix has {x.shape} rows/cols, operator expects {op.n} rows")
     indptr, indices, values = op.row_offsets, op.col_indices, op.values

@@ -164,7 +164,8 @@ class RecursiveAttention:
                 num += p * xb[l]
         w = np.exp(e - top[-1]) / den[-1]  # (S+1, rows)
         h = num / den[-1][:, None] if masked else _combine(w.T, mats)
-        self._cache = (mats, xd, xb, pre, hb, e, top, den, w, hd, masks) if training else None
+        act = self.activation.state(pre, e) if training else None
+        self._cache = (mats, xd, xb, act, hb, e, top, den, w, hd, masks) if training else None
         return h, w.T
 
     def backward(self, d_h: np.ndarray) -> None:
@@ -181,20 +182,20 @@ class RecursiveAttention:
         and s_b's gradient Σ_l ∂pre_l h_l is gathered as one coefficient
         per row and step X^(i).
         """
-        mats, xd, xb, pre, hb, e, top, den, w, hd, masks = self._cache
+        mats, xd, xb, act, hb, e, top, den, w, hd, masks = self._cache
         self._cache = None
         dim, rate = self.dim, self.attention_dropout
         sb = self.s.value[dim:]
         masked = hd is not None
         d_e = softmax_backward(_weight_grad(d_h, mats), w.T).T
-        d_pre = np.empty_like(pre)
-        coef = None if masked else np.empty_like(pre)  # of each X^(i) in Σ_l ∂pre_l h_l
-        acc = np.zeros_like(mats[0]) if masked else np.zeros_like(pre[0])  # A, or A / s_b
-        b = np.zeros_like(pre[0])                                           # B
+        d_pre = np.empty_like(e)
+        coef = None if masked else np.empty_like(e)  # of each X^(i) in Σ_l ∂pre_l h_l
+        acc = np.zeros_like(mats[0]) if masked else np.zeros_like(e[0])  # A, or A / s_b
+        b = np.zeros_like(e[0])                                           # B
         for i in range(len(mats) - 1, -1, -1):
             scale = np.exp(e[i] - top[i])
             back = np.einsum("rd,rd->r", acc, mats[i]) if masked else acc * xb[i]
-            d_pre[i] = self.activation.backward(d_e[i] + scale * (back - b), pre[i])
+            d_pre[i] = self.activation.backward(d_e[i] + scale * (back - b), act[i])
             if not masked:
                 coef[i] = scale * acc
             if i == 0:
@@ -320,17 +321,18 @@ class JkAttention:
         if ref is not None:
             rd, r_mask = dropout(ref, self.attention_dropout, rng, training)
             pre += (rd @ sb)[:, None]
-        w = softmax_rows(self.activation.forward(pre))
+        e = self.activation.forward(pre)
+        w = softmax_rows(e)
         h = _combine(w, mats)
-        self._cache = (mats, mask, pre, w, rd, r_mask) if training else None
+        act = self.activation.state(pre, e) if training else None
+        self._cache = (mats, mask, act, w, rd, r_mask) if training else None
         return h, w
 
     def backward(self, d_h: np.ndarray) -> None:
-        mats, mask, pre, w, rd, r_mask = self._cache
+        mats, mask, act, w, rd, r_mask = self._cache
         self._cache = None
         dim = self.dim
-        d_act = softmax_backward(_weight_grad(d_h, mats), w)
-        d_pre = self.activation.backward(d_act, pre)
+        d_pre = self.activation.backward(softmax_backward(_weight_grad(d_h, mats), w), act)
         xd = dropout_backward(mats, mask, self.attention_dropout)
         self.s.grad[:dim] += np.tensordot(d_pre.T, xd, axes=2)
         del xd
@@ -781,8 +783,8 @@ def export_attention(model: GamlpModel, feature_stack: Stack,
     weights = np.concatenate([w for _, w in _stack_blocks(model, feature_stack, label_stack,
                                                            None)])
     degrees = np.asarray(degrees)
-    per_node = [[int(i), int(degrees[i])] + [float(v) for v in weights[i]]
-                for i in range(weights.shape[0])]
+    # one tolist per array rather than a float() per weight
+    per_node = [[i, d, *w] for i, (d, w) in enumerate(zip(degrees.tolist(), weights.tolist()))]
     per_bucket = []
     for lo, hi in buckets:
         sel = (degrees >= lo) & (degrees <= hi)

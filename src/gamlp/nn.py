@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .config import ACTIVATION_KINDS
 
@@ -55,10 +54,12 @@ def _check_finite(x: np.ndarray, where: str) -> np.ndarray:
 
 
 def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b with the bias broadcast over rows."""
+    """x @ w + b with the bias broadcast over rows, added in place."""
     if x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch in linear: {x.shape} @ {w.shape} + {b.shape}")
-    return _check_finite(x @ w + b, "linear output")
+    out = x @ w
+    out += b
+    return _check_finite(out, "linear output")
 
 
 def linear_backward(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
@@ -66,15 +67,32 @@ def linear_backward(x: np.ndarray, w: np.ndarray, d_out: np.ndarray):
     return d_out @ w.T, x.T @ d_out, d_out.sum(axis=0)
 
 
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) in x's dtype, as exp(-|x|) / (1 + exp(-|x|)) below 0.
+
+    exp only sees arguments <= 0, so nothing overflows and no warning is
+    raised: ±0 gives 0.5, +inf 1, -inf 0 and NaN NaN. Far below 0 it gives
+    exp(x), where ``1 / (1 + exp(-x))`` would round to 0.
+    """
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0, z) / (1.0 + z)
+
+
 @dataclass(frozen=True)
 class Activation:
     """Elementwise nonlinearity with its derivative.
+
+    Backward reads only the state that :meth:`state` keeps of a forward:
+    the bool ``x >= 0`` for leaky ReLU and ``x > 0`` for ReLU, and the
+    output itself for the sigmoid. So a training forward through either
+    ReLU keeps one byte per element, not a float.
 
     Leaky ReLU multiplies by a factor k (1 where x >= 0, LEAKY_SLOPE
     elsewhere) built without a per-element branch, which a random-signed
     input would mispredict. It equals
     ``np.where(x >= 0, x, LEAKY_SLOPE * x)`` bit for bit, -0.0, infinities
-    and NaN included, in float32 and float64.
+    and NaN included, in float32 and float64; its backward equals
+    ``np.where(x >= 0, d, LEAKY_SLOPE * d)`` the same way.
     """
 
     kind: str
@@ -83,11 +101,10 @@ class Activation:
         if self.kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {self.kind!r}")
 
-    def _leaky_times(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """v times the leaky factor of x, in v's dtype."""
-        # in x's memory order: the attention scores are column-major, and
-        # softmax_rows reduces their short rows fast only in that order
-        k = np.greater_equal(x, 0.0, out=np.empty_like(x, dtype=v.dtype))
+    @staticmethod
+    def _leaky_times(k: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """v times the leaky factor of the 0/1 array k (1 where x >= 0),
+        computed in k, which must have v's dtype."""
         np.maximum(k, LEAKY_SLOPE, out=k)
         k *= v
         return k
@@ -96,17 +113,26 @@ class Activation:
         if self.kind == "relu":
             return np.maximum(x, 0.0)
         if self.kind == "leaky_relu":
-            return self._leaky_times(x, x)
-        return expit(x)
+            # in x's memory order: the attention scores are column-major, and
+            # softmax_rows reduces their short rows fast only in that order
+            return self._leaky_times(np.greater_equal(x, 0.0, out=np.empty_like(x)), x)
+        return sigmoid(x)
 
-    def backward(self, d_out: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """d_out times the derivative evaluated at the forward input x."""
+    def state(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """What :meth:`backward` reads of the forward from ``x`` to ``y``."""
         if self.kind == "relu":
-            return d_out * (x > 0.0)
+            return np.greater(x, 0.0)
         if self.kind == "leaky_relu":
-            return self._leaky_times(x, d_out)
-        s = expit(x)
-        return d_out * s * (1.0 - s)
+            return np.greater_equal(x, 0.0)
+        return y
+
+    def backward(self, d_out: np.ndarray, state: np.ndarray) -> np.ndarray:
+        """d_out times the derivative, from the :meth:`state` of the forward."""
+        if self.kind == "relu":
+            return d_out * state
+        if self.kind == "leaky_relu":
+            return self._leaky_times(state.astype(d_out.dtype), d_out)
+        return d_out * state * (1.0 - state)
 
 
 def softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -230,8 +256,10 @@ class Mlp:
 
     ``depth`` = 1 is a single linear map (no nonlinearity), matching the
     linear-model baselines. Only a training forward keeps what backward
-    needs, in the MLP and in its layers, and backward releases each part
-    once it has read it; a second backward needs a new training forward.
+    needs, in the MLP and in its layers: per hidden layer, the activation's
+    :meth:`~Activation.state` (a bool array for the ReLUs) and the dropout
+    mask. Backward releases each part once it has read it; a second
+    backward needs a new training forward.
     """
 
     def __init__(self, rng: np.random.Generator, in_dim: int, hidden: int,
@@ -257,10 +285,11 @@ class Mlp:
         for i, layer in enumerate(self.layers):
             h = layer.forward(h, training)
             if i < len(self.layers) - 1:
-                pre = h
-                h = self.activation.forward(pre)
+                pre, h = h, self.activation.forward(h)
+                state = self.activation.state(pre, h) if training else None
+                del pre  # backward reads the state, not the float input
                 h, mask = dropout(h, self.dropout_rate, rng, training)
-                cache.append((pre, mask))
+                cache.append((state, mask))
         self._cache = cache if training else None
         return h
 
@@ -269,9 +298,9 @@ class Mlp:
         d_h = d_out
         for i in range(len(self.layers) - 1, -1, -1):
             if i < len(self.layers) - 1:
-                pre, mask = cache.pop()  # cache[i]
+                state, mask = cache.pop()  # cache[i]
                 d_h = dropout_backward(d_h, mask, self.dropout_rate)
-                d_h = self.activation.backward(d_h, pre)
+                d_h = self.activation.backward(d_h, state)
             d_h = self.layers[i].backward(d_h)
         return d_h
 

@@ -16,7 +16,8 @@ import numpy as np
 from .config import TrainConfig
 from .data import Dataset
 from .graph import add_self_loops, normalize
-from .model import FitResult, fit
+from .model import FitResult, fit, predict
+from .nn import NonFiniteError
 from .propagation import (CacheFormatError, build_label_seed, cache_read, cache_write,
                           propagate_features, propagate_labels, stack_fingerprint)
 
@@ -94,19 +95,58 @@ def load_stacks(dataset: Dataset, config: TrainConfig, force: bool = False):
     return _pair(stacks)
 
 
-def check_cache_values(config: TrainConfig, stacks) -> None:
-    """Raise CacheFormatError naming the first non-finite value of the cached
-    ``stacks`` (feature stack, label stack or None), read from
-    :func:`cache_paths` of ``config``. The fingerprint hashes what shaped a
-    cache, not its values, and loads stay lazy maps; so this scans every
-    value, and only once a run over the stacks has failed on a non-finite one.
+def check_cache_values(config: TrainConfig, stacks, model=None) -> None:
+    """Raise CacheFormatError naming the cache entry that a failed run over the
+    cached ``stacks`` (feature stack, label stack or None, read from
+    :func:`cache_paths` of ``config``) traces back to.
+
+    The fingerprint hashes what shaped a cache, not its values, and loads
+    stay lazy maps; so this scans every value, and only once a run over the
+    stacks has failed on a non-finite one. It names the first non-finite
+    value in step order. With every value finite, and given the ``model``
+    whose eval-mode run failed, it names the first node that the model maps
+    to a non-finite value, with that node's largest cached magnitude and its
+    step. Otherwise it returns, and the run's own error stands.
     """
-    for path, stack in zip(cache_paths(config), stacks):
+    named = list(zip(cache_paths(config), stacks))
+    for path, stack in named:
         for step, mat in enumerate(stack.mats):
             bad = np.flatnonzero(~np.isfinite(mat).all(axis=1))
             if bad.size:
                 raise CacheFormatError(f"{path}: step {step}, node {bad[0]} holds a "
                                        "non-finite value; rerun gamlp preprocess") from None
+    node = None if model is None else _first_failing_node(model, *stacks)
+    if node is None:
+        return
+    # the node's rows of every step, as (largest magnitude, step, path)
+    mag, step, path = max(((float(np.abs(row).max(initial=0.0)), step, path)
+                           for path, stack in named
+                           for step, row in enumerate(stack.mats[:, node])),
+                          key=lambda entry: entry[0])  # the first of equal maxima
+    raise CacheFormatError(f"{path}: node {node} makes the model's output non-finite; its "
+                           f"largest cached magnitude is {mag:.3g}, at step {step}; check "
+                           "the input scaling or rerun gamlp preprocess") from None
+
+
+def _first_failing_node(model, feature_stack, label_stack) -> int | None:
+    """The first node whose eval-mode forward under ``model`` raises
+    NonFiniteError, or None. Rows are independent in eval mode, so a
+    bisection finds it in about one forward of every node."""
+    def fails(lo: int, hi: int) -> bool:
+        try:
+            predict(model, feature_stack, label_stack, np.arange(lo, hi))
+        except NonFiniteError:
+            return True
+        return False
+
+    lo, hi = 0, feature_stack.n  # if a node fails, the first one lies in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fails(lo, mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo if fails(lo, hi) else None
 
 
 def train_on_dataset(dataset: Dataset, config: TrainConfig,

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from gamlp import graph
 from gamlp.cli import main
 from gamlp.config import ConfigError, TrainConfig, parse_config
 from gamlp.data import generate_sbm, load_dataset, save_dataset
-from gamlp.pipeline import build_stacks, cache_paths
+from gamlp.pipeline import build_stacks, cache_paths, load_stacks
 
 
 def test_minimal_config_fills_defaults(tmp_path):
@@ -341,6 +342,91 @@ def test_a_non_finite_cache_value_is_named_by_file_step_and_node(workdir, capsys
             f"gamlp: error: {path}: step 2, node 5 holds a non-finite value; "
             "rerun gamlp preprocess\n"), command[0]
     assert not os.path.exists(ckpt)  # a failed train writes no checkpoint
+
+
+@pytest.fixture
+def fixture60(tmp_path, capsys):
+    """(tmp_path, config, checkpoint) of the 60-node fixture of
+    ``scripts/make_sbm_fixture.py``, preprocessed and trained."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_sbm_fixture.py"
+    conf = tmp_path / "sbm.conf"
+    subprocess.run([sys.executable, str(script), "--out", str(tmp_path / "sbm"),
+                    "--config-out", str(conf)], capture_output=True, check=True,
+                   env={**os.environ, "PYTHONPATH": str(Path(gamlp.model.__file__).parents[1])})
+    assert main(["preprocess", "--config", str(conf)]) == 0
+    assert main(["train", "--config", str(conf)]) == 0
+    capsys.readouterr()
+    return tmp_path, conf, str(tmp_path / "cache" / "sbm" / "checkpoint.gmck")
+
+
+def _write_cache_row(conf, step: int, node: int, value: float) -> Path:
+    """Set every value of ``node`` at ``step`` of the feature cache; returns its path."""
+    path = cache_paths(parse_config(conf))[0]
+    mats = np.load(path, mmap_mode="r+")  # the stack, the cache's first record
+    mats[step, node] = value
+    mats.flush()
+    del mats
+    return path
+
+
+def test_a_finite_cache_value_that_overflows_is_named_by_node_and_step(fixture60, capsys):
+    # 3e38 is finite in float32, so no cache value is non-finite; node 5 (a
+    # test node, which fit never reads) overflows the first encoder layer,
+    # and an eval-mode run over the fitted model traces it back to the cache
+    tmp_path, conf, ckpt = fixture60
+    path = _write_cache_row(conf, 2, 5, 3e38)
+    for command in (["eval", "--checkpoint", ckpt],
+                    ["export-attention", "--checkpoint", ckpt, "--out", str(tmp_path / "a")],
+                    ["train"]):
+        if command[0] == "train":
+            os.remove(ckpt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would fail the run
+            assert main([command[0], "--config", str(conf), *command[1:]]) == 1
+        assert capsys.readouterr().err == (
+            f"gamlp: error: {path}: node 5 makes the model's output non-finite; its "
+            "largest cached magnitude is 3e+38, at step 2; check the input scaling or "
+            "rerun gamlp preprocess\n"), command[0]
+    assert not os.path.exists(ckpt)
+
+
+def test_an_overflow_inside_fit_keeps_the_divergence_message(fixture60, capsys):
+    _, conf, ckpt = fixture60
+    os.remove(ckpt)
+    # node 0 is a training node: the first step's gradient of the scoring
+    # vector overflows, and fit reports the divergence that follows, with
+    # its epoch and lr
+    _write_cache_row(conf, 2, 0, 3e38)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", str(conf)]) == 1
+    assert capsys.readouterr().err == (
+        "gamlp: error: non-finite values in linear output in the validation pass at epoch 1 "
+        "(lr=0.01); reduce the learning rate or check the input scaling\n")
+    assert not os.path.exists(ckpt)
+
+
+def test_export_attention_rows_equal_the_per_weight_formula(fixture60):
+    # the rows are built by whole-array tolist; their CSV bytes equal those
+    # of rows built with an int() and a float() per value
+    tmp_path, conf, ckpt = fixture60
+    assert main(["export-attention", "--config", str(conf), "--checkpoint", ckpt,
+                 "--out", str(tmp_path / "new")]) == 0
+    config = parse_config(conf)
+    dataset = load_dataset(config.dataset_dir)
+    fs, ls = load_stacks(dataset, config)
+    model = gamlp.model.restore_model(ckpt, config, fs, ls)
+    weights = np.concatenate([w for _, w in gamlp.model._stack_blocks(model, fs, ls, None)])
+    degrees = dataset.graph.degrees()
+    rows = [[int(i), int(degrees[i])] + [float(v) for v in weights[i]]
+            for i in range(weights.shape[0])]
+    _, buckets = gamlp.model.export_attention(model, fs, ls, degrees, [(1, 4), (5, 8), (9, 12)])
+    gamlp.model.write_attention_csv(rows, buckets, tmp_path / "old_nodes.csv",
+                                    tmp_path / "old_buckets.csv", fs.steps)
+    assert len(rows) == 60
+    for part in ("nodes", "buckets"):
+        assert ((tmp_path / f"new_{part}.csv").read_bytes()
+                == (tmp_path / f"old_{part}.csv").read_bytes()), part
 
 
 def test_a_divergence_over_finite_caches_keeps_its_message(workdir, capsys, monkeypatch):

@@ -143,7 +143,8 @@ class ListJkAttention(JkAttention):
         mats, xd, pre, w, rd, r_mask = self._cache
         dim = self.dim
         d_w = np.stack([(d_h * m).sum(axis=1) for m in mats], axis=1)
-        d_pre = self.activation.backward(softmax_backward(d_w, w), pre)
+        state = self.activation.state(pre, self.activation.forward(pre))
+        d_pre = self.activation.backward(softmax_backward(d_w, w), state)
         for k in range(len(mats)):
             self.s.grad[:dim] += xd[k].T @ d_pre[:, k]
         if rd is not None:

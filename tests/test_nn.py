@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,7 +63,7 @@ def test_activation_backward_matches_central_differences(monkeypatch, kind, slop
     rng = np.random.default_rng(1)
     x = rng.standard_normal(40) + 0.05  # keep away from the relu kink
     g = rng.standard_normal(40)
-    analytic = act.backward(g, x)
+    analytic = act.backward(g, act.state(x, act.forward(x)))
     h = 1e-5
     numeric = g * (act.forward(x + h) - act.forward(x - h)) / (2 * h)
     err = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
@@ -86,7 +87,8 @@ def test_leaky_relu_equals_the_where_form_bit_for_bit(monkeypatch, dtype, slope)
     with np.errstate(invalid="ignore"):
         want_f = np.where(x >= 0.0, x, slope * x)
         want_b = np.where(x >= 0.0, d, slope * d)
-        got_f, got_b = act.forward(x), act.backward(d, x)
+        got_f = act.forward(x)
+        got_b = act.backward(d, act.state(x, got_f))
     assert got_f.dtype == got_b.dtype == dtype
     assert np.array_equal(_bits(got_f), _bits(want_f))
     assert np.array_equal(_bits(got_b), _bits(want_b))
@@ -96,7 +98,111 @@ def test_leaky_relu_keeps_the_memory_order_of_its_input():
     x = np.asfortranarray(np.random.default_rng(9).standard_normal((50, 6)))
     act = Activation("leaky_relu")
     assert act.forward(x).flags.f_contiguous
-    assert act.backward(np.ones_like(x), x).flags.f_contiguous
+    assert act.backward(np.ones_like(x), act.state(x, act.forward(x))).flags.f_contiguous
+
+
+def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance in units in the last place between same-signed finite a and b."""
+    return np.abs(_bits(a).astype(np.int64) - _bits(b).astype(np.int64))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_matches_expit_without_warnings(dtype):
+    from scipy.special import expit
+
+    info = np.finfo(dtype)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e4, -1e4, info.smallest_subnormal,
+                        -info.smallest_subnormal, info.tiny / 4, -info.tiny / 4], dtype=dtype)
+    x = np.concatenate([special, np.linspace(-800, 800, 160001, dtype=dtype),
+                        np.linspace(-40, 40, 160001, dtype=dtype)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow, invalid or underflow warning
+        got = nn.sigmoid(x)
+    want = expit(x)
+    assert got.dtype == dtype
+    assert got[:5].tolist()[:4] == [0.5, 0.5, 1.0, 0.0] and np.isnan(got[4])
+    assert np.array_equal(got[5:7], [1.0, 0.0])
+    assert np.all(got[7:] >= 0.0) and np.all(got[7:] <= 1.0)
+    # expit calls the C library's exp and numpy its own vectorised one; each
+    # result can be 2 ulp off the correctly rounded sigmoid, on either side
+    # (at float32 x = -16.717 the sigmoid is 2 ulp above and expit 2 below)
+    normal = np.minimum(got, want) >= info.tiny
+    assert _ulps(got[normal], want[normal]).max() <= 4
+    # below tiny, expit's 1 / (1 + exp(-x)) rounds to 0 once exp(-x)
+    # overflows; the sigmoid gives exp(x) there, its correctly scaled value
+    low = ~normal & ~np.isnan(x)
+    assert np.all(np.abs(got[low] - want[low]) <= info.tiny)
+    tail = low & (x < 0)
+    assert np.array_equal(got[tail], np.exp(x[tail]))
+
+
+@pytest.mark.parametrize("kind, state_dtype", [("leaky_relu", np.bool_), ("relu", np.bool_),
+                                               ("sigmoid", np.float32)])
+def test_mlp_training_cache_keeps_the_activation_state(kind, state_dtype):
+    # per hidden layer: what the activation's backward reads, and the dropout
+    # mask; a float pre-activation only where the derivative needs a float
+    mlp = Mlp(np.random.default_rng(3), 5, 7, 3, depth=3, activation=Activation(kind),
+              dropout_rate=0.5, name="mlp")
+    for p in mlp.params:
+        p.value = p.value.astype(np.float32)
+    x = np.random.default_rng(4).standard_normal((9, 5)).astype(np.float32)
+    mlp.forward(x, True, np.random.default_rng(5))
+    assert len(mlp._cache) == 2
+    for state, mask in mlp._cache:
+        assert state.dtype == state_dtype and state.shape == (9, 7)
+        assert mask.dtype == np.bool_
+    mlp.forward(x, False, None)
+    assert mlp._cache is None
+
+
+def _float_pre_reference(mlp: Mlp, x: np.ndarray, d_out: np.ndarray, rng):
+    """Output, input gradient and parameter gradients of ``mlp``, from a forward
+    that keeps each float pre-activation and a backward that reads it."""
+    inputs, pres, masks = [], [], []
+    h = x
+    for i, layer in enumerate(mlp.layers):
+        inputs.append(h)
+        h = h @ layer.w.value + layer.b.value
+        if i < len(mlp.layers) - 1:
+            pres.append(h)
+            h, mask = dropout(mlp.activation.forward(h), mlp.dropout_rate, rng, True)
+            masks.append(mask)
+    out, grads, d = h, [], d_out
+    for i in range(len(mlp.layers) - 1, -1, -1):
+        if i < len(mlp.layers) - 1:
+            d, pre = dropout_backward(d, masks[i], mlp.dropout_rate), pres[i]
+            if mlp.activation.kind == "relu":
+                d = d * (pre > 0.0)
+            elif mlp.activation.kind == "leaky_relu":
+                d = np.where(pre >= 0.0, d, nn.LEAKY_SLOPE * d)
+            else:
+                s = nn.sigmoid(pre)
+                d = d * s * (1.0 - s)
+        w = mlp.layers[i].w.value
+        grads = [inputs[i].T @ d, d.sum(axis=0)] + grads
+        d = d @ w.T
+    return out, d, grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["leaky_relu", "relu", "sigmoid"])
+def test_mlp_gradients_equal_the_float_pre_activation_reference(kind, dtype):
+    mlp = Mlp(np.random.default_rng(6), 5, 7, 3, depth=3, activation=Activation(kind),
+              dropout_rate=0.3, name="mlp")
+    for p in mlp.params:
+        p.value = p.value.astype(dtype)
+        p.grad = np.zeros_like(p.value)
+    x = np.random.default_rng(7).standard_normal((40, 5)).astype(dtype)
+    x[:4] = 0.0  # the biases start at 0, so these rows sit on the kink at 0
+    d_out = np.random.default_rng(8).standard_normal((40, 3)).astype(dtype)
+    want_out, want_dx, want_grads = _float_pre_reference(mlp, x, d_out,
+                                                         np.random.default_rng(9))
+    got_out = mlp.forward(x, True, np.random.default_rng(9))
+    got_dx = mlp.backward(d_out)
+    for got, want in zip([got_out, got_dx] + [p.grad for p in mlp.params],
+                         [want_out, want_dx] + want_grads):
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_softmax_uniform_and_analytic():
