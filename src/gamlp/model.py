@@ -547,7 +547,8 @@ def fit(feature_stack: Stack, label_stack: Stack | None,
     a step's inputs and caches are released before that pass.
     The model computes in the stacks' dtype. Returns the parameters
     of the best validation epoch. Raises TrainingDiverged on a non-finite
-    loss or layer output, in training or in the validation pass.
+    loss or layer output, in training or in the validation pass, and on a
+    non-finite gradient before the optimizer step, naming the parameter.
     """
     train_ids = np.asarray(splits.train, dtype=np.int64)
     if train_ids.size == 0:
@@ -559,7 +560,8 @@ def fit(feature_stack: Stack, label_stack: Stack | None,
         raise ValueError(f"batch_size {config.batch_size} exceeds node count {n}")
 
     model, rng = _new_model(config, feature_stack, label_stack, num_classes)
-    adam = Adam(model.params, lr=config.lr, weight_decay=config.weight_decay)
+    params = model.params
+    adam = Adam(params, lr=config.lr, weight_decay=config.weight_decay)
 
     onehot = np.zeros((train_ids.size, num_classes), dtype=model.dtype)
     onehot[np.arange(train_ids.size), labels[train_ids]] = 1.0
@@ -582,6 +584,9 @@ def fit(feature_stack: Stack, label_stack: Stack | None,
         if not np.isfinite(loss):
             raise diverged("non-finite loss")
         model.backward(d_logits)
+        for p in params:  # Adam would spread a non-finite gradient to every parameter
+            if not np.isfinite(p.grad).all():
+                raise diverged(f"non-finite gradient of {p.name} in a training step")
         adam.step()
         return loss
 
@@ -615,7 +620,7 @@ def fit(feature_stack: Stack, label_stack: Stack | None,
 
             if val_ids.size and val_acc > best_val:
                 best_val, best_epoch = val_acc, epoch
-                best_values = [p.value.copy() for p in model.params]
+                best_values = [p.value.copy() for p in params]
             record = {"epoch": epoch, "train_loss": train_loss, "val_acc": val_acc,
                       "best_val_acc": best_val if val_ids.size else float("nan"),
                       "lr": config.lr}
@@ -628,7 +633,7 @@ def fit(feature_stack: Stack, label_stack: Stack | None,
         if log_file:
             log_file.close()
     if best_values is not None:
-        for p, v in zip(model.params, best_values):
+        for p, v in zip(params, best_values):
             p.value[...] = v
     return FitResult(model=model, log=log,
                      best_val_acc=best_val if val_ids.size else float("nan"),

@@ -10,6 +10,7 @@ hand-derived backward, and the model code wires them together.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,21 +172,61 @@ def _dropout_scale(rate: float, dtype) -> np.generic:
     return dtype.type(1.0) / dtype.type(1.0 - rate)
 
 
+# significant bits of a rng.random draw per dtype: numpy builds a float32 draw
+# as (u >> 8)·2^-24 from a 32-bit half-word u, a float64 draw as (w >> 11)·2^-53
+_DRAW_BITS = {np.dtype(np.float32): 24, np.dtype(np.float64): 53}
+
+
 def dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None,
             training: bool):
     """Inverted dropout. Returns (output, mask); mask is None when inactive.
 
-    The mask is the bool array ``rng.random(x.shape, dtype=x.dtype) < 1 - rate``;
-    the kept elements are scaled by 1 / (1 - rate), and the output keeps
-    x's dtype.
+    The mask is the bool array ``rng.random(x.shape, dtype=x.dtype) < 1 - rate``
+    bit for bit, and ``rng`` ends in the state that call leaves, but the mask is
+    computed from whole PCG64 words (``random_raw``) instead of one float per
+    element. A float64 draw takes one 64-bit word, a float32 draw one 32-bit half
+    of a word: low half first, the high half buffered in the state
+    (``has_uint32``, ``uinteger``) for the next float32 draw. A draw of b bits
+    with m significant bits is u >> (b - m) times 2^-m, so with keep = 1 - rate
+    rounded to x's dtype, draw < keep exactly when
+    u <= (ceil(keep·2^m) << (b - m)) - 1. The kept elements are scaled by
+    1 / (1 - rate); the output keeps x's dtype and is written into the words'
+    buffer. Raises ValueError for a generator other than PCG64, whose raw words
+    have other widths.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x, None
-    draw = rng.random(x.shape, dtype=x.dtype)
-    mask = draw < 1.0 - rate
-    out = np.multiply(x, mask, out=draw)  # the draw's buffer becomes the output
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64:
+        raise ValueError("dropout draws its mask from PCG64 words, "
+                         f"not from {type(bitgen).__name__}")
+    if x.dtype not in _DRAW_BITS:
+        raise TypeError(f"dropout takes float32 or float64 input, got {x.dtype}")
+    n, sig, width = x.size, _DRAW_BITS[x.dtype], 8 * x.dtype.itemsize
+    limit = (math.ceil(float(x.dtype.type(1.0 - rate)) * 2.0 ** sig) << (width - sig)) - 1
+    # n float32 draws take a half-word buffered on entry first, then the halves
+    # of ceil((n - held) / 2) words: n / 2 words for an even n either way.
+    # float64 draws, and random_raw, leave the buffer alone.
+    held = bitgen.state["has_uint32"] if width == 32 and n % 2 else 0
+    words = bitgen.random_raw(-(-(n - held) * width // 64))
+    state = bitgen.state if width == 32 and n else None
+    held = state["has_uint32"] if state else 0
+    draws = words.astype("<u8", copy=False).view(f"<u{width // 8}")
+    mask = np.empty(x.shape, np.bool_)
+    flat = mask.reshape(-1)
+    if held:
+        flat[0] = state["uinteger"] <= limit
+    np.less_equal(draws[:n - held], draws.dtype.type(limit), out=flat[held:])
+    if state:  # leave the buffer as n float32 draws leave it
+        state["has_uint32"] = (n - held) % 2
+        if n > held:
+            state["uinteger"] = int(words[-1] >> 32)
+        bitgen.state = state
+    out = draws[:n].view(x.dtype).reshape(x.shape) if draws.size >= n else None
+    del words, draws  # one half short: the output needs a buffer of its own
+    out = np.multiply(x, mask, out=out)
     out *= _dropout_scale(rate, out.dtype)
     return out, mask
 

@@ -394,14 +394,14 @@ def test_an_overflow_inside_fit_keeps_the_divergence_message(fixture60, capsys):
     _, conf, ckpt = fixture60
     os.remove(ckpt)
     # node 0 is a training node: the first step's gradient of the scoring
-    # vector overflows, and fit reports the divergence that follows, with
-    # its epoch and lr
+    # vector overflows, and fit names that gradient and the training step,
+    # with its epoch and lr, before Adam spreads it to the parameters
     _write_cache_row(conf, 2, 0, 3e38)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["train", "--config", str(conf)]) == 1
     assert capsys.readouterr().err == (
-        "gamlp: error: non-finite values in linear output in the validation pass at epoch 1 "
+        "gamlp: error: non-finite gradient of feat.s in a training step at epoch 1 "
         "(lr=0.01); reduce the learning rate or check the input scaling\n")
     assert not os.path.exists(ckpt)
 

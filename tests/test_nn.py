@@ -308,21 +308,44 @@ def test_dropout_keep_rate_and_mean(dtype, rate):
 
 
 def test_dropout_equals_the_float_mask_form_bit_for_bit():
-    # reference: x times the float mask (draw < keep) / keep, in x's dtype
-    rng = np.random.default_rng(5)
+    # reference: x times the float mask (draw < keep) / keep, in x's dtype, drawn
+    # by a twin generator; dropout must leave its generator in the twin's state
+    data = np.random.default_rng(5)
     special = [-0.0, np.inf, -np.inf, np.nan]
+    entries = {"fresh": lambda g: None,  # the last two leave a half-word buffered
+               "float32 draw": lambda g: g.random(1, dtype=np.float32),
+               "permutation": lambda g: g.permutation(6)}
+    # 1e-9 and 1e-17 round keep to 1 in float32 and in float64; 1 - 1e-9 keeps
+    # only a draw of 0
+    rates = (0.5, 0.1, 0.3, 1e-9, 1e-17, 1 - 1e-9)
     for dtype in (np.float32, np.float64):
-        x = np.concatenate([special, rng.standard_normal(400)]).astype(dtype)
-        d = rng.standard_normal(x.size).astype(dtype)
-        for rate in (0.5, 0.1, 0.3):
-            state = rng.bit_generator.state
-            with np.errstate(invalid="ignore"):
-                out, mask = dropout(x, rate, rng, training=True)
-                rng.bit_generator.state = state
-                ref_mask = ((rng.random(x.shape, dtype=dtype) < 1.0 - rate).astype(dtype)
-                            / (1.0 - rate))
-                assert np.array_equal(_bits(out), _bits(x * ref_mask))
-            assert np.array_equal(_bits(dropout_backward(d, mask, rate)), _bits(d * ref_mask))
+        for size in (0, 1, 2, 7, 401, 404):
+            x = np.concatenate([special, data.standard_normal(400)])[:size].astype(dtype)
+            d = data.standard_normal(size).astype(dtype)
+            for entry, prepare in entries.items():
+                rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+                prepare(rng), prepare(twin)
+                assert rng.bit_generator.state["has_uint32"] == (entry != "fresh")
+                for rate in rates:
+                    with np.errstate(invalid="ignore"):
+                        out, mask = dropout(x, rate, rng, training=True)
+                        ref_mask = ((twin.random(x.shape, dtype=dtype) < 1.0 - rate)
+                                    .astype(dtype) / (1.0 - rate))
+                        assert np.array_equal(_bits(out), _bits(x * ref_mask))
+                    assert np.array_equal(_bits(dropout_backward(d, mask, rate)),
+                                          _bits(d * ref_mask))
+                    assert rng.bit_generator.state == twin.bit_generator.state, \
+                        (np.dtype(dtype).name, size, entry, rate)
+
+
+def test_dropout_refuses_a_generator_other_than_pcg64():
+    # MT19937's raw words hold 32 bits: read as PCG64 words, their zero high
+    # halves would always be kept
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(ValueError, match="^dropout draws its mask from PCG64 words, "
+                                         "not from MT19937$"):
+        dropout(np.ones(8, dtype=np.float32), 0.5, rng, training=True)
+    assert dropout(np.ones(8), 0.5, rng, training=False)[1] is None
 
 
 def test_dropout_backward_zeroes_exactly_the_dropped_entries():
