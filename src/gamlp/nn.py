@@ -213,6 +213,7 @@ def dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None,
     words = bitgen.random_raw(-(-(n - held) * width // 64))
     state = bitgen.state if width == 32 and n else None
     held = state["has_uint32"] if state else 0
+    # float32 reads the halves low half first, the order of numpy's draws
     draws = words.astype("<u8", copy=False).view(f"<u{width // 8}")
     mask = np.empty(x.shape, np.bool_)
     flat = mask.reshape(-1)
@@ -225,7 +226,7 @@ def dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None,
             state["uinteger"] = int(words[-1] >> 32)
         bitgen.state = state
     out = draws[:n].view(x.dtype).reshape(x.shape) if draws.size >= n else None
-    del words, draws  # one half short: the output needs a buffer of its own
+    del words, draws  # when one half short, freed before the product's own buffer
     out = np.multiply(x, mask, out=out)
     out *= _dropout_scale(rate, out.dtype)
     return out, mask

@@ -324,7 +324,8 @@ def test_dropout_equals_the_float_mask_form_bit_for_bit():
             d = data.standard_normal(size).astype(dtype)
             for entry, prepare in entries.items():
                 rng, twin = np.random.default_rng(0), np.random.default_rng(0)
-                prepare(rng), prepare(twin)
+                prepare(rng)
+                prepare(twin)
                 assert rng.bit_generator.state["has_uint32"] == (entry != "fresh")
                 for rate in rates:
                     with np.errstate(invalid="ignore"):
