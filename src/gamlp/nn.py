@@ -172,8 +172,7 @@ def _dropout_scale(rate: float, dtype) -> np.generic:
     return dtype.type(1.0) / dtype.type(1.0 - rate)
 
 
-# significant bits of a rng.random draw per dtype: numpy builds a float32 draw
-# as (u >> 8)·2^-24 from a 32-bit half-word u, a float64 draw as (w >> 11)·2^-53
+# significant bits m of a rng.random draw per dtype (see dropout)
 _DRAW_BITS = {np.dtype(np.float32): 24, np.dtype(np.float64): 53}
 
 
