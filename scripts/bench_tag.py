@@ -21,8 +21,9 @@ on every workload. The commit is exported with ``git archive`` into
 parent first in even pairs and this checkout first in odd ones, so that a
 drift of the machine weighs on both sides alike. Per end-to-end metric it
 prints each side's median and quartiles, the change/parent ratio of the
-medians and the pairs in which the change is better, and stores them
-under ``pairs``.
+medians, the pairs in which the change is better, whether the medians'
+gap is a gain wider than the parent's IQR, and whether the change is worse
+than the metric's bound; it stores them under ``pairs``.
 """
 
 import argparse
@@ -113,7 +114,14 @@ def quartiles(values: list) -> tuple:
 def pair_figures(parent_runs: list, change_runs: list, end_to_end: list[dict]) -> dict:
     """Per end-to-end metric, over the pairs in which both runs report it:
     each side's values, median and quartiles, the change/parent ratio of the
-    medians and the pairs in which the change is better."""
+    medians, the pairs in which the change is better, and two verdicts.
+
+    ``beyond_iqr``: the change's median is better than the parent's by more
+    than the parent's IQR (``parent_iqr``, Q3 - Q1). ``past_bound``: the
+    change's median is worse than the parent's by more than the metric's
+    ``bound``, read as a share of the parent's median (a bound of 0.25 on a
+    parent median of 40 allows up to 50 where lower is better, and down to
+    30 where higher is better)."""
     out = {}
     for spec in end_to_end:
         name = spec["name"]
@@ -126,10 +134,14 @@ def pair_figures(parent_runs: list, change_runs: list, end_to_end: list[dict]) -
         for side, values in zip(("parent", "change"), zip(*pairs)):
             q1, median, q3 = quartiles(values)
             sides[side] = {"values": list(values), "median": median, "q1": q1, "q3": q3}
-        better = (lambda a, b: b > a) if spec["better"] == "higher" else (lambda a, b: b < a)
+        sign = 1.0 if spec["better"] == "higher" else -1.0
+        parent, change = sides["parent"]["median"], sides["change"]["median"]
+        iqr = sides["parent"]["q3"] - sides["parent"]["q1"]
         out[name] = {**sides, "unit": spec["unit"], "better": spec["better"],
-                     "ratio": sides["change"]["median"] / sides["parent"]["median"],
-                     "wins": sum(better(a, b) for a, b in pairs), "pairs": len(pairs)}
+                     "ratio": change / parent,
+                     "wins": sum(sign * (b - a) > 0 for a, b in pairs), "pairs": len(pairs),
+                     "parent_iqr": iqr, "beyond_iqr": sign * (change - parent) > iqr,
+                     "past_bound": sign * (parent - change) > spec["bound"] * parent}
     return out
 
 
@@ -164,12 +176,15 @@ def _cell(figures: dict, unit: str) -> str:
 def pair_table(pairs: dict) -> list[str]:
     """The figures of :func:`run_pairs` as the lines of a Markdown table."""
     lines = ["| workload | metric | parent median [Q1, Q3] | change median [Q1, Q3] "
-             "| change / parent | change better |", "| --- | --- | --- | --- | --- | --- |"]
+             "| change / parent | change better | gain beyond parent IQR | past bound |",
+             "| --- | --- | --- | --- | --- | --- | --- | --- |"]
     for workload, record in pairs.items():
         for name, m in record["metrics"].items():
             lines.append(f"| {workload} | `{name}` | {_cell(m['parent'], m['unit'])} | "
                          f"{_cell(m['change'], m['unit'])} | {m['ratio']:.3f} | "
-                         f"{m['wins']} of {m['pairs']} |")
+                         f"{m['wins']} of {m['pairs']} | "
+                         f"{'yes' if m['beyond_iqr'] else 'no'} | "
+                         f"{'yes' if m['past_bound'] else 'no'} |")
     return lines
 
 

@@ -115,7 +115,8 @@ def _read_table(path: Path, columns: int) -> np.ndarray | None:
 
 def _read_features(directory: Path) -> np.ndarray:
     """The n x f features of features.bin, else of features.csv; a malformed or
-    empty file, or a NaN or infinity (named by node), raises a DatasetError."""
+    empty file, a NaN or infinity (named by node), or a features.csv value
+    beyond float32's range (named by line and node) raises a DatasetError."""
     path = directory / "features.bin"
     if path.exists():
         with open(path, "rb") as f:
@@ -144,7 +145,22 @@ def _read_features(directory: Path) -> np.ndarray:
     if not np.isfinite(x).all():
         node = int(np.argmin(np.isfinite(x).all(axis=1)))
         raise DatasetError(f"{path}: non-finite feature value at node {node}")
+    if x.dtype != np.float32:  # the caches and the model hold float32
+        beyond = np.abs(x) > np.finfo(np.float32).max
+        if beyond.any():
+            node = int(np.argmax(beyond.any(axis=1)))
+            value = float(x[node][beyond[node]][0])
+            raise DatasetError(f"{path}:{_data_line(path, node)}: feature value {value!r} "
+                               f"at node {node} is beyond float32 range")
     return x
+
+
+def _data_line(path: Path, row: int) -> int:
+    """The line number in ``path`` of data row ``row`` as np.loadtxt counts rows:
+    lines that are blank once a ``#`` comment is cut off hold no row."""
+    with open(path, "r", encoding="utf-8", errors="replace") as f:
+        rows = [no for no, line in enumerate(f, start=1) if line.split("#", 1)[0].strip()]
+    return rows[row]
 
 
 def _read_lines(path: Path, columns: int, n: int, form: str, not_int: str, problem):

@@ -64,8 +64,8 @@ def test_against_prints_each_end_to_end_ratio_per_workload(tmp_path, capsys, mon
         "  predict_rows_per_s: missing in new file", "  peak_rss_mb: missing in previous file"]
 
 
-SPECS = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower"},
-         {"name": "train_rows_per_s", "unit": "rows/s", "better": "higher"}]
+SPECS = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+         {"name": "train_rows_per_s", "unit": "rows/s", "better": "higher", "bound": 0.25}]
 
 
 def _fake_pair_run(calls, parent_root):
@@ -105,9 +105,12 @@ def test_pairs_alternate_the_trees_over_shared_seeds(tmp_path):
     assert (rows["ratio"], rows["wins"], rows["pairs"]) == (1.0, 0, 4)
     assert bench_tag.pair_table(pairs) == [
         "| workload | metric | parent median [Q1, Q3] | change median [Q1, Q3] "
-        "| change / parent | change better |", "| --- | --- | --- | --- | --- | --- |",
-        "| a | `peak_rss_mb` | 108.5 [107.8, 109.5] | 99.5 [97.8, 103.0] | 0.917 | 3 of 4 |",
-        "| a | `train_rows_per_s` | 5.0k [5.0k, 5.0k] | 5.0k [5.0k, 5.0k] | 1.000 | 0 of 4 |"]
+        "| change / parent | change better | gain beyond parent IQR | past bound |",
+        "| --- | --- | --- | --- | --- | --- | --- | --- |",
+        "| a | `peak_rss_mb` | 108.5 [107.8, 109.5] | 99.5 [97.8, 103.0] | 0.917 | 3 of 4 "
+        "| yes | no |",
+        "| a | `train_rows_per_s` | 5.0k [5.0k, 5.0k] | 5.0k [5.0k, 5.0k] | 1.000 | 0 of 4 "
+        "| no | no |"]
 
 
 def test_parent_and_pairs_store_the_figures_under_pairs(tmp_path, capsys, monkeypatch):
@@ -135,12 +138,40 @@ def test_parent_and_pairs_store_the_figures_under_pairs(tmp_path, capsys, monkey
     record = json.loads((tmp_path / "BENCH_new.json").read_text())
     assert list(record["workloads"]) == list(record["pairs"]["workloads"]) == ["a", "b"]
     assert record["pairs"]["parent"] == "HEAD~1"
-    assert record["pairs"]["workloads"]["b"]["metrics"]["peak_rss_mb"]["wins"] == 2
+    peak, rows = (record["pairs"]["workloads"]["b"]["metrics"][name]
+                  for name in ("peak_rss_mb", "train_rows_per_s"))
+    assert peak["wins"] == 2
+    # the change's median is 10 MB lower, past the parent's IQR of 1 MB
+    assert (peak["parent_iqr"], peak["beyond_iqr"], peak["past_bound"]) == (1.0, True, False)
+    assert (rows["parent_iqr"], rows["beyond_iqr"], rows["past_bound"]) == (0.0, False, False)
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "wrote BENCH_new.json"
     assert out[-2:] == [
-        "| b | `peak_rss_mb` | 108.0 [107.5, 108.5] | 98.0 [97.5, 103.5] | 0.907 | 2 of 3 |",
-        "| b | `train_rows_per_s` | 5.0k [5.0k, 5.0k] | 5.0k [5.0k, 5.0k] | 1.000 | 0 of 3 |"]
+        "| b | `peak_rss_mb` | 108.0 [107.5, 108.5] | 98.0 [97.5, 103.5] | 0.907 | 2 of 3 "
+        "| yes | no |",
+        "| b | `train_rows_per_s` | 5.0k [5.0k, 5.0k] | 5.0k [5.0k, 5.0k] | 1.000 | 0 of 3 "
+        "| no | no |"]
+    # the bound is a share of the parent's median: 0.1 of 100 MB and 0.25 of
+    # 40k rows/s; a change worse by exactly the bound is not past it, and a
+    # gain no wider than the parent's IQR is not beyond it
+    for peak_mb, rows_k, past in ((110.0, 30.0, False), (110.5, 29.5, True)):
+        figures = bench_tag.pair_figures(
+            [{"metrics": {"peak_rss_mb": {"value": v}, "train_rows_per_s": {"value": r}}}
+             for v, r in ((99.0, 39e3), (100.0, 40e3), (101.0, 41e3))],
+            [{"metrics": {"peak_rss_mb": {"value": peak_mb}, "train_rows_per_s":
+                          {"value": rows_k * 1e3}}}] * 3, SPECS)
+        assert [(m["past_bound"], m["beyond_iqr"]) for m in figures.values()] == \
+            [(past, False)] * 2
+    figures = bench_tag.pair_figures(
+        [{"metrics": {"train_rows_per_s": {"value": v}}} for v in (39e3, 40e3, 41e3)],
+        [{"metrics": {"train_rows_per_s": {"value": v}}} for v in (41e3, 41e3, 41.1e3)],
+        SPECS)
+    rows = figures["train_rows_per_s"]
+    assert (rows["parent_iqr"], rows["beyond_iqr"]) == (1e3, False)  # a 1k gain, no wider
+    figures = bench_tag.pair_figures(
+        [{"metrics": {"train_rows_per_s": {"value": v}}} for v in (39e3, 40e3, 41e3)],
+        [{"metrics": {"train_rows_per_s": {"value": 41.5e3}}}] * 3, SPECS)
+    assert figures["train_rows_per_s"]["beyond_iqr"] is True
     for argv in (["--parent", "HEAD~1"], ["--pairs", "3"], ["--parent", "x", "--pairs", "0"]):
         with pytest.raises(SystemExit):
             bench_tag.main(["--tag", "t", *argv])

@@ -75,6 +75,26 @@ def test_load_refuses_non_finite_features_naming_the_first_node(tmp_path, kind, 
     assert str(err.value) == f"{path}: non-finite feature value at node 1"
 
 
+@pytest.mark.parametrize("value", [1e39, -3.5e38])
+def test_load_refuses_a_csv_feature_beyond_float32_naming_its_line(tmp_path, value):
+    # float64 holds the value, but the float32 caches would round it to inf;
+    # loadtxt skips comment and blank lines, so node 2 sits on line 5
+    root = write_fixture(tmp_path / "toy")
+    path = root / "features.csv"
+    path.write_text(f"# x, y\n1.0,0.0\n\n0.5,0.5  # mid\n{value!r},1.0\n")
+    with pytest.raises(DatasetError) as err:
+        load_dataset(root)
+    assert str(err.value) == (f"{path}:5: feature value {value!r} at node 2 "
+                              "is beyond float32 range")
+
+
+def test_load_keeps_a_csv_feature_at_float32s_largest_value(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    root = write_fixture(tmp_path / "toy")
+    _write_features(root, "csv", [[top, 0.0], [0.5, -top], [0.0, 1.0]])
+    assert load_dataset(root).features[1, 1] == -top
+
+
 def test_load_fixture_csv(tmp_path):
     ds = load_dataset(write_fixture(tmp_path / "toy"))
     assert ds.n == 3

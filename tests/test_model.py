@@ -100,7 +100,10 @@ def _random_mats(rng, n, d, steps):
 
 # ---------------------------------------------------------------------------
 # reference combiners: the per-step list implementations the stack-array
-# JK combiner replaced, one dropout draw and one product per step
+# JK combiner replaced, one product per step; the dropout mask is drawn
+# once over the whole stack, as the combiner draws it, and sliced per step
+# (a mask at a dyadic rate takes whole words per call, so per-step draws
+# would read other bits)
 # ---------------------------------------------------------------------------
 
 
@@ -126,7 +129,7 @@ class ListJkAttention(JkAttention):
 
     def forward(self, mats, rows=None, training=False, rng=None):
         sa, sb = self.s.value[:self.dim], self.s.value[self.dim:]
-        xd = [dropout(m, self.attention_dropout, rng, training)[0] for m in mats]
+        xd = list(dropout(np.stack(mats), self.attention_dropout, rng, training)[0])
         ref = self._reference(mats, rows, training, rng)
         if ref is not None:
             rd, r_mask = dropout(ref, self.attention_dropout, rng, training)
@@ -234,11 +237,12 @@ def test_recursive_eval_forward_equals_a_rate_0_training_forward(steps):
 def test_recursive_masked_forward_draws_the_stack_then_one_mask_per_step(steps, dtype):
     comb, mats, _ = _recursive_case("sigmoid", steps, 0.5, n=9, d=4)
     comb.s.value = comb.s.value.astype(dtype)
+    # at rate 0.5 each mask takes one bit per element, in whole 64-bit words
     rng, direct = np.random.default_rng(3), np.random.default_rng(3)
     comb.forward(mats.astype(dtype), ALL, training=True, rng=rng)
-    direct.random((steps + 1, 9, 4), dtype=dtype)
+    direct.bit_generator.random_raw(math.ceil((steps + 1) * 9 * 4 / 64))
     for _ in range(steps + 1):
-        direct.random((9, 4), dtype=dtype)
+        direct.bit_generator.random_raw(math.ceil(9 * 4 / 64))
     assert rng.bit_generator.state == direct.bit_generator.state
 
 

@@ -1,3 +1,4 @@
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -295,7 +296,7 @@ def test_dropout_preserves_mean():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("rate", [0.5, 0.1])
+@pytest.mark.parametrize("rate", [0.5, 0.25, 0.1])
 def test_dropout_keep_rate_and_mean(dtype, rate):
     x = np.ones((1000, 1000), dtype=dtype)
     out, mask = dropout(x, rate, np.random.default_rng(7), training=True)
@@ -307,9 +308,21 @@ def test_dropout_keep_rate_and_mean(dtype, rate):
     assert set(np.unique(out).tolist()) == {0.0, float(dtype(1) / dtype(1 - rate))}
 
 
+def _field_mask_by_hand(twin: np.random.Generator, n: int, rate: float, width: int):
+    """The keep mask of a dyadic rate, cut field by field from the twin's raw
+    words: field i holds bits i·width to (i + 1)·width - 1 of the words read
+    low bits first, and it is kept when at least rate·2^width."""
+    words = [int(w) for w in twin.bit_generator.random_raw(math.ceil(n * width / 64))]
+    fields = [(words[i * width // 64] >> (i * width % 64)) & (2 ** width - 1)
+              for i in range(n)]
+    return np.array([f >= rate * 2 ** width for f in fields], dtype=np.bool_)
+
+
 def test_dropout_equals_the_float_mask_form_bit_for_bit():
     # reference: x times the float mask (draw < keep) / keep, in x's dtype, drawn
-    # by a twin generator; dropout must leave its generator in the twin's state
+    # by a twin generator; dropout must leave its generator in the twin's state.
+    # Rate 0.5 is dyadic and takes its mask from bit fields, by hand here, so the
+    # float draws around it must read the words after that draw's.
     data = np.random.default_rng(5)
     special = [-0.0, np.inf, -np.inf, np.nan]
     entries = {"fresh": lambda g: None,  # the last two leave a half-word buffered
@@ -330,13 +343,57 @@ def test_dropout_equals_the_float_mask_form_bit_for_bit():
                 for rate in rates:
                     with np.errstate(invalid="ignore"):
                         out, mask = dropout(x, rate, rng, training=True)
-                        ref_mask = ((twin.random(x.shape, dtype=dtype) < 1.0 - rate)
-                                    .astype(dtype) / (1.0 - rate))
+                        if rate == 0.5:
+                            keep = _field_mask_by_hand(twin, size, rate, 1)
+                        else:
+                            keep = twin.random(x.shape, dtype=dtype) < 1.0 - rate
+                        ref_mask = keep.astype(dtype) / (1.0 - rate)
                         assert np.array_equal(_bits(out), _bits(x * ref_mask))
                     assert np.array_equal(_bits(dropout_backward(d, mask, rate)),
                                           _bits(d * ref_mask))
                     assert rng.bit_generator.state == twin.bit_generator.state, \
                         (np.dtype(dtype).name, size, entry, rate)
+
+
+@pytest.mark.parametrize("rate, width", [(0.5, 1), (0.25, 2), (0.75, 2), (0.125, 4),
+                                         (2 ** -8, 8), (2 ** -16, 16)])
+def test_dropout_cuts_the_mask_of_a_dyadic_rate_from_bit_fields(rate, width):
+    # the smallest field width of 1, 2, 4, 8, 16 bits at which rate·2^w is an
+    # integer: 0.125 needs 3 bits and takes 4
+    data = np.random.default_rng(6)
+    for dtype in (np.float32, np.float64):
+        for size in (0, 1, 7, 63, 64, 65, 401):
+            x = data.standard_normal(size).astype(dtype)
+            for buffered in (False, True):
+                rng, twin = np.random.default_rng(1), np.random.default_rng(1)
+                if buffered:  # a float32 draw leaves a half-word buffered
+                    rng.random(1, dtype=np.float32)
+                    twin.random(1, dtype=np.float32)
+                held = rng.bit_generator.state
+                assert held["has_uint32"] == buffered
+                out, mask = dropout(x, rate, rng, training=True)
+                keep = _field_mask_by_hand(twin, size, rate, width)
+                assert np.array_equal(mask, keep), (np.dtype(dtype).name, size, buffered)
+                scale = dtype(1) / dtype(1 - rate)
+                assert out.dtype == dtype
+                assert np.array_equal(_bits(out), _bits(x * keep.astype(dtype) * scale))
+                after = rng.bit_generator.state
+                assert after == twin.bit_generator.state
+                # the buffered half-word is left as it was
+                assert (after["has_uint32"], after["uinteger"]) == \
+                    (held["has_uint32"], held["uinteger"])
+
+
+@pytest.mark.parametrize("rate", [0.5, 0.25, 0.125, 2 ** -16])
+def test_dropout_masks_at_a_dyadic_rate_do_not_depend_on_the_dtype(rate):
+    x = np.random.default_rng(2).standard_normal((3, 50, 7))
+    masks = []
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(4)
+        masks.append([dropout(x.astype(dtype), rate, rng, training=True)[1]
+                      for _ in range(3)])
+    for got, want in zip(*masks):
+        assert np.array_equal(got, want)
 
 
 def test_dropout_refuses_a_generator_other_than_pcg64():
