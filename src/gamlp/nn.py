@@ -174,13 +174,12 @@ def _dropout_scale(rate: float, dtype) -> np.generic:
 
 # significant bits m of a rng.random draw per dtype (see dropout)
 _DRAW_BITS = {np.dtype(np.float32): 24, np.dtype(np.float64): 53}
-# widths of the bit fields that masks at dyadic rates are cut from (see dropout)
-_FIELD_WIDTHS = (1, 2, 4, 8, 16)
 
 
 def _field_width(rate: float) -> int:
-    """The smallest w of _FIELD_WIDTHS for which rate·2^w is an integer, else 0."""
-    return next((w for w in _FIELD_WIDTHS if float(rate * 2 ** w).is_integer()), 0)
+    """The smallest field width w of 1, 2, 4, 8 or 16 bits for which rate·2^w
+    is an integer, else 0 (see dropout)."""
+    return next((w for w in (1, 2, 4, 8, 16) if float(rate * 2 ** w).is_integer()), 0)
 
 
 def _field_mask(bitgen, n: int, rate: float, width: int) -> np.ndarray:
