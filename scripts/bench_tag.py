@@ -21,9 +21,11 @@ on every workload. The commit is exported with ``git archive`` into
 parent first in even pairs and this checkout first in odd ones, so that a
 drift of the machine weighs on both sides alike. Per end-to-end metric it
 prints each side's median and quartiles, the change/parent ratio of the
-medians, the pairs in which the change is better, whether the medians'
-gap is a gain wider than the parent's IQR, and whether the change is worse
-than the metric's bound; it stores them under ``pairs``.
+medians, the median and quartiles of the pairs' own change/parent ratios,
+the pairs in which the change is better, whether the medians' gap is a
+gain wider than the parent's IQR, and whether the change is worse than the
+metric's bound; it stores them under ``pairs``. The pairs' ratios compare
+runs on one dataset each, where the parent's IQR spans all the seeds.
 """
 
 import argparse
@@ -114,7 +116,9 @@ def quartiles(values: list) -> tuple:
 def pair_figures(parent_runs: list, change_runs: list, end_to_end: list[dict]) -> dict:
     """Per end-to-end metric, over the pairs in which both runs report it:
     each side's values, median and quartiles, the change/parent ratio of the
-    medians, the pairs in which the change is better, and two verdicts.
+    medians, each pair's change/parent ratio with their median and quartiles
+    (``pair_ratio``), the pairs in which the change is better, and two
+    verdicts.
 
     ``beyond_iqr``: the change's median is better than the parent's by more
     than the parent's IQR (``parent_iqr``, Q3 - Q1). ``past_bound``: the
@@ -130,8 +134,10 @@ def pair_figures(parent_runs: list, change_runs: list, end_to_end: list[dict]) -
                  if name in a["metrics"] and name in b["metrics"]]
         if not pairs:
             continue
+        parent_values, change_values = zip(*pairs)
         sides = {}
-        for side, values in zip(("parent", "change"), zip(*pairs)):
+        for side, values in (("parent", parent_values), ("change", change_values),
+                             ("pair_ratio", [b / a for a, b in pairs])):
             q1, median, q3 = quartiles(values)
             sides[side] = {"values": list(values), "median": median, "q1": q1, "q3": q3}
         sign = 1.0 if spec["better"] == "higher" else -1.0
@@ -164,10 +170,13 @@ def run_pairs(workloads, parent_root: Path, pairs: int, seconds: float,
 
 
 def _cell(figures: dict, unit: str) -> str:
-    """'median [Q1, Q3]' of one side's figures, seconds in ms and rates in thousands."""
+    """'median [Q1, Q3]' of one side's figures, seconds in ms, rates in
+    thousands and ratios to three places."""
     def fmt(value):
         if unit == "s":
             return f"{value * 1e3:.1f} ms"
+        if unit == "ratio":
+            return f"{value:.3f}"
         return f"{value / 1e3:.1f}k" if unit == "rows/s" else f"{value:.1f}"
 
     return f"{fmt(figures['median'])} [{fmt(figures['q1'])}, {fmt(figures['q3'])}]"
@@ -176,12 +185,14 @@ def _cell(figures: dict, unit: str) -> str:
 def pair_table(pairs: dict) -> list[str]:
     """The figures of :func:`run_pairs` as the lines of a Markdown table."""
     lines = ["| workload | metric | parent median [Q1, Q3] | change median [Q1, Q3] "
-             "| change / parent | change better | gain beyond parent IQR | past bound |",
-             "| --- | --- | --- | --- | --- | --- | --- | --- |"]
+             "| change / parent | pair ratios median [Q1, Q3] | change better "
+             "| gain beyond parent IQR | past bound |",
+             "| --- | --- | --- | --- | --- | --- | --- | --- | --- |"]
     for workload, record in pairs.items():
         for name, m in record["metrics"].items():
             lines.append(f"| {workload} | `{name}` | {_cell(m['parent'], m['unit'])} | "
                          f"{_cell(m['change'], m['unit'])} | {m['ratio']:.3f} | "
+                         f"{_cell(m['pair_ratio'], 'ratio')} | "
                          f"{m['wins']} of {m['pairs']} | "
                          f"{'yes' if m['beyond_iqr'] else 'no'} | "
                          f"{'yes' if m['past_bound'] else 'no'} |")

@@ -10,7 +10,6 @@ hand-derived backward, and the model code wires them together.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,89 +171,25 @@ def _dropout_scale(rate: float, dtype) -> np.generic:
     return dtype.type(1.0) / dtype.type(1.0 - rate)
 
 
-# significant bits m of a rng.random draw per dtype (see dropout)
-_DRAW_BITS = {np.dtype(np.float32): 24, np.dtype(np.float64): 53}
-
-
-def _field_width(rate: float) -> int:
-    """The smallest field width w of 1, 2, 4, 8 or 16 bits for which rate·2^w
-    is an integer, else 0 (see dropout)."""
-    return next((w for w in (1, 2, 4, 8, 16) if float(rate * 2 ** w).is_integer()), 0)
-
-
-def _field_mask(bitgen, n: int, rate: float, width: int) -> np.ndarray:
-    """n keep flags from ``width``-bit fields of ceil(n·width / 64) raw words,
-    cut low bits first and word after word: a flag is set where its field is
-    at least rate·2^width, so with probability exactly 1 - rate."""
-    raw = bitgen.random_raw(-(-n * width // 64)).astype("<u8", copy=False).view(np.uint8)
-    if width == 1:  # rate 0.5: the bits themselves
-        return np.unpackbits(raw, count=n, bitorder="little").view(np.bool_)
-    if width < 8:
-        shifts = np.arange(0, 8, width, dtype=np.uint8)
-        fields = (raw[:, None] >> shifts).reshape(-1) & np.uint8(2 ** width - 1)
-    else:
-        fields = raw.view(f"<u{width // 8}")
-    return fields[:n] >= int(rate * 2 ** width)
-
-
-def _word_draw(x: np.ndarray, rate: float, bitgen) -> tuple[np.ndarray, np.ndarray]:
-    """(x times the keep mask, mask) with the mask ``rng.random(x.shape,
-    x.dtype) < 1 - rate`` computed from whole words; see :func:`dropout`."""
-    n, sig, width = x.size, _DRAW_BITS[x.dtype], 8 * x.dtype.itemsize
-    limit = (math.ceil(float(x.dtype.type(1.0 - rate)) * 2.0 ** sig) << (width - sig)) - 1
-    # n float32 draws take a half-word buffered on entry first, then the halves
-    # of ceil((n - held) / 2) words: n / 2 words for an even n either way.
-    # float64 draws, and random_raw, leave the buffer alone.
-    held = bitgen.state["has_uint32"] if width == 32 and n % 2 else 0
-    words = bitgen.random_raw(-(-(n - held) * width // 64))
-    state = bitgen.state if width == 32 and n else None
-    held = state["has_uint32"] if state else 0
-    # float32 reads the halves low half first, the order of numpy's draws
-    draws = words.astype("<u8", copy=False).view(f"<u{width // 8}")
-    mask = np.empty(x.shape, np.bool_)
-    flat = mask.reshape(-1)
-    if held:
-        flat[0] = state["uinteger"] <= limit
-    np.less_equal(draws[:n - held], draws.dtype.type(limit), out=flat[held:])
-    if state:  # leave the buffer as n float32 draws leave it
-        state["has_uint32"] = (n - held) % 2
-        if n > held:
-            state["uinteger"] = int(words[-1] >> 32)
-        bitgen.state = state
-    out = draws[:n].view(x.dtype).reshape(x.shape) if draws.size >= n else None
-    del words, draws  # when one half short, freed before the product's own buffer
-    return np.multiply(x, mask, out=out), mask
-
-
 def dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None,
             training: bool):
     """Inverted dropout. Returns (output, mask); mask is None when inactive.
 
     The bool mask keeps each element with probability 1 - rate, drawn from
-    the raw 64-bit words of ``rng``'s PCG64 generator (``random_raw``) in one
-    of two forms:
+    ``rng``'s PCG64 generator in one of two forms:
 
-    * At a dyadic rate, one for which rate·2^w is an integer for a field
-      width w of 1, 2, 4, 8 or 16 bits (the smallest such w is used), the
-      words are cut into w-bit fields, low bits first and word after word,
-      and an element is kept where its field is at least rate·2^w. Rate 0.5
-      takes one bit per element, 0.25 and 0.75 two, 0.125 four. The call
-      takes ceil(n·w / 64) words and leaves the generator's buffered
-      half-word as ``random_raw`` leaves it; the mask does not depend on
-      x's dtype.
-    * At any other rate (0.1, 0.3, ...) the mask is the bool array
-      ``rng.random(x.shape, dtype=x.dtype) < 1 - rate`` bit for bit, and
-      ``rng`` ends in the state that call leaves. A float64 draw takes one
-      word, a float32 draw one 32-bit half of a word: low half first, the
-      high half buffered in the state (``has_uint32``, ``uinteger``) for the
-      next float32 draw. A draw of b bits with m significant bits is
-      u >> (b - m) times 2^-m, so with keep = 1 - rate rounded to x's dtype,
-      draw < keep exactly when u <= (ceil(keep·2^m) << (b - m)) - 1. The
-      product is written into the words' buffer.
+    * At rate 0.5 an element takes one bit: the call reads ceil(n / 64) raw
+      64-bit words (``random_raw``) and keeps an element where its bit is
+      set, low bits first and word after word. This leaves the generator's
+      buffered half-word of float32 draws alone, and the mask does not
+      depend on x's dtype.
+    * At any other rate the mask is ``rng.random(x.shape, dtype=x.dtype) <
+      1 - rate``.
 
     The kept elements are scaled by 1 / (1 - rate), and the output keeps x's
     dtype. Raises ValueError for a generator other than PCG64, whose raw
-    words have other widths.
+    words have other widths, and TypeError for input other than float32 or
+    float64.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must lie in [0, 1), got {rate}")
@@ -264,14 +199,15 @@ def dropout(x: np.ndarray, rate: float, rng: np.random.Generator | None,
     if type(bitgen) is not np.random.PCG64:
         raise ValueError("dropout draws its mask from PCG64 words, "
                          f"not from {type(bitgen).__name__}")
-    if x.dtype not in _DRAW_BITS:
+    if x.dtype not in (np.float32, np.float64):
         raise TypeError(f"dropout takes float32 or float64 input, got {x.dtype}")
-    width = _field_width(rate)
-    if width:
-        mask = _field_mask(bitgen, x.size, rate, width).reshape(x.shape)
-        out = np.multiply(x, mask)
+    if rate == 0.5:
+        words = bitgen.random_raw(-(-x.size // 64)).astype("<u8", copy=False)
+        mask = np.unpackbits(words.view(np.uint8), count=x.size,
+                             bitorder="little").view(np.bool_).reshape(x.shape)
     else:
-        out, mask = _word_draw(x, rate, bitgen)
+        mask = rng.random(x.shape, dtype=x.dtype) < 1.0 - rate
+    out = np.multiply(x, mask)
     out *= _dropout_scale(rate, out.dtype)
     return out, mask
 

@@ -100,17 +100,25 @@ def test_pairs_alternate_the_trees_over_shared_seeds(tmp_path):
     assert peak["change"] == {"values": [97.0, 98.0, 109.0, 101.0], "median": 99.5,
                               "q1": 97.75, "q3": 103.0}
     assert (peak["ratio"], peak["wins"], peak["pairs"]) == (99.5 / 108.5, 3, 4)
+    # each pair's own ratio, of runs on one seed's data
+    ratios = [97 / 107, 98 / 108, 109 / 109, 101 / 111]
+    assert peak["pair_ratio"] == {"values": ratios,
+                                  "median": (ratios[1] + ratios[3]) / 2,
+                                  "q1": ratios[0] + (ratios[1] - ratios[0]) * 0.75,
+                                  "q3": ratios[3] + (ratios[2] - ratios[3]) * 0.25}
     assert (peak["unit"], peak["better"]) == ("MB", "lower")
     rows = record["metrics"]["train_rows_per_s"]
     assert (rows["ratio"], rows["wins"], rows["pairs"]) == (1.0, 0, 4)
+    assert rows["pair_ratio"]["values"] == [1.0] * 4
     assert bench_tag.pair_table(pairs) == [
         "| workload | metric | parent median [Q1, Q3] | change median [Q1, Q3] "
-        "| change / parent | change better | gain beyond parent IQR | past bound |",
-        "| --- | --- | --- | --- | --- | --- | --- | --- |",
-        "| a | `peak_rss_mb` | 108.5 [107.8, 109.5] | 99.5 [97.8, 103.0] | 0.917 | 3 of 4 "
-        "| yes | no |",
-        "| a | `train_rows_per_s` | 5.0k [5.0k, 5.0k] | 5.0k [5.0k, 5.0k] | 1.000 | 0 of 4 "
-        "| no | no |"]
+        "| change / parent | pair ratios median [Q1, Q3] | change better "
+        "| gain beyond parent IQR | past bound |",
+        "| --- | --- | --- | --- | --- | --- | --- | --- | --- |",
+        "| a | `peak_rss_mb` | 108.5 [107.8, 109.5] | 99.5 [97.8, 103.0] | 0.917 "
+        "| 0.909 [0.907, 0.932] | 3 of 4 | yes | no |",
+        "| a | `train_rows_per_s` | 5.0k [5.0k, 5.0k] | 5.0k [5.0k, 5.0k] | 1.000 "
+        "| 1.000 [1.000, 1.000] | 0 of 4 | no | no |"]
 
 
 def test_parent_and_pairs_store_the_figures_under_pairs(tmp_path, capsys, monkeypatch):
@@ -141,16 +149,20 @@ def test_parent_and_pairs_store_the_figures_under_pairs(tmp_path, capsys, monkey
     peak, rows = (record["pairs"]["workloads"]["b"]["metrics"][name]
                   for name in ("peak_rss_mb", "train_rows_per_s"))
     assert peak["wins"] == 2
+    ratios = [97 / 107, 98 / 108, 109 / 109]
+    assert peak["pair_ratio"] == {"values": ratios, "median": ratios[1],
+                                  "q1": (ratios[0] + ratios[1]) / 2,
+                                  "q3": (ratios[1] + ratios[2]) / 2}
     # the change's median is 10 MB lower, past the parent's IQR of 1 MB
     assert (peak["parent_iqr"], peak["beyond_iqr"], peak["past_bound"]) == (1.0, True, False)
     assert (rows["parent_iqr"], rows["beyond_iqr"], rows["past_bound"]) == (0.0, False, False)
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "wrote BENCH_new.json"
     assert out[-2:] == [
-        "| b | `peak_rss_mb` | 108.0 [107.5, 108.5] | 98.0 [97.5, 103.5] | 0.907 | 2 of 3 "
-        "| yes | no |",
-        "| b | `train_rows_per_s` | 5.0k [5.0k, 5.0k] | 5.0k [5.0k, 5.0k] | 1.000 | 0 of 3 "
-        "| no | no |"]
+        "| b | `peak_rss_mb` | 108.0 [107.5, 108.5] | 98.0 [97.5, 103.5] | 0.907 "
+        "| 0.907 [0.907, 0.954] | 2 of 3 | yes | no |",
+        "| b | `train_rows_per_s` | 5.0k [5.0k, 5.0k] | 5.0k [5.0k, 5.0k] | 1.000 "
+        "| 1.000 [1.000, 1.000] | 0 of 3 | no | no |"]
     # the bound is a share of the parent's median: 0.1 of 100 MB and 0.25 of
     # 40k rows/s; a change worse by exactly the bound is not past it, and a
     # gain no wider than the parent's IQR is not beyond it

@@ -308,20 +308,17 @@ def test_dropout_keep_rate_and_mean(dtype, rate):
     assert set(np.unique(out).tolist()) == {0.0, float(dtype(1) / dtype(1 - rate))}
 
 
-def _field_mask_by_hand(twin: np.random.Generator, n: int, rate: float, width: int):
-    """The keep mask of a dyadic rate, cut field by field from the twin's raw
-    words: field i holds bits i·width to (i + 1)·width - 1 of the words read
-    low bits first, and it is kept when at least rate·2^width."""
-    words = [int(w) for w in twin.bit_generator.random_raw(math.ceil(n * width / 64))]
-    fields = [(words[i * width // 64] >> (i * width % 64)) & (2 ** width - 1)
-              for i in range(n)]
-    return np.array([f >= rate * 2 ** width for f in fields], dtype=np.bool_)
+def _bit_mask_by_hand(twin: np.random.Generator, n: int):
+    """The keep mask of rate 0.5, read bit by bit from the twin's raw words:
+    element i keeps where bit i of the words, read low bits first, is set."""
+    words = [int(w) for w in twin.bit_generator.random_raw(math.ceil(n / 64))]
+    return np.array([words[i // 64] >> (i % 64) & 1 for i in range(n)], dtype=np.bool_)
 
 
 def test_dropout_equals_the_float_mask_form_bit_for_bit():
     # reference: x times the float mask (draw < keep) / keep, in x's dtype, drawn
     # by a twin generator; dropout must leave its generator in the twin's state.
-    # Rate 0.5 is dyadic and takes its mask from bit fields, by hand here, so the
+    # Rate 0.5 takes its mask from one bit per element, by hand here, so the
     # float draws around it must read the words after that draw's.
     data = np.random.default_rng(5)
     special = [-0.0, np.inf, -np.inf, np.nan]
@@ -330,7 +327,7 @@ def test_dropout_equals_the_float_mask_form_bit_for_bit():
                "permutation": lambda g: g.permutation(6)}
     # 1e-9 and 1e-17 round keep to 1 in float32 and in float64; 1 - 1e-9 keeps
     # only a draw of 0
-    rates = (0.5, 0.1, 0.3, 1e-9, 1e-17, 1 - 1e-9)
+    rates = (0.5, 0.1, 0.3, 0.25, 0.75, 1e-9, 1e-17, 1 - 1e-9)
     for dtype in (np.float32, np.float64):
         for size in (0, 1, 2, 7, 401, 404):
             x = np.concatenate([special, data.standard_normal(400)])[:size].astype(dtype)
@@ -344,7 +341,7 @@ def test_dropout_equals_the_float_mask_form_bit_for_bit():
                     with np.errstate(invalid="ignore"):
                         out, mask = dropout(x, rate, rng, training=True)
                         if rate == 0.5:
-                            keep = _field_mask_by_hand(twin, size, rate, 1)
+                            keep = _bit_mask_by_hand(twin, size)
                         else:
                             keep = twin.random(x.shape, dtype=dtype) < 1.0 - rate
                         ref_mask = keep.astype(dtype) / (1.0 - rate)
@@ -355,11 +352,8 @@ def test_dropout_equals_the_float_mask_form_bit_for_bit():
                         (np.dtype(dtype).name, size, entry, rate)
 
 
-@pytest.mark.parametrize("rate, width", [(0.5, 1), (0.25, 2), (0.75, 2), (0.125, 4),
-                                         (2 ** -8, 8), (2 ** -16, 16)])
-def test_dropout_cuts_the_mask_of_a_dyadic_rate_from_bit_fields(rate, width):
-    # the smallest field width of 1, 2, 4, 8, 16 bits at which rate·2^w is an
-    # integer: 0.125 needs 3 bits and takes 4
+def test_dropout_takes_one_bit_per_element_at_rate_half():
+    rate = 0.5
     data = np.random.default_rng(6)
     for dtype in (np.float32, np.float64):
         for size in (0, 1, 7, 63, 64, 65, 401):
@@ -372,7 +366,7 @@ def test_dropout_cuts_the_mask_of_a_dyadic_rate_from_bit_fields(rate, width):
                 held = rng.bit_generator.state
                 assert held["has_uint32"] == buffered
                 out, mask = dropout(x, rate, rng, training=True)
-                keep = _field_mask_by_hand(twin, size, rate, width)
+                keep = _bit_mask_by_hand(twin, size)
                 assert np.array_equal(mask, keep), (np.dtype(dtype).name, size, buffered)
                 scale = dtype(1) / dtype(1 - rate)
                 assert out.dtype == dtype
@@ -384,7 +378,8 @@ def test_dropout_cuts_the_mask_of_a_dyadic_rate_from_bit_fields(rate, width):
                     (held["has_uint32"], held["uinteger"])
 
 
-@pytest.mark.parametrize("rate", [0.5, 0.25, 0.125, 2 ** -16])
+# only rate 0.5 reads bits; every other rate draws rng.random in x's dtype
+@pytest.mark.parametrize("rate", [0.5])
 def test_dropout_masks_at_a_dyadic_rate_do_not_depend_on_the_dtype(rate):
     x = np.random.default_rng(2).standard_normal((3, 50, 7))
     masks = []
@@ -398,12 +393,24 @@ def test_dropout_masks_at_a_dyadic_rate_do_not_depend_on_the_dtype(rate):
 
 def test_dropout_refuses_a_generator_other_than_pcg64():
     # MT19937's raw words hold 32 bits: read as PCG64 words, their zero high
-    # halves would always be kept
+    # halves would always be kept; the refusal comes first at every rate
     rng = np.random.Generator(np.random.MT19937(0))
-    with pytest.raises(ValueError, match="^dropout draws its mask from PCG64 words, "
-                                         "not from MT19937$"):
-        dropout(np.ones(8, dtype=np.float32), 0.5, rng, training=True)
+    for rate in (0.5, 0.3):
+        with pytest.raises(ValueError, match="^dropout draws its mask from PCG64 words, "
+                                             "not from MT19937$"):
+            dropout(np.ones(8, dtype=np.float32), rate, rng, training=True)
     assert dropout(np.ones(8), 0.5, rng, training=False)[1] is None
+
+
+@pytest.mark.parametrize("dtype", [np.float16, np.int32])
+@pytest.mark.parametrize("rate", [0.5, 0.3])
+def test_dropout_refuses_input_other_than_float32_or_float64(rate, dtype):
+    # the bit draw at rate 0.5 would take any dtype: the check stands before it
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(TypeError, match="^dropout takes float32 or float64 input"):
+        dropout(np.ones(8, dtype=dtype), rate, rng, training=True)
+    assert rng.bit_generator.state == state
 
 
 def test_dropout_backward_zeroes_exactly_the_dropped_entries():
