@@ -2,7 +2,7 @@
 """Run the benchmark's workloads and write BENCH_<tag>.json at the repo root.
 
 Examples:
-    python3 scripts/bench_tag.py --tag pr8 --against BENCH_pr7.json
+    python3 scripts/bench_tag.py --tag pr8
     python3 scripts/bench_tag.py --tag pr9 --parent HEAD~1 --pairs 10
 
 Every workload named in BENCHMARK.json runs twice through
@@ -11,9 +11,6 @@ fixed seed SEED: untraced for the end-to-end metrics, then traced for the
 per-layer ones. The file holds both sets, the op counts and test
 accuracies of the runs and the environment record, so that files of two
 tags compare metric by metric.
-
-``--against BENCH_<prev>.json`` then prints, per workload, each
-end-to-end metric of the new file over the previous one.
 
 ``--parent <rev> --pairs N`` also compares this checkout with a commit
 on every workload. The commit is exported with ``git archive`` into
@@ -61,25 +58,6 @@ def collect(tag: str, workloads, seed: int, seconds: float, run=run_benchmark) -
             "test_accuracy": untraced["test_accuracy"] + traced["test_accuracy"],
             "end_to_end": untraced["metrics"], "per_layer": traced["metrics"]}
     return out
-
-
-def compare(record: dict, previous: dict, end_to_end: list[dict]) -> list[str]:
-    """One line per workload and end-to-end metric: previous, new, new/previous."""
-    lines = []
-    for workload, new in record["workloads"].items():
-        old = previous["workloads"].get(workload)
-        lines.append(f"{workload} ({record['tag']} / {previous['tag']}):")
-        for spec in end_to_end:
-            name = spec["name"]
-            a = (old or {}).get("end_to_end", {}).get(name, {}).get("value")
-            b = new["end_to_end"].get(name, {}).get("value")
-            if a is None or b is None:
-                lines.append(f"  {name}: missing in {'previous' if a is None else 'new'} file")
-                continue
-            ratio = f"{b / a:.3f}x" if a else "n/a"
-            lines.append(f"  {name}: {a:.4g} -> {b:.4g} {spec['unit']}  {ratio} "
-                         f"({spec['better']} is better)")
-    return lines
 
 
 def export_tree(rev: str) -> Path:
@@ -203,8 +181,6 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tag", required=True, help="written to BENCH_<tag>.json")
-    parser.add_argument("--against", type=Path,
-                        help="a previous BENCH_<tag>.json: print each end-to-end ratio")
     parser.add_argument("--parent", help="a commit to compare with in alternated pairs")
     parser.add_argument("--pairs", type=int, help="pairs of runs per workload (with --parent)")
     args = parser.parse_args(argv)
@@ -212,8 +188,7 @@ def main(argv=None) -> int:
         parser.error("--parent and --pairs go together")
     if args.pairs is not None and args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    # read and export before the runs, so that a bad path or commit fails at once
-    previous = json.loads(args.against.read_text()) if args.against else None
+    # export before the runs, so that a bad commit fails at once
     parent_root = export_tree(args.parent) if args.parent else None
 
     workloads = [w["name"] for w in bench["workloads"]]
@@ -225,8 +200,6 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {path.relative_to(ROOT)}")
-    if previous:
-        print("\n".join(compare(record, previous, bench["end_to_end"])))
     failed = sum(w["ops_failed"] for w in record["workloads"].values())
     if parent_root:
         print("\n".join(pair_table(record["pairs"]["workloads"])))

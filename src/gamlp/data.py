@@ -4,9 +4,12 @@ On-disk dataset layout (all little-endian, ids 0-based decimal):
 
     edges.tsv            one "src<TAB>dst" pair per line, undirected
     features.bin         magic "GMFX", u64 n, u64 f, row-major f32
-    features.csv         alternative for small fixtures, one row per node
     labels.tsv           "node<TAB>class" lines
     splits/train.txt     one node id per line (same for val.txt, test.txt)
+
+``features.bin`` is the one feature format, and it loads as float32. Features
+held in another form, such as a CSV file, enter a dataset through
+``np.loadtxt`` and ``save_dataset``, which refuses values not finite in float32.
 
 The integer files (edges, labels, splits) are parsed in bulk: one
 ``np.loadtxt`` call per file, then one vectorised check that every value,
@@ -50,7 +53,7 @@ class Splits:
 @dataclass
 class Dataset:
     graph: CsrGraph           # raw symmetric adjacency, pre-normalization
-    features: np.ndarray      # n x f; float32 from features.bin, else float64
+    features: np.ndarray      # n x f; float32 from features.bin, float64 from generate_sbm
     labels: np.ndarray        # length n, -1 where unlabeled
     splits: Splits
     num_classes: int
@@ -114,53 +117,27 @@ def _read_table(path: Path, columns: int) -> np.ndarray | None:
 
 
 def _read_features(directory: Path) -> np.ndarray:
-    """The n x f features of features.bin, else of features.csv; a malformed or
-    empty file, a NaN or infinity (named by node), or a features.csv value
-    beyond float32's range (named by line and node) raises a DatasetError."""
+    """The n x f float32 features of features.bin; a missing, malformed or empty
+    file, or a NaN or infinity (named by node), raises a DatasetError."""
     path = directory / "features.bin"
-    if path.exists():
-        with open(path, "rb") as f:
-            header = f.read(20)
-            if len(header) < 20 or header[:4] != _FEAT_MAGIC:
-                raise DatasetError(f"{path}: not a feature file (bad magic)")
-            n, dim = struct.unpack("<QQ", header[4:])
-            found = os.fstat(f.fileno()).st_size - 20
-            if found != 4 * n * dim:
-                raise DatasetError(f"{path}: expected {4 * n * dim} bytes of float32 "
-                                   f"values after the header, found {found}")
-            x = np.fromfile(f, dtype="<f4", count=n * dim).reshape(n, dim)
-    else:
-        path = directory / "features.csv"
-        if not path.exists():
-            raise DatasetError(f"{directory}: missing features.bin / features.csv")
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data",
-                                        UserWarning)
-                x = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-        except ValueError as e:
-            raise DatasetError(f"{path}: {e}") from None
+    if not path.is_file():
+        raise DatasetError(f"{path}: missing")
+    with open(path, "rb") as f:
+        header = f.read(20)
+        if len(header) < 20 or header[:4] != _FEAT_MAGIC:
+            raise DatasetError(f"{path}: not a feature file (bad magic)")
+        n, dim = struct.unpack("<QQ", header[4:])
+        found = os.fstat(f.fileno()).st_size - 20
+        if found != 4 * n * dim:
+            raise DatasetError(f"{path}: expected {4 * n * dim} bytes of float32 "
+                               f"values after the header, found {found}")
+        x = np.fromfile(f, dtype="<f4", count=n * dim).reshape(n, dim)
     if x.size == 0:
         raise DatasetError(f"{path}: holds no feature values")
     if not np.isfinite(x).all():
         node = int(np.argmin(np.isfinite(x).all(axis=1)))
         raise DatasetError(f"{path}: non-finite feature value at node {node}")
-    if x.dtype != np.float32:  # the caches and the model hold float32
-        beyond = np.abs(x) > np.finfo(np.float32).max
-        if beyond.any():
-            node = int(np.argmax(beyond.any(axis=1)))
-            value = float(x[node][beyond[node]][0])
-            raise DatasetError(f"{path}:{_data_line(path, node)}: feature value {value!r} "
-                               f"at node {node} is beyond float32 range")
     return x
-
-
-def _data_line(path: Path, row: int) -> int:
-    """The line number in ``path`` of data row ``row`` as np.loadtxt counts rows:
-    lines that are blank once a ``#`` comment is cut off hold no row."""
-    with open(path, "r", encoding="utf-8", errors="replace") as f:
-        rows = [no for no, line in enumerate(f, start=1) if line.split("#", 1)[0].strip()]
-    return rows[row]
 
 
 def _read_lines(path: Path, columns: int, n: int, form: str, not_int: str, problem):
@@ -290,15 +267,21 @@ def load_dataset(directory) -> Dataset:
 
 
 def save_dataset(dataset: Dataset, directory) -> None:
-    """Write a dataset in the directory layout that load_dataset reads."""
+    """Write a dataset in the directory layout that load_dataset reads. Features
+    that are not finite in float32 raise a DatasetError before any file is written."""
     directory = Path(directory)
+    with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf
+        features = np.ascontiguousarray(dataset.features, dtype="<f4")
+    if not np.isfinite(features).all():
+        node = int(np.argmin(np.isfinite(features).all(axis=1)))
+        raise DatasetError(f"{directory}: feature value at node {node} is not finite "
+                           "in float32")
     (directory / "splits").mkdir(parents=True, exist_ok=True)
     np.savetxt(directory / "edges.tsv", dataset.undirected_edges(), fmt="%d", delimiter="\t")
     with open(directory / "features.bin", "wb") as f:
-        n, dim = dataset.features.shape
         f.write(_FEAT_MAGIC)
-        f.write(struct.pack("<QQ", n, dim))
-        f.write(np.ascontiguousarray(dataset.features, dtype="<f4").tobytes())
+        f.write(struct.pack("<QQ", *features.shape))
+        f.write(features.tobytes())
     labeled = np.flatnonzero(dataset.labels >= 0)
     np.savetxt(directory / "labels.tsv", np.column_stack([labeled, dataset.labels[labeled]]),
                fmt="%d", delimiter="\t")

@@ -35,33 +35,26 @@ def test_collect_keeps_both_runs_of_every_workload_and_no_spans():
     assert "copied" not in str(record)
 
 
-def test_against_prints_each_end_to_end_ratio_per_workload(tmp_path, capsys, monkeypatch):
-    previous = bench_tag.collect("old", ["a", "b"], 7, 3.0, run=_fake_run([]))
-    record = bench_tag.collect("new", ["a", "b"], 7, 3.0, run=_fake_run([]))
-    record["workloads"]["a"]["end_to_end"]["predict_rows_per_s"]["value"] = 16.0
-    del record["workloads"]["b"]["end_to_end"]["predict_rows_per_s"]
-    specs = [{"name": "predict_rows_per_s", "unit": "rows/s", "better": "higher"}]
-    assert bench_tag.compare(record, previous, specs) == [
-        "a (new / old):",
-        "  predict_rows_per_s: 10 -> 16 rows/s  1.600x (higher is better)",
-        "b (new / old):",
-        "  predict_rows_per_s: missing in new file"]
-    # from the command line: run, write BENCH_new.json, compare on every metric
-    # of BENCHMARK.json
+def test_main_writes_the_record_and_exits_1_when_an_op_fails(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(bench_tag, "ROOT", tmp_path)
     (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-        {"workloads": [{"name": "a"}, {"name": "b"}], "run_seconds": 3.0,
-         "end_to_end": specs + [{"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]}))
-    monkeypatch.setattr(bench_tag, "collect", lambda *args: record)
-    (tmp_path / "BENCH_old.json").write_text(json.dumps(previous))
-    # the fake traced runs fail one op each, so the exit status is 1
-    assert bench_tag.main(["--tag", "new", "--against", str(tmp_path / "BENCH_old.json")]) == 1
-    assert json.loads((tmp_path / "BENCH_new.json").read_text()) == record
-    assert capsys.readouterr().out.splitlines() == [
-        "wrote BENCH_new.json", "a (new / old):",
-        "  predict_rows_per_s: 10 -> 16 rows/s  1.600x (higher is better)",
-        "  peak_rss_mb: missing in previous file", "b (new / old):",
-        "  predict_rows_per_s: missing in new file", "  peak_rss_mb: missing in previous file"]
+        {"workloads": [{"name": "a"}, {"name": "b"}], "run_seconds": 3.0, "end_to_end": []}))
+    calls, real_collect = [], bench_tag.collect
+    # the fake traced runs fail one op each; under tag "clean" no run fails
+    runs = {"failing": _fake_run(calls),
+            "clean": lambda *args: {**_fake_run(calls)(*args), "failed": 0}}
+    monkeypatch.setattr(bench_tag, "collect",
+                        lambda tag, *args: real_collect(tag, *args, run=runs[tag]))
+    assert bench_tag.main(["--tag", "failing"]) == 1
+    assert bench_tag.main(["--tag", "clean"]) == 0
+    # every workload of BENCHMARK.json, at seed SEED and its run length
+    assert calls == [(w, 7, 3.0, trace) for w in "ab" for trace in (0, 1)] * 2
+    for tag, failed in (("failing", 1), ("clean", 0)):
+        record = json.loads((tmp_path / f"BENCH_{tag}.json").read_text())
+        assert record == real_collect(tag, ["a", "b"], 7, 3.0, run=runs[tag])
+        assert record["workloads"]["a"]["ops_failed"] == failed and "pairs" not in record
+    assert capsys.readouterr().out.splitlines() == ["wrote BENCH_failing.json",
+                                                    "wrote BENCH_clean.json"]
 
 
 SPECS = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},

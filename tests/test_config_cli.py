@@ -190,25 +190,6 @@ def test_pipeline_smoke(workdir, capsys):
     assert f"test accuracy {trained_test_acc}" in out
 
 
-def test_preprocess_refuses_a_feature_beyond_float32_in_one_line(workdir, capsys):
-    # the value is finite in float64, where features.csv is read, but not in
-    # the float32 caches: refused at load, before a cache is written
-    tmp_path, conf, cache_dir = workdir
-    data_dir = tmp_path / "data"
-    x = load_dataset(data_dir).features.astype(np.float64)
-    x[3, 2] = 1e39
-    (data_dir / "features.bin").unlink()
-    path = data_dir / "features.csv"
-    path.write_text("# features\n" + "".join(",".join(map(repr, row.tolist())) + "\n"
-                                            for row in x))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["preprocess", "--config", str(conf)]) == 1
-    assert capsys.readouterr().err == (f"gamlp: error: {path}:5: feature value 1e+39 "
-                                       "at node 3 is beyond float32 range\n")
-    assert not cache_dir.exists() or not any(cache_dir.iterdir())
-
-
 def test_inspect_prints_the_cache_headers(workdir, capsys):
     tmp_path, conf, cache_dir = workdir
     assert main(["preprocess", "--config", str(conf)]) == 0

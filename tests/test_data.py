@@ -13,15 +13,11 @@ from gamlp.graph import build_graph
 from conftest import dense_adjacency, neighbors
 
 
-def write_fixture(root, features_kind="csv"):
+def write_fixture(root):
     """3-node path dataset with one node per split."""
     root.mkdir(parents=True, exist_ok=True)
     (root / "edges.tsv").write_text("0\t1\n1\t2\n")
-    if features_kind == "csv":
-        (root / "features.csv").write_text("1.0,0.0\n0.5,0.5\n0.0,1.0\n")
-    else:
-        x = np.array([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]], dtype="<f4")
-        (root / "features.bin").write_bytes(b"GMFX" + struct.pack("<QQ", 3, 2) + x.tobytes())
+    _write_features(root, [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
     (root / "labels.tsv").write_text("0\t0\n1\t1\n2\t1\n")
     splits = root / "splits"
     splits.mkdir(exist_ok=True)
@@ -42,71 +38,41 @@ def test_load_rejects_a_truncated_feature_file(tmp_path, cut):
     assert str(err.value).startswith(f"{path}: expected 120 bytes")
 
 
-def _write_features(root, kind, x):
-    """Replace the fixture's features with ``x`` in features.bin or features.csv."""
-    (root / "features.csv").unlink(missing_ok=True)
-    (root / "features.bin").unlink(missing_ok=True)
-    if kind == "bin":
-        x = np.asarray(x, dtype="<f4")
-        (root / "features.bin").write_bytes(b"GMFX" + struct.pack("<QQ", *x.shape)
-                                            + x.tobytes())
-    else:
-        (root / "features.csv").write_text("".join(
-            ",".join(repr(float(v)) for v in row) + "\n" for row in x))
-    return root / f"features.{kind}"
+def _write_features(root, x):
+    """Write ``x`` as the features.bin of ``root``."""
+    x = np.asarray(x, dtype="<f4")
+    path = root / "features.bin"
+    path.write_bytes(b"GMFX" + struct.pack("<QQ", *x.shape) + x.tobytes())
+    return path
 
 
-@pytest.mark.parametrize("kind", ["bin", "csv"])
+@pytest.mark.parametrize("kind", ["bin"])
 def test_load_refuses_a_feature_file_without_rows(tmp_path, kind):
     root = write_fixture(tmp_path / "toy")
-    path = _write_features(root, kind, np.zeros((0, 2)))
+    path = _write_features(root, np.zeros((0, 2)))
     with pytest.raises(DatasetError) as err:
         load_dataset(root)
     assert str(err.value) == f"{path}: holds no feature values"
 
 
-@pytest.mark.parametrize("kind, value", [("bin", np.nan), ("csv", np.inf), ("csv", np.nan),
-                                         ("bin", -np.inf)])
+@pytest.mark.parametrize("kind, value", [("bin", np.nan), ("bin", np.inf), ("bin", -np.inf)])
 def test_load_refuses_non_finite_features_naming_the_first_node(tmp_path, kind, value):
     root = write_fixture(tmp_path / "toy")
-    path = _write_features(root, kind, [[1.0, 0.0], [0.5, value], [value, 1.0]])
+    path = _write_features(root, [[1.0, 0.0], [0.5, value], [value, 1.0]])
     with pytest.raises(DatasetError) as err:
         load_dataset(root)
     assert str(err.value) == f"{path}: non-finite feature value at node 1"
 
 
-@pytest.mark.parametrize("value", [1e39, -3.5e38])
-def test_load_refuses_a_csv_feature_beyond_float32_naming_its_line(tmp_path, value):
-    # float64 holds the value, but the float32 caches would round it to inf;
-    # loadtxt skips comment and blank lines, so node 2 sits on line 5
-    root = write_fixture(tmp_path / "toy")
-    path = root / "features.csv"
-    path.write_text(f"# x, y\n1.0,0.0\n\n0.5,0.5  # mid\n{value!r},1.0\n")
-    with pytest.raises(DatasetError) as err:
-        load_dataset(root)
-    assert str(err.value) == (f"{path}:5: feature value {value!r} at node 2 "
-                              "is beyond float32 range")
-
-
-def test_load_keeps_a_csv_feature_at_float32s_largest_value(tmp_path):
-    top = float(np.finfo(np.float32).max)
-    root = write_fixture(tmp_path / "toy")
-    _write_features(root, "csv", [[top, 0.0], [0.5, -top], [0.0, 1.0]])
-    assert load_dataset(root).features[1, 1] == -top
-
-
-def test_load_fixture_csv(tmp_path):
+def test_load_fixture_bin(tmp_path):
     ds = load_dataset(write_fixture(tmp_path / "toy"))
     assert ds.n == 3
     assert ds.graph.degrees().tolist() == [1, 2, 1]
     assert ds.num_classes == 2
     assert ds.labels.tolist() == [0, 1, 1]
     assert ds.splits.train.tolist() == [0, 1]
-
-
-def test_load_fixture_bin(tmp_path):
-    ds = load_dataset(write_fixture(tmp_path / "toy", features_kind="bin"))
     assert ds.features.shape == (3, 2)
+    assert ds.features.dtype == np.float32
     assert ds.features[1, 0] == 0.5
 
 
@@ -145,8 +111,8 @@ def test_load_missing_file(tmp_path):
         load_dataset(root)
 
 
-@pytest.mark.parametrize("name", ["edges.tsv", "splits/val.txt"])
-def test_load_reports_a_missing_integer_file(tmp_path, name):
+@pytest.mark.parametrize("name", ["features.bin", "edges.tsv", "splits/val.txt"])
+def test_load_reports_a_missing_file(tmp_path, name):
     root = write_fixture(tmp_path / "toy")
     (root / name).unlink()
     with pytest.raises(DatasetError) as err:
@@ -192,6 +158,19 @@ def test_round_trip_identity(tmp_path):
         assert np.array_equal(getattr(loaded.splits, part), getattr(again.splits, part))
 
 
+@pytest.mark.parametrize("value", [1e39, np.nan])
+def test_save_refuses_features_not_finite_in_float32_before_writing(tmp_path, value):
+    # 1e39 is finite in float64 but rounds to inf in features.bin
+    ds = generate_sbm([5, 5], 0.5, 0.1, 3, 2.0, seed=0, name="sbm")
+    ds.features[4, 1] = ds.features[7, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DatasetError) as err:
+            save_dataset(ds, tmp_path / "out")
+    assert str(err.value) == f"{tmp_path / 'out'}: feature value at node 4 is not finite in float32"
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # Bulk parser parity: every file loads to the same arrays, or fails with the
 # same one-line error, whether numpy's bulk parse or the line loop reads it.
@@ -205,8 +184,7 @@ CLEAN_LABELS = "".join(f"{i}\t{i % 3}\n" for i in range(PARITY_N))
 def write_parity_fixture(root, edges=CLEAN_EDGES, labels=CLEAN_LABELS,
                          train="0\n1\n2\n3\n", val="4\n5\n", test="6\n7\n8\n"):
     root.mkdir(parents=True, exist_ok=True)
-    (root / "features.csv").write_text(
-        "".join(f"{i}.0,1.0\n" for i in range(PARITY_N)))
+    _write_features(root, [[i, 1.0] for i in range(PARITY_N)])
     (root / "edges.tsv").write_bytes(edges.encode())
     (root / "labels.tsv").write_bytes(labels.encode())
     (root / "splits").mkdir(exist_ok=True)
@@ -351,11 +329,7 @@ def test_split_errors_name_the_files_and_lines(tmp_path, monkeypatch, files, mes
 
 def test_bulk_parse_warning_falls_back_to_line_loop(tmp_path, monkeypatch):
     # numpy < 2 read "1.5" into an integer column with only a DeprecationWarning
-    real_loadtxt = np.loadtxt
-
     def lenient_loadtxt(fname, dtype=float, **kwargs):
-        if dtype is not np.int64:  # features.csv
-            return real_loadtxt(fname, dtype=dtype, **kwargs)
         warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
                       DeprecationWarning)
         return np.array([[0, 1], [1, 2]])

@@ -7,20 +7,6 @@ import gamlp
 from gamlp.cli import main
 
 
-def test_lazy_exports():
-    g = gamlp.build_graph([(0, 1)], 2)
-    assert isinstance(g, gamlp.CsrGraph)
-    assert gamlp.__version__
-    for name in gamlp.__all__:  # a stale entry fails only when it is looked up
-        assert getattr(gamlp, name) is not None, name
-    try:
-        gamlp.not_a_thing
-    except AttributeError:
-        pass
-    else:
-        raise AssertionError("unknown attribute should raise")
-
-
 def test_console_entry_point_help():
     result = subprocess.run([sys.executable, "-m", "gamlp.cli", "--help"],
                             capture_output=True, text=True)
@@ -73,6 +59,16 @@ def _scipy_modules_after(code: str) -> str:
                             text=True, env={**os.environ, "PYTHONPATH": SRC})
     assert result.returncode == 0, result.stderr
     return result.stderr
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy():
+    # so that the CLI can pin thread counts before numpy loads
+    code = ("import sys, gamlp\nprint(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('gamlp', 'numpy')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": SRC})
+    assert result.stdout == "['gamlp']\n", result.stderr
+    assert gamlp.__version__
 
 
 def test_importing_the_package_modules_loads_no_scipy():

@@ -202,19 +202,14 @@ def test_preprocess_writes_the_float64_stacks_rounded_once(sbm, tmp_path, overri
         assert got.fingerprint != want.fingerprint
 
 
-def test_features_csv_and_bin_give_byte_identical_caches(sbm, tmp_path):
-    # features.csv loads as float64 and features.bin as float32; the seed is
-    # rounded to float32 once, before the first hop, so the caches agree
+def test_generated_features_and_their_saved_bin_give_byte_identical_caches(sbm, tmp_path):
+    # generate_sbm's features are float64 and features.bin loads as float32; the
+    # seed is rounded to float32 once, before the first hop, so the caches agree
     save_dataset(sbm, tmp_path / "bin")
-    save_dataset(sbm, tmp_path / "csv")
-    (tmp_path / "csv" / "features.bin").unlink()
-    np.savetxt(tmp_path / "csv" / "features.csv", sbm.features, fmt="%.17g", delimiter=",")
-    caches = []
-    for name in ("bin", "csv"):
-        ds = load_dataset(tmp_path / name)
-        config = _config(tmp_path / f"cache_{name}")
-        caches.append([p.read_bytes() for p in preprocess(ds, config)])
-    assert load_dataset(tmp_path / "csv").features.dtype == np.float64
+    loaded = load_dataset(tmp_path / "bin")
+    assert sbm.features.dtype == np.float64 and loaded.features.dtype == np.float32
+    caches = [[p.read_bytes() for p in preprocess(ds, _config(tmp_path / f"cache_{name}"))]
+              for name, ds in (("memory", sbm), ("bin", loaded))]
     assert caches[0] == caches[1]
 
 
