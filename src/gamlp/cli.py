@@ -1,7 +1,10 @@
 """Command-line pipeline driver.
 
 Subcommands: preprocess, train, eval, sweep, ablate, export-attention,
-inspect.
+inspect. Once its arguments parse, a failing command prints one line,
+``gamlp: error: ...``, and exits 1; a run over cached stacks that fails on
+a non-finite value names the cache file and node at fault, as the model
+raises it.
 Thread-count control (--threads, or the GAMLP_THREADS environment
 variable) sets the BLAS pools and the propagation (spmm) threads. The BLAS
 pools read it only when the numerics libraries load, so the heavy imports
@@ -13,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager
 
 from .config import ConfigError, parse_config, thread_count
 
@@ -101,28 +103,6 @@ def _load(args):
     return config, dataset
 
 
-@contextmanager
-def _blame_the_caches(config, stacks, model=None):
-    """Name the cache entry at fault when a run over the cached ``stacks`` fails
-    on a non-finite value: a non-finite entry, or, given the ``model`` of an
-    eval-mode run, the node whose row overflows it (see
-    :func:`~gamlp.pipeline.check_cache_values`). Otherwise the error stands as
-    raised. Every layer checks its output, so numpy's floating-point warnings
-    are silenced here: they would only add lines that name no file."""
-    import numpy as np
-
-    from .model import TrainingDiverged
-    from .nn import NonFiniteError
-    from .pipeline import check_cache_values
-
-    with np.errstate(all="ignore"):
-        try:
-            yield
-        except (TrainingDiverged, NonFiniteError):
-            check_cache_values(config, stacks, model)
-            raise
-
-
 def _cmd_preprocess(args) -> int:
     from .pipeline import preprocess
 
@@ -140,12 +120,9 @@ def _cmd_train(args) -> int:
     feature_stack, label_stack = load_stacks(dataset, config, force=args.force)
     ckpt = args.checkpoint or os.path.join(config.cache_dir, "checkpoint.gmck")
     log_path = args.out or ckpt + ".log.jsonl"
-    stacks = (feature_stack, label_stack)
-    with _blame_the_caches(config, stacks):
-        result = fit(feature_stack, label_stack, dataset.labels, dataset.splits, config,
-                     num_classes=dataset.num_classes, log_path=log_path)
-    with _blame_the_caches(config, stacks, result.model):
-        pred = predict(result.model, feature_stack, label_stack)
+    result = fit(feature_stack, label_stack, dataset.labels, dataset.splits, config,
+                 num_classes=dataset.num_classes, log_path=log_path)
+    pred = predict(result.model, feature_stack, label_stack)
     save_checkpoint(ckpt, result.model, feature_stack, label_stack)
     labels, splits = dataset.labels, dataset.splits
     val = (f"{result.best_val_acc:.4f} (epoch {result.best_epoch})"
@@ -158,7 +135,7 @@ def _cmd_train(args) -> int:
 
 
 def _restore(args):
-    """(config, dataset, model, feature stack, label stack) of ``args.checkpoint``."""
+    """(dataset, model, feature stack, label stack) of ``args.checkpoint``."""
     from .model import restore_model
     from .pipeline import load_stacks
 
@@ -168,15 +145,14 @@ def _restore(args):
     config, dataset = _load(args)
     feature_stack, label_stack = load_stacks(dataset, config)
     model = restore_model(args.checkpoint, config, feature_stack, label_stack)
-    return config, dataset, model, feature_stack, label_stack
+    return dataset, model, feature_stack, label_stack
 
 
 def _cmd_eval(args) -> int:
     from .model import evaluate_accuracy, labeled_ids, predict
 
-    config, dataset, model, feature_stack, label_stack = _restore(args)
-    with _blame_the_caches(config, (feature_stack, label_stack), model):
-        pred = predict(model, feature_stack, label_stack)
+    dataset, model, feature_stack, label_stack = _restore(args)
+    pred = predict(model, feature_stack, label_stack)
     for part in ("train", "val", "test"):
         split = labeled_ids(getattr(dataset.splits, part), dataset.labels)
         if split.size == 0:
@@ -250,11 +226,9 @@ def _cmd_export_attention(args) -> int:
     from .model import export_attention, write_attention_csv
 
     buckets = _parse_buckets(args.buckets)
-    config, dataset, model, feature_stack, label_stack = _restore(args)
-    degrees = dataset.graph.degrees()
-    with _blame_the_caches(config, (feature_stack, label_stack), model):
-        per_node, per_bucket = export_attention(model, feature_stack, label_stack,
-                                                degrees, buckets)
+    dataset, model, feature_stack, label_stack = _restore(args)
+    per_node, per_bucket = export_attention(model, feature_stack, label_stack,
+                                            dataset.graph.degrees(), buckets)
     node_path = f"{args.out}_nodes.csv"
     bucket_path = f"{args.out}_buckets.csv"
     write_attention_csv(per_node, per_bucket, node_path, bucket_path,
@@ -288,6 +262,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)  # loads no numpy
     try:
         _set_threads(args.threads)
+        if getattr(args, "runs", 1) < 1:  # sweep's and ablate's, before any load
+            raise ValueError(f"--runs: got {args.runs}; expected at least 1 run")
         return _HANDLERS[args.command](args)
     except Exception as e:  # one-line diagnostic, nonzero exit
         print(f"gamlp: error: {e}", file=sys.stderr)

@@ -32,7 +32,8 @@ import numpy as np
 from .config import TrainConfig
 from .nn import (Activation, Adam, Linear, Mlp, NonFiniteError, ParamTensor, _check_finite,
                  cross_entropy, dropout, dropout_backward, softmax_backward, softmax_rows)
-from .propagation import ResidualScheme, Stack, apply_last_residual, atomic_write
+from .propagation import (CacheFormatError, ResidualScheme, Stack, apply_last_residual,
+                          atomic_write)
 
 
 class TrainingDiverged(Exception):
@@ -500,20 +501,50 @@ def _stack_inputs(feature_stack: Stack, label_stack: Stack | None,
     return slice_mats(feature_stack.mats, rows), label_mats
 
 
+def _blame_node(stacks, node: int, error: NonFiniteError | None = None) -> None:
+    """For a node whose layer output was non-finite (every forward is row-wise, so
+    it is a cause), raise CacheFormatError at its first non-finite step in the
+    cached ``stacks``. With its rows finite and the layer's ``error`` given,
+    raise that error again naming the node and its largest cached magnitude.
+    Returns for stacks built in memory, and for finite rows without ``error``."""
+    cached = [stack for stack in stacks if stack is not None and stack.path is not None]
+    for stack in cached:
+        bad = np.flatnonzero(~np.isfinite(stack.mats[:, node]).all(axis=1))
+        if bad.size:
+            raise CacheFormatError(f"{stack.path}: step {bad[0]}, node {node} holds a "
+                                   "non-finite value; rerun gamlp preprocess") from None
+    if error is not None and cached:  # (largest magnitude, step, path), the first of equals
+        mag, step, path = max(((float(np.abs(row).max(initial=0.0)), step, stack.path)
+                               for stack in cached
+                               for step, row in enumerate(stack.mats[:, node])),
+                              key=lambda entry: entry[0])
+        raise NonFiniteError(f"{path}: node {node} makes the model's output non-finite; its "
+                             f"largest cached magnitude is {mag:.3g}, at step {step}; check "
+                             "the input scaling or rerun gamlp preprocess", error.row) from None
+
+
 def _stack_blocks(model: GamlpModel, feature_stack: Stack,
                   label_stack: Stack | None, rows: np.ndarray | None):
     """Yield the eval-mode logits and feature weights of ``rows`` of the stacks
     (None: every node, as views), ROW_BLOCK rows at a time. Raises ValueError
-    when a stack has another dtype than the model."""
-    for stack in (feature_stack, label_stack if model.config.use_labels else None):
+    when a stack has another dtype than the model. A non-finite layer output
+    over cached stacks is named by its node (see :func:`_blame_node`)."""
+    stacks = (feature_stack, label_stack if model.config.use_labels else None)
+    for stack in stacks:
         if stack is not None and stack.mats.dtype != model.dtype:
             raise ValueError(f"the model computes in {model.dtype} but a stack is "
                              f"{stack.mats.dtype}; give it stacks of its own dtype")
     n_rows = feature_stack.n if rows is None else len(rows)
     for lo in range(0, max(n_rows, 1), ROW_BLOCK):  # no rows: one empty block
         ids = slice(lo, lo + ROW_BLOCK) if rows is None else rows[lo:lo + ROW_BLOCK]
-        feats, label_mats = _stack_inputs(feature_stack, label_stack, model.config, ids)
-        yield model.forward(feats, label_mats, rows=ids, training=False), model.feature_weights
+        with np.errstate(all="ignore"):  # every layer checks its output
+            try:
+                feats, label_mats = _stack_inputs(feature_stack, label_stack, model.config, ids)
+                logits = model.forward(feats, label_mats, rows=ids, training=False)
+            except NonFiniteError as e:
+                _blame_node(stacks, int(lo + e.row if rows is None else rows[lo + e.row]), e)
+                raise
+        yield logits, model.feature_weights
 
 
 def _new_model(config: TrainConfig, feature_stack: Stack,
@@ -548,7 +579,8 @@ def fit(feature_stack: Stack, label_stack: Stack | None,
     The model computes in the stacks' dtype. Returns the parameters
     of the best validation epoch. Raises TrainingDiverged on a non-finite
     loss or layer output, in training or in the validation pass, and on a
-    non-finite gradient before the optimizer step, naming the parameter.
+    non-finite gradient before the optimizer step, naming the parameter. A
+    failing node's non-finite cached value raises :func:`_blame_node`'s error.
     """
     train_ids = np.asarray(splits.train, dtype=np.int64)
     if train_ids.size == 0:
@@ -560,6 +592,7 @@ def fit(feature_stack: Stack, label_stack: Stack | None,
         raise ValueError(f"batch_size {config.batch_size} exceeds node count {n}")
 
     model, rng = _new_model(config, feature_stack, label_stack, num_classes)
+    stacks = (feature_stack, label_stack if config.use_labels else None)
     params = model.params
     adam = Adam(params, lr=config.lr, weight_decay=config.weight_decay)
 
@@ -575,19 +608,21 @@ def fit(feature_stack: Stack, label_stack: Stack | None,
         gradients end with the call, so none of them outlives the step."""
         model.zero_grad()
         ids = train_ids[batch]
-        feats, label_mats = _stack_inputs(feature_stack, label_stack, config, ids)
-        try:
-            logits = model.forward(feats, label_mats, rows=ids, training=True, rng=rng)
-            loss, d_logits = cross_entropy(logits, onehot[batch])
-        except NonFiniteError as e:
-            raise diverged(str(e)) from None
-        if not np.isfinite(loss):
-            raise diverged("non-finite loss")
-        model.backward(d_logits)
-        for p in params:  # Adam would spread a non-finite gradient to every parameter
-            if not np.isfinite(p.grad).all():
-                raise diverged(f"non-finite gradient of {p.name} in a training step")
-        adam.step()
+        with np.errstate(all="ignore"):  # as in _stack_blocks; Adam's g * g may overflow
+            try:
+                feats, label_mats = _stack_inputs(feature_stack, label_stack, config, ids)
+                logits = model.forward(feats, label_mats, rows=ids, training=True, rng=rng)
+                loss, d_logits = cross_entropy(logits, onehot[batch])
+            except NonFiniteError as e:
+                _blame_node(stacks, int(ids[e.row]))
+                raise diverged(str(e)) from None
+            if not np.isfinite(loss):
+                raise diverged("non-finite loss")
+            model.backward(d_logits)
+            for p in params:  # Adam would spread a non-finite gradient to every parameter
+                if not np.isfinite(p.grad).all():
+                    raise diverged(f"non-finite gradient of {p.name} in a training step")
+            adam.step()
         return loss
 
     log: list[dict] = []
@@ -612,8 +647,8 @@ def fit(feature_stack: Stack, label_stack: Stack | None,
             if val_ids.size:
                 try:
                     val_pred = predict(model, feature_stack, label_stack, val_ids)
-                except NonFiniteError as e:
-                    raise diverged(f"{e} in the validation pass") from None
+                except NonFiniteError as e:  # without the error's advice: fit gives its own
+                    raise diverged(f"{str(e).partition(';')[0]} in the validation pass") from None
                 val_acc = float(np.mean(val_pred == labels[val_ids]))
             else:
                 val_acc = float("nan")
@@ -712,7 +747,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
 
 
 def restore_params(params: list[ParamTensor], arrays: dict[str, np.ndarray]) -> None:
-    """Copy checkpointed ``param/<name>`` entries into a parameter list."""
+    """Copy checkpointed ``param/<name>`` entries into a parameter list; a missing,
+    misshaped or non-finite entry, or one of another dtype, is refused."""
     for p in params:
         value = arrays.get(f"param/{p.name}")
         if value is None:
@@ -724,6 +760,9 @@ def restore_params(params: list[ParamTensor], arrays: dict[str, np.ndarray]) -> 
         if value.dtype != p.value.dtype:
             raise CheckpointFormatError(f"checkpoint parameter {p.name!r} has dtype "
                                         f"{value.dtype}, model expects {p.value.dtype}")
+        if not np.isfinite(value).all():
+            raise CheckpointFormatError(f"checkpoint parameter {p.name!r} holds a "
+                                        "non-finite value")
         p.value[...] = value
 
 

@@ -21,7 +21,12 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and 
 
 
 class NonFiniteError(FloatingPointError):
-    """NaN or Inf detected at a layer boundary."""
+    """NaN or Inf detected at a layer boundary; ``row`` is the first row of the
+    layer output that holds one, which every row-wise forward maps to a node."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass
@@ -48,8 +53,9 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 
 
 def _check_finite(x: np.ndarray, where: str) -> np.ndarray:
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteError(f"non-finite values in {where}")
+    if not np.all(np.isfinite(x)):  # the row is looked for only on failure
+        raise NonFiniteError(f"non-finite values in {where}",
+                             int(np.argmin(np.isfinite(x).all(axis=1))))
     return x
 
 

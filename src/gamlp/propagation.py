@@ -90,13 +90,16 @@ class Stack:
 
     That is float64 in memory, float32 in ``preprocess``, and float32 when
     the stack is read from a cache, where ``mats`` is a read-only map of
-    the file. A label stack keeps only the raw
-    propagation; the smoothed inputs are derived from ``mats`` by
-    :func:`apply_last_residual`.
+    the file and ``path`` names that file; a stack built in memory has no
+    ``path``. A model that fails on a non-finite value reads the failing
+    node's rows of a cached stack to name the file, step and node at fault.
+    A label stack keeps only the raw propagation; the smoothed inputs are
+    derived from ``mats`` by :func:`apply_last_residual`.
     """
 
     mats: np.ndarray
     fingerprint: bytes  # hashes the dtype the hops ran in, too
+    path: Path | None = None
 
     @property
     def steps(self) -> int:
@@ -323,4 +326,4 @@ def cache_read(path, expect_fingerprint: bytes, force: bool) -> Stack:
         data = mmap.mmap(f.fileno(), header.offset + header.nbytes, access=mmap.ACCESS_READ)
     mats = np.frombuffer(data, dtype="<f4", count=math.prod(header.shape),
                          offset=header.offset).reshape(header.shape)
-    return Stack(mats=mats, fingerprint=header.fingerprint)
+    return Stack(mats=mats, fingerprint=header.fingerprint, path=path)

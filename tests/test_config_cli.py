@@ -322,13 +322,13 @@ def test_a_non_finite_cache_value_is_named_by_file_step_and_node(workdir, capsys
                                                                  value):
     # the fingerprint hashes what shaped a cache, not its values: a value
     # written into it afterwards surfaces only as a non-finite layer output,
-    # which every command over the stacks then traces back to the cache
+    # whose node's cached rows the model then reads to name the entry
     tmp_path, conf, cache_dir = workdir
     _train(conf, capsys)
     path = cache_paths(parse_config(conf))[stack]
     mats = np.load(path, mmap_mode="r+")  # the stack, the cache's first record
     mats[2, 5, 1] = value
-    mats[3, 1, 0] = value  # a later step: the first entry in step order is named
+    mats[3, 5, 0] = value  # a later step of the same node: its first bad step is named
     mats.flush()
     del mats
     ckpt = str(cache_dir / "checkpoint.gmck")
@@ -342,6 +342,35 @@ def test_a_non_finite_cache_value_is_named_by_file_step_and_node(workdir, capsys
             f"gamlp: error: {path}: step 2, node 5 holds a non-finite value; "
             "rerun gamlp preprocess\n"), command[0]
     assert not os.path.exists(ckpt)  # a failed train writes no checkpoint
+
+
+def test_of_two_bad_nodes_the_one_the_run_fails_on_is_named(workdir, capsys):
+    # node 5 is a training node and node 3 a test node: train fails in its
+    # first step on node 5, while eval and export-attention run every node
+    # and fail on node 3 first; the other node's earlier bad step is not named
+    tmp_path, conf, cache_dir = workdir
+    _train(conf, capsys)
+    config = parse_config(conf)
+    splits = load_dataset(config.dataset_dir).splits
+    assert 5 in splits.train and 3 in splits.test
+    path = cache_paths(config)[0]
+    mats = np.load(path, mmap_mode="r+")
+    mats[1, 5, 0] = np.nan
+    mats[2, 3, 0] = np.nan
+    mats.flush()
+    del mats
+    ckpt = str(cache_dir / "checkpoint.gmck")
+    for command, named in ((["eval", "--checkpoint", ckpt], "step 2, node 3"),
+                           (["export-attention", "--checkpoint", ckpt, "--out",
+                             str(tmp_path / "a")], "step 2, node 3"),
+                           (["train"], "step 1, node 5")):
+        if command[0] == "train":
+            os.remove(ckpt)
+        assert main([command[0], "--config", str(conf), *command[1:]]) == 1
+        assert capsys.readouterr().err == (
+            f"gamlp: error: {path}: {named} holds a non-finite value; "
+            "rerun gamlp preprocess\n"), command[0]
+    assert not os.path.exists(ckpt)
 
 
 @pytest.fixture
@@ -404,6 +433,52 @@ def test_an_overflow_inside_fit_keeps_the_divergence_message(fixture60, capsys):
         "gamlp: error: non-finite gradient of feat.s in a training step at epoch 1 "
         "(lr=0.01); reduce the learning rate or check the input scaling\n")
     assert not os.path.exists(ckpt)
+
+
+def test_a_finite_overflow_of_adams_moments_trains_without_a_warning(fixture60, capsys):
+    # node 0 is a training node: its gradients stay finite, but their squares
+    # overflow Adam's second moment in float32, which is not a failure
+    _, conf, ckpt = fixture60
+    _write_cache_row(conf, 2, 0, 1e20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", str(conf)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_an_overflow_in_the_validation_pass_is_named_once_with_its_epoch(fixture60, capsys):
+    # a finite value on a validation node overflows fit's validation pass:
+    # one sentence names the node, the epoch and lr, and gives fit's advice
+    _, conf, ckpt = fixture60
+    os.remove(ckpt)
+    node = int(load_dataset(parse_config(conf).dataset_dir).splits.val[0])
+    path = _write_cache_row(conf, 2, node, 3e38)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--config", str(conf)]) == 1
+    assert capsys.readouterr().err == (
+        f"gamlp: error: {path}: node {node} makes the model's output non-finite in the "
+        "validation pass at epoch 1 (lr=0.01); reduce the learning rate or check the input "
+        "scaling\n")
+    assert not os.path.exists(ckpt)
+
+
+@pytest.mark.parametrize("name, value", [("feat_mlp.0.w", np.nan), ("feat.s", np.inf)])
+def test_a_non_finite_checkpoint_parameter_is_refused_by_name(fixture60, capsys, name,
+                                                              value):
+    # the parameter, not the cache it runs over, is at fault
+    tmp_path, conf, ckpt = fixture60
+    with np.load(ckpt, allow_pickle=False) as npz:
+        arrays = {key: npz[key] for key in npz.files}
+    arrays[f"param/{name}"].flat[0] = value
+    with open(ckpt, "wb") as f:
+        np.savez(f, **arrays)
+    for command in (["eval"], ["export-attention", "--out", str(tmp_path / "a")]):
+        assert main([command[0], "--config", str(conf), "--checkpoint", ckpt,
+                     *command[1:]]) == 1
+        assert capsys.readouterr().err == (
+            f"gamlp: error: {ckpt}: checkpoint parameter {name!r} holds a non-finite "
+            "value; run 'gamlp train' again\n"), command[0]
 
 
 def test_export_attention_rows_equal_the_per_weight_formula(fixture60):
@@ -525,6 +600,22 @@ def test_sweep_rejects_malformed_levels_before_loading(workdir, capsys, monkeypa
     assert len(err) == 1
     assert "--levels" in err[0] and bad in err[0]
     assert loads == []
+
+
+@pytest.mark.parametrize("runs", ["0", "-2"])
+@pytest.mark.parametrize("command", [["sweep", "--kind", "depth", "--levels", "1",
+                                      "--methods", "sgc"], ["ablate", "--which", "label_use"]])
+def test_sweep_and_ablate_reject_runs_below_one_before_loading(workdir, capsys, monkeypatch,
+                                                               command, runs):
+    tmp_path, conf, _ = workdir
+    loads = []
+    monkeypatch.setattr("gamlp.data.load_dataset", loads.append)
+    out = tmp_path / "reports" / command[0]
+    assert main([command[0], "--config", str(conf), *command[1:], "--runs", runs,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"gamlp: error: --runs: got {runs}; "
+                                       "expected at least 1 run\n")
+    assert loads == [] and not out.parent.exists()
 
 
 def test_export_attention_cli(workdir):
